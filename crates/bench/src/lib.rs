@@ -95,7 +95,7 @@ pub fn eval_group(
     workloads
         .iter()
         .map(|w| {
-            if engine::Progress::from_env() != engine::Progress::Off {
+            if Engine::global().progress() != engine::Progress::Off {
                 eprintln!("  evaluating {} ...", w.abbrev);
             }
             eval_app(w, config, with_bftt)
@@ -103,14 +103,42 @@ pub fn eval_group(
         .collect()
 }
 
-/// Entry-point wrapper for the figure/table binaries: initialize the
-/// persistent simulation cache (JSONL under `results/.simcache/`, see
-/// DESIGN.md), run `body`, and print the engine's per-job timing and
-/// cache hit/miss summary to stderr. A failing evaluation exits nonzero
-/// with the failing workload/candidate named, instead of panicking
-/// mid-figure.
+/// The engine the figure/table binaries evaluate on, as the environment
+/// asks for it (same three variables as the `catt` binary, table in
+/// EXPERIMENTS.md): cache from `CATT_SIMCACHE` (`off` | `mem` | `<dir>`;
+/// unset = JSONL under `results/.simcache/`, see DESIGN.md), worker bound
+/// from `CATT_ENGINE_WORKERS`, stderr verbosity from
+/// `CATT_ENGINE_PROGRESS` (`off` | `summary` | `full`; default `summary`).
+fn engine_from_env() -> Engine {
+    let cache = std::env::var("CATT_SIMCACHE")
+        .ok()
+        .filter(|v| !v.is_empty());
+    let mut engine = match cache.as_deref().unwrap_or("results/.simcache") {
+        "off" => Engine::uncached(),
+        "mem" => Engine::new(),
+        dir => Engine::persistent(dir),
+    };
+    let workers = std::env::var("CATT_ENGINE_WORKERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n: &usize| n > 0);
+    if let Some(n) = workers {
+        engine = engine.with_worker_bound(n);
+    }
+    engine.with_progress(match std::env::var("CATT_ENGINE_PROGRESS").as_deref() {
+        Ok("off") => engine::Progress::Off,
+        Ok("full") => engine::Progress::Full,
+        _ => engine::Progress::Summary,
+    })
+}
+
+/// Entry-point wrapper for the figure/table binaries: install the
+/// process-wide engine (see [`engine_from_env`]), run `body`, and print
+/// the engine's per-job timing and cache hit/miss summary to stderr. A
+/// failing evaluation exits nonzero with the failing workload/candidate
+/// named, instead of panicking mid-figure.
 pub fn run_eval(body: impl FnOnce() -> Result<(), EvalError>) -> std::process::ExitCode {
-    let engine = Engine::init_global_persistent();
+    let engine = Engine::init_global(engine_from_env());
     let code = match body() {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(e) => {

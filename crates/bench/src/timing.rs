@@ -6,10 +6,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Median of a sample set: the middle element for odd n, the average of
-/// the two middle elements for even n. The one shared definition for
-/// every consumer in the bench crate (`bench` below, `bench_summary`) —
-/// previously the two call sites disagreed on the even-n convention.
-/// Sorts `samples` in place.
+/// the two middle elements for even n. Sorts `samples` in place.
 ///
 /// # Panics
 /// On an empty slice.

@@ -17,7 +17,7 @@
 //!   process; an optional persistent JSONL layer under
 //!   `results/.simcache/` makes warm re-runs of any table/figure binary
 //!   near-instant. Traced runs (`GpuConfig::trace_requests`) and profiled
-//!   runs (`GpuConfig::profile` / `CATT_PROFILE`) bypass the cache — the
+//!   runs (`GpuConfig::profile`) bypass the cache — the
 //!   request trace and the launch profile are diagnostic side channels
 //!   the cache deliberately does not store.
 //!
@@ -27,33 +27,27 @@
 //! are classified as *fatal* (a [`catt_sim::SimError`], a panic, a
 //! validation failure — rerunning cannot help) or *retryable* (transient
 //! I/O); retryable failures are retried with linear backoff up to
-//! `CATT_ENGINE_RETRIES` times. Each job's wall-clock time is compared
-//! against the optional `CATT_JOB_DEADLINE_MS` watchdog deadline and
-//! overruns are counted and reported. The persistent simcache is
-//! versioned and checksummed per line, appended per insert under a
-//! cross-process lock, compacted atomically (tempfile-then-rename) on
-//! load repair and flush, and corrupt or stale lines are skipped with a
-//! reported count — never a crash. The [`crate::fault`] module can
+//! [`DEFAULT_RETRIES`] times ([`Engine::with_retry_policy`]). Each job's
+//! wall-clock time is compared against the optional
+//! [`Engine::with_deadline`] watchdog deadline and overruns are counted
+//! and reported. The persistent simcache is versioned and checksummed
+//! per line, appended per insert under a cross-process lock, compacted
+//! atomically (tempfile-then-rename) on load repair and flush, and
+//! corrupt or stale lines are skipped with a reported count — never a
+//! crash. The [`crate::fault`] module can
 //! inject worker panics and cache corruption to exercise all of it.
 //!
-//! Environment knobs (read by [`Engine::global`] /
-//! [`Engine::init_global_persistent`]):
-//!
-//! * `CATT_SIMCACHE=off` — disable caching entirely (force cold runs);
-//! * `CATT_SIMCACHE=mem` — in-memory layer only, nothing persisted;
-//! * `CATT_SIMCACHE=<dir>` — persist under `<dir>` instead of
-//!   `results/.simcache/`;
-//! * `CATT_ENGINE_WORKERS=<n>` — override the worker-pool bound. The
-//!   active count is published to `catt-sim` for the duration of each
-//!   batch, so per-launch SM parallelism (`CATT_SIM_SM_PARALLEL`) budgets
-//!   `available_parallelism / workers` threads per launch instead of
-//!   oversubscribing the machine;
-//! * `CATT_ENGINE_PROGRESS=off|summary|full` — stderr verbosity
-//!   (default `summary`: one line per batch, no per-job ticker);
-//! * `CATT_ENGINE_RETRIES=<n>` — retry budget for retryable failures
-//!   (default 2);
-//! * `CATT_JOB_DEADLINE_MS=<ms>` — per-job wall-clock watchdog;
-//! * `CATT_FAULT_PLAN=...` — fault injection, see [`crate::fault`].
+//! The engine takes its settings from its constructors and builders —
+//! cache mode ([`Engine::new`] / [`Engine::persistent`] /
+//! [`Engine::uncached`]), worker bound ([`Engine::with_worker_bound`];
+//! published to `catt-sim` for the duration of each batch, so per-launch
+//! SM parallelism budgets `available_parallelism / workers` threads per
+//! launch instead of oversubscribing the machine), stderr verbosity
+//! ([`Engine::with_progress`], silent by default) — and never consults
+//! the environment for them; the binaries map `CATT_SIMCACHE`,
+//! `CATT_ENGINE_WORKERS` and `CATT_ENGINE_PROGRESS` onto these at
+//! start-up. The one exception is the chaos harness: every constructor
+//! arms the `CATT_FAULT_PLAN` plan, see [`crate::fault`].
 
 use crate::fault::FaultPlan;
 use catt_ir::kernel::{Kernel, LaunchConfig};
@@ -128,9 +122,9 @@ impl JobError {
     }
 }
 
-/// Stderr verbosity of the engine (`CATT_ENGINE_PROGRESS`): `Off` is
-/// silent, `Summary` (the default) prints one line per job batch,
-/// `Full` adds the live per-job ticker.
+/// Stderr verbosity of the engine: `Off` (the default) is silent,
+/// `Summary` prints one line per job batch, `Full` adds the live per-job
+/// ticker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Progress {
     /// No engine output at all.
@@ -139,18 +133,6 @@ pub enum Progress {
     Summary,
     /// Per-job progress ticker on top of `Summary`.
     Full,
-}
-
-impl Progress {
-    /// Parse `CATT_ENGINE_PROGRESS` (default [`Progress::Summary`];
-    /// unknown values also fall back to `Summary`).
-    pub fn from_env() -> Progress {
-        match std::env::var("CATT_ENGINE_PROGRESS").as_deref() {
-            Ok("off") => Progress::Off,
-            Ok("full") => Progress::Full,
-            _ => Progress::Summary,
-        }
-    }
 }
 
 impl fmt::Display for JobError {
@@ -621,40 +603,21 @@ impl Default for Engine {
 /// The process-wide engine used by the harness and bench binaries.
 static GLOBAL: OnceLock<Engine> = OnceLock::new();
 
+/// Retry budget for retryable job failures unless
+/// [`Engine::with_retry_policy`] says otherwise.
+pub const DEFAULT_RETRIES: u32 = 2;
+
 impl Engine {
-    /// Default worker bound: `CATT_ENGINE_WORKERS` or
-    /// `available_parallelism()`.
+    /// Default worker bound: `available_parallelism()`.
     fn default_workers() -> usize {
-        std::env::var("CATT_ENGINE_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
     }
 
-    /// Retry budget: `CATT_ENGINE_RETRIES` or 2.
-    fn default_retries() -> u32 {
-        std::env::var("CATT_ENGINE_RETRIES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2)
-    }
-
-    /// Watchdog deadline: `CATT_JOB_DEADLINE_MS` or none.
-    fn default_deadline() -> Option<Duration> {
-        std::env::var("CATT_JOB_DEADLINE_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&ms: &u64| ms > 0)
-            .map(Duration::from_millis)
-    }
-
-    /// Assemble an engine from a cache mode plus the environment knobs
-    /// (workers, retries, deadline, progress, fault plan).
+    /// Assemble an engine: the given cache mode and worker bound, the
+    /// default retry policy, no watchdog deadline, silent progress, and
+    /// the `CATT_FAULT_PLAN` fault plan.
     fn build(workers: usize, mode: CacheMode) -> Engine {
         let fault = FaultPlan::from_env();
         let engine = Engine {
@@ -662,11 +625,11 @@ impl Engine {
             cache: SimCache::new(mode),
             fault,
             job_seq: AtomicU64::new(0),
-            retries: Self::default_retries(),
+            retries: DEFAULT_RETRIES,
             retry_backoff: Duration::from_millis(10),
-            deadline: Self::default_deadline(),
+            deadline: None,
             deadline_exceeded: AtomicU64::new(0),
-            progress: Progress::from_env(),
+            progress: Progress::Off,
             inflight: Mutex::new(HashMap::new()),
         };
         if engine.fault.corrupt_cache {
@@ -698,6 +661,12 @@ impl Engine {
         Self::build(Self::default_workers(), CacheMode::Off)
     }
 
+    /// Replace the worker-pool bound (builder-style, clamped to ≥ 1).
+    pub fn with_worker_bound(mut self, workers: usize) -> Engine {
+        self.workers = workers.max(1);
+        self
+    }
+
     /// Replace the fault plan (builder-style; used by the fault-injection
     /// tests — production engines read `CATT_FAULT_PLAN` on construction).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Engine {
@@ -727,34 +696,19 @@ impl Engine {
         self
     }
 
-    /// Engine honoring the `CATT_SIMCACHE` environment variable, with
-    /// `default_mode` applied when it is unset.
-    fn from_env(default_mode: CacheMode) -> Engine {
-        let mode = match std::env::var("CATT_SIMCACHE").as_deref() {
-            Ok("off") => CacheMode::Off,
-            Ok("mem") => CacheMode::Memory,
-            Ok(dir) if !dir.is_empty() => CacheMode::Persistent(PathBuf::from(dir)),
-            _ => default_mode,
-        };
-        Self::build(Self::default_workers(), mode)
-    }
-
-    /// The process-wide engine. Defaults to an in-memory cache (tests and
-    /// library users get memoization without touching the filesystem);
-    /// bench binaries call [`Engine::init_global_persistent`] first to
-    /// get the JSONL layer. `CATT_SIMCACHE` overrides either way.
+    /// The process-wide engine. Unless a binary installed its own with
+    /// [`Engine::init_global`] first, this is [`Engine::new`]: in-memory
+    /// cache (tests and library users get memoization without touching
+    /// the filesystem), `available_parallelism` workers, silent.
     pub fn global() -> &'static Engine {
-        GLOBAL.get_or_init(|| Engine::from_env(CacheMode::Memory))
+        GLOBAL.get_or_init(Engine::new)
     }
 
-    /// Initialize the process-wide engine with the persistent cache under
-    /// `results/.simcache/` (relative to the working directory) and return
-    /// it. Call once at the top of a bench binary's `main`; a no-op if the
-    /// global engine already exists.
-    pub fn init_global_persistent() -> &'static Engine {
-        GLOBAL.get_or_init(|| {
-            Engine::from_env(CacheMode::Persistent(PathBuf::from("results/.simcache")))
-        })
+    /// Install `engine` as the process-wide engine and return it. Call
+    /// once at the top of a binary's `main`; if the global engine already
+    /// exists it is returned and `engine` is dropped.
+    pub fn init_global(engine: Engine) -> &'static Engine {
+        GLOBAL.get_or_init(|| engine)
     }
 
     /// The worker-pool bound.
@@ -767,7 +721,7 @@ impl Engine {
         self.cache.counters()
     }
 
-    /// Jobs that overran the `CATT_JOB_DEADLINE_MS` watchdog deadline.
+    /// Jobs that overran the [`Engine::with_deadline`] watchdog deadline.
     pub fn deadline_exceeded(&self) -> u64 {
         self.deadline_exceeded.load(Ordering::Relaxed)
     }
@@ -783,8 +737,7 @@ impl Engine {
     }
 
     /// Print a one-line cache/pool summary to stderr (bench binaries call
-    /// this after their last evaluation). Silent under
-    /// `CATT_ENGINE_PROGRESS=off`.
+    /// this after their last evaluation). Silent under [`Progress::Off`].
     pub fn print_summary(&self) {
         if self.progress == Progress::Off {
             return;

@@ -11,9 +11,9 @@
 //!
 //! * `panic-job=N` — the N-th job (0-based, counted across the engine's
 //!   lifetime) panics inside the worker pool;
-//! * `fuel=C` — every simulation runs under a cycle budget of `C`
-//!   (consumed by `catt_sim::GpuConfig::fuel_budget`, which reads the
-//!   same variable);
+//! * `fuel=C` — every simulation runs under a cycle budget of `C`:
+//!   whoever holds the plan writes it into `GpuConfig::sim_fuel` on the
+//!   config it launches with (`catt serve` does);
 //! * `corrupt-cache` — the persistent simcache writes one deliberately
 //!   checksum-corrupted line (the first entry persisted), so the next
 //!   warm run must skip exactly one entry;
@@ -90,6 +90,23 @@ impl FaultPlan {
     }
 }
 
+/// Renders the plan back as a `CATT_FAULT_PLAN` directive string
+/// (empty for the inactive plan), so reports can name the chaos they ran
+/// under.
+impl std::fmt::Display for FaultPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let directives = [
+            self.panic_at_job.map(|n| format!("panic-job={n}")),
+            self.fuel.map(|c| format!("fuel={c}")),
+            self.corrupt_cache.then(|| "corrupt-cache".to_string()),
+            self.delay_job_ms.map(|ms| format!("delay-job={ms}")),
+            self.fail_transform.then(|| "fail-transform".to_string()),
+        ];
+        let spec: Vec<String> = directives.into_iter().flatten().collect();
+        f.write_str(&spec.join(","))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,6 +126,8 @@ mod tests {
             }
         );
         assert!(p.is_active());
+        assert_eq!(FaultPlan::parse(&p.to_string()), p, "Display round-trips");
+        assert_eq!(FaultPlan::none().to_string(), "");
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //!    `parse → analyze → legalize → transform → emit` driver, the
 //!    library's main entry point: an explicit pass pipeline with panic
 //!    containment (an escaped panic becomes an `E030` diagnostic, not a
-//!    crash) and content-addressed memoization of the parse and analyze
-//!    stages (`CATT_PASS_CACHE`).
+//!    crash).
 //!
 //! [`bftt`] implements the paper's strongest software baseline: best-fixed
 //! thread throttling, which exhaustively simulates every `(warps, TBs)`
@@ -50,7 +49,7 @@ pub use engine::{CacheCounters, Engine, JobError, Progress};
 pub use fault::FaultPlan;
 pub use multiversion::MultiVersioned;
 pub use occupancy::L1SmemPlan;
-pub use passes::{pass_cache_stats, reset_pass_cache, LegalPlan, Pass, PassManager, PassStats};
+pub use passes::{LegalPlan, Pass, PassManager};
 pub use pipeline::{CompiledApp, CompiledKernel, Pipeline, PipelineError};
 pub use swizzle::{cta_swizzle, swizzle_map, SwizzlePolicy};
 pub use transform::{

@@ -1,17 +1,8 @@
 //! The staged pass pipeline: an explicit [`Pass`] trait, a
 //! [`PassManager`] that runs each pass under `catch_unwind` (an escaped
 //! panic becomes an `E030` diagnostic naming the pass, not a dead
-//! process) and memoizes pass results content-addressed the way the
-//! simcache memoizes simulations, plus the concrete compile passes
+//! process), plus the concrete compile passes
 //! `parse → analyze → legalize → transform → emit`.
-//!
-//! Memoization is keyed on `(pass name, content digest)` — e.g. the
-//! parse pass keys on the FNV-64 of the source text, the analyze pass
-//! on the printed kernel + launch + GPU-config digest — so a repeat
-//! compile of a hot source replays the cached result (including its
-//! diagnostics) and skips straight to the uncached transform stage.
-//! `CATT_PASS_CACHE=off` disables it; hit/miss counters are exposed
-//! through [`pass_cache_stats`] and feed `BENCH_compile.json`.
 
 use crate::analysis::{analyze_kernel, search_factors, KernelAnalysis, LoopAnalysis};
 use crate::fault::FaultPlan;
@@ -20,193 +11,58 @@ use catt_diag::{codes, Diagnostic};
 use catt_frontend::parse_module_recover;
 use catt_ir::kernel::{Kernel, LaunchConfig, Module};
 use catt_ir::printer;
-use catt_sim::digest::Fnv64;
 use catt_sim::{GpuConfig, SMEM_CONFIGS_KB};
-use std::any::Any;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, OnceLock};
 
 /// One stage of the compile pipeline.
 ///
-/// A pass consumes `&Input`, appends any number of typed diagnostics,
+/// A pass consumes its input, appends any number of typed diagnostics,
 /// and either produces an output or fails (`None`, in which case at
-/// least one error diagnostic explains why). Passes must be
-/// deterministic in their declared [`Pass::cache_key`]: two inputs with
-/// the same key must produce the same output and diagnostics, because
-/// the pass manager will replay a cached result for the second one.
+/// least one error diagnostic explains why).
 pub trait Pass {
-    type Input: ?Sized;
-    type Output: Clone + Send + 'static;
+    type Input<'a>;
+    type Output;
 
-    /// Stable pass name (appears in diagnostics and cache stats).
+    /// Stable pass name (appears in diagnostics).
     fn name(&self) -> &'static str;
-
-    /// Content digest of everything the output depends on, or `None`
-    /// for passes that must re-run every time (e.g. the transform pass,
-    /// which honors the ambient fault plan).
-    fn cache_key(&self, _input: &Self::Input) -> Option<u64> {
-        None
-    }
 
     /// Run the pass. Errors and warnings go into `diags`; a `None`
     /// return means the pipeline stops after this pass.
-    fn run(&self, input: &Self::Input, diags: &mut Vec<Diagnostic>) -> Option<Self::Output>;
+    fn run(&self, input: Self::Input<'_>, diags: &mut Vec<Diagnostic>) -> Option<Self::Output>;
 }
 
-/// Cumulative hit/miss counters for one pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PassStats {
-    pub hits: u64,
-    pub misses: u64,
+/// The message of a caught panic payload.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Keep the memo bounded: compile inputs are few and small, but a
-/// long-lived daemon must not grow without limit. Clear-on-full like
-/// the simcache's admission policy, only simpler — the cache refills
-/// from the hot working set within a handful of compiles.
-const PASS_CACHE_CAP: usize = 512;
-
-struct CacheEntry {
-    /// `None` records a failed pass (so repeat submissions of a broken
-    /// source replay its diagnostics without re-parsing).
-    output: Option<Box<dyn Any + Send>>,
-    diags: Vec<Diagnostic>,
-}
-
-fn cache() -> &'static Mutex<HashMap<(&'static str, u64), CacheEntry>> {
-    static CACHE: OnceLock<Mutex<HashMap<(&'static str, u64), CacheEntry>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn stats() -> &'static Mutex<HashMap<&'static str, PassStats>> {
-    static STATS: OnceLock<Mutex<HashMap<&'static str, PassStats>>> = OnceLock::new();
-    STATS.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // A panic inside a pass can poison these locks (the pass manager
-    // keeps going after catch_unwind); the data is counters + a memo,
-    // both safe to keep using.
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Snapshot of every pass's cache counters, sorted by pass name.
-pub fn pass_cache_stats() -> Vec<(&'static str, PassStats)> {
-    let mut out: Vec<_> = lock(stats()).iter().map(|(k, v)| (*k, *v)).collect();
-    out.sort_by_key(|(k, _)| *k);
-    out
-}
-
-/// Drop every memoized pass result and zero the counters (tests and
-/// benchmarks; a running daemon never needs this).
-pub fn reset_pass_cache() {
-    lock(cache()).clear();
-    lock(stats()).clear();
-}
-
-/// Runs passes: panic containment + content-addressed memoization.
-#[derive(Debug, Clone)]
-pub struct PassManager {
-    cache_enabled: bool,
-}
-
-impl Default for PassManager {
-    fn default() -> PassManager {
-        PassManager::from_env()
-    }
-}
+/// Runs passes with panic containment.
+pub struct PassManager;
 
 impl PassManager {
-    /// Honor `CATT_PASS_CACHE` (`off` / `0` / `false` disable; default on).
-    pub fn from_env() -> PassManager {
-        let cache_enabled = !matches!(
-            std::env::var("CATT_PASS_CACHE").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        );
-        PassManager { cache_enabled }
-    }
-
-    /// Explicit cache switch (tests).
-    pub fn with_cache(cache_enabled: bool) -> PassManager {
-        PassManager { cache_enabled }
-    }
-
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled
-    }
-
-    /// Run `pass` on `input`. Cached results (outputs *and* their
-    /// diagnostics) are replayed on a key match; otherwise the pass runs
-    /// under `catch_unwind`, and an escaped panic is reported as an
+    /// Run `pass` on `input` under `catch_unwind`: its diagnostics are
+    /// tagged with the pass name, and an escaped panic is reported as an
     /// `E030` diagnostic carrying the pass name.
     pub fn run<P: Pass>(
-        &self,
         pass: &P,
-        input: &P::Input,
+        input: P::Input<'_>,
         diags: &mut Vec<Diagnostic>,
     ) -> Option<P::Output> {
-        let key = if self.cache_enabled {
-            pass.cache_key(input).map(|k| (pass.name(), k))
-        } else {
-            None
-        };
-        if let Some(key) = key {
-            let guard = lock(cache());
-            if let Some(entry) = guard.get(&key) {
-                let output = entry
-                    .output
-                    .as_ref()
-                    .and_then(|b| b.downcast_ref::<P::Output>())
-                    .cloned();
-                let cached_diags = entry.diags.clone();
-                drop(guard);
-                lock(stats()).entry(pass.name()).or_default().hits += 1;
-                diags.extend(cached_diags);
-                return output;
+        let first = diags.len();
+        let result = catch_unwind(AssertUnwindSafe(|| pass.run(input, diags)));
+        for d in &mut diags[first..] {
+            if d.pass.is_none() {
+                d.pass = Some(pass.name());
             }
         }
-
-        let mut local: Vec<Diagnostic> = Vec::new();
-        let result = catch_unwind(AssertUnwindSafe(|| pass.run(input, &mut local)));
         match result {
-            Ok(output) => {
-                for d in &mut local {
-                    if d.pass.is_none() {
-                        d.pass = Some(pass.name());
-                    }
-                }
-                if let Some(key) = key {
-                    lock(stats()).entry(pass.name()).or_default().misses += 1;
-                    let mut guard = lock(cache());
-                    if guard.len() >= PASS_CACHE_CAP {
-                        guard.clear();
-                    }
-                    guard.insert(
-                        key,
-                        CacheEntry {
-                            output: output
-                                .as_ref()
-                                .map(|o| Box::new(o.clone()) as Box<dyn Any + Send>),
-                            diags: local.clone(),
-                        },
-                    );
-                }
-                diags.extend(local);
-                output
-            }
+            Ok(output) => output,
             Err(payload) => {
-                // Never cache a panic: it may be environmental, and the
-                // next run deserves a fresh attempt.
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                diags.extend(local);
+                let msg = panic_message(payload);
                 diags.push(
                     Diagnostic::error(
                         codes::PASS_PANICKED,
@@ -225,21 +81,15 @@ impl PassManager {
 // ---------------------------------------------------------------------
 
 /// `parse`: source text → IR module (recovering parser; all frontend
-/// diagnostics surface here). Cached on the FNV-64 of the source.
+/// diagnostics surface here).
 pub struct ParsePass;
 
 impl Pass for ParsePass {
-    type Input = str;
+    type Input<'a> = &'a str;
     type Output = Module;
 
     fn name(&self) -> &'static str {
         "parse"
-    }
-
-    fn cache_key(&self, input: &str) -> Option<u64> {
-        let mut h = Fnv64::new();
-        h.write_str(input);
-        Some(h.finish())
     }
 
     fn run(&self, input: &str, diags: &mut Vec<Diagnostic>) -> Option<Module> {
@@ -252,27 +102,18 @@ impl Pass for ParsePass {
 
 /// `analyze`: kernel → occupancy plan + per-loop footprint decisions
 /// (paper §4.1–4.3), including the Fig. 5 carve-out reconfiguration
-/// when a TB throttle needs shared-memory space. Cached on the printed
-/// kernel + launch + GPU-config digest.
-pub struct AnalyzePass {
-    pub config: GpuConfig,
+/// when a TB throttle needs shared-memory space.
+pub struct AnalyzePass<'c> {
+    pub config: &'c GpuConfig,
     pub launch: LaunchConfig,
 }
 
-impl Pass for AnalyzePass {
-    type Input = Kernel;
+impl Pass for AnalyzePass<'_> {
+    type Input<'a> = &'a Kernel;
     type Output = KernelAnalysis;
 
     fn name(&self) -> &'static str {
         "analyze"
-    }
-
-    fn cache_key(&self, kernel: &Kernel) -> Option<u64> {
-        let mut h = Fnv64::new();
-        h.write_str(&printer::kernel_to_string(kernel));
-        h.write_debug(&self.launch);
-        h.write(&self.config.content_digest().to_le_bytes());
-        Some(h.finish())
     }
 
     fn run(&self, kernel: &Kernel, diags: &mut Vec<Diagnostic>) -> Option<KernelAnalysis> {
@@ -287,7 +128,7 @@ impl Pass for AnalyzePass {
             }
         };
         let Some(mut analysis) =
-            analyze_kernel(kernel, self.launch, &self.config, program.num_regs as u32)
+            analyze_kernel(kernel, self.launch, self.config, program.num_regs as u32)
         else {
             diags.push(
                 Diagnostic::error(
@@ -352,7 +193,7 @@ impl LegalPlan {
 pub struct LegalizePass;
 
 impl Pass for LegalizePass {
-    type Input = (Kernel, KernelAnalysis);
+    type Input<'a> = (&'a Kernel, &'a KernelAnalysis);
     type Output = LegalPlan;
 
     fn name(&self) -> &'static str {
@@ -361,7 +202,7 @@ impl Pass for LegalizePass {
 
     fn run(
         &self,
-        (kernel, analysis): &(Kernel, KernelAnalysis),
+        (kernel, analysis): (&Kernel, &KernelAnalysis),
         diags: &mut Vec<Diagnostic>,
     ) -> Option<LegalPlan> {
         Some(legalize(kernel, analysis, diags))
@@ -487,14 +328,13 @@ pub struct TransformOutcome {
 /// `transform`: apply the legalized plan with a guard rail — a
 /// transform that panics or produces a kernel that no longer lowers
 /// falls back to the *original* code (correct, merely unthrottled) with
-/// a typed `W001`/`W002` diagnostic. Never cached: it honors the
-/// ambient fault plan.
-pub struct TransformPass {
-    pub fault: FaultPlan,
+/// a typed `W001`/`W002` diagnostic.
+pub struct TransformPass<'f> {
+    pub fault: &'f FaultPlan,
 }
 
-impl Pass for TransformPass {
-    type Input = (Kernel, KernelAnalysis, LegalPlan);
+impl Pass for TransformPass<'_> {
+    type Input<'a> = (&'a Kernel, &'a KernelAnalysis, &'a LegalPlan);
     type Output = TransformOutcome;
 
     fn name(&self) -> &'static str {
@@ -503,7 +343,7 @@ impl Pass for TransformPass {
 
     fn run(
         &self,
-        (kernel, analysis, plan): &(Kernel, KernelAnalysis, LegalPlan),
+        (kernel, analysis, plan): (&Kernel, &KernelAnalysis, &LegalPlan),
         _diags: &mut Vec<Diagnostic>,
     ) -> Option<TransformOutcome> {
         if self.fault.fail_transform {
@@ -536,11 +376,7 @@ impl Pass for TransformPass {
                 }),
             },
             Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                let msg = panic_message(payload);
                 Some(TransformOutcome {
                     kernel: kernel.clone(),
                     fallback: Some(
@@ -580,7 +416,7 @@ pub fn apply_plan(kernel: &Kernel, analysis: &KernelAnalysis, plan: &LegalPlan) 
 pub struct EmitPass;
 
 impl Pass for EmitPass {
-    type Input = Kernel;
+    type Input<'a> = &'a Kernel;
     type Output = String;
 
     fn name(&self) -> &'static str {

@@ -1,11 +1,9 @@
 //! End-to-end CATT driver: the staged pass pipeline
 //! `parse → analyze → legalize → transform → emit`.
 //!
-//! Each stage is a [`crate::passes::Pass`] run by a
-//! [`crate::passes::PassManager`]: panics are contained (an escaped
-//! panic becomes an `E030` diagnostic naming the pass), and the parse
-//! and analyze stages are memoized content-addressed so a repeat
-//! compile of a hot source skips straight to the transform.
+//! Each stage is a [`crate::passes::Pass`] run by
+//! [`crate::passes::PassManager::run`]: panics are contained (an escaped
+//! panic becomes an `E030` diagnostic naming the pass).
 
 use crate::analysis::KernelAnalysis;
 use crate::fault::FaultPlan;
@@ -136,32 +134,21 @@ pub struct Pipeline {
     base_config: GpuConfig,
     /// Armed fault injections (`fail-transform` forces the fallback path).
     fault: FaultPlan,
-    /// Runs the passes: panic containment + content-addressed memoization.
-    manager: PassManager,
 }
 
 impl Pipeline {
     /// A pipeline targeting `config` (e.g. [`GpuConfig::titan_v`]).
-    /// Honors the `CATT_FAULT_PLAN` and `CATT_PASS_CACHE` environment
-    /// variables.
+    /// Arms the `CATT_FAULT_PLAN` fault plan, if any.
     pub fn new(base_config: GpuConfig) -> Pipeline {
         Pipeline {
             base_config,
             fault: FaultPlan::from_env(),
-            manager: PassManager::from_env(),
         }
     }
 
     /// Replace the fault plan (builder-style, for fault-injection tests).
     pub fn with_fault_plan(mut self, fault: FaultPlan) -> Pipeline {
         self.fault = fault;
-        self
-    }
-
-    /// Force the pass cache on or off regardless of the environment
-    /// (builder-style, for tests and benchmarks).
-    pub fn with_pass_cache(mut self, enabled: bool) -> Pipeline {
-        self.manager = PassManager::with_cache(enabled);
         self
     }
 
@@ -179,7 +166,7 @@ impl Pipeline {
         launches: &[(&str, LaunchConfig)],
     ) -> Result<CompiledApp, PipelineError> {
         let mut diags: Vec<Diagnostic> = Vec::new();
-        let Some(module) = self.manager.run(&ParsePass, src, &mut diags) else {
+        let Some(module) = PassManager::run(&ParsePass, src, &mut diags) else {
             catt_diag::locate(&mut diags, src);
             return Err(PipelineError::from_diags(diags));
         };
@@ -224,27 +211,24 @@ impl Pipeline {
         let mut diags: Vec<Diagnostic> = Vec::new();
 
         let analyze = AnalyzePass {
-            config: self.base_config.clone(),
+            config: &self.base_config,
             launch,
         };
-        let Some(analysis) = self.manager.run(&analyze, kernel, &mut diags) else {
+        let Some(analysis) = PassManager::run(&analyze, kernel, &mut diags) else {
             return Err(PipelineError::from_diags(diags));
         };
 
-        let legal_input = (kernel.clone(), analysis.clone());
-        let Some(plan) = self.manager.run(&LegalizePass, &legal_input, &mut diags) else {
+        let Some(plan) = PassManager::run(&LegalizePass, (kernel, &analysis), &mut diags) else {
             return Err(PipelineError::from_diags(diags));
         };
 
-        let transform = TransformPass {
-            fault: self.fault.clone(),
-        };
-        let tr_input = (kernel.clone(), analysis.clone(), plan);
-        let Some(outcome) = self.manager.run(&transform, &tr_input, &mut diags) else {
+        let transform = TransformPass { fault: &self.fault };
+        let Some(outcome) = PassManager::run(&transform, (kernel, &analysis, &plan), &mut diags)
+        else {
             return Err(PipelineError::from_diags(diags));
         };
 
-        let Some(emitted_source) = self.manager.run(&EmitPass, &outcome.kernel, &mut diags) else {
+        let Some(emitted_source) = PassManager::run(&EmitPass, &outcome.kernel, &mut diags) else {
             return Err(PipelineError::from_diags(diags));
         };
 
@@ -393,6 +377,49 @@ mod tests {
                 d.headline()
             );
         }
+    }
+
+    #[test]
+    fn resubmitted_broken_source_reports_the_same_diagnostics() {
+        let pipe = Pipeline::new(GpuConfig::titan_v());
+        let bad = "__global__ void k(float *a, int n) { a[0] = @; }";
+        let launches = [("k", LaunchConfig::d1(1, 64))];
+        let e1 = pipe.compile_source(bad, &launches).unwrap_err();
+        let e2 = pipe.compile_source(bad, &launches).unwrap_err();
+        assert!(!e1.diagnostics.is_empty());
+        assert_eq!(e1.diagnostics, e2.diagnostics);
+    }
+
+    /// A pass that always panics: the manager must convert the unwind
+    /// into an `E030` diagnostic naming the pass.
+    struct PanickyPass;
+
+    impl crate::passes::Pass for PanickyPass {
+        type Input<'a> = &'a str;
+        type Output = ();
+
+        fn name(&self) -> &'static str {
+            "panicky"
+        }
+
+        fn run(&self, _input: &str, _diags: &mut Vec<Diagnostic>) -> Option<()> {
+            panic!("deliberate test panic");
+        }
+    }
+
+    #[test]
+    fn escaped_panics_become_e030_diagnostics() {
+        let mut diags = Vec::new();
+        let out = PassManager::run(&PanickyPass, "anything", &mut diags);
+        assert!(out.is_none());
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].code, codes::PASS_PANICKED);
+        assert_eq!(diags[0].pass, Some("panicky"));
+        assert!(
+            diags[0].message.contains("deliberate test panic"),
+            "panic payload surfaced: {}",
+            diags[0].message
+        );
     }
 
     #[test]

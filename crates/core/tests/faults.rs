@@ -6,8 +6,8 @@
 //!
 //! Plans are passed programmatically (`Engine::with_fault_plan` /
 //! `Pipeline::with_fault_plan`), not through `CATT_FAULT_PLAN`, so these
-//! tests cannot race each other; the env-driven path is covered by
-//! `fault_env.rs` under `scripts/check.sh`.
+//! tests cannot race each other; the variable's wiring is covered at the
+//! binary (`tests/cli.rs`, the serve smoke in `scripts/check.sh`).
 
 use catt_core::bftt::{sweep_on, CandidateOutcome};
 use catt_core::engine::{Engine, JobError};
@@ -229,6 +229,56 @@ fn injected_cache_corruption_is_skipped_and_repaired() {
     run_on(&third);
     assert_eq!(computed.load(Ordering::SeqCst), 2, "third run is warm");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The combined plan CI's chaos runs use, `panic-job=2,corrupt-cache`,
+/// over a persistent cache: the cold sweep loses exactly one candidate to
+/// the panic, the next engine over the directory skips exactly one
+/// corrupt line, and the warm sweep agrees with the cold one.
+#[test]
+fn sweep_and_cache_survive_a_combined_plan() {
+    let dir = std::env::temp_dir().join(format!("catt-faultcombo-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let kernel = mv_kernel();
+    let launch = LaunchConfig::d1(1, 256);
+    let cfg = contended_config();
+    // One worker keeps the lifetime job counter aligned with the sweep
+    // grid, so job 2 is a non-baseline candidate deterministically.
+    let chaotic = || {
+        Engine::persistent(&dir)
+            .with_worker_bound(1)
+            .with_fault_plan(FaultPlan::parse("panic-job=2,corrupt-cache"))
+    };
+    let sweep = |engine: &Engine| {
+        sweep_on(
+            engine,
+            "fault-combo",
+            std::slice::from_ref(&kernel),
+            launch,
+            &cfg,
+            |kernels: &[Kernel], c: &GpuConfig| simulate(kernels, launch, c),
+        )
+        .expect("sweep completes under the fault plan")
+    };
+
+    let cold = sweep(&chaotic());
+    assert_eq!(cold.faulted().len(), 1);
+    assert_eq!((cold.baseline().n, cold.baseline().m), (1, 0));
+    assert!(cold.best_speedup() >= 1.0);
+
+    let second = chaotic();
+    assert_eq!(
+        second.cache_counters().skipped,
+        1,
+        "one corrupt line skipped"
+    );
+    let warm = sweep(&second);
+    assert_eq!(
+        (warm.best_candidate().n, warm.best_candidate().m),
+        (cold.best_candidate().n, cold.best_candidate().m),
+        "warm sweep agrees with the cold one"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

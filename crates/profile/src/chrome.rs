@@ -84,7 +84,7 @@ mod tests {
     }
 
     fn sample_profile(kernel: &str) -> LaunchProfile {
-        let mut sm = SmProfile::for_sm(0, l1(), 2, 1, true);
+        let mut sm = SmProfile::for_sm(0, l1(), 2, 1);
         sm.tb_start(0, 0, 0);
         sm.warp_begin(0, 0, 0);
         sm.warp_barrier(0, 10);

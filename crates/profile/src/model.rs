@@ -65,13 +65,15 @@ fn observe(kernel: &str, profiles: &[LaunchProfile]) -> Observed {
     for p in profiles.iter().filter(|p| p.kernel == kernel) {
         o.max_unique_lines = o.max_unique_lines.max(p.max_unique_lines_per_sm());
         for sm in &p.sms {
-            for (wi, w) in sm.miss_curve.iter().enumerate() {
-                o.accesses += w.accesses as u64;
-                o.misses += w.misses as u64;
-                if wi > 0 {
-                    o.warm_accesses += w.accesses as u64;
-                    o.warm_misses += w.misses as u64;
-                }
+            // Overall rate from the per-set counters: exact, where the
+            // curve stops recording at `SmProfile::MAX_WINDOWS`.
+            for set in &sm.sets {
+                o.accesses += set.accesses;
+                o.misses += set.misses;
+            }
+            for w in sm.miss_curve.iter().skip(1) {
+                o.warm_accesses += w.accesses as u64;
+                o.warm_misses += w.misses as u64;
             }
         }
     }
@@ -160,6 +162,10 @@ mod tests {
         // The profiled run must have produced observations for the same
         // kernels the analysis predicts for.
         assert!(rows.iter().any(|r| r.observed_lines > 0));
+        // atax_kernel1 thrashes the L1D.
+        let k1 = rows.iter().find(|r| r.kernel == "atax_kernel1").unwrap();
+        assert!(k1.miss_rate > 0.25, "miss rate {}", k1.miss_rate);
+        assert!(k1.warm_miss_rate > 0.25, "warm {}", k1.warm_miss_rate);
         let table = render(&rows);
         assert!(table.contains("pred lines"));
         assert!(table.contains("L1"));

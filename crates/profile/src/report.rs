@@ -129,7 +129,7 @@ mod tests {
             line_bytes: 128,
             assoc: 4,
         };
-        let mut sm = SmProfile::for_sm(0, l1, 4, 2, true);
+        let mut sm = SmProfile::for_sm(0, l1, 4, 2);
         for i in 0..300u32 {
             sm.l1_load(i % 7, i, i % 3 == 0, false);
         }

@@ -21,7 +21,8 @@
 
 use crate::json::{obj, Json};
 use crate::proto::{parse_response, ErrorKind, Response, SubmitRequest};
-use crate::server::{engine_from_env, ServeConfig, Server};
+use crate::server::{ServeConfig, Server};
+use catt_core::Engine;
 use catt_prng::Rng;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -205,11 +206,13 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Run the harness. Returns `Err` with a diagnostic when the zero-hung /
-/// zero-lost contract is violated (the CLI exits non-zero).
-pub fn run(opts: &BenchOptions) -> Result<Json, String> {
-    let fault_plan = std::env::var("CATT_FAULT_PLAN").unwrap_or_default();
-    let server = Arc::new(Server::new(ServeConfig::from_env(), engine_from_env()));
+/// Run the harness against a daemon built from `config` and `engine`
+/// (whose fault plan is the chaos). Returns `Err` with a diagnostic when
+/// the zero-hung / zero-lost contract is violated (the CLI exits
+/// non-zero).
+pub fn run(opts: &BenchOptions, config: ServeConfig, engine: Engine) -> Result<Json, String> {
+    let fault_plan = engine.fault_plan().to_string();
+    let server = Arc::new(Server::new(config, engine));
     let kernels = Arc::new(corpus(opts.kernels));
     let cdf = Arc::new(zipf_cdf(opts.kernels));
     let total_requests = opts.clients * opts.requests_per_client;
@@ -547,8 +550,10 @@ fn submit_line(id: &str, req: &SubmitRequest) -> String {
     .render()
 }
 
-/// CLI entry for `catt serve-bench`. Returns the process exit code.
-pub fn bench_main(args: &[String]) -> u8 {
+/// CLI entry for `catt serve-bench`: the harness options come from
+/// `args`, the daemon under test from `config` and `engine`. Returns the
+/// process exit code.
+pub fn bench_main(args: &[String], config: ServeConfig, engine: Engine) -> u8 {
     let mut opts = BenchOptions::default();
     let mut i = 0;
     while i < args.len() {
@@ -617,7 +622,7 @@ pub fn bench_main(args: &[String]) -> u8 {
             _ => return usage(),
         }
     }
-    match run(&opts) {
+    match run(&opts, config, engine) {
         Ok(report) => {
             let text = report.render();
             if let Err(e) = std::fs::write(&opts.out_path, format!("{text}\n")) {

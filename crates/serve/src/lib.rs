@@ -44,4 +44,4 @@ pub use breaker::{Breaker, BreakerState};
 pub use fair::FairQueue;
 pub use proto::{ErrorKind, Op, Request, Response, SubmitRequest};
 pub use quota::TokenBucket;
-pub use server::{engine_from_env, ServeConfig, Server};
+pub use server::{ServeConfig, Server};

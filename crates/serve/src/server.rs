@@ -43,8 +43,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Serve tuning knobs, each with a `CATT_SERVE_*` environment override
-/// (documented in EXPERIMENTS.md).
+/// Serve tuning knobs. `catt serve` fills each from its `CATT_SERVE_*`
+/// environment variable (documented in EXPERIMENTS.md).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Simulation worker threads (`CATT_SERVE_WORKERS`).
@@ -73,33 +73,18 @@ pub struct ServeConfig {
     pub quantum: u64,
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
-        ServeConfig::from_env()
-    }
-}
-
-impl ServeConfig {
-    /// Defaults with `CATT_SERVE_*` overrides applied.
-    pub fn from_env() -> ServeConfig {
         ServeConfig {
-            workers: env_u64("CATT_SERVE_WORKERS", 2) as usize,
-            queue_high_water: env_u64("CATT_SERVE_QUEUE", 64) as usize,
-            quota_rate: env_u64("CATT_SERVE_QUOTA_RATE", 64 * FUEL_BASE),
-            quota_burst: env_u64("CATT_SERVE_QUOTA_BURST", 256 * FUEL_BASE),
-            default_deadline_ms: env_u64("CATT_SERVE_DEADLINE_MS", 10_000),
-            breaker_threshold: env_u64("CATT_SERVE_BREAKER_THRESHOLD", 5) as u32,
-            breaker_cooldown_ms: env_u64("CATT_SERVE_BREAKER_COOLDOWN_MS", 1_000),
-            drain_grace_ms: env_u64("CATT_SERVE_DRAIN_MS", 5_000),
-            quantum: env_u64("CATT_SERVE_QUANTUM", 4 * FUEL_BASE),
+            workers: 2,
+            queue_high_water: 64,
+            quota_rate: 64 * FUEL_BASE,
+            quota_burst: 256 * FUEL_BASE,
+            default_deadline_ms: 10_000,
+            breaker_threshold: 5,
+            breaker_cooldown_ms: 1_000,
+            drain_grace_ms: 5_000,
+            quantum: 4 * FUEL_BASE,
         }
     }
 }
@@ -195,10 +180,12 @@ pub struct Server {
 }
 
 impl Server {
-    /// A server over `engine` (callers pick the cache mode — see
-    /// [`engine_from_env`]) with the given tuning.
+    /// A server over `engine` (callers pick the cache mode) with the
+    /// given tuning.
     pub fn new(config: ServeConfig, engine: Engine) -> Server {
-        let base_config = GpuConfig::titan_v_1sm();
+        let mut base_config = GpuConfig::titan_v_1sm();
+        // Chaos harness: a `fuel=C` fault plan starves every simulation.
+        base_config.sim_fuel = engine.fault_plan().fuel;
         let workers = config.workers.max(1);
         let inner = Arc::new(Inner {
             pipe: Pipeline::new(base_config.clone()),
@@ -534,17 +521,6 @@ impl Server {
     /// Whether drain has begun.
     pub fn is_draining(&self) -> bool {
         self.inner.draining.load(Ordering::SeqCst)
-    }
-}
-
-/// Build the serve engine per `CATT_SIMCACHE`: a directory path gives the
-/// persistent JSONL cache (multi-writer safe), `mem`/unset the in-memory
-/// cache, `off` no cache.
-pub fn engine_from_env() -> Engine {
-    match std::env::var("CATT_SIMCACHE").as_deref() {
-        Ok("off") => Engine::uncached(),
-        Ok(dir) if !dir.is_empty() && dir != "mem" => Engine::persistent(dir),
-        _ => Engine::new(),
     }
 }
 

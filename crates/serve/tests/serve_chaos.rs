@@ -1,8 +1,7 @@
-//! Chaos integration tests: the serve daemon under a process-wide
-//! `CATT_FAULT_PLAN` (the same knob CI's chaos bench uses). Every test
-//! in this binary runs with the SAME plan — `fuel=2000,delay-job=20` —
-//! set once before any engine is built (tests inside one binary share
-//! the process environment; own binary = no racing the clean suite).
+//! Chaos integration tests: the serve daemon under a fault plan (the
+//! same grammar CI's chaos bench passes through `CATT_FAULT_PLAN`). Every
+//! test in this binary runs with the SAME plan — `fuel=2000,delay-job=20`
+//! — armed on its engine.
 //!
 //! `fuel=2000` makes cache-straining kernels exhaust their cycle budget
 //! (a fatal simulation fault), `delay-job=20` injects deterministic
@@ -12,19 +11,15 @@
 //! kernels that fit the budget keep completing.
 
 use catt_core::engine::Engine;
+use catt_core::FaultPlan;
 use catt_serve::proto::{ErrorKind, Response, SubmitRequest};
 use catt_serve::server::{ServeConfig, Server};
 use std::sync::mpsc;
-use std::sync::Once;
 use std::time::Duration;
 
-static PLAN: Once = Once::new();
-
-/// Arm the fault plan (idempotent; every test calls this first, before
-/// building an engine, so `Engine::new()` and `GpuConfig::fuel_budget`
-/// both see it).
-fn arm_chaos() {
-    PLAN.call_once(|| std::env::set_var("CATT_FAULT_PLAN", "fuel=2000,delay-job=20"));
+/// An engine under the suite's chaos plan.
+fn chaos_engine() -> Engine {
+    Engine::new().with_fault_plan(FaultPlan::parse("fuel=2000,delay-job=20"))
 }
 
 /// Exhausts any 2000-cycle budget: one warp grinds a long loop while the
@@ -108,13 +103,12 @@ fn error_kind(resp: &Response) -> Option<ErrorKind> {
 /// re-opens the breaker.
 #[test]
 fn breaker_trips_then_half_opens_one_probe() {
-    arm_chaos();
     let server = Server::new(
         ServeConfig {
             workers: 1,
             ..config()
         },
-        Engine::new(),
+        chaos_engine(),
     );
     let one = |label: &str| {
         let (tx, rx) = mpsc::channel();
@@ -142,8 +136,7 @@ fn breaker_trips_then_half_opens_one_probe() {
 /// kernels that fit the chaotic fuel budget still complete.
 #[test]
 fn chaos_is_contained_per_tenant() {
-    arm_chaos();
-    let server = Server::new(config(), Engine::new());
+    let server = Server::new(config(), chaos_engine());
     // Trip tenant `noisy`'s breaker with serial faults.
     for i in 0..2 {
         let (tx, rx) = mpsc::channel();
@@ -174,8 +167,7 @@ fn chaos_is_contained_per_tenant() {
 /// typed response each.
 #[test]
 fn every_chaotic_submission_gets_one_typed_response() {
-    arm_chaos();
-    let server = Server::new(config(), Engine::new());
+    let server = Server::new(config(), chaos_engine());
     let receivers: Vec<_> = (0..12)
         .map(|i| {
             let (tx, rx) = mpsc::channel();
@@ -214,8 +206,7 @@ fn every_chaotic_submission_gets_one_typed_response() {
 /// render/parse round trip.
 #[test]
 fn malformed_sources_are_rejected_with_spanned_diagnostics() {
-    arm_chaos();
-    let server = Server::new(config(), Engine::new());
+    let server = Server::new(config(), chaos_engine());
     let malformed: Vec<String> = vec![
         // Statement-level garbage: two separate errors to recover past.
         "__global__ void k(float *a, int n) { a[0] = ; int x = @; }".to_string(),

@@ -149,11 +149,11 @@ pub struct GpuConfig {
     /// private, which is what preserves the parallel-/sequential-SM
     /// bit-identity guarantee — cross-SM sharing of one L2 image is a
     /// documented substitution (DESIGN.md §3h). `Some(0)` disables the
-    /// L2 entirely (bit-identical to the pre-L2 model); `None` follows
-    /// the `CATT_L2_KB` environment variable, then the Volta-like
-    /// default [`L2_DEFAULT_KB`]. Unlike the execution-strategy knobs,
-    /// the resolved capacity is *architectural* and is canonicalized
-    /// into [`GpuConfig::content_digest`].
+    /// L2 entirely (bit-identical to the pre-L2 model); `None` is the
+    /// Volta-like default [`L2_DEFAULT_KB`]. Unlike the
+    /// execution-strategy knobs, the resolved capacity is
+    /// *architectural* and is canonicalized into
+    /// [`GpuConfig::content_digest`].
     pub l2_kb: Option<u32>,
     /// Latency model.
     pub latencies: Latencies,
@@ -166,65 +166,37 @@ pub struct GpuConfig {
     /// resident blocks at run time. `None` = plain hardware.
     pub dyncta: Option<DynctaConfig>,
     /// Explicit cycle-fuel budget per launch. `None` derives a generous
-    /// default from the memory footprint (see [`GpuConfig::fuel_budget`]);
-    /// the `CATT_SIM_FUEL` environment variable overrides both (`0` or
-    /// `off` disables the budget entirely). Excluded from
-    /// [`GpuConfig::content_digest`] — fuel bounds the simulation, it does
-    /// not change its result.
+    /// default from the memory footprint (see [`GpuConfig::fuel_budget`]).
+    /// Excluded from [`GpuConfig::content_digest`] — fuel bounds the
+    /// simulation, it does not change its result.
     pub sim_fuel: Option<u64>,
     /// Run the per-SM simulation loops of one launch on parallel worker
     /// threads (snapshot + store-log memory, bit-identical results — see
-    /// DESIGN.md "Parallel SM execution"). `None` follows the
-    /// `CATT_SIM_SM_PARALLEL` environment variable (`off`/`0`/`false`
-    /// disables; default on); `Some` wins over the environment. Excluded
-    /// from [`GpuConfig::content_digest`] — parallelism is an execution
-    /// strategy, not a simulated parameter.
+    /// DESIGN.md "Parallel SM execution"). `None` is on *iff* the SM
+    /// thread budget exceeds 1 (see [`GpuConfig::sm_parallel_enabled`]).
+    /// Excluded from [`GpuConfig::content_digest`] — parallelism is an
+    /// execution strategy, not a simulated parameter.
     pub sm_parallel: Option<bool>,
-    /// Cap on the number of SM worker threads per launch. `None` follows
-    /// `CATT_SIM_SM_THREADS`, and failing that derives
+    /// Cap on the number of SM worker threads per launch. `None` derives
     /// `available_parallelism / active engine workers` (min 1) so a sweep
     /// of W engine workers × S SM threads cannot oversubscribe the
     /// machine (see [`engine_workers_hint`]). Excluded from
     /// [`GpuConfig::content_digest`].
     pub sm_threads: Option<usize>,
-    /// Let parallel-path workers claim SM tasks through the work-stealing
-    /// dispatcher (heaviest SMs seeded first, idle workers steal from the
-    /// fullest peer) instead of the shared ascending-id counter. Results
-    /// are bit-identical either way — outcomes commit in ascending SM-id
-    /// order regardless of who simulated what — so this is purely a
-    /// wall-clock knob for skewed launches where one SM dominates. `None`
-    /// follows the `CATT_SIM_STEAL` environment variable
-    /// (`off`/`0`/`false`/`no` disables; default on); `Some` wins over
-    /// the environment. Excluded from [`GpuConfig::content_digest`].
-    pub sm_steal: Option<bool>,
     /// Record a full [`crate::profile::LaunchProfile`] per launch (stall
-    /// breakdowns, per-set L1 counters, phase timelines). `None` follows
-    /// the `CATT_PROFILE` environment variable (`on`/`1`/`true`/`yes`
-    /// enables; default off); `Some` wins over the environment. Profiled
-    /// and unprofiled runs are bit-identical (the sink only observes), so
+    /// breakdowns, per-set L1 counters, the windowed miss curve, phase
+    /// timelines). `None` is off. Profiled and unprofiled runs are
+    /// bit-identical (the sink only observes), so
     /// the knob is excluded from [`GpuConfig::content_digest`]; profiled
     /// runs bypass the simulation cache so the profile is always produced
     /// by a real run (see `catt_core::engine`).
     pub profile: Option<bool>,
-    /// Record the windowed miss curve ([`crate::profile::MissWindow`])
-    /// inside profiled launches. The per-window bookkeeping is the
-    /// single most expensive part of the profiling sink (BENCH_sim.json:
-    /// 1.74× geomean profiled-run overhead, 2.6× on GSMV), and the
-    /// autotuner only needs the aggregate stall/L1/L2 counters, so
-    /// window recording is opt-in. `None` follows the
-    /// `CATT_PROFILE_WINDOWS` environment variable
-    /// (`on`/`1`/`true`/`yes` enables; default off); `Some` wins over
-    /// the environment. Observational only — excluded from
-    /// [`GpuConfig::content_digest`].
-    pub profile_windows: Option<bool>,
     /// Run launches under the dynamic sanitizer (see [`crate::sanitize`]):
     /// barrier-divergence, inter-block race, wild-read and shared-memory
     /// overflow detection, surfaced as
-    /// [`SimError::Sanitizer`](crate::SimError::Sanitizer). `None` follows
-    /// the `CATT_SANITIZE` environment variable (`on`/`1`/`true`/`yes`
-    /// enables; default off); `Some` wins over the environment. The
-    /// sanitizer only observes — a clean sanitized launch is bit-identical
-    /// to an unsanitized one — so the knob is excluded from
+    /// [`SimError::Sanitizer`](crate::SimError::Sanitizer). `None` is
+    /// off. The sanitizer only observes — a clean sanitized launch is
+    /// bit-identical to an unsanitized one — so the knob is excluded from
     /// [`GpuConfig::content_digest`]; sanitized runs bypass the
     /// simulation cache (a cache hit would skip the checks) and run on
     /// the sequential SM path so one launch-wide state sees every block.
@@ -249,8 +221,8 @@ pub const FUEL_BASE: u64 = 1 << 24;
 /// still terminating a runaway loop in bounded time.
 pub const FUEL_PER_BYTE: u64 = 4096;
 
-/// Default total shared L2 capacity in KB when neither
-/// [`GpuConfig::l2_kb`] nor `CATT_L2_KB` is set: Volta's 6 MB.
+/// Default total shared L2 capacity in KB when [`GpuConfig::l2_kb`] is
+/// `None`: Volta's 6 MB.
 pub const L2_DEFAULT_KB: u32 = 6144;
 
 /// Associativity of each SM's L2 slice (Volta's L2 is 16-way).
@@ -306,9 +278,7 @@ impl GpuConfig {
             sim_fuel: None,
             sm_parallel: None,
             sm_threads: None,
-            sm_steal: None,
             profile: None,
-            profile_windows: None,
             sanitize: None,
             cancel: None,
         }
@@ -347,48 +317,20 @@ impl GpuConfig {
             sim_fuel: None,
             sm_parallel: None,
             sm_threads: None,
-            sm_steal: None,
             profile: None,
-            profile_windows: None,
             sanitize: None,
             cancel: None,
         }
     }
 
-    /// Resolve the per-launch cycle-fuel budget for a kernel touching
-    /// `footprint_bytes` of global memory. Resolution order:
-    ///
-    /// 1. a `fuel=C` entry in the `CATT_FAULT_PLAN` environment variable
-    ///    (the fault-injection harness, see `catt_core::fault`);
-    /// 2. `CATT_SIM_FUEL` environment variable (`0`/`off` = unlimited);
-    /// 3. [`GpuConfig::sim_fuel`];
-    /// 4. derived default: [`FUEL_BASE`] `+ footprint_bytes ×`
-    ///    [`FUEL_PER_BYTE`] (saturating).
-    ///
-    /// Returns `None` for "no budget".
-    pub fn fuel_budget(&self, footprint_bytes: u64) -> Option<u64> {
-        if let Ok(plan) = std::env::var("CATT_FAULT_PLAN") {
-            for entry in plan.split(',') {
-                if let Some(c) = entry.trim().strip_prefix("fuel=") {
-                    if let Ok(n) = c.trim().parse::<u64>() {
-                        return Some(n);
-                    }
-                }
-            }
-        }
-        if let Ok(v) = std::env::var("CATT_SIM_FUEL") {
-            let v = v.trim();
-            if v == "0" || v.eq_ignore_ascii_case("off") {
-                return None;
-            }
-            if let Ok(n) = v.parse::<u64>() {
-                return Some(n);
-            }
-        }
-        if let Some(n) = self.sim_fuel {
-            return Some(n);
-        }
-        Some(FUEL_BASE.saturating_add(footprint_bytes.saturating_mul(FUEL_PER_BYTE)))
+    /// The per-launch cycle-fuel budget for a kernel touching
+    /// `footprint_bytes` of global memory: [`GpuConfig::sim_fuel`] when
+    /// set, otherwise the derived default [`FUEL_BASE`]
+    /// `+ footprint_bytes ×` [`FUEL_PER_BYTE`] (saturating).
+    pub fn fuel_budget(&self, footprint_bytes: u64) -> u64 {
+        self.sim_fuel.unwrap_or_else(|| {
+            FUEL_BASE.saturating_add(footprint_bytes.saturating_mul(FUEL_PER_BYTE))
+        })
     }
 
     /// Configure the shared-memory carve-out to the smallest option (in
@@ -423,25 +365,10 @@ impl GpuConfig {
         }
     }
 
-    /// Resolve the total shared L2 capacity in KB. Resolution order:
-    /// [`GpuConfig::l2_kb`] (explicit config wins, so tests and CLI
-    /// flags are immune to ambient environment), then the `CATT_L2_KB`
-    /// environment variable (`0` or `off` disables), then the
+    /// The total shared L2 capacity in KB: [`GpuConfig::l2_kb`], or the
     /// Volta-like default [`L2_DEFAULT_KB`].
     pub fn l2_kb_resolved(&self) -> u32 {
-        if let Some(kb) = self.l2_kb {
-            return kb;
-        }
-        if let Ok(v) = std::env::var("CATT_L2_KB") {
-            let v = v.trim();
-            if v.eq_ignore_ascii_case("off") {
-                return 0;
-            }
-            if let Ok(n) = v.parse::<u32>() {
-                return n;
-            }
-        }
-        L2_DEFAULT_KB
+        self.l2_kb.unwrap_or(L2_DEFAULT_KB)
     }
 
     /// Geometry of one SM's slice of the shared L2 (capacity
@@ -468,34 +395,21 @@ impl GpuConfig {
         self.regfile_bytes_per_sm / 4
     }
 
-    /// Whether this launch may run its SMs on parallel worker threads.
-    /// Resolution order: [`GpuConfig::sm_parallel`] (explicit config
-    /// wins, so tests and CLI flags are immune to ambient environment),
-    /// then `CATT_SIM_SM_PARALLEL` (`off`/`0`/`false`/`no` disables,
-    /// anything else — e.g. `on` — enables), then the default: on *iff*
-    /// the effective SM thread budget exceeds 1. On a one-thread budget
-    /// (single-core host, or a sweep whose engine workers already own
-    /// every core) the parallel path's snapshot + store-log machinery is
-    /// pure overhead — BENCH_sim.json measured it as a net loss — so the
-    /// sequential path is the default there. Parallel and sequential
+    /// Whether this launch may run its SMs on parallel worker threads:
+    /// [`GpuConfig::sm_parallel`] when set, otherwise on *iff* the SM
+    /// thread budget exceeds 1. On a one-thread budget (single-core host,
+    /// or a sweep whose engine workers already own every core) the
+    /// parallel path's snapshot + store-log machinery is pure overhead, so
+    /// the sequential path is the default there. Parallel and sequential
     /// execution produce bit-identical results (see DESIGN.md), so this
     /// is purely a throughput knob.
     pub fn sm_parallel_enabled(&self) -> bool {
-        if let Some(explicit) = self.sm_parallel {
-            return explicit;
-        }
-        match std::env::var("CATT_SIM_SM_PARALLEL") {
-            Ok(v) => !matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "off" | "0" | "false" | "no"
-            ),
-            Err(_) => self.sm_thread_budget() > 1,
-        }
+        self.sm_parallel
+            .unwrap_or_else(|| self.sm_thread_budget() > 1)
     }
 
-    /// Resolve the SM worker-thread budget for one launch (≥ 1).
-    /// Resolution order: [`GpuConfig::sm_threads`], then
-    /// `CATT_SIM_SM_THREADS`, then the derived default
+    /// The SM worker-thread budget for one launch (≥ 1):
+    /// [`GpuConfig::sm_threads`] when set, otherwise
     /// `available_parallelism / active engine workers` — so W engine
     /// workers each running a launch get `cores / W` SM threads apiece
     /// instead of W × cores oversubscription.
@@ -503,99 +417,23 @@ impl GpuConfig {
         if let Some(n) = self.sm_threads {
             return n.max(1);
         }
-        if let Some(n) = std::env::var("CATT_SIM_SM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            return n;
-        }
         let avail = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
         (avail / engine_workers_hint().max(1)).max(1)
     }
 
-    /// Whether parallel-path SM workers claim tasks through the
-    /// work-stealing dispatcher. Resolution order: [`GpuConfig::sm_steal`]
-    /// (explicit config wins, so tests and CLI flags are immune to
-    /// ambient environment), then `CATT_SIM_STEAL`
-    /// (`off`/`0`/`false`/`no` disables), then the default: on. Purely a
-    /// wall-clock knob — results are bit-identical either way.
-    pub fn sm_steal_enabled(&self) -> bool {
-        if let Some(explicit) = self.sm_steal {
-            return explicit;
-        }
-        match std::env::var("CATT_SIM_STEAL") {
-            Ok(v) => !matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "off" | "0" | "false" | "no"
-            ),
-            Err(_) => true,
-        }
-    }
-
     /// Whether launches under this config record a
-    /// [`crate::profile::LaunchProfile`]. Resolution order:
-    /// [`GpuConfig::profile`] (explicit config wins, so tests and CLI
-    /// flags are immune to ambient environment), then the `CATT_PROFILE`
-    /// environment variable (`on`/`1`/`true`/`yes` enables), then the
-    /// default: off. Profiling never perturbs results — stats and memory
-    /// are bit-identical either way — so this is purely an observability
-    /// knob.
+    /// [`crate::profile::LaunchProfile`] ([`GpuConfig::profile`]; off
+    /// when `None`).
     pub fn profile_enabled(&self) -> bool {
-        if let Some(explicit) = self.profile {
-            return explicit;
-        }
-        match std::env::var("CATT_PROFILE") {
-            Ok(v) => matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "on" | "1" | "true" | "yes"
-            ),
-            Err(_) => false,
-        }
+        self.profile.unwrap_or(false)
     }
 
-    /// Whether profiled launches under this config record the windowed
-    /// miss curve (see [`crate::profile::MissWindow`]). Resolution
-    /// order: [`GpuConfig::profile_windows`] (explicit config wins),
-    /// then the `CATT_PROFILE_WINDOWS` environment variable
-    /// (`on`/`1`/`true`/`yes` enables), then the default: off. The
-    /// aggregate stall/L1/L2 counters are always recorded when
-    /// profiling is on; only the per-window curve is gated, because it
-    /// dominates the profiling overhead.
-    pub fn profile_windows_enabled(&self) -> bool {
-        if let Some(explicit) = self.profile_windows {
-            return explicit;
-        }
-        match std::env::var("CATT_PROFILE_WINDOWS") {
-            Ok(v) => matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "on" | "1" | "true" | "yes"
-            ),
-            Err(_) => false,
-        }
-    }
-
-    /// Whether launches under this config run the dynamic sanitizer (see
-    /// [`crate::sanitize`]). Resolution order: [`GpuConfig::sanitize`]
-    /// (explicit config wins, so tests and CLI flags are immune to
-    /// ambient environment), then the `CATT_SANITIZE` environment
-    /// variable (`on`/`1`/`true`/`yes` enables), then the default: off.
-    /// A clean sanitized launch is bit-identical to an unsanitized one —
-    /// the sanitizer only observes, and stops the launch at the first
-    /// finding.
+    /// Whether launches under this config run the dynamic sanitizer
+    /// ([`GpuConfig::sanitize`]; off when `None`).
     pub fn sanitize_enabled(&self) -> bool {
-        if let Some(explicit) = self.sanitize {
-            return explicit;
-        }
-        match std::env::var("CATT_SANITIZE") {
-            Ok(v) => matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "on" | "1" | "true" | "yes"
-            ),
-            Err(_) => false,
-        }
+        self.sanitize.unwrap_or(false)
     }
 }
 
@@ -706,17 +544,16 @@ mod tests {
 
     #[test]
     fn fuel_resolution_order() {
-        // No env in unit tests (the env paths are covered by the
-        // dedicated integration tests): explicit field wins, otherwise
-        // the budget derives from the footprint.
+        // Explicit field wins, otherwise the budget derives from the
+        // footprint.
         let mut c = GpuConfig::small();
-        assert_eq!(c.fuel_budget(0), Some(FUEL_BASE));
-        assert_eq!(c.fuel_budget(10), Some(FUEL_BASE + 10 * FUEL_PER_BYTE));
+        assert_eq!(c.fuel_budget(0), FUEL_BASE);
+        assert_eq!(c.fuel_budget(10), FUEL_BASE + 10 * FUEL_PER_BYTE);
         c.sim_fuel = Some(500);
-        assert_eq!(c.fuel_budget(1 << 20), Some(500));
+        assert_eq!(c.fuel_budget(1 << 20), 500);
         // Saturates instead of overflowing on absurd footprints.
         c.sim_fuel = None;
-        assert_eq!(c.fuel_budget(u64::MAX), Some(u64::MAX));
+        assert_eq!(c.fuel_budget(u64::MAX), u64::MAX);
     }
 
     #[test]
@@ -728,57 +565,29 @@ mod tests {
     }
 
     #[test]
-    fn explicit_sm_parallel_config_wins() {
-        // Env paths are covered by the integration suites; unit tests
-        // only pin the explicit-config precedence.
+    fn sm_parallel_follows_the_thread_budget_unless_explicit() {
+        // On a one-thread budget the snapshot + store-log machinery is
+        // pure overhead, so the derived default is sequential there.
         let mut c = GpuConfig::small();
-        c.sm_parallel = Some(false);
+        c.sm_threads = Some(1);
         assert!(!c.sm_parallel_enabled());
-        c.sm_parallel = Some(true);
+        c.sm_threads = Some(4);
         assert!(c.sm_parallel_enabled());
+        c.sm_threads = Some(1);
+        c.sm_parallel = Some(true);
+        assert!(c.sm_parallel_enabled(), "explicit field wins");
+        c.sm_threads = Some(4);
+        c.sm_parallel = Some(false);
+        assert!(!c.sm_parallel_enabled(), "explicit field wins");
     }
 
     #[test]
-    fn explicit_sm_steal_config_wins() {
-        // Env paths are covered by the parallel_sm integration suite;
-        // unit tests only pin the explicit-config precedence and the
-        // default.
+    fn profile_and_sanitize_default_off() {
         let mut c = GpuConfig::small();
-        if std::env::var("CATT_SIM_STEAL").is_err() {
-            assert!(c.sm_steal_enabled(), "stealing is on by default");
-        }
-        c.sm_steal = Some(false);
-        assert!(!c.sm_steal_enabled());
-        c.sm_steal = Some(true);
-        assert!(c.sm_steal_enabled());
-    }
-
-    #[test]
-    fn explicit_profile_config_wins() {
-        // Env paths are covered by the profile integration suites; unit
-        // tests only pin the explicit-config precedence and the default.
-        let mut c = GpuConfig::small();
-        if std::env::var("CATT_PROFILE").is_err() {
-            assert!(!c.profile_enabled(), "profiling is off by default");
-        }
+        assert!(!c.profile_enabled() && !c.sanitize_enabled());
         c.profile = Some(true);
-        assert!(c.profile_enabled());
-        c.profile = Some(false);
-        assert!(!c.profile_enabled());
-    }
-
-    #[test]
-    fn explicit_sanitize_config_wins() {
-        // Env paths are covered by the sanitizer integration suite; unit
-        // tests only pin the explicit-config precedence and the default.
-        let mut c = GpuConfig::small();
-        if std::env::var("CATT_SANITIZE").is_err() {
-            assert!(!c.sanitize_enabled(), "sanitizer is off by default");
-        }
         c.sanitize = Some(true);
-        assert!(c.sanitize_enabled());
-        c.sanitize = Some(false);
-        assert!(!c.sanitize_enabled());
+        assert!(c.profile_enabled() && c.sanitize_enabled());
     }
 
     #[test]
@@ -804,13 +613,9 @@ mod tests {
         remove_active_engine_workers(5);
         assert_eq!(engine_workers_hint(), 1);
         // With many engine workers active, the derived SM budget bottoms
-        // out at 1 instead of underflowing (skipped when the environment
-        // pins an explicit thread count).
+        // out at 1 instead of underflowing.
         add_active_engine_workers(1_000);
-        if std::env::var("CATT_SIM_SM_THREADS").is_err() {
-            let c = GpuConfig::small();
-            assert_eq!(c.sm_thread_budget(), 1);
-        }
+        assert_eq!(GpuConfig::small().sm_thread_budget(), 1);
         remove_active_engine_workers(1_000);
         // The RAII guard restores the count on drop — including an
         // unwinding drop, which is what makes it leak-proof where the

@@ -87,7 +87,7 @@ impl GpuConfig {
     /// budget (`sim_fuel`) is excluded: fuel bounds a simulation, it never
     /// changes the result of one that completes, so tightening or lifting
     /// the budget must not invalidate cached results. The SM-parallelism
-    /// knobs (`sm_parallel`, `sm_threads`, `sm_steal`) are excluded for the same
+    /// knobs (`sm_parallel`, `sm_threads`) are excluded for the same
     /// reason: parallel and sequential execution are bit-identical (see
     /// DESIGN.md "Parallel SM execution"), so flipping them must keep
     /// serving cached results. The profiling knob (`profile`) is excluded
@@ -101,17 +101,12 @@ impl GpuConfig {
         canonical.sim_fuel = None;
         canonical.sm_parallel = None;
         canonical.sm_threads = None;
-        canonical.sm_steal = None;
         canonical.profile = None;
-        // The windowed miss curve is part of the profile sink — pure
-        // observation, bit-identical results — so the knob is excluded
-        // like `profile` itself.
-        canonical.profile_windows = None;
         canonical.sanitize = None;
         // The L2 capacity is *architectural* — unlike the knobs above it
-        // changes cycle counts — but `None`, `CATT_L2_KB` and an explicit
-        // `Some` of the same value must share a cache entry, so the
-        // digest folds the resolved capacity, not the raw option.
+        // changes cycle counts — but `None` and an explicit `Some` of the
+        // default must share a cache entry, so the digest folds the
+        // resolved capacity, not the raw option.
         canonical.l2_kb = Some(self.l2_kb_resolved());
         // The cancellation token is an execution handle, not a simulated
         // parameter: a deadline-carrying `catt serve` request must share
@@ -173,8 +168,6 @@ mod tests {
         assert_eq!(base.content_digest(), tuned.content_digest());
         tuned.sm_parallel = Some(true);
         assert_eq!(base.content_digest(), tuned.content_digest());
-        tuned.sm_steal = Some(false);
-        assert_eq!(base.content_digest(), tuned.content_digest());
     }
 
     #[test]
@@ -204,18 +197,6 @@ mod tests {
         let mut explicit_default = base.clone();
         explicit_default.l2_kb = Some(base.l2_kb_resolved());
         assert_eq!(base.content_digest(), explicit_default.content_digest());
-    }
-
-    #[test]
-    fn profile_windows_knob_does_not_change_the_digest() {
-        // Window recording only observes; a cached result must survive
-        // flipping it (profiled runs bypass the cache regardless).
-        let base = GpuConfig::titan_v_1sm();
-        let mut windows = base.clone();
-        windows.profile_windows = Some(true);
-        assert_eq!(base.content_digest(), windows.content_digest());
-        windows.profile_windows = Some(false);
-        assert_eq!(base.content_digest(), windows.content_digest());
     }
 
     #[test]

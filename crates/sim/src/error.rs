@@ -20,8 +20,8 @@
 //!   run time (a lowering bug, kept as an error so one bad program cannot
 //!   take down a fleet worker);
 //! * [`SimError::Sanitizer`] — a sanitized launch
-//!   ([`GpuConfig::sanitize`](crate::GpuConfig::sanitize) /
-//!   `CATT_SANITIZE=on`) detected undefined behaviour the forgiving
+//!   ([`GpuConfig::sanitize`](crate::GpuConfig::sanitize), `catt run
+//!   --sanitize`) detected undefined behaviour the forgiving
 //!   functional semantics would otherwise mask: barrier divergence,
 //!   inter-block global races, uninitialized global reads, shared-memory
 //!   overflow (see [`crate::sanitize`]);
@@ -141,7 +141,7 @@ impl fmt::Display for SimError {
             SimError::FuelExhausted { kernel, cycles } => write!(
                 f,
                 "cycle budget exhausted in `{kernel}` after {cycles} cycles \
-                 (runaway kernel? raise CATT_SIM_FUEL or GpuConfig::sim_fuel)"
+                 (runaway kernel? raise --fuel / GpuConfig::sim_fuel)"
             ),
             SimError::BadArgument { kernel, message } => {
                 write!(f, "bad launch of `{kernel}`: {message}")
@@ -196,7 +196,7 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(
-            msg.contains("5000") && msg.contains("CATT_SIM_FUEL"),
+            msg.contains("5000") && msg.contains("GpuConfig::sim_fuel"),
             "{msg}"
         );
 

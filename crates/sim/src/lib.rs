@@ -94,10 +94,10 @@ impl Gpu {
     /// each SM runs its blocks under the occupancy limits implied by the
     /// kernel's shared-memory and register usage. Reported `cycles` is the
     /// maximum over SMs (they run independently; the shared L2/DRAM is a
-    /// per-SM latency/bandwidth model, see DESIGN.md). By default the SMs
-    /// are simulated on parallel worker threads with bit-identical results
-    /// (`CATT_SIM_SM_PARALLEL` / [`GpuConfig::sm_parallel`] fall back to
-    /// the sequential path; see DESIGN.md "Parallel SM execution").
+    /// per-SM latency/bandwidth model, see DESIGN.md). On a multi-thread
+    /// budget the SMs are simulated on parallel worker threads with
+    /// bit-identical results ([`GpuConfig::sm_parallel`] picks a path
+    /// explicitly; see DESIGN.md "Parallel SM execution").
     ///
     /// All user-reachable failures — lowering errors, bad arguments,
     /// barrier deadlocks, cycle-budget exhaustion — come back as a

@@ -188,11 +188,6 @@ pub struct SmProfile {
     pub l2_hits: u64,
     /// Valid L2 lines displaced by fills.
     pub l2_evictions: u64,
-    /// Whether the windowed miss curve is recorded (see
-    /// `GpuConfig::profile_windows_enabled`): the per-window bookkeeping
-    /// dominates profiling overhead, so it is opt-in; the aggregate
-    /// stall/L1/L2 counters above are always recorded.
-    windows: bool,
     /// Open segment per warp slot: (start cycle, kind, block).
     open: Vec<Option<(u64, PhaseKind, u32)>>,
     /// Open residency span per TB slot: (start cycle).
@@ -268,9 +263,8 @@ pub trait ProfileSink: Send + Sized {
     /// the classification work in the run loop).
     const ENABLED: bool;
 
-    /// Construct the sink for one SM of a launch. `windows` enables the
-    /// windowed miss curve (opt-in, see `GpuConfig::profile_windows`).
-    fn for_sm(sm_id: u32, l1: L1Config, warps: usize, tbs: usize, windows: bool) -> Self;
+    /// Construct the sink for one SM of a launch.
+    fn for_sm(sm_id: u32, l1: L1Config, warps: usize, tbs: usize) -> Self;
 
     /// Merge this SM's shard into the launch profile. Called in ascending
     /// SM-id order, like the parallel path's store-log commit.
@@ -332,7 +326,7 @@ impl ProfileSink for NullSink {
     const ENABLED: bool = false;
 
     #[inline]
-    fn for_sm(_sm_id: u32, _l1: L1Config, _warps: usize, _tbs: usize, _windows: bool) -> NullSink {
+    fn for_sm(_sm_id: u32, _l1: L1Config, _warps: usize, _tbs: usize) -> NullSink {
         NullSink
     }
 
@@ -343,7 +337,7 @@ impl ProfileSink for NullSink {
 impl ProfileSink for SmProfile {
     const ENABLED: bool = true;
 
-    fn for_sm(sm_id: u32, l1: L1Config, warps: usize, tbs: usize, windows: bool) -> SmProfile {
+    fn for_sm(sm_id: u32, l1: L1Config, warps: usize, tbs: usize) -> SmProfile {
         SmProfile {
             sm_id,
             cycles: 0,
@@ -358,7 +352,6 @@ impl ProfileSink for SmProfile {
             l2_accesses: 0,
             l2_hits: 0,
             l2_evictions: 0,
-            windows,
             open: vec![None; warps],
             tb_open: vec![None; tbs],
             window: MissWindow::default(),
@@ -394,17 +387,15 @@ impl ProfileSink for SmProfile {
             }
         }
         self.unique_lines.insert(line);
-        if self.windows {
-            self.window.accesses += 1;
-            if !hit {
-                self.window.misses += 1;
+        self.window.accesses += 1;
+        if !hit {
+            self.window.misses += 1;
+        }
+        if self.window.accesses >= Self::MISS_WINDOW {
+            if self.miss_curve.len() < Self::MAX_WINDOWS {
+                self.miss_curve.push(self.window);
             }
-            if self.window.accesses >= Self::MISS_WINDOW {
-                if self.miss_curve.len() < Self::MAX_WINDOWS {
-                    self.miss_curve.push(self.window);
-                }
-                self.window = MissWindow::default();
-            }
+            self.window = MissWindow::default();
         }
     }
 
@@ -639,7 +630,7 @@ mod tests {
     #[allow(clippy::assertions_on_constants)] // pins the zero-cost contract
     fn null_sink_is_disabled_and_empty() {
         assert!(!NullSink::ENABLED);
-        let s = NullSink::for_sm(0, l1(), 8, 2, false);
+        let s = NullSink::for_sm(0, l1(), 8, 2);
         let mut p = LaunchProfile::new("k".into(), catt_ir::LaunchConfig::d1(1, 32), l1());
         s.finish_into(&mut p);
         assert!(p.sms.is_empty());
@@ -647,7 +638,7 @@ mod tests {
 
     #[test]
     fn set_counters_roll_up() {
-        let mut s = SmProfile::for_sm(0, l1(), 4, 1, true);
+        let mut s = SmProfile::for_sm(0, l1(), 4, 1);
         s.l1_load(0, 10, false, false);
         s.l1_load(0, 10, true, false);
         s.l1_load(3, 11, false, true);
@@ -671,7 +662,7 @@ mod tests {
 
     #[test]
     fn warp_segments_alternate_exec_and_barrier() {
-        let mut s = SmProfile::for_sm(0, l1(), 2, 1, false);
+        let mut s = SmProfile::for_sm(0, l1(), 2, 1);
         s.tb_start(0, 5, 0);
         s.warp_begin(0, 5, 0);
         s.warp_barrier(0, 10);
@@ -692,25 +683,8 @@ mod tests {
     }
 
     #[test]
-    fn windows_off_keeps_counters_but_skips_the_curve() {
-        // With window recording off (the default), the per-set counters
-        // and working set are still exact — only the miss curve is empty.
-        let mut s = SmProfile::for_sm(0, l1(), 4, 1, false);
-        for i in 0..600 {
-            s.l1_load(0, i, i % 2 == 0, false);
-        }
-        s.sm_end(100, 2, 7);
-        let mut p = LaunchProfile::new("k".into(), catt_ir::LaunchConfig::d1(1, 32), l1());
-        s.finish_into(&mut p);
-        assert_eq!(p.sms[0].sets[0].accesses, 600);
-        assert_eq!(p.sms[0].sets[0].hits, 300);
-        assert_eq!(p.unique_lines(), 600);
-        assert!(p.sms[0].miss_curve.is_empty(), "curve is opt-in");
-    }
-
-    #[test]
     fn l2_hook_counts_hits_and_evictions() {
-        let mut s = SmProfile::for_sm(0, l1(), 4, 1, false);
+        let mut s = SmProfile::for_sm(0, l1(), 4, 1);
         s.l2_load(false, false);
         s.l2_load(true, false);
         s.l2_load(false, true);
@@ -721,7 +695,7 @@ mod tests {
 
     #[test]
     fn stall_accounting_sums() {
-        let mut s = SmProfile::for_sm(1, l1(), 2, 1, false);
+        let mut s = SmProfile::for_sm(1, l1(), 2, 1);
         s.stall(StallReason::Memory, 10);
         s.stall(StallReason::Scoreboard, 5);
         s.stall(StallReason::Memory, 2);

@@ -6,7 +6,7 @@
 //! order is fixed by the deterministic merge. Real hardware is not
 //! forgiving — the same kernels deadlock, corrupt memory, or return
 //! schedule-dependent garbage. Sanitize mode
-//! ([`crate::GpuConfig::sanitize`] / `CATT_SANITIZE=on`) keeps the
+//! ([`crate::GpuConfig::sanitize`], `catt run --sanitize`) keeps the
 //! forgiving semantics but *reports* the would-be undefined behaviour as
 //! a structured [`SanitizerReport`] through
 //! [`SimError::Sanitizer`](crate::SimError::Sanitizer):

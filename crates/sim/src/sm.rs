@@ -80,60 +80,6 @@ pub fn run_launch(
 /// merge: its result, its private store log, and its profiling shard.
 type SmOutcome<S> = (Result<LaunchStats, SimError>, StoreLog, S);
 
-/// How parallel-path workers claim SM simulation tasks. Either way the
-/// commit below merges outcomes in ascending SM-id order, so the claim
-/// schedule never affects results — only wall-clock.
-enum SmDispatcher {
-    /// Shared grab counter: workers take SMs in ascending id order
-    /// (`CATT_SIM_STEAL=off`).
-    Shared(AtomicUsize),
-    /// Work-stealing deques, one per worker, seeded round-robin in
-    /// descending block-count order so the heaviest SMs start first
-    /// instead of queueing behind light ones on the same worker. A worker
-    /// pops from the front of its own deque and, when empty, steals from
-    /// the *back* of the fullest peer — the classic split that keeps the
-    /// owner on its locally-seeded prefix. SM tasks are milliseconds, so
-    /// a plain mutex costs nothing measurable per claim.
-    Steal(Mutex<Vec<VecDeque<usize>>>),
-}
-
-impl SmDispatcher {
-    fn new(steal: bool, per_sm: &[(u32, VecDeque<u32>)], workers: usize) -> SmDispatcher {
-        if !steal || workers <= 1 {
-            return SmDispatcher::Shared(AtomicUsize::new(0));
-        }
-        let mut order: Vec<usize> = (0..per_sm.len()).collect();
-        // Stable sort: equal block counts keep ascending SM-id order.
-        order.sort_by_key(|&i| std::cmp::Reverse(per_sm[i].1.len()));
-        let mut deques: Vec<VecDeque<usize>> = vec![VecDeque::new(); workers];
-        for (k, i) in order.into_iter().enumerate() {
-            deques[k % workers].push_back(i);
-        }
-        SmDispatcher::Steal(Mutex::new(deques))
-    }
-
-    /// Claim the next SM task index for `worker`, or `None` when all of
-    /// them are claimed.
-    fn claim(&self, worker: usize, tasks: usize) -> Option<usize> {
-        match self {
-            SmDispatcher::Shared(next) => {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                (i < tasks).then_some(i)
-            }
-            SmDispatcher::Steal(deques) => {
-                let mut d = deques.lock().unwrap();
-                if let Some(i) = d[worker].pop_front() {
-                    return Some(i);
-                }
-                let victim = (0..d.len())
-                    .filter(|&v| v != worker)
-                    .max_by_key(|&v| d[v].len())?;
-                d[victim].pop_back()
-            }
-        }
-    }
-}
-
 /// The launch body, generic over the profiling sink. With [`NullSink`]
 /// every hook is an empty `#[inline]` default method and every
 /// `S::ENABLED` block is compile-time dead, so the unprofiled hot path
@@ -240,9 +186,6 @@ fn launch_impl<S: ProfileSink>(
         config.sm_thread_budget().min(per_sm.len())
     };
     let nwarps = (resident * launch.warps_per_block()) as usize;
-    // Resolve the miss-curve opt-in once per launch, not per SM (it may
-    // consult the environment); irrelevant for the NullSink path.
-    let prof_windows = S::ENABLED && config.profile_windows_enabled();
 
     if workers <= 1 {
         // Sequential path: every SM mutates global memory directly. One
@@ -251,13 +194,7 @@ fn launch_impl<S: ProfileSink>(
         let mut ws = SmWorkspace::default();
         for (sm_id, blocks) in per_sm {
             let trace_this_sm = config.trace_requests && sm_id == 0;
-            let mut sink = S::for_sm(
-                sm_id,
-                config.l1_config(),
-                nwarps,
-                resident as usize,
-                prof_windows,
-            );
+            let mut sink = S::for_sm(sm_id, config.l1_config(), nwarps, resident as usize);
             let res = run_sm(
                 config,
                 program,
@@ -286,36 +223,31 @@ fn launch_impl<S: ProfileSink>(
     // Parallel path: each SM simulates against a shared read snapshot of
     // pre-launch memory plus its own store log; logs merge back below in
     // ascending SM-id order so the committed memory image is independent
-    // of thread scheduling *and* of the claim order the dispatcher
-    // produced — stealing on or off.
+    // of thread scheduling *and* of the claim order. Workers claim SMs
+    // heaviest-first through one shared cursor (list scheduling), so a
+    // dominant SM starts immediately instead of queueing behind light
+    // ones; the stable sort keeps equal block counts in ascending SM-id
+    // order.
     let snapshot: &GlobalMem = mem;
-    let dispatcher = SmDispatcher::new(config.sm_steal_enabled(), &per_sm, workers);
+    let mut claim_order: Vec<usize> = (0..per_sm.len()).collect();
+    claim_order.sort_by_key(|&i| std::cmp::Reverse(per_sm[i].1.len()));
+    let next_claim = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<SmOutcome<S>>>> =
         Mutex::new((0..per_sm.len()).map(|_| None).collect());
     std::thread::scope(|scope| {
-        // Shadow the owned values with references so the `move` closures
-        // capture `wid` by value but everything shared by borrow.
-        let (dispatcher, per_sm, results) = (&dispatcher, &per_sm, &results);
-        let (access, tables) = (&access, &tables);
-        for wid in 0..workers {
-            scope.spawn(move || {
+        for _ in 0..workers {
+            scope.spawn(|| {
                 let mut ws = SmWorkspace::default();
-                while let Some(i) = dispatcher.claim(wid, per_sm.len()) {
+                while let Some(&i) = claim_order.get(next_claim.fetch_add(1, Ordering::Relaxed)) {
                     let (sm_id, blocks) = &per_sm[i];
                     let trace_this_sm = config.trace_requests && *sm_id == 0;
                     let mut shadow = ShadowMem::new(snapshot);
-                    let mut sink = S::for_sm(
-                        *sm_id,
-                        config.l1_config(),
-                        nwarps,
-                        resident as usize,
-                        prof_windows,
-                    );
+                    let mut sink = S::for_sm(*sm_id, config.l1_config(), nwarps, resident as usize);
                     let res = run_sm(
                         config,
                         program,
-                        access,
-                        tables,
+                        &access,
+                        &tables,
                         launch,
                         &mut shadow,
                         resident,
@@ -439,7 +371,7 @@ fn run_sm<M: DeviceMem, S: ProfileSink>(
     mem: &mut M,
     resident: u32,
     trace: bool,
-    fuel: Option<u64>,
+    fuel: u64,
     ws: &mut SmWorkspace,
     sink: &mut S,
     san: Option<&mut SanitizerState>,
@@ -758,9 +690,9 @@ struct Sm<'a, M: DeviceMem, S: ProfileSink> {
     active_tb_limit: usize,
     /// DYNCTA sampling-window state: (window start cycle, busy cycles).
     dyncta_window: (u64, u64),
-    /// Cycle-fuel budget for this launch (`None` = unlimited). Checked at
-    /// the top of the run loop, so skip-ahead jumps are charged too.
-    fuel: Option<u64>,
+    /// Cycle-fuel budget for this launch. Checked at the top of the run
+    /// loop, so skip-ahead jumps are charged too.
+    fuel: u64,
     trace: bool,
     stats: LaunchStats,
     /// Profiling sink — [`NullSink`] when profiling is off, in which case
@@ -845,17 +777,15 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                     });
                 }
             }
-            if let Some(fuel) = self.fuel {
-                if self.cycle >= fuel {
-                    if S::ENABLED {
-                        // Fuel cut the launch short: charge the cut-off
-                        // slot to its own reason so fuel-bounded shards
-                        // are identifiable in the breakdown.
-                        self.sink
-                            .stall(StallReason::Fuel, self.last_issued.len() as u64);
-                    }
-                    return Err(self.out_of_fuel());
+            if self.cycle >= self.fuel {
+                if S::ENABLED {
+                    // Fuel cut the launch short: charge the cut-off
+                    // slot to its own reason so fuel-bounded shards
+                    // are identifiable in the breakdown.
+                    self.sink
+                        .stall(StallReason::Fuel, self.last_issued.len() as u64);
                 }
+                return Err(self.out_of_fuel());
             }
             // Barrier release and TB retire/refill can only become
             // possible after a warp parks or finishes — both transitions
@@ -897,10 +827,7 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                         // past `fuel` would report an exhaustion cycle
                         // count (and charge profiled stall slots) beyond
                         // the configured budget.
-                        let t = match self.fuel {
-                            Some(f) => t.min(f),
-                            None => t,
-                        };
+                        let t = t.min(self.fuel);
                         if S::ENABLED && t > self.cycle {
                             // Skip-ahead: nothing can issue before `t`, so
                             // every scheduler loses the jumped-over cycles

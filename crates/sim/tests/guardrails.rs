@@ -1,8 +1,6 @@
 //! Guard-rail integration tests: every user-reachable failure on the
 //! execution path must surface as a structured [`SimError`], never a
-//! panic. Fuel budgets are set per-test through `GpuConfig::sim_fuel`
-//! (the programmatic knob behind `CATT_SIM_FUEL`), so no test depends on
-//! process environment.
+//! panic. Fuel budgets are set per-test through `GpuConfig::sim_fuel`.
 
 use catt_frontend::parse_kernel;
 use catt_ir::LaunchConfig;
@@ -91,7 +89,7 @@ fn runaway_loop_exhausts_fuel() {
             cycles: 2_000,
         }
     );
-    assert!(rendered.contains("CATT_SIM_FUEL"), "{rendered}");
+    assert!(rendered.contains("--fuel"), "{rendered}");
 }
 
 #[test]

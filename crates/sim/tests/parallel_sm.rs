@@ -10,15 +10,11 @@
 //! * the documented snapshot-vs-sequential memory-visibility difference
 //!   on a deliberately cross-block-racy kernel;
 //! * thread-budget clamping and error-path equivalence;
-//! * the work-stealing dispatcher (`sm_steal`): same bit-identity across
-//!   stealing on/off, every thread budget, and an adversarial launch
-//!   where one SM carries nearly all the work (the LVMD shape stealing
-//!   exists for).
+//! * the heaviest-first claim order: same bit-identity across every
+//!   thread budget on an adversarial launch where one SM carries nearly
+//!   all the work (the LVMD shape).
 //!
-//! Modes are selected through the explicit `GpuConfig` fields, which win
-//! over `CATT_SIM_SM_PARALLEL`/`CATT_SIM_SM_THREADS`/`CATT_SIM_STEAL` —
-//! so this suite tests all sides regardless of what the environment
-//! (e.g. check.sh's sequential-fallback pass) sets.
+//! Modes are selected through the explicit `GpuConfig` fields.
 
 use catt_frontend::parse_kernel;
 use catt_ir::LaunchConfig;
@@ -143,11 +139,10 @@ fn thread_budget_never_changes_results() {
          }",
     )
     .unwrap();
-    let run = |parallel: bool, steal: bool, threads: usize| {
+    let run = |parallel: bool, threads: usize| {
         let mut c = GpuConfig::titan_v();
         c.num_sms = 3;
         c.sm_parallel = Some(parallel);
-        c.sm_steal = Some(steal);
         c.sm_threads = Some(threads);
         let mut mem = GlobalMem::new();
         let n = 7 * 48; // 7 blocks of 48 threads (partial warps) over 3 SMs
@@ -165,26 +160,24 @@ fn thread_budget_never_changes_results() {
             .unwrap();
         (stats, mem.read_f32(outb))
     };
-    let (seq_stats, seq_out) = run(false, false, 1);
-    for steal in [false, true] {
-        for threads in [1, 2, 3, 64] {
-            let (par_stats, par_out) = run(true, steal, threads);
-            let what = format!("steal={steal} threads={threads}");
-            assert_stats_identical(&par_stats, &seq_stats, &what);
-            assert_eq!(par_out, seq_out, "output with {what}");
-        }
+    let (seq_stats, seq_out) = run(false, 1);
+    for threads in [1, 2, 3, 64] {
+        let (par_stats, par_out) = run(true, threads);
+        let what = format!("threads={threads}");
+        assert_stats_identical(&par_stats, &seq_stats, &what);
+        assert_eq!(par_out, seq_out, "output with {what}");
     }
 }
 
-/// The work-stealing dispatcher on the workload shape it exists for: one
-/// dominant SM. Every fourth block runs ~100× the work of the others,
+/// The heaviest-first claim order on the workload shape it exists for:
+/// one dominant SM. Every fourth block runs ~100× the work of the others,
 /// and with `num_sms = 4` the round-robin split hands *all* heavy blocks
 /// to SM 0 (LVMD's skew in miniature). Whatever worker claims what —
-/// stealing on or off, budgets below/at/above the SM count — stats and
-/// memory must equal the sequential baseline bit-for-bit, because
-/// outcomes commit in ascending SM-id order regardless of claim order.
+/// budgets below/at/above the SM count — stats and memory must equal the
+/// sequential baseline bit-for-bit, because outcomes commit in ascending
+/// SM-id order regardless of claim order.
 #[test]
-fn work_stealing_is_bit_identical_on_a_dominant_sm() {
+fn claim_order_is_bit_identical_on_a_dominant_sm() {
     let k = parse_kernel(
         "__global__ void skew(float *out, float *in) {
              int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -198,11 +191,10 @@ fn work_stealing_is_bit_identical_on_a_dominant_sm() {
     )
     .unwrap();
     let n = 16 * 64;
-    let run = |parallel: bool, steal: bool, threads: usize| {
+    let run = |parallel: bool, threads: usize| {
         let mut c = GpuConfig::titan_v();
         c.num_sms = 4; // blocks 0, 4, 8, 12 (the heavy ones) all land on SM 0
         c.sm_parallel = Some(parallel);
-        c.sm_steal = Some(steal);
         c.sm_threads = Some(threads);
         let mut mem = GlobalMem::new();
         let input: Vec<f32> = (0..256).map(|v| (v % 7) as f32 + 0.5).collect();
@@ -219,15 +211,13 @@ fn work_stealing_is_bit_identical_on_a_dominant_sm() {
             .unwrap();
         (stats, mem.read_f32(outb))
     };
-    let (seq_stats, seq_out) = run(false, false, 1);
+    let (seq_stats, seq_out) = run(false, 1);
     assert!(seq_stats.cycles > 0);
-    for steal in [false, true] {
-        for threads in [1, 2, 8, 16] {
-            let (par_stats, par_out) = run(true, steal, threads);
-            let what = format!("steal={steal} threads={threads}");
-            assert_stats_identical(&par_stats, &seq_stats, &what);
-            assert_eq!(par_out, seq_out, "output with {what}");
-        }
+    for threads in [1, 2, 8, 64] {
+        let (par_stats, par_out) = run(true, threads);
+        let what = format!("threads={threads}");
+        assert_stats_identical(&par_stats, &seq_stats, &what);
+        assert_eq!(par_out, seq_out, "output with {what}");
     }
 }
 

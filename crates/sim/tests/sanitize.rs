@@ -1,9 +1,7 @@
 //! Sanitizer integration tests: sanitize mode must report the undefined
 //! behaviour the forgiving functional semantics mask (barrier divergence,
 //! inter-block races, wild reads, shared-memory overflow), never
-//! false-positive on clean kernels, and never perturb results. Every test
-//! pins `GpuConfig::sanitize` explicitly (`Some` wins over the ambient
-//! `CATT_SANITIZE`), so the suite is immune to process environment.
+//! false-positive on clean kernels, and never perturb results.
 
 use catt_frontend::parse_kernel;
 use catt_ir::LaunchConfig;

@@ -35,9 +35,8 @@ use catt_workloads::harness::{self, EvalError};
 use catt_workloads::registry::Workload;
 use std::collections::BTreeMap;
 
-/// Tuner knobs. Every field has an `CATT_TUNE_*` environment override in
-/// the CLI (see EXPERIMENTS.md); defaults reproduce the committed
-/// `BENCH_tune.json`.
+/// Tuner knobs (`catt tune --seed` / `--iters` set the first two);
+/// defaults reproduce the committed `BENCH_tune.json`.
 #[derive(Debug, Clone)]
 pub struct TuneOptions {
     /// PRNG seed for the second climb restart (the first always starts at

@@ -160,8 +160,8 @@ pub enum CaseOutcome {
 }
 
 /// The simulator configuration all oracle runs use: the small test GPU
-/// with the sanitizer pinned on (explicit field, immune to
-/// `CATT_SANITIZE`) and a generous explicit fuel budget so borderline
+/// with the sanitizer on (`GpuConfig::sanitize`, what `catt run
+/// --sanitize` sets) and a generous explicit fuel budget so borderline
 /// heuristic budgets cannot turn a slowdown into a classification flip.
 pub fn sim_config() -> GpuConfig {
     let mut c = GpuConfig::small();

@@ -3,7 +3,7 @@
 //! ```text
 //! catt compile kernels.cu --launch atax_kernel1=320x256 [--l1 32] [-o out.cu]
 //! catt analyze kernels.cu --launch atax_kernel1=320x256 [--l1 32]
-//! catt run     kernels.cu --launch k=4x256 --args f:1024,f:1024 [--l1 32] [--fuel <cycles>] [--sm-parallel on|off]
+//! catt run     kernels.cu --launch k=4x256 --args f:1024,f:1024 [--l1 32] [--fuel <cycles>] [--sm-parallel on|off] [--sanitize]
 //! catt profile <ABBREV|all> [--l1 <KB>] [--trace-out <trace.json>]
 //! catt tune    <ABBREV|all> [--l1 <KB>] [--seed <S>] [--iters <N>] [--out <tune.json>]
 //! catt fuzz    [--seed <S>] [--iters <N>] [--shrink] [--unchecked] [--corpus <dir>] [--frontend]
@@ -15,7 +15,9 @@
 //! * `run` lowers the kernel, allocates float/int buffers per `--args`
 //!   (`f:<len>` / `i:<len>`, filled deterministically; `sf:<v>`/`si:<v>`
 //!   for scalars), executes baseline and throttled variants on the
-//!   simulator, and reports the speedup;
+//!   simulator, and reports the speedup; `--sanitize` runs them under the
+//!   dynamic sanitizer (a masked hazard becomes a `sanitizer: <kind>`
+//!   error);
 //! * `profile` runs a registry workload (by Table 2 abbreviation, or
 //!   `all`) with the profiling sink armed and prints the nvprof-style
 //!   stall breakdown, the per-set L1D heat map, and the Eq. 8
@@ -46,8 +48,13 @@
 //!
 //! Launch syntax: `<kernel>=<grid>x<block>` (1-D) or
 //! `<kernel>=<gx>,<gy>x<bx>,<by>` (2-D). Repeat `--launch` per kernel.
+//!
+//! This file is where deployment settings enter: `CATT_DIAG_FORMAT`,
+//! `CATT_SIMCACHE`, `CATT_ENGINE_WORKERS`, `CATT_ENGINE_PROGRESS` and the
+//! `CATT_SERVE_*` tuning are parsed here, once, into the typed
+//! configuration the library takes (table in EXPERIMENTS.md).
 
-use catt_repro::core::{Engine, Pipeline};
+use catt_repro::core::{Engine, Pipeline, Progress};
 use catt_repro::ir::{Dim3, LaunchConfig};
 use catt_repro::sim::{Arg, GlobalMem, Gpu, GpuConfig};
 use std::process::ExitCode;
@@ -66,11 +73,65 @@ fn render_diags(diags: &[catt_repro::diag::Diagnostic], src: &str, file: &str) -
     out
 }
 
+/// A positive integer from the environment variable `name`.
+fn env_u64(name: &str) -> Option<u64> {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+}
+
+/// The evaluation engine the environment asks for: cache mode from
+/// `CATT_SIMCACHE` (`off` | `mem` | `<dir>`; unset means `default_dir`,
+/// or in-memory without one), worker bound from `CATT_ENGINE_WORKERS`,
+/// stderr verbosity from `CATT_ENGINE_PROGRESS` (`off` | `summary` |
+/// `full`; default `summary`).
+fn engine_from_env(default_dir: Option<&str>) -> Engine {
+    let cache = std::env::var("CATT_SIMCACHE")
+        .ok()
+        .filter(|v| !v.is_empty());
+    let mut engine = match cache.as_deref().or(default_dir) {
+        Some("off") => Engine::uncached(),
+        Some("mem") | None => Engine::new(),
+        Some(dir) => Engine::persistent(dir),
+    };
+    if let Some(n) = env_u64("CATT_ENGINE_WORKERS") {
+        engine = engine.with_worker_bound(n as usize);
+    }
+    engine.with_progress(match std::env::var("CATT_ENGINE_PROGRESS").as_deref() {
+        Ok("off") => Progress::Off,
+        Ok("full") => Progress::Full,
+        _ => Progress::Summary,
+    })
+}
+
+/// The daemon under `catt serve` / `catt serve-bench`: [`ServeConfig`]'s
+/// defaults with the `CATT_SERVE_*` overrides applied (EXPERIMENTS.md),
+/// over the engine `CATT_SIMCACHE` selects (a directory enables the
+/// multi-writer-safe persistent cache).
+fn serve_from_env() -> (catt_repro::serve::ServeConfig, Engine) {
+    use catt_repro::serve::ServeConfig;
+    let d = ServeConfig::default();
+    let get = |name: &str, default: u64| env_u64(name).unwrap_or(default);
+    let config = ServeConfig {
+        workers: get("CATT_SERVE_WORKERS", d.workers as u64) as usize,
+        queue_high_water: get("CATT_SERVE_QUEUE", d.queue_high_water as u64) as usize,
+        quota_rate: get("CATT_SERVE_QUOTA_RATE", d.quota_rate),
+        quota_burst: get("CATT_SERVE_QUOTA_BURST", d.quota_burst),
+        default_deadline_ms: get("CATT_SERVE_DEADLINE_MS", d.default_deadline_ms),
+        breaker_threshold: get("CATT_SERVE_BREAKER_THRESHOLD", d.breaker_threshold as u64) as u32,
+        breaker_cooldown_ms: get("CATT_SERVE_BREAKER_COOLDOWN_MS", d.breaker_cooldown_ms),
+        drain_grace_ms: get("CATT_SERVE_DRAIN_MS", d.drain_grace_ms),
+        quantum: get("CATT_SERVE_QUANTUM", d.quantum),
+    };
+    (config, engine_from_env(None))
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: catt <compile|analyze|run> <file.cu> --launch <kernel>=<grid>x<block> \
          [--launch ...] [--l1 <KB>] [--fuel <cycles>] [--sm-parallel <on|off>] \
-         [--args <spec,...>] [-o <out.cu>]\n\
+         [--sanitize] [--args <spec,...>] [-o <out.cu>]\n\
          \x20      catt profile <ABBREV|all> [--l1 <KB>] [--trace-out <trace.json>]\n\
          \x20      catt tune <ABBREV|all> [--l1 <KB>] [--seed <S>] [--iters <N>] [--out <tune.json>]\n\
          \x20      catt fuzz [--seed <S>] [--iters <N>] [--shrink] [--unchecked] [--corpus <dir>] [--frontend]\n\
@@ -325,39 +386,12 @@ fn profile_main(args: &[String]) -> ExitCode {
 }
 
 /// `catt tune`: the feedback-driven `(N, M, swizzle)` autotuner.
-/// Environment knobs `CATT_TUNE_SEED`, `CATT_TUNE_ITERS`,
-/// `CATT_TUNE_STALL_THRESHOLD`, and `CATT_TUNE_L2_GAIN` set the defaults;
-/// explicit flags win.
 fn tune_main(args: &[String]) -> ExitCode {
     use catt_repro::tune::{tune_workloads, TuneOptions};
     use catt_repro::workloads::{harness, registry};
 
     let target = &args[0];
     let mut opts = TuneOptions::default();
-    if let Some(s) = std::env::var("CATT_TUNE_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        opts.seed = s;
-    }
-    if let Some(n) = std::env::var("CATT_TUNE_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        opts.max_iters = n;
-    }
-    if let Some(t) = std::env::var("CATT_TUNE_STALL_THRESHOLD")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        opts.mem_stall_threshold = t;
-    }
-    if let Some(g) = std::env::var("CATT_TUNE_L2_GAIN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        opts.min_l2_gain = g;
-    }
     let mut l1_kb: Option<u32> = None;
     let mut out_path: Option<String> = None;
     let mut i = 1;
@@ -465,12 +499,10 @@ fn parse_launch(spec: &str) -> Option<(String, LaunchConfig)> {
 
 /// `catt serve`: the multi-tenant compile-and-simulate daemon. NDJSON
 /// over stdio by default, or a TCP listener with `--tcp <addr>`. Tuning
-/// comes from the CATT_SERVE_* environment knobs (see EXPERIMENTS.md);
-/// the simcache mode from CATT_SIMCACHE (a directory enables the
-/// multi-writer-safe persistent cache).
+/// and cache mode come from the environment, see [`serve_from_env`].
 fn serve_main(args: &[String]) -> ExitCode {
     use catt_repro::serve::front::{serve_stdio, serve_tcp};
-    use catt_repro::serve::{engine_from_env, ServeConfig, Server};
+    use catt_repro::serve::Server;
     use std::sync::Arc;
 
     let mut tcp_addr: Option<String> = None;
@@ -488,7 +520,8 @@ fn serve_main(args: &[String]) -> ExitCode {
             }
         }
     }
-    let server = Arc::new(Server::new(ServeConfig::from_env(), engine_from_env()));
+    let (config, engine) = serve_from_env();
+    let server = Arc::new(Server::new(config, engine));
     match tcp_addr {
         Some(addr) => {
             if let Err(e) = serve_tcp(server, &addr) {
@@ -509,7 +542,12 @@ fn main() -> ExitCode {
         Some("fuzz") => return fuzz_main(&argv[1..]),
         Some("serve") => return serve_main(&argv[1..]),
         Some("serve-bench") => {
-            return ExitCode::from(catt_repro::serve::bench::bench_main(&argv[1..]))
+            let (config, engine) = serve_from_env();
+            return ExitCode::from(catt_repro::serve::bench::bench_main(
+                &argv[1..],
+                config,
+                engine,
+            ));
         }
         _ => {}
     }
@@ -517,17 +555,21 @@ fn main() -> ExitCode {
         return usage();
     }
     let mode = argv[0].as_str();
-    if mode == "profile" {
-        return profile_main(&argv[1..]);
-    }
-    if mode == "tune" {
-        return tune_main(&argv[1..]);
+    if mode == "profile" || mode == "tune" {
+        // Registry workloads evaluate on the process-wide engine.
+        Engine::init_global(engine_from_env(None));
+        return if mode == "profile" {
+            profile_main(&argv[1..])
+        } else {
+            tune_main(&argv[1..])
+        };
     }
     let path = &argv[1];
     let mut launches: Vec<(String, LaunchConfig)> = Vec::new();
     let mut l1_kb: Option<u32> = None;
     let mut fuel: Option<u64> = None;
     let mut sm_parallel: Option<bool> = None;
+    let mut sanitize = false;
     let mut out_path: Option<String> = None;
     let mut arg_spec: Option<String> = None;
     let mut i = 2;
@@ -559,6 +601,10 @@ fn main() -> ExitCode {
                     }
                 };
                 i += 2;
+            }
+            "--sanitize" => {
+                sanitize = true;
+                i += 1;
             }
             "--args" if i + 1 < argv.len() => {
                 arg_spec = Some(argv[i + 1].clone());
@@ -593,10 +639,10 @@ fn main() -> ExitCode {
     if let Some(n) = fuel {
         config.sim_fuel = Some(n);
     }
-    // Explicit flag wins over CATT_SIM_SM_PARALLEL (results are
-    // bit-identical either way; this is a throughput knob).
-    if sm_parallel.is_some() {
-        config.sm_parallel = sm_parallel;
+    // Results are bit-identical either way; this is a throughput knob.
+    config.sm_parallel = sm_parallel;
+    if sanitize {
+        config.sanitize = Some(true);
     }
     let pipe = Pipeline::new(config.clone());
     let refs: Vec<(&str, LaunchConfig)> = launches.iter().map(|(n, l)| (n.as_str(), *l)).collect();
@@ -673,7 +719,7 @@ fn main() -> ExitCode {
             // Simulations are memoized in the persistent cache under
             // results/.simcache/ (CATT_SIMCACHE=off forces cold runs); the
             // --args spec is part of the cache scope (input identity).
-            let engine = Engine::init_global_persistent();
+            let engine = engine_from_env(Some("results/.simcache"));
             for (ki, ck) in app.kernels.iter().enumerate() {
                 let exec = |kernel: &catt_repro::ir::Kernel| {
                     let mut mem = GlobalMem::new();

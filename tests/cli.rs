@@ -245,3 +245,32 @@ fn fuzz_rejects_unknown_options() {
     let out = catt().args(["fuzz", "--frobnicate"]).output().unwrap();
     assert!(!out.status.success());
 }
+
+/// `CATT_FAULT_PLAN` reaches the daemon through the binary: under
+/// `fuel=1` the one submit of a one-line batch is still answered — with
+/// the typed fuel-exhaustion fault the plan injects — and stdin EOF
+/// drains the server to a clean exit.
+#[test]
+fn serve_stdio_answers_a_batch_under_an_env_fault_plan() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut child = catt()
+        .args(["serve", "--stdio"])
+        .env("CATT_FAULT_PLAN", "delay-job=1,fuel=1")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let line = r#"{"id":"one","tenant":"cli","kernel":"__global__ void k(float *a, int n) { int i = blockIdx.x * blockDim.x + threadIdx.x; if (i < n) { a[i] = a[i] * 2.0f; } }","grid":2,"block":32,"args":"f:64,si:64"}"#;
+    writeln!(child.stdin.take().unwrap(), "{line}").unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let replies: Vec<&str> = stdout.lines().filter(|l| !l.is_empty()).collect();
+    assert_eq!(replies.len(), 1, "{stdout}");
+    assert!(
+        replies[0].contains(r#""id":"one""#) && replies[0].contains("fuel-exhausted"),
+        "{stdout}"
+    );
+}
