@@ -49,6 +49,13 @@ pub struct L1Cache {
     /// is probed on every simulated load and store.
     lines: Vec<Line>,
     assoc: usize,
+    /// Geometry resolved once here so a probe never divides:
+    /// `log2(line_bytes)` and `log2(num_sets)` when they are powers of two
+    /// (every shipped configuration), `None` for odd geometries, which
+    /// keep the division/modulo path.
+    line_shift: Option<u32>,
+    num_sets: u32,
+    set_bits: Option<u32>,
     use_counter: u64,
     /// Statistics: load accesses.
     pub accesses: u64,
@@ -67,6 +74,7 @@ impl L1Cache {
     /// Empty cache with the given geometry.
     pub fn new(cfg: L1Config) -> L1Cache {
         let assoc = (cfg.assoc as usize).max(1);
+        let num_sets = cfg.num_sets();
         let lines = vec![
             Line {
                 tag: 0,
@@ -74,12 +82,16 @@ impl L1Cache {
                 last_use: 0,
                 valid: false,
             };
-            cfg.num_sets() as usize * assoc
+            num_sets as usize * assoc
         ];
+        let log2 = |n: u32| n.is_power_of_two().then(|| n.trailing_zeros());
         L1Cache {
             cfg,
             lines,
             assoc,
+            line_shift: log2(cfg.line_bytes),
+            num_sets,
+            set_bits: log2(num_sets).filter(|&bits| bits > 0),
             use_counter: 0,
             accesses: 0,
             hits: 0,
@@ -99,19 +111,28 @@ impl L1Cache {
     /// do not collapse onto a few sets; without this, a kernel like ATAX
     /// (row stride 2 KB) suffers pathological conflict misses that no real
     /// device shows. The tag is the full line address.
-    fn set_and_tag(&self, line_addr: u32) -> (usize, u32) {
-        let n = self.cfg.num_sets();
-        if n.is_power_of_two() && n > 1 {
-            let bits = n.trailing_zeros();
-            let mut x = line_addr;
-            let mut idx = 0u32;
-            while x != 0 {
-                idx ^= x & (n - 1);
-                x >>= bits;
+    fn set_index(&self, line_addr: u32) -> usize {
+        match self.set_bits {
+            Some(bits) => {
+                let mut x = line_addr;
+                let mut idx = 0u32;
+                while x != 0 {
+                    idx ^= x & ((1 << bits) - 1);
+                    x >>= bits;
+                }
+                idx as usize
             }
-            (idx as usize, line_addr)
-        } else {
-            ((line_addr % n) as usize, line_addr)
+            None => (line_addr % self.num_sets) as usize,
+        }
+    }
+
+    /// Address of the line containing `byte_addr` (the coalescer's unit
+    /// and the tag).
+    #[inline]
+    pub fn line_addr(&self, byte_addr: u32) -> u32 {
+        match self.line_shift {
+            Some(shift) => byte_addr >> shift,
+            None => byte_addr / self.cfg.line_bytes,
         }
     }
 
@@ -128,8 +149,8 @@ impl L1Cache {
     ) -> AccessResult {
         self.accesses += 1;
         self.use_counter += 1;
-        let line_addr = byte_addr / self.cfg.line_bytes;
-        let (set_idx, tag) = self.set_and_tag(line_addr);
+        let tag = self.line_addr(byte_addr);
+        let set_idx = self.set_index(tag);
         let base = set_idx * self.assoc;
         let set = &mut self.lines[base..base + self.assoc];
 
@@ -199,8 +220,8 @@ impl L1Cache {
     pub fn access_store(&mut self, byte_addr: u32) -> u32 {
         self.use_counter += 1;
         self.offchip_requests += 1;
-        let line_addr = byte_addr / self.cfg.line_bytes;
-        let (set_idx, tag) = self.set_and_tag(line_addr);
+        let tag = self.line_addr(byte_addr);
+        let set_idx = self.set_index(tag);
         let base = set_idx * self.assoc;
         if let Some(line) = self.lines[base..base + self.assoc]
             .iter_mut()

@@ -61,6 +61,24 @@ pub fn run_launch(
     args: &[Arg],
     mem: &mut GlobalMem,
 ) -> Result<LaunchStats, SimError> {
+    // The cache geometry is resolved once per launch (`L1Cache::new`); a
+    // degenerate one must fail typed here, not divide by zero there.
+    let bad_geometry = if config.l1_line_bytes == 0 || !config.l1_line_bytes.is_multiple_of(4) {
+        Some(("l1_line_bytes", config.l1_line_bytes))
+    } else if config.l1_assoc == 0 {
+        Some(("l1_assoc", 0))
+    } else {
+        None
+    };
+    if let Some((field, value)) = bad_geometry {
+        return Err(SimError::BadArgument {
+            kernel: program.name.clone(),
+            message: format!(
+                "GpuConfig::{field} = {value}: the line size must be a positive \
+                 multiple of 4 bytes and the associativity at least 1"
+            ),
+        });
+    }
     if config.profile_enabled() {
         // Profiled launch: the same simulation, monomorphized over the
         // recording sink. The finished profile is delivered to the
@@ -156,10 +174,10 @@ fn launch_impl<S: ProfileSink>(
 
     let fuel = config.fuel_budget(mem.footprint_bytes() as u64);
 
-    // Shared, launch-wide precomputation: decoded scoreboard access sets
-    // (consulted on every ready-check) and the dispatch tables (per-warp
+    // Shared, launch-wide precomputation: the decoded op table (read on
+    // every ready-check and every issue) and the dispatch tables (per-warp
     // lane indices, uniform dims, parameter images).
-    let access = decode_access(program);
+    let decoded = decode(program);
     let tables = DispatchTables::new(program, launch, args);
 
     // Round-robin distribution of linear block ids over SMs.
@@ -198,7 +216,7 @@ fn launch_impl<S: ProfileSink>(
             let res = run_sm(
                 config,
                 program,
-                &access,
+                &decoded,
                 &tables,
                 launch,
                 mem,
@@ -246,7 +264,7 @@ fn launch_impl<S: ProfileSink>(
                     let res = run_sm(
                         config,
                         program,
-                        &access,
+                        &decoded,
                         &tables,
                         launch,
                         &mut shadow,
@@ -365,7 +383,7 @@ fn barrier_site_mismatch(ws: &[Warp], block: Option<u32>) -> Option<SanitizerRep
 fn run_sm<M: DeviceMem, S: ProfileSink>(
     config: &GpuConfig,
     program: &Program,
-    access: &[OpAccess],
+    decoded: &[Decoded],
     tables: &DispatchTables,
     launch: LaunchConfig,
     mem: &mut M,
@@ -387,7 +405,7 @@ fn run_sm<M: DeviceMem, S: ProfileSink>(
     let mut sm = Sm {
         config,
         program,
-        access,
+        decoded,
         tables,
         launch,
         mem,
@@ -399,6 +417,7 @@ fn run_sm<M: DeviceMem, S: ProfileSink>(
         wake: std::mem::take(&mut ws.wake),
         soa_pc: std::mem::take(&mut ws.pc),
         age: std::mem::take(&mut ws.age),
+        order: std::mem::take(&mut ws.order),
         ready: std::mem::take(&mut ws.ready),
         num_regs: program.num_regs as usize,
         warps: std::mem::take(&mut ws.warps),
@@ -434,6 +453,7 @@ fn run_sm<M: DeviceMem, S: ProfileSink>(
     ws.wake = std::mem::take(&mut sm.wake);
     ws.pc = std::mem::take(&mut sm.soa_pc);
     ws.age = std::mem::take(&mut sm.age);
+    ws.order = std::mem::take(&mut sm.order);
     ws.ready = std::mem::take(&mut sm.ready);
     ws.warps = std::mem::take(&mut sm.warps);
     ws.tbs = std::mem::take(&mut sm.tbs);
@@ -448,40 +468,168 @@ struct TbSlot {
     smem: Vec<u32>,
 }
 
-/// The scoreboard registers and port usage of one op, decoded once per
-/// launch by [`decode_access`]. `issue_time` consults this on every
-/// ready-check instead of re-deriving reads/writes from the `Op` — the
-/// single hottest query in the scheduler.
-#[derive(Clone, Copy, Default)]
-struct OpAccess {
-    /// Source and destination registers (at most 3 reads + 1 write).
+/// Flattened operator of a decoded op: one variant per lane kernel, so
+/// [`Sm::issue`] dispatches once and each ALU arm runs its 32-lane loop
+/// with the operator a compile-time constant.
+#[derive(Clone, Copy)]
+enum Kind {
+    MovImm,
+    Mov,
+    IAdd,
+    ISub,
+    IMul,
+    IDiv,
+    IRem,
+    IMin,
+    IMax,
+    IShl,
+    IShr,
+    IAnd,
+    IOr,
+    IXor,
+    FAdd,
+    FSub,
+    FMul,
+    FDiv,
+    FMin,
+    FMax,
+    FPow,
+    CmpLtI,
+    CmpLeI,
+    CmpGtI,
+    CmpGeI,
+    CmpEqI,
+    CmpNeI,
+    CmpLtF,
+    CmpLeF,
+    CmpGtF,
+    CmpGeF,
+    CmpEqF,
+    CmpNeF,
+    FNeg,
+    FSqrt,
+    FExp,
+    FLog,
+    FAbs,
+    FSin,
+    FCos,
+    INeg,
+    IAbs,
+    Not,
+    Sel,
+    CvtIF,
+    CvtFI,
+    Ldg,
+    Stg,
+    Lds,
+    Sts,
+    Bar,
+    If,
+    Else,
+    EndIf,
+    LoopBegin,
+    LoopTest,
+    LoopJump,
+    Break,
+    Ret,
+    Exit,
+}
+
+/// One op as the SM reads it — the only per-pc structure on the issue
+/// path, built once per launch by [`decode`]: what to execute (`kind`,
+/// operands) and what the scheduler's ready-check needs (`regs`, port).
+#[derive(Clone, Copy)]
+struct Decoded {
+    kind: Kind,
+    /// Destination register, then the sources (`a` is the address of a
+    /// memory op and the condition of `If`/`LoopTest`, `b` a store's value,
+    /// `c` the selector of `Sel`).
+    dst: u16,
+    a: u16,
+    b: u16,
+    c: u16,
+    /// Immediate of `MovImm`, or the branch target of a control op.
+    imm: u32,
+    /// Scoreboard set: source and destination registers (at most 3 reads
+    /// + 1 write); the first `n` entries are in use.
     regs: [u16; 4],
-    /// How many entries of `regs` are in use.
     n: u8,
     /// Whether the op serializes on the L1D port (global/shared memory).
     uses_l1_port: bool,
+    /// Latency class of an ALU op: special-function unit, not the ALU.
+    sfu: bool,
 }
 
-/// Decode every op's scoreboard access set, indexed by pc.
-fn decode_access(program: &Program) -> Vec<OpAccess> {
+/// Decode every op of the program, indexed by pc.
+fn decode(program: &Program) -> Vec<Decoded> {
+    use Kind::*;
+    // `Kind` of each bytecode sub-operator, indexed by its declaration
+    // order (`CMP`: the integer compares, then the float ones).
+    const IBIN: [Kind; 12] = [
+        IAdd, ISub, IMul, IDiv, IRem, IMin, IMax, IShl, IShr, IAnd, IOr, IXor,
+    ];
+    const FBIN: [Kind; 7] = [FAdd, FSub, FMul, FDiv, FMin, FMax, FPow];
+    const FUN: [Kind; 7] = [FNeg, FSqrt, FExp, FLog, FAbs, FSin, FCos];
+    const CMP: [Kind; 12] = [
+        CmpLtI, CmpLeI, CmpGtI, CmpGeI, CmpEqI, CmpNeI, CmpLtF, CmpLeF, CmpGtF, CmpGeF, CmpEqF,
+        CmpNeF,
+    ];
     program
         .ops
         .iter()
         .map(|op| {
-            let mut a = OpAccess::default();
-            for r in op.reads().into_iter().flatten() {
-                a.regs[a.n as usize] = r;
-                a.n += 1;
+            let (kind, [dst, a, b, c], imm) = match *op {
+                Op::MovImm { dst, imm } => (MovImm, [dst, 0, 0, 0], imm),
+                Op::Mov { dst, src } => (Mov, [dst, src, 0, 0], 0),
+                Op::IBin { op, dst, a, b } => (IBIN[op as usize], [dst, a, b, 0], 0),
+                Op::FBin { op, dst, a, b } => (FBIN[op as usize], [dst, a, b, 0], 0),
+                Op::FUn { op, dst, a } => (FUN[op as usize], [dst, a, 0, 0], 0),
+                Op::INeg { dst, a } => (INeg, [dst, a, 0, 0], 0),
+                Op::IAbs { dst, a } => (IAbs, [dst, a, 0, 0], 0),
+                Op::Not { dst, a } => (Not, [dst, a, 0, 0], 0),
+                Op::Cmp {
+                    op,
+                    float,
+                    dst,
+                    a,
+                    b,
+                } => (CMP[float as usize * 6 + op as usize], [dst, a, b, 0], 0),
+                Op::Sel { dst, c, a, b } => (Sel, [dst, a, b, c], 0),
+                Op::CvtIF { dst, a } => (CvtIF, [dst, a, 0, 0], 0),
+                Op::CvtFI { dst, a } => (CvtFI, [dst, a, 0, 0], 0),
+                Op::Ldg { dst, addr } => (Ldg, [dst, addr, 0, 0], 0),
+                Op::Stg { src, addr } => (Stg, [0, addr, src, 0], 0),
+                Op::Lds { dst, addr } => (Lds, [dst, addr, 0, 0], 0),
+                Op::Sts { src, addr } => (Sts, [0, addr, src, 0], 0),
+                Op::Bar => (Bar, [0; 4], 0),
+                Op::If { cond, else_pc, .. } => (If, [0, cond, 0, 0], else_pc),
+                Op::Else { end_pc } => (Else, [0; 4], end_pc),
+                Op::EndIf => (EndIf, [0; 4], 0),
+                Op::LoopBegin { end_pc } => (LoopBegin, [0; 4], end_pc),
+                Op::LoopTest { cond } => (LoopTest, [0, cond, 0, 0], 0),
+                Op::LoopJump { cond_pc } => (LoopJump, [0; 4], cond_pc),
+                Op::Break => (Break, [0; 4], 0),
+                Op::Ret => (Ret, [0; 4], 0),
+                Op::Exit => (Exit, [0; 4], 0),
+            };
+            let mut regs = [0u16; 4];
+            let mut n = 0;
+            for r in op.reads().into_iter().flatten().chain(op.writes()) {
+                regs[n] = r;
+                n += 1;
             }
-            if let Some(d) = op.writes() {
-                a.regs[a.n as usize] = d;
-                a.n += 1;
+            Decoded {
+                kind,
+                dst,
+                a,
+                b,
+                c,
+                imm,
+                regs,
+                n: n as u8,
+                uses_l1_port: matches!(kind, Ldg | Stg | Lds | Sts),
+                sfu: matches!(kind, FPow | FSqrt | FExp | FLog | FSin | FCos),
             }
-            a.uses_l1_port = matches!(
-                op,
-                Op::Ldg { .. } | Op::Stg { .. } | Op::Lds { .. } | Op::Sts { .. }
-            );
-            a
         })
         .collect()
 }
@@ -572,6 +720,8 @@ struct SmWorkspace {
     pc: Vec<u32>,
     /// Dispatch age (smaller = older) for greedy-then-oldest arbitration.
     age: Vec<u64>,
+    /// Warp indices in per-scheduler age order (see [`Sm::order`]).
+    order: Vec<u32>,
     /// Flattened scoreboard: `ready[i * num_regs + r]` is the cycle at
     /// which warp `i`'s register `r` becomes available.
     ready: Vec<u64>,
@@ -602,6 +752,8 @@ impl SmWorkspace {
         self.pc.resize(nwarps, 0);
         self.age.clear();
         self.age.resize(nwarps, 0);
+        self.order.clear();
+        self.order.extend(0..nwarps as u32);
         self.ready.clear();
         self.ready.resize(nwarps * num_regs, 0);
         let smem_words = (program.smem_bytes as usize).div_ceil(4);
@@ -627,8 +779,8 @@ impl SmWorkspace {
 struct Sm<'a, M: DeviceMem, S: ProfileSink> {
     config: &'a GpuConfig,
     program: &'a Program,
-    /// Memoized per-op scoreboard access sets, indexed by pc.
-    access: &'a [OpAccess],
+    /// The launch's decoded op table, indexed by pc.
+    decoded: &'a [Decoded],
     /// Launch-wide dispatch precomputation.
     tables: &'a DispatchTables,
     launch: LaunchConfig,
@@ -659,6 +811,11 @@ struct Sm<'a, M: DeviceMem, S: ProfileSink> {
     soa_pc: Vec<u32>,
     /// SoA dispatch age for GTO arbitration (smaller = older).
     age: Vec<u64>,
+    /// Each scheduler's partition in dispatch-age order, interleaved like
+    /// the warp slots themselves: `order[s + k * nsched]` is scheduler
+    /// `s`'s `k`-th oldest warp. Re-sorted in `dispatch`, the only place
+    /// ages change.
+    order: Vec<u32>,
     /// Flattened scoreboard: `ready[i * num_regs + r]`.
     ready: Vec<u64>,
     num_regs: usize,
@@ -906,7 +1063,7 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                         any_throttled = true;
                         continue;
                     }
-                    let a = &self.access[self.soa_pc[i] as usize];
+                    let a = &self.decoded[self.soa_pc[i] as usize];
                     let mut reg_t = self.cycle;
                     let base = i * self.num_regs;
                     for &r in &a.regs[..a.n as usize] {
@@ -1019,6 +1176,19 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                 w.regs[*r as usize] = *image;
             }
         }
+        // The block's warps are now the youngest of their partitions:
+        // restore every scheduler's age order (a strided insertion sort —
+        // the partitions are a few warps each and already nearly sorted).
+        let nsched = self.last_issued.len();
+        for p in nsched..self.order.len() {
+            let mut q = p;
+            while q >= nsched
+                && self.age[self.order[q - nsched] as usize] > self.age[self.order[q] as usize]
+            {
+                self.order.swap(q - nsched, q);
+                q -= nsched;
+            }
+        }
         // The fresh warps are issuable now: drop every scheduler's
         // cached next-issue bound.
         self.sched_next.fill(0);
@@ -1101,12 +1271,12 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
 
     /// Earliest cycle at which Ready warp `i` could issue its next
     /// instruction. Consults only the SoA state (pc mirror, flattened
-    /// scoreboard, memoized [`OpAccess`]) — this runs on every
-    /// ready-check of every scheduler and must not touch `Warp`.
+    /// scoreboard) and the decoded op — this runs on every ready-check of
+    /// every scheduler and must not touch `Warp`.
     #[inline]
     fn issue_time(&self, i: usize) -> u64 {
         debug_assert_eq!(self.warps[i].state, WarpState::Ready);
-        let a = &self.access[self.soa_pc[i] as usize];
+        let a = &self.decoded[self.soa_pc[i] as usize];
         let mut t = self.cycle;
         let base = i * self.num_regs;
         for &r in &a.regs[..a.n as usize] {
@@ -1119,75 +1289,89 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
     }
 
     /// GTO pick for one scheduler: keep issuing the last warp while it is
-    /// ready; otherwise the oldest ready warp. `wake` filters out warps
-    /// whose last computed stall has not elapsed (and, at `u64::MAX`,
-    /// everything not Ready), so the costlier scoreboard check in
-    /// `issue_time` runs once per stall instead of every cycle — and the
-    /// updated bounds it leaves behind are exactly what the skip-ahead
+    /// ready; otherwise the oldest ready warp — the first issuable one in
+    /// the partition's dispatch-age order, where the scan stops. `wake`
+    /// filters out warps whose last computed stall has not elapsed (and,
+    /// at `u64::MAX`, everything not Ready), so the costlier scoreboard
+    /// check in `issue_time` runs once per stall instead of every cycle.
+    /// Warps behind an early exit keep a stale-low `wake` (it is only ever
+    /// a lower bound); a *failed* scan visits the whole partition, so the
+    /// bounds it leaves behind are exactly what the skip-ahead
     /// min-reduction jumps to.
     fn pick(&mut self, sched: usize) -> Option<usize> {
         let cycle = self.cycle;
-        // O(1) fast path: a previous failed scan proved nothing in this
-        // partition can issue before `sched_next[sched]`.
-        if cycle < self.sched_next[sched] {
-            return None;
-        }
         let nsched = self.last_issued.len();
         // The throttle filter dereferences `warps[i].tb_slot`; hoist the
         // "is anything throttled at all" test so the common (untrottled)
         // scan never touches the warp structs.
         let throttling = self.active_tb_limit < self.tbs.len();
-        if let Some(last) = self.last_issued[sched] {
-            if self.wake[last] <= cycle
-                && (!throttling || (self.warps[last].tb_slot as usize) < self.active_tb_limit)
-            {
-                let t = self.issue_time(last);
-                if t <= cycle {
-                    return Some(last);
-                }
-                self.wake[last] = t;
+        let choice = 'scan: {
+            // O(1) fast path: a previous failed scan proved nothing in
+            // this partition can issue before `sched_next[sched]`.
+            if cycle < self.sched_next[sched] {
+                break 'scan None;
             }
-        }
-        let mut best: Option<(u64, usize)> = None;
-        // Min wake over the whole partition, throttled warps included (a
-        // paused warp's stale-low wake keeps the bound conservative, so a
-        // resume never needs to invalidate it).
-        let mut next = u64::MAX;
-        let mut i = sched;
-        while i < self.wake.len() {
-            let wk = self.wake[i];
-            if wk <= cycle {
-                if throttling && (self.warps[i].tb_slot as usize) >= self.active_tb_limit {
-                    next = next.min(wk);
-                    i += nsched;
-                    continue; // paused by the dynamic throttler
-                }
-                let t = self.issue_time(i);
-                if t <= cycle {
-                    let age = self.age[i];
-                    match best {
-                        Some((ba, _)) if ba <= age => {}
-                        _ => best = Some((age, i)),
+            if let Some(last) = self.last_issued[sched] {
+                if self.wake[last] <= cycle
+                    && (!throttling || (self.warps[last].tb_slot as usize) < self.active_tb_limit)
+                {
+                    let t = self.issue_time(last);
+                    if t <= cycle {
+                        break 'scan Some(last);
                     }
-                } else {
-                    self.wake[i] = t;
-                    next = next.min(t);
+                    self.wake[last] = t;
                 }
-            } else {
+            }
+            // Min wake over the whole partition, throttled warps included
+            // (a paused warp's stale-low wake keeps the bound conservative,
+            // so a resume never needs to invalidate it).
+            let mut next = u64::MAX;
+            for p in (sched..self.order.len()).step_by(nsched) {
+                let i = self.order[p] as usize;
+                let mut wk = self.wake[i];
+                if wk <= cycle
+                    && !(throttling && (self.warps[i].tb_slot as usize) >= self.active_tb_limit)
+                {
+                    wk = self.issue_time(i);
+                    if wk <= cycle {
+                        break 'scan Some(i);
+                    }
+                    self.wake[i] = wk;
+                }
                 next = next.min(wk); // u64::MAX stays u64::MAX
             }
-            i += nsched;
-        }
-        if best.is_none() {
             self.sched_next[sched] = next;
-        }
-        best.map(|(_, i)| i)
+            None
+        };
+        debug_assert_eq!(choice, self.pick_exhaustive(sched));
+        choice
+    }
+
+    /// The GTO choice by definition, from warp state alone (no `wake`, no
+    /// age order): the last-issued warp if it can issue, else the oldest
+    /// issuable warp of the whole partition. Debug builds check every
+    /// `pick` against it; release builds compile the call out.
+    fn pick_exhaustive(&self, sched: usize) -> Option<usize> {
+        let issuable = |i: usize| {
+            self.warps[i].state == WarpState::Ready
+                && (self.warps[i].tb_slot as usize) < self.active_tb_limit
+                && self.issue_time(i) <= self.cycle
+        };
+        self.last_issued[sched]
+            .filter(|&last| issuable(last))
+            .or_else(|| {
+                (sched..self.warps.len())
+                    .step_by(self.last_issued.len())
+                    .filter(|&i| issuable(i))
+                    .min_by_key(|&i| self.age[i])
+            })
     }
 
     /// Minimum future issue time over all Ready warps (for idle-cycle
-    /// skip-ahead), or `None` when nothing is Ready. `wake` entries are
-    /// exact here: `pick` just recomputed every Ready warp that had
-    /// reached its previous bound, and everything else holds `u64::MAX`.
+    /// skip-ahead), or `None` when nothing is Ready. Called only after
+    /// every scheduler's `pick` failed, so `wake` entries are exact here:
+    /// the failed scans recomputed every Ready warp that had reached its
+    /// previous bound, and everything else holds `u64::MAX`.
     fn earliest_wakeup(&self) -> Option<u64> {
         let t = if self.active_tb_limit < self.tbs.len() {
             // Dynamic throttling active: paused-slot warps must not drive
@@ -1231,123 +1415,65 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
     fn issue(&mut self, wi: usize) -> Result<(), SimError> {
         self.stats.instructions += 1;
         let pc = self.warps[wi].pc as usize;
-        let op = self.program.ops[pc];
-        // ALU results are written only for *active* lanes: inactive lanes
-        // (diverged, loop-finished, or returned) must not mutate their
-        // registers, exactly as predicated execution works in hardware.
-        // `$f` computes the lane value from (register file, lane index).
-        // Every lane function is total (division guards zero, float ops
-        // never trap), so the value is computed for all 32 lanes without
-        // branching — a loop the compiler can vectorize — and the active
-        // mask is applied at the write. A fully-active warp (the common
-        // case) takes one array store.
-        macro_rules! alu {
-            ($dst:expr, $sfu:expr, $f:expr) => {{
-                let w = &mut self.warps[wi];
-                let active = w.active;
-                let f = $f;
-                let mut vals = [0u32; 32];
-                for l in 0..32 {
-                    vals[l] = f(&w.regs, l);
-                }
-                let d = &mut w.regs[$dst as usize];
-                if active == u32::MAX {
-                    *d = vals;
-                } else {
-                    for l in 0..32 {
-                        if active & (1 << l) != 0 {
-                            d[l] = vals[l];
-                        }
-                    }
-                }
-                self.finish_alu(wi, $dst, $sfu);
-            }};
-        }
-        type R = Vec<[u32; 32]>;
-        match op {
-            Op::MovImm { dst, imm } => {
-                alu!(dst, false, |_r: &R, _l: usize| imm)
-            }
-            Op::Mov { dst, src } => {
-                alu!(dst, false, |r: &R, l: usize| r[src as usize][l])
-            }
-            Op::IBin { op, dst, a, b } => {
-                alu!(dst, false, |r: &R, l: usize| ibin(
-                    op,
-                    r[a as usize][l],
-                    r[b as usize][l]
-                ))
-            }
-            Op::FBin { op, dst, a, b } => {
-                alu!(dst, op == FBinOp::Pow, |r: &R, l: usize| fbin(
-                    op,
-                    r[a as usize][l],
-                    r[b as usize][l]
-                ))
-            }
-            Op::FUn { op, dst, a } => {
-                alu!(
-                    dst,
-                    op != FUnOp::Neg && op != FUnOp::Abs,
-                    |r: &R, l: usize| { fun(op, r[a as usize][l]) }
-                )
-            }
-            Op::INeg { dst, a } => {
-                alu!(
-                    dst,
-                    false,
-                    |r: &R, l: usize| (r[a as usize][l] as i32).wrapping_neg() as u32
-                )
-            }
-            Op::IAbs { dst, a } => {
-                alu!(
-                    dst,
-                    false,
-                    |r: &R, l: usize| (r[a as usize][l] as i32).wrapping_abs() as u32
-                )
-            }
-            Op::Not { dst, a } => {
-                alu!(dst, false, |r: &R, l: usize| (r[a as usize][l] == 0) as u32)
-            }
-            Op::Cmp {
-                op,
-                float,
-                dst,
-                a,
-                b,
-            } => {
-                alu!(dst, false, |r: &R, l: usize| cmp(
-                    op,
-                    float,
-                    r[a as usize][l],
-                    r[b as usize][l]
-                ) as u32)
-            }
-            Op::Sel { dst, c, a, b } => {
-                alu!(dst, false, |r: &R, l: usize| if r[c as usize][l] != 0 {
-                    r[a as usize][l]
-                } else {
-                    r[b as usize][l]
-                })
-            }
-            Op::CvtIF { dst, a } => {
-                alu!(dst, false, |r: &R, l: usize| (r[a as usize][l] as i32
-                    as f32)
-                    .to_bits())
-            }
-            Op::CvtFI { dst, a } => {
-                alu!(
-                    dst,
-                    false,
-                    |r: &R, l: usize| (f32::from_bits(r[a as usize][l]) as i32) as u32
-                )
-            }
-            Op::Ldg { dst, addr } => self.exec_ldg(wi, dst, addr)?,
-            Op::Stg { src, addr } => self.exec_stg(wi, src, addr)?,
-            Op::Lds { dst, addr } => {
+        let decoded = self.decoded;
+        let d = &decoded[pc];
+        // One dispatch on the flattened kind. Each ALU arm hands
+        // `Sm::alu` a lane function with its operator a constant, so the
+        // scalar `ibin`/`fbin`/`fun`/`cmp` definitions inline to a single
+        // branch-free 32-lane loop per arm.
+        match d.kind {
+            Kind::MovImm => self.alu(wi, d, |_, _, _| d.imm),
+            Kind::Mov => self.alu(wi, d, |a, _, _| a),
+            Kind::IAdd => self.alu(wi, d, |a, b, _| ibin(IBinOp::Add, a, b)),
+            Kind::ISub => self.alu(wi, d, |a, b, _| ibin(IBinOp::Sub, a, b)),
+            Kind::IMul => self.alu(wi, d, |a, b, _| ibin(IBinOp::Mul, a, b)),
+            Kind::IDiv => self.alu(wi, d, |a, b, _| ibin(IBinOp::Div, a, b)),
+            Kind::IRem => self.alu(wi, d, |a, b, _| ibin(IBinOp::Rem, a, b)),
+            Kind::IMin => self.alu(wi, d, |a, b, _| ibin(IBinOp::Min, a, b)),
+            Kind::IMax => self.alu(wi, d, |a, b, _| ibin(IBinOp::Max, a, b)),
+            Kind::IShl => self.alu(wi, d, |a, b, _| ibin(IBinOp::Shl, a, b)),
+            Kind::IShr => self.alu(wi, d, |a, b, _| ibin(IBinOp::Shr, a, b)),
+            Kind::IAnd => self.alu(wi, d, |a, b, _| ibin(IBinOp::And, a, b)),
+            Kind::IOr => self.alu(wi, d, |a, b, _| ibin(IBinOp::Or, a, b)),
+            Kind::IXor => self.alu(wi, d, |a, b, _| ibin(IBinOp::Xor, a, b)),
+            Kind::FAdd => self.alu(wi, d, |a, b, _| fbin(FBinOp::Add, a, b)),
+            Kind::FSub => self.alu(wi, d, |a, b, _| fbin(FBinOp::Sub, a, b)),
+            Kind::FMul => self.alu(wi, d, |a, b, _| fbin(FBinOp::Mul, a, b)),
+            Kind::FDiv => self.alu(wi, d, |a, b, _| fbin(FBinOp::Div, a, b)),
+            Kind::FMin => self.alu(wi, d, |a, b, _| fbin(FBinOp::Min, a, b)),
+            Kind::FMax => self.alu(wi, d, |a, b, _| fbin(FBinOp::Max, a, b)),
+            Kind::FPow => self.alu(wi, d, |a, b, _| fbin(FBinOp::Pow, a, b)),
+            Kind::CmpLtI => self.alu(wi, d, |a, b, _| cmp(CmpOp::Lt, false, a, b) as u32),
+            Kind::CmpLeI => self.alu(wi, d, |a, b, _| cmp(CmpOp::Le, false, a, b) as u32),
+            Kind::CmpGtI => self.alu(wi, d, |a, b, _| cmp(CmpOp::Gt, false, a, b) as u32),
+            Kind::CmpGeI => self.alu(wi, d, |a, b, _| cmp(CmpOp::Ge, false, a, b) as u32),
+            Kind::CmpEqI => self.alu(wi, d, |a, b, _| cmp(CmpOp::Eq, false, a, b) as u32),
+            Kind::CmpNeI => self.alu(wi, d, |a, b, _| cmp(CmpOp::Ne, false, a, b) as u32),
+            Kind::CmpLtF => self.alu(wi, d, |a, b, _| cmp(CmpOp::Lt, true, a, b) as u32),
+            Kind::CmpLeF => self.alu(wi, d, |a, b, _| cmp(CmpOp::Le, true, a, b) as u32),
+            Kind::CmpGtF => self.alu(wi, d, |a, b, _| cmp(CmpOp::Gt, true, a, b) as u32),
+            Kind::CmpGeF => self.alu(wi, d, |a, b, _| cmp(CmpOp::Ge, true, a, b) as u32),
+            Kind::CmpEqF => self.alu(wi, d, |a, b, _| cmp(CmpOp::Eq, true, a, b) as u32),
+            Kind::CmpNeF => self.alu(wi, d, |a, b, _| cmp(CmpOp::Ne, true, a, b) as u32),
+            Kind::FNeg => self.alu(wi, d, |a, _, _| fun(FUnOp::Neg, a)),
+            Kind::FSqrt => self.alu(wi, d, |a, _, _| fun(FUnOp::Sqrt, a)),
+            Kind::FExp => self.alu(wi, d, |a, _, _| fun(FUnOp::Exp, a)),
+            Kind::FLog => self.alu(wi, d, |a, _, _| fun(FUnOp::Log, a)),
+            Kind::FAbs => self.alu(wi, d, |a, _, _| fun(FUnOp::Abs, a)),
+            Kind::FSin => self.alu(wi, d, |a, _, _| fun(FUnOp::Sin, a)),
+            Kind::FCos => self.alu(wi, d, |a, _, _| fun(FUnOp::Cos, a)),
+            Kind::INeg => self.alu(wi, d, |a, _, _| (a as i32).wrapping_neg() as u32),
+            Kind::IAbs => self.alu(wi, d, |a, _, _| (a as i32).wrapping_abs() as u32),
+            Kind::Not => self.alu(wi, d, |a, _, _| (a == 0) as u32),
+            Kind::Sel => self.alu(wi, d, |a, b, c| if c != 0 { a } else { b }),
+            Kind::CvtIF => self.alu(wi, d, |a, _, _| (a as i32 as f32).to_bits()),
+            Kind::CvtFI => self.alu(wi, d, |a, _, _| (f32::from_bits(a) as i32) as u32),
+            Kind::Ldg => self.exec_ldg(wi, d.dst, d.a)?,
+            Kind::Stg => self.exec_stg(wi, d.b, d.a)?,
+            Kind::Lds => {
                 let slot = self.warps[wi].tb_slot as usize;
                 let w = &mut self.warps[wi];
-                let addrs = w.regs[addr as usize];
+                let addrs = w.regs[d.a as usize];
                 let active = w.active;
                 let smem = &self.tbs[slot].smem;
                 if self.san.is_some() {
@@ -1364,32 +1490,23 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                         }));
                     }
                 }
-                // Branchless like the `alu!` body: load every lane (a
-                // clamped read is total), mask at the write.
+                // Branchless like `Sm::alu`: load every lane (a clamped
+                // read is total), mask at the write.
                 let mut vals = [0u32; 32];
                 for l in 0..32 {
                     vals[l] = smem.get(addrs[l] as usize / 4).copied().unwrap_or(0);
                 }
-                let d = &mut w.regs[dst as usize];
-                if active == u32::MAX {
-                    *d = vals;
-                } else {
-                    for l in 0..32 {
-                        if active & (1 << l) != 0 {
-                            d[l] = vals[l];
-                        }
-                    }
-                }
-                self.ready[wi * self.num_regs + dst as usize] =
+                write_lanes(&mut w.regs[d.dst as usize], &vals, active);
+                self.ready[wi * self.num_regs + d.dst as usize] =
                     self.cycle + self.config.latencies.shared;
                 self.l1_port_free = self.l1_port_free.max(self.cycle) + 1;
                 w.pc += 1;
             }
-            Op::Sts { src, addr } => {
+            Kind::Sts => {
                 let slot = self.warps[wi].tb_slot as usize;
                 let w = &mut self.warps[wi];
-                let addrs = w.regs[addr as usize];
-                let vals = w.regs[src as usize];
+                let addrs = w.regs[d.a as usize];
+                let vals = w.regs[d.b as usize];
                 let active = w.active;
                 let smem = &mut self.tbs[slot].smem;
                 if self.san.is_some() {
@@ -1406,17 +1523,15 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                         }));
                     }
                 }
-                for l in 0..32 {
-                    if active & (1 << l) != 0 {
-                        if let Some(word) = smem.get_mut(addrs[l] as usize / 4) {
-                            *word = vals[l];
-                        }
+                for_active_lanes(active, |l| {
+                    if let Some(word) = smem.get_mut(addrs[l] as usize / 4) {
+                        *word = vals[l];
                     }
-                }
+                });
                 self.l1_port_free = self.l1_port_free.max(self.cycle) + 1;
                 w.pc += 1;
             }
-            Op::Bar => {
+            Kind::Bar => {
                 let w = &mut self.warps[wi];
                 if self.san.is_some() {
                     // `__syncthreads()` must be reached by every lane of
@@ -1446,9 +1561,9 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                     self.sink.warp_barrier(wi, self.cycle);
                 }
             }
-            Op::If { cond, else_pc, .. } => {
+            Kind::If => {
                 let w = &mut self.warps[wi];
-                let cond_lanes = w.predicate_mask(cond);
+                let cond_lanes = w.predicate_mask(d.a);
                 let taken = w.active & cond_lanes;
                 let fallthru = w.active & !cond_lanes;
                 if taken != 0 {
@@ -1466,10 +1581,10 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                         else_mask: 0,
                     });
                     w.active = fallthru;
-                    w.pc = else_pc;
+                    w.pc = d.imm;
                 }
             }
-            Op::Else { end_pc } => {
+            Kind::Else => {
                 let w = &mut self.warps[wi];
                 let Some(Frame::If { else_mask, .. }) = w.stack.last_mut() else {
                     return Err(self.malformed(pc, "Else without If frame"));
@@ -1480,10 +1595,10 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                     w.active = em & !w.exited;
                     w.pc += 1;
                 } else {
-                    w.pc = end_pc;
+                    w.pc = d.imm;
                 }
             }
-            Op::EndIf => {
+            Kind::EndIf => {
                 let w = &mut self.warps[wi];
                 let Some(Frame::If { restore, .. }) = w.stack.pop() else {
                     return Err(self.malformed(pc, "EndIf without If frame"));
@@ -1491,18 +1606,18 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                 w.active = restore & !w.exited & w.innermost_loop_live();
                 w.pc += 1;
             }
-            Op::LoopBegin { end_pc } => {
+            Kind::LoopBegin => {
                 let w = &mut self.warps[wi];
                 w.stack.push(Frame::Loop {
                     restore: w.active,
                     live: w.active,
-                    end_pc,
+                    end_pc: d.imm,
                 });
                 w.pc += 1;
             }
-            Op::LoopTest { cond } => {
+            Kind::LoopTest => {
                 let w = &mut self.warps[wi];
-                let cond_lanes = w.predicate_mask(cond);
+                let cond_lanes = w.predicate_mask(d.a);
                 let exited = w.exited;
                 let Some(Frame::Loop {
                     live,
@@ -1523,15 +1638,15 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                     w.pc += 1;
                 }
             }
-            Op::LoopJump { cond_pc } => {
+            Kind::LoopJump => {
                 let w = &mut self.warps[wi];
                 let Some(Frame::Loop { live, .. }) = w.stack.last() else {
                     return Err(self.malformed(pc, "LoopJump without Loop frame"));
                 };
                 w.active = *live;
-                w.pc = cond_pc;
+                w.pc = d.imm;
             }
-            Op::Break => {
+            Kind::Break => {
                 let w = &mut self.warps[wi];
                 let breaking = w.active;
                 let mut found = false;
@@ -1548,13 +1663,13 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                 w.active = 0;
                 w.pc += 1;
             }
-            Op::Ret => {
+            Kind::Ret => {
                 let w = &mut self.warps[wi];
                 w.exited |= w.active;
                 w.active = 0;
                 w.pc += 1;
             }
-            Op::Exit => {
+            Kind::Exit => {
                 let w = &mut self.warps[wi];
                 w.state = WarpState::Done;
                 if S::ENABLED {
@@ -1565,33 +1680,30 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
         Ok(())
     }
 
-    fn finish_alu(&mut self, wi: usize, dst: u16, sfu: bool) {
-        let lat = if sfu {
-            self.config.latencies.sfu
-        } else {
-            self.config.latencies.alu
-        };
-        self.ready[wi * self.num_regs + dst as usize] = self.cycle + lat;
-        self.warps[wi].pc += 1;
-    }
-
-    /// Unique 128-byte line base addresses touched by the active lanes.
-    fn coalesce(&self, wi: usize, addr_reg: u16) -> ([u32; 32], usize) {
-        let w = &self.warps[wi];
-        let addrs = w.regs[addr_reg as usize];
-        let line = self.config.l1_line_bytes;
-        let mut lines = [0u32; 32];
-        let mut n = 0;
-        for (l, &a) in addrs.iter().enumerate() {
-            if w.active & (1 << l) != 0 {
-                let la = a / line;
-                if !lines[..n].contains(&la) {
-                    lines[n] = la;
-                    n += 1;
-                }
-            }
+    /// Issue one ALU op: `f(a, b, c)` over the 32 lanes of the op's source
+    /// registers. Results are written only for *active* lanes — inactive
+    /// lanes (diverged, loop-finished, or returned) must not mutate their
+    /// registers, exactly as predicated execution works in hardware. Every
+    /// lane function is total (division guards zero, float ops never trap),
+    /// so the value is computed for all 32 lanes without branching — a loop
+    /// the compiler vectorizes — and the mask is applied at the write.
+    #[inline(always)]
+    fn alu(&mut self, wi: usize, d: &Decoded, f: impl Fn(u32, u32, u32) -> u32) {
+        let w = &mut self.warps[wi];
+        let (a, b, c) = (
+            &w.regs[d.a as usize],
+            &w.regs[d.b as usize],
+            &w.regs[d.c as usize],
+        );
+        let mut vals = [0u32; 32];
+        for l in 0..32 {
+            vals[l] = f(a[l], b[l], c[l]);
         }
-        (lines, n)
+        write_lanes(&mut w.regs[d.dst as usize], &vals, w.active);
+        let lat = self.config.latencies;
+        self.ready[wi * self.num_regs + d.dst as usize] =
+            self.cycle + if d.sfu { lat.sfu } else { lat.alu };
+        w.pc += 1;
     }
 
     /// Sanitize one warp's global access (sanitize mode only): every
@@ -1644,18 +1756,12 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
             self.sanitize_global(wi, addr, false)?;
         }
         // Functional load now; timing below.
-        {
-            let w = &mut self.warps[wi];
-            let addrs = w.regs[addr as usize];
-            let active = w.active;
-            let d = &mut w.regs[dst as usize];
-            for l in 0..32 {
-                if active & (1 << l) != 0 {
-                    d[l] = self.mem.load(addrs[l]);
-                }
-            }
-        }
-        let (lines, n) = self.coalesce(wi, addr);
+        let w = &mut self.warps[wi];
+        let addrs = w.regs[addr as usize];
+        let active = w.active;
+        let d = &mut w.regs[dst as usize];
+        for_active_lanes(active, |l| d[l] = self.mem.load(addrs[l]));
+        let (lines, n) = coalesce(&self.cache, &addrs, active);
         if self.trace {
             self.stats.trace.record(n as u32);
         }
@@ -1707,18 +1813,12 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
         if self.san.is_some() {
             self.sanitize_global(wi, addr, true)?;
         }
-        {
-            let w = &self.warps[wi];
-            let addrs = w.regs[addr as usize];
-            let vals = w.regs[src as usize];
-            let active = w.active;
-            for l in 0..32 {
-                if active & (1 << l) != 0 {
-                    self.mem.store(addrs[l], vals[l]);
-                }
-            }
-        }
-        let (lines, n) = self.coalesce(wi, addr);
+        let w = &self.warps[wi];
+        let addrs = w.regs[addr as usize];
+        let vals = w.regs[src as usize];
+        let active = w.active;
+        for_active_lanes(active, |l| self.mem.store(addrs[l], vals[l]));
+        let (lines, n) = coalesce(&self.cache, &addrs, active);
         if self.trace {
             self.stats.trace.record(n as u32);
         }
@@ -1740,6 +1840,50 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
     }
 }
 
+/// Run `f` on every active lane, in lane order. A fully-active warp (the
+/// common case) takes the loop without the per-lane mask test.
+#[inline(always)]
+fn for_active_lanes(active: u32, mut f: impl FnMut(usize)) {
+    if active == u32::MAX {
+        (0..32).for_each(f);
+    } else {
+        (0..32).filter(|l| active & (1 << l) != 0).for_each(&mut f);
+    }
+}
+
+/// Write `vals` into the active lanes of `dst`; a fully-active warp takes
+/// one array store.
+#[inline]
+fn write_lanes(dst: &mut [u32; 32], vals: &[u32; 32], active: u32) {
+    if active == u32::MAX {
+        *dst = *vals;
+    } else {
+        for_active_lanes(active, |l| dst[l] = vals[l]);
+    }
+}
+
+/// Unique line addresses touched by the active lanes, in order of first
+/// occurrence by lane — line `k` is serviced at `start + k`, so the order
+/// is part of the timing model. Neighbouring lanes mostly share a line;
+/// comparing with the previous lane's line first keeps the common
+/// coalesced access off the `contains` search.
+fn coalesce(cache: &L1Cache, addrs: &[u32; 32], active: u32) -> ([u32; 32], usize) {
+    let mut lines = [0u32; 32];
+    let mut n = 0;
+    let mut prev = None;
+    for (l, &a) in addrs.iter().enumerate() {
+        if active & (1 << l) != 0 {
+            let la = cache.line_addr(a);
+            if prev != Some(la) && !lines[..n].contains(&la) {
+                lines[n] = la;
+                n += 1;
+            }
+            prev = Some(la);
+        }
+    }
+    (lines, n)
+}
+
 /// First active lane whose shared-memory access falls past the declared
 /// `__shared__` storage (`smem_words` words), if any. The simulator
 /// clamps such accesses (loads 0, drops stores); under sanitize mode they
@@ -1755,6 +1899,7 @@ fn shared_oob_lane(addrs: &[u32; 32], active: u32, smem_words: usize) -> Option<
 
 // ----- lane ALU semantics ---------------------------------------------------
 
+#[inline(always)]
 fn ibin(op: IBinOp, a: u32, b: u32) -> u32 {
     let (ia, ib) = (a as i32, b as i32);
     match op {
@@ -1785,6 +1930,7 @@ fn ibin(op: IBinOp, a: u32, b: u32) -> u32 {
     }
 }
 
+#[inline(always)]
 fn fbin(op: FBinOp, a: u32, b: u32) -> u32 {
     let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));
     let r = match op {
@@ -1799,6 +1945,7 @@ fn fbin(op: FBinOp, a: u32, b: u32) -> u32 {
     r.to_bits()
 }
 
+#[inline(always)]
 fn fun(op: FUnOp, a: u32) -> u32 {
     let fa = f32::from_bits(a);
     let r = match op {
@@ -1813,6 +1960,7 @@ fn fun(op: FUnOp, a: u32) -> u32 {
     r.to_bits()
 }
 
+#[inline(always)]
 fn cmp(op: CmpOp, float: bool, a: u32, b: u32) -> bool {
     if float {
         let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));
@@ -1840,6 +1988,7 @@ fn cmp(op: CmpOp, float: bool, a: u32, b: u32) -> bool {
 #[cfg(test)]
 mod lane_tests {
     use super::*;
+    use catt_prng::Rng;
 
     #[test]
     fn integer_division_by_zero_is_zero() {
@@ -1867,5 +2016,293 @@ mod lane_tests {
         assert!(cmp(CmpOp::Lt, false, (-1i32) as u32, 0));
         assert!(!cmp(CmpOp::Lt, true, 1.0f32.to_bits(), (-2.0f32).to_bits()));
         assert!(cmp(CmpOp::Ne, true, 1.0f32.to_bits(), 2.0f32.to_bits()));
+    }
+
+    /// Operand values every ALU arm is run on: the integer and float edge
+    /// cases (`i32::MIN / -1`, division by zero, shift counts ≥ 32, NaN,
+    /// signed zeros, infinities, a denormal, floats out of `i32` range).
+    fn edge_values() -> Vec<u32> {
+        let ints = [0, 1, -1, i32::MIN, i32::MAX, 7, -7, 31, 32, 33, 64];
+        let floats = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            3.0e9,
+            -3.0e9,
+            0.5,
+            1.0e-40,
+            2.5,
+        ];
+        let ints = ints.iter().map(|&v| v as u32);
+        ints.chain(floats.iter().map(|v| v.to_bits())).collect()
+    }
+
+    // Registers of the hand-built test programs: the builtins occupy
+    // 0..12, the five buffer parameters follow, then the temporaries.
+    const P: [u16; 5] = [12, 13, 14, 15, 16];
+    const FOUR: u16 = 17;
+    const OFF: u16 = 18;
+    const ADDR: u16 = 19;
+    const ONE: u16 = 20;
+    const A: u16 = 21;
+    const B: u16 = 22;
+    const C: u16 = 23;
+    const MASK: u16 = 24;
+    const DST: u16 = 25;
+
+    /// The scalar definition each decoded arm must agree with.
+    fn reference(op: Op, a: u32, b: u32, c: u32) -> u32 {
+        match op {
+            Op::MovImm { imm, .. } => imm,
+            Op::Mov { .. } => a,
+            Op::IBin { op, .. } => ibin(op, a, b),
+            Op::FBin { op, .. } => fbin(op, a, b),
+            Op::FUn { op, .. } => fun(op, a),
+            Op::INeg { .. } => (a as i32).wrapping_neg() as u32,
+            Op::IAbs { .. } => (a as i32).wrapping_abs() as u32,
+            Op::Not { .. } => (a == 0) as u32,
+            Op::Cmp { op, float, .. } => cmp(op, float, a, b) as u32,
+            Op::Sel { .. } => {
+                if c != 0 {
+                    a
+                } else {
+                    b
+                }
+            }
+            Op::CvtIF { .. } => (a as i32 as f32).to_bits(),
+            Op::CvtFI { .. } => (f32::from_bits(a) as i32) as u32,
+            other => panic!("not an ALU op: {other:?}"),
+        }
+    }
+
+    /// Every ALU op of the bytecode, writing `DST` from `A`, `B`, `C`.
+    fn alu_ops() -> Vec<Op> {
+        use {CmpOp as Co, FBinOp as Fb, FUnOp as Fu, IBinOp as Ib};
+        let (dst, a, b, c) = (DST, A, B, C);
+        let mut ops = vec![
+            Op::MovImm { dst, imm: 0xDEAD },
+            Op::Mov { dst, src: a },
+            Op::INeg { dst, a },
+            Op::IAbs { dst, a },
+            Op::Not { dst, a },
+            Op::Sel { dst, c, a, b },
+            Op::CvtIF { dst, a },
+            Op::CvtFI { dst, a },
+        ];
+        for op in [
+            Ib::Add,
+            Ib::Sub,
+            Ib::Mul,
+            Ib::Div,
+            Ib::Rem,
+            Ib::Min,
+            Ib::Max,
+            Ib::Shl,
+            Ib::Shr,
+            Ib::And,
+            Ib::Or,
+            Ib::Xor,
+        ] {
+            ops.push(Op::IBin { op, dst, a, b });
+        }
+        for op in [
+            Fb::Add,
+            Fb::Sub,
+            Fb::Mul,
+            Fb::Div,
+            Fb::Min,
+            Fb::Max,
+            Fb::Pow,
+        ] {
+            ops.push(Op::FBin { op, dst, a, b });
+        }
+        for op in [
+            Fu::Neg,
+            Fu::Sqrt,
+            Fu::Exp,
+            Fu::Log,
+            Fu::Abs,
+            Fu::Sin,
+            Fu::Cos,
+        ] {
+            ops.push(Op::FUn { op, dst, a });
+        }
+        for op in [Co::Lt, Co::Le, Co::Gt, Co::Ge, Co::Eq, Co::Ne] {
+            for float in [false, true] {
+                ops.push(Op::Cmp {
+                    op,
+                    float,
+                    dst,
+                    a,
+                    b,
+                });
+            }
+        }
+        ops
+    }
+
+    /// One warp: load `A`, `B`, `C`, `MASK` and the old `DST` value from
+    /// the five buffers, run `op` under the lanes whose `MASK` word is
+    /// non-zero — or, with `empty`, between a `Break` and its loop's back
+    /// edge, where no lane is active — and store `DST` back.
+    fn alu_program(op: Op, empty: bool) -> Program {
+        let tid = builtin_reg(Builtin::ThreadIdxX);
+        let mut ops = vec![
+            Op::MovImm { dst: FOUR, imm: 4 },
+            Op::MovImm { dst: ONE, imm: 1 },
+            Op::IBin {
+                op: IBinOp::Mul,
+                dst: OFF,
+                a: tid,
+                b: FOUR,
+            },
+        ];
+        let lane_addr = |param: u16| Op::IBin {
+            op: IBinOp::Add,
+            dst: ADDR,
+            a: param,
+            b: OFF,
+        };
+        for (param, dst) in P.into_iter().zip([A, B, C, MASK, DST]) {
+            ops.extend([lane_addr(param), Op::Ldg { dst, addr: ADDR }]);
+        }
+        let pc = ops.len() as u32;
+        if empty {
+            ops.extend([
+                Op::LoopBegin { end_pc: pc + 5 },
+                Op::LoopTest { cond: ONE },
+                Op::Break,
+                op,
+                Op::LoopJump { cond_pc: pc + 1 },
+            ]);
+        } else {
+            let cond = MASK;
+            let (else_pc, end_pc) = (pc + 2, pc + 2);
+            ops.extend([
+                Op::If {
+                    cond,
+                    else_pc,
+                    end_pc,
+                },
+                op,
+                Op::EndIf,
+            ]);
+        }
+        ops.extend([
+            lane_addr(P[4]),
+            Op::Stg {
+                src: DST,
+                addr: ADDR,
+            },
+            Op::Exit,
+        ]);
+        Program {
+            name: "alu_arm".into(),
+            ops,
+            num_regs: 26,
+            param_regs: P.to_vec(),
+            shared_layout: Vec::new(),
+            smem_bytes: 0,
+        }
+    }
+
+    #[test]
+    fn decoded_alu_arms_match_the_scalar_reference_under_every_mask() {
+        const OLD: u32 = 0x0BAD_F00D;
+        let vals = edge_values();
+        let n = vals.len();
+        let config = GpuConfig::small();
+        let words =
+            |f: &dyn Fn(usize) -> u32| -> Vec<i32> { (0..32).map(|l| f(l) as i32).collect() };
+        for op in alu_ops() {
+            // Lane `l` pairs `vals[l]` with `vals[l + shift]`: over all
+            // shifts every ordered pair of edge values meets in some lane.
+            for shift in 0..n {
+                let a = words(&|l| vals[l % n]);
+                let b = words(&|l| vals[(l + shift) % n]);
+                let c = words(&|l| (l % 3 == 0) as u32);
+                for mask in [u32::MAX, 0xA5A5_00FF, 0] {
+                    let mut mem = GlobalMem::new();
+                    let bufs = [
+                        mem.alloc_i32(&a),
+                        mem.alloc_i32(&b),
+                        mem.alloc_i32(&c),
+                        mem.alloc_i32(&words(&|l| mask >> l & 1)),
+                        mem.alloc_i32(&[OLD as i32; 32]),
+                    ];
+                    let args = bufs.map(Arg::Buf);
+                    let program = alu_program(op, mask == 0);
+                    run_launch(&config, &program, LaunchConfig::d1(1, 32), &args, &mut mem)
+                        .expect("launch");
+                    let got = mem.read_i32(bufs[4]);
+                    for l in 0..32 {
+                        let want = if mask >> l & 1 != 0 {
+                            reference(op, a[l] as u32, b[l] as u32, c[l] as u32)
+                        } else {
+                            OLD
+                        };
+                        // Which NaN an operation on two NaNs returns is the
+                        // one thing the compiler may choose per call site.
+                        let float_result = matches!(op, Op::FBin { .. } | Op::FUn { .. });
+                        let (got, want) = (got[l] as u32, want);
+                        if float_result && f32::from_bits(got).is_nan() {
+                            assert!(f32::from_bits(want).is_nan(), "{op:?} lane {l}");
+                            continue;
+                        }
+                        assert_eq!(
+                            got, want,
+                            "{op:?} lane {l} mask {mask:#x}: a {:#x} b {:#x} c {}",
+                            a[l], b[l], c[l]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `contains`-only coalescer the one-pass version replaced.
+    fn coalesce_reference(addrs: &[u32; 32], active: u32, line: u32) -> Vec<u32> {
+        let mut lines = Vec::new();
+        for (l, &a) in addrs.iter().enumerate() {
+            if active & (1 << l) != 0 && !lines.contains(&(a / line)) {
+                lines.push(a / line);
+            }
+        }
+        lines
+    }
+
+    #[test]
+    fn coalesce_keeps_first_occurrence_order_for_any_line_size() {
+        let mut r = Rng::from_tag("coalesce");
+        for line_bytes in [128, 32, 96] {
+            let cache = L1Cache::new(crate::config::L1Config {
+                size_bytes: 64 * line_bytes,
+                line_bytes,
+                assoc: 4,
+            });
+            for case in 0..2000 {
+                // Strided, clustered and scattered warps: few lines with
+                // revisits, one line per lane, and anything in between.
+                let base = r.range_u32(0, 1 << 20);
+                let stride = *r.choose(&[0u32, 4, 8, 36, 128, 132, 4096]);
+                let jitter = *r.choose(&[1u32, 64, 1 << 12]);
+                let mut addrs = [0u32; 32];
+                for (l, a) in addrs.iter_mut().enumerate() {
+                    *a = base + l as u32 * stride + r.range_u32(0, jitter);
+                }
+                let random = r.next_u32();
+                let active = *r.choose(&[u32::MAX, 0, 1 << 31, random, random]);
+                let (lines, n) = coalesce(&cache, &addrs, active);
+                assert_eq!(
+                    lines[..n],
+                    coalesce_reference(&addrs, active, line_bytes),
+                    "line {line_bytes} case {case}: {addrs:?} mask {active:#x}"
+                );
+            }
+        }
     }
 }

@@ -210,3 +210,45 @@ fn host_write_past_buffer_end_names_the_buffer() {
     // The original contents are untouched after a rejected write.
     assert_eq!(mem.read_f32(b), vec![0.0; 4]);
 }
+
+/// A degenerate cache geometry is a configuration error, not a
+/// division-by-zero panic in the coalescer or the set-index computation.
+#[test]
+fn degenerate_cache_geometry_is_a_bad_argument() {
+    let src = "
+        __global__ void copy(float *a, float *b) {
+            b[threadIdx.x] = a[threadIdx.x];
+        }";
+    let k = parse_kernel(src).unwrap();
+    // (field the error must name, line size, associativity)
+    let cases = [
+        ("l1_line_bytes", 0, 4),
+        ("l1_line_bytes", 126, 4),
+        ("l1_assoc", 128, 0),
+    ];
+    for (field, line_bytes, assoc) in cases {
+        for profile in [false, true] {
+            let mut config = GpuConfig::small();
+            config.l1_line_bytes = line_bytes;
+            config.l1_assoc = assoc;
+            config.profile = Some(profile);
+            let mut mem = GlobalMem::new();
+            let (a, b) = (mem.alloc_zeroed(32), mem.alloc_zeroed(32));
+            let err = Gpu::new(config)
+                .launch(
+                    &k,
+                    LaunchConfig::d1(1, 32),
+                    &[Arg::Buf(a), Arg::Buf(b)],
+                    &mut mem,
+                )
+                .unwrap_err();
+            match err {
+                SimError::BadArgument { kernel, message } => {
+                    assert_eq!(kernel, "copy");
+                    assert!(message.contains(field), "{message}");
+                }
+                other => panic!("expected BadArgument naming {field}, got {other}"),
+            }
+        }
+    }
+}

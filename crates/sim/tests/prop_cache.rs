@@ -117,6 +117,60 @@ fn temporal_reuse_of_one_line_survives() {
     }
 }
 
+/// The set index `L1Cache` resolves once per cache (shift and XOR-fold
+/// mask for power-of-two geometries, division and modulo otherwise)
+/// equals the definition by division, over this file's geometries plus
+/// the odd ones only the fallback path serves.
+#[test]
+fn set_index_matches_the_division_definition() {
+    fn set_by_division(cfg: L1Config, byte_addr: u32) -> u32 {
+        let line = byte_addr / cfg.line_bytes;
+        let n = (cfg.size_bytes / cfg.line_bytes / cfg.assoc).max(1);
+        if n.is_power_of_two() && n > 1 {
+            let (mut x, mut idx) = (line, 0);
+            while x != 0 {
+                idx ^= x % n;
+                x /= n;
+            }
+            idx
+        } else {
+            line % n
+        }
+    }
+    let mut r = Rng::from_tag("cache-set-index");
+    let mut geometries = Vec::new();
+    for size_lines in [8u32, 16, 32, 64, 256] {
+        for assoc in [2u32, 4, 8] {
+            geometries.push((size_lines, 128u32, assoc));
+        }
+    }
+    // One set; 32-byte lines; a non-power-of-two set count; a
+    // non-power-of-two line size; both odd.
+    geometries.extend([
+        (2, 128, 2),
+        (64, 32, 4),
+        (24, 128, 4),
+        (32, 96, 4),
+        (30, 96, 2),
+    ]);
+    for (size_lines, line_bytes, assoc) in geometries {
+        let cfg = L1Config {
+            size_bytes: size_lines * line_bytes,
+            line_bytes,
+            assoc,
+        };
+        let mut c = L1Cache::new(cfg);
+        for _ in 0..2000 {
+            let a = r.range_u32(0, u32::MAX);
+            let what = format!("{cfg:?} addr {a:#x}");
+            assert_eq!(c.line_addr(a), a / line_bytes, "{what}");
+            assert_eq!(c.access_store(a), set_by_division(cfg, a), "{what}");
+            let res = c.access_load(a, 0, 28, || 400);
+            assert_eq!(res.set, set_by_division(cfg, a), "{what}");
+        }
+    }
+}
+
 mod coalescing {
     use catt_frontend::parse_kernel;
     use catt_ir::LaunchConfig;
