@@ -610,9 +610,7 @@ pub const DEFAULT_RETRIES: u32 = 2;
 impl Engine {
     /// Default worker bound: `available_parallelism()`.
     fn default_workers() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
+        catt_sim::host_parallelism().unwrap_or(4)
     }
 
     /// Assemble an engine: the given cache mode and worker bound, the

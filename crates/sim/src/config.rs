@@ -417,10 +417,7 @@ impl GpuConfig {
         if let Some(n) = self.sm_threads {
             return n.max(1);
         }
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        (avail / engine_workers_hint().max(1)).max(1)
+        (host_parallelism().unwrap_or(1) / engine_workers_hint().max(1)).max(1)
     }
 
     /// Whether launches under this config record a
@@ -435,6 +432,14 @@ impl GpuConfig {
     pub fn sanitize_enabled(&self) -> bool {
         self.sanitize.unwrap_or(false)
     }
+}
+
+/// `std::thread::available_parallelism()`, read once per process (`None`
+/// if the host cannot say). On Linux every call re-parses cgroup files —
+/// ≈ 25 µs, which was most of a small launch's fixed cost.
+pub fn host_parallelism() -> Option<usize> {
+    static CORES: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().ok().map(|n| n.get()))
 }
 
 /// Number of engine worker threads currently running simulation jobs in

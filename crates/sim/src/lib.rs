@@ -52,14 +52,14 @@ pub mod warp;
 
 pub use bytecode::{lower, LowerError, Program};
 pub use config::{
-    add_active_engine_workers, engine_workers_guard, engine_workers_hint,
+    add_active_engine_workers, engine_workers_guard, engine_workers_hint, host_parallelism,
     remove_active_engine_workers, CancelToken, EngineWorkersGuard, GpuConfig, L1Config, Latencies,
     FUEL_BASE, FUEL_PER_BYTE, SMEM_CONFIGS_KB,
 };
 pub use digest::Fnv64;
 pub use error::SimError;
 pub use mem::{Arg, Buffer, DeviceMem, GlobalMem, ShadowMem, StoreLog};
-pub use metrics::{LaunchStats, RequestTrace};
+pub use metrics::{ExecCounts, LaunchStats, RequestTrace};
 pub use occupancy::{max_resident_tbs, OccupancyLimits};
 pub use profile::{
     LaunchProfile, MissWindow, NullSink, PhaseEvent, PhaseKind, ProfileSink, SetCounters,
@@ -123,5 +123,42 @@ impl Gpu {
         mem: &mut GlobalMem,
     ) -> Result<LaunchStats, SimError> {
         sm::run_launch(&self.config, program, launch, args, mem)
+    }
+
+    /// Lower `kernel` and execute it *functionally*: see
+    /// [`Gpu::execute_program`].
+    pub fn execute(
+        &mut self,
+        kernel: &Kernel,
+        launch: LaunchConfig,
+        args: &[Arg],
+        mem: &mut GlobalMem,
+    ) -> Result<ExecCounts, SimError> {
+        let program = bytecode::lower(kernel)?;
+        self.execute_program(&program, launch, args, mem)
+    }
+
+    /// Execute `program` for its effect on `mem` only — what a warp
+    /// computes, not when it issues. The launch is admitted exactly as
+    /// [`Gpu::launch_program`] admits it, then blocks run in ascending
+    /// linear id, one at a time, each warp up to its next barrier or exit,
+    /// through the timed model's instruction semantics and sanitizer
+    /// checks. That is a legal schedule, not the timed one: memory and the
+    /// counts agree with `launch_program` on every kernel free of
+    /// intra-block races.
+    ///
+    /// Honours [`GpuConfig::sanitize`], [`GpuConfig::sim_fuel`] (as
+    /// `fuel × schedulers_per_sm` warp-instructions — never stricter than
+    /// the cycle bound) and [`GpuConfig::cancel`] (polled between barrier
+    /// phases). Ignores everything about time: cache geometry, latencies,
+    /// `num_sms` and thread budgets, DYNCTA, profiling, request tracing.
+    pub fn execute_program(
+        &mut self,
+        program: &Program,
+        launch: LaunchConfig,
+        args: &[Arg],
+        mem: &mut GlobalMem,
+    ) -> Result<ExecCounts, SimError> {
+        sm::run_functional(&self.config, program, launch, args, mem)
     }
 }

@@ -49,13 +49,13 @@ impl Arg {
 /// address space; allocation is a bump allocator with 256-byte alignment
 /// (mirroring `cudaMalloc`'s alignment guarantees, and ensuring distinct
 /// buffers never share a cache line).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GlobalMem {
     /// Backing store, indexed by word (byte address / 4).
     words: Vec<u32>,
     /// Allocation spans as (start word, length in words), in ascending
     /// address order (the bump allocator only grows). Consulted by the
-    /// sanitizer's wild-read check through [`DeviceMem::is_allocated`];
+    /// sanitizer's wild-read check through [`DeviceMem::allocated_span`];
     /// never part of [`GlobalMem::content_digest`], which hashes contents
     /// only.
     spans: Vec<(u32, u32)>,
@@ -80,19 +80,20 @@ impl GlobalMem {
         }
     }
 
-    /// Whether `byte_addr` falls inside some allocation (as opposed to
-    /// the alignment padding between buffers or past the footprint).
-    /// Binary search over the sorted span list.
-    pub fn is_allocated(&self, byte_addr: u32) -> bool {
+    /// The allocation covering `byte_addr`, as (start word, length in
+    /// words): the last span starting at or before the word, if the word
+    /// falls inside it. `None` in the alignment padding between buffers,
+    /// past the footprint, and at the address of a zero-length buffer.
+    pub fn allocated_span(&self, byte_addr: u32) -> Option<(u32, u32)> {
         let word = byte_addr / 4;
-        match self.spans.binary_search_by_key(&word, |&(start, _)| start) {
-            Ok(_) => true,
-            Err(0) => false,
-            Err(i) => {
-                let (start, len) = self.spans[i - 1];
-                word - start < len
-            }
-        }
+        let i = self.spans.partition_point(|&(start, _)| start <= word);
+        let (start, len) = *self.spans.get(i.checked_sub(1)?)?;
+        (word - start < len).then_some((start, len))
+    }
+
+    /// Whether `byte_addr` falls inside some allocation.
+    pub fn is_allocated(&self, byte_addr: u32) -> bool {
+        self.allocated_span(byte_addr).is_some()
     }
 
     /// Allocate and initialize a float buffer.
@@ -216,11 +217,17 @@ pub trait DeviceMem {
     fn load(&self, byte_addr: u32) -> u32;
     /// Store a word by byte address (out-of-bounds writes are dropped).
     fn store(&mut self, byte_addr: u32, value: u32);
-    /// Whether `byte_addr` falls inside some allocation. Consulted only
-    /// by the sanitizer's wild-read check; views that cannot tell answer
-    /// `true` (never a false positive).
-    fn is_allocated(&self, _byte_addr: u32) -> bool {
-        true
+    /// The allocation covering `byte_addr` as (start word, length in
+    /// words), `None` when no allocation covers it. Consulted only by the
+    /// sanitizer's wild-read check; views that cannot tell answer with one
+    /// span covering everything (never a false positive).
+    fn allocated_span(&self, _byte_addr: u32) -> Option<(u32, u32)> {
+        Some((0, u32::MAX))
+    }
+
+    /// Whether `byte_addr` falls inside some allocation.
+    fn is_allocated(&self, byte_addr: u32) -> bool {
+        self.allocated_span(byte_addr).is_some()
     }
 }
 
@@ -236,8 +243,8 @@ impl DeviceMem for GlobalMem {
     }
 
     #[inline]
-    fn is_allocated(&self, byte_addr: u32) -> bool {
-        GlobalMem::is_allocated(self, byte_addr)
+    fn allocated_span(&self, byte_addr: u32) -> Option<(u32, u32)> {
+        GlobalMem::allocated_span(self, byte_addr)
     }
 }
 
@@ -387,8 +394,8 @@ impl DeviceMem for ShadowMem<'_> {
     }
 
     #[inline]
-    fn is_allocated(&self, byte_addr: u32) -> bool {
-        self.base.is_allocated(byte_addr)
+    fn allocated_span(&self, byte_addr: u32) -> Option<(u32, u32)> {
+        self.base.allocated_span(byte_addr)
     }
 }
 
@@ -529,6 +536,12 @@ mod tests {
         twin.alloc_zeroed(2);
         assert_eq!(ta, a);
         assert_eq!(twin.content_digest(), m.content_digest());
+        // A zero-length buffer owns no word, even where it starts: here
+        // that is the first byte past the footprint.
+        let e = m.alloc_f32(&[]);
+        assert_eq!(e.addr as usize, m.footprint_bytes());
+        assert!(!m.is_allocated(e.addr), "empty buffer's start address");
+        assert_eq!(m.allocated_span(b.addr + 4), Some((b.addr / 4, 2)));
     }
 
     #[test]

@@ -40,6 +40,18 @@ impl RequestTrace {
     }
 }
 
+/// What a functional execution ([`crate::Gpu::execute`]) counts: the
+/// schedule-independent subset of [`LaunchStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecCounts {
+    /// Warp-instructions issued.
+    pub instructions: u64,
+    /// Thread blocks executed.
+    pub tbs: u64,
+    /// Warps executed.
+    pub warps: u64,
+}
+
 /// Statistics of one kernel launch.
 #[derive(Debug, Clone, Default)]
 pub struct LaunchStats {

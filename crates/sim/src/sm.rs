@@ -23,16 +23,17 @@
 
 use crate::bytecode::{builtin_reg, CmpOp, FBinOp, FUnOp, IBinOp, Op, Program};
 use crate::cache::L1Cache;
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, Latencies};
 use crate::error::SimError;
 use crate::mem::{Arg, DeviceMem, GlobalMem, ShadowMem, StoreLog};
-use crate::metrics::LaunchStats;
+use crate::metrics::{ExecCounts, LaunchStats, RequestTrace};
 use crate::occupancy::max_resident_tbs;
 use crate::profile::{LaunchProfile, NullSink, ProfileSink, SmProfile, StallReason};
 use crate::sanitize::{SanitizerKind, SanitizerReport, SanitizerState};
 use crate::warp::{Frame, Warp, WarpState};
 use catt_ir::expr::Builtin;
 use catt_ir::LaunchConfig;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -94,6 +95,58 @@ pub fn run_launch(
     }
 }
 
+/// Launch admission, shared by both drivers so they reject the same
+/// launches with the same [`SimError`] class: the argument count, the
+/// shared-memory carve-out (auto-raised, like the CUDA driver does, when
+/// the kernel's static shared memory exceeds the configured one) and the
+/// occupancy. Returns the effective configuration and resident TBs per SM.
+fn admit<'c>(
+    config: &'c GpuConfig,
+    program: &Program,
+    launch: LaunchConfig,
+    args: &[Arg],
+) -> Result<(Cow<'c, GpuConfig>, u32), SimError> {
+    let bad = |message: String| SimError::BadArgument {
+        kernel: program.name.clone(),
+        message,
+    };
+    if args.len() != program.param_regs.len() {
+        return Err(bad(format!(
+            "takes {} argument(s), {} given",
+            program.param_regs.len(),
+            args.len()
+        )));
+    }
+    let config = if program.smem_bytes > config.smem_carveout_bytes {
+        let raised = config.clone().with_smem_for(program.smem_bytes);
+        Cow::Owned(raised.ok_or_else(|| {
+            bad(format!(
+                "declares {} B of shared memory, above the largest carve-out",
+                program.smem_bytes
+            ))
+        })?)
+    } else {
+        Cow::Borrowed(config)
+    };
+    let occ = max_resident_tbs(
+        &config,
+        program.smem_bytes,
+        program.num_regs as u32,
+        launch.threads_per_block(),
+    );
+    let resident = occ.resident_tbs();
+    if resident == 0 {
+        return Err(bad(format!(
+            "cannot launch: a single block exceeds SM resources \
+             (smem {} B, {} regs/thread, {} threads/block)",
+            program.smem_bytes,
+            program.num_regs,
+            launch.threads_per_block()
+        )));
+    }
+    Ok((config, resident))
+}
+
 /// Everything one parallel-path SM worker hands back for the in-order
 /// merge: its result, its private store log, and its profiling shard.
 type SmOutcome<S> = (Result<LaunchStats, SimError>, StoreLog, S);
@@ -110,57 +163,12 @@ fn launch_impl<S: ProfileSink>(
     mem: &mut GlobalMem,
     mut profile: Option<&mut LaunchProfile>,
 ) -> Result<LaunchStats, SimError> {
-    if args.len() != program.param_regs.len() {
-        return Err(SimError::BadArgument {
-            kernel: program.name.clone(),
-            message: format!(
-                "takes {} argument(s), {} given",
-                program.param_regs.len(),
-                args.len()
-            ),
-        });
-    }
-    // Like the CUDA driver, auto-raise the shared-memory carve-out when
-    // the kernel's static shared memory exceeds the configured one.
-    let auto_cfg;
-    let config = if program.smem_bytes > config.smem_carveout_bytes {
-        auto_cfg = config
-            .clone()
-            .with_smem_for(program.smem_bytes)
-            .ok_or_else(|| SimError::BadArgument {
-                kernel: program.name.clone(),
-                message: format!(
-                    "declares {} B of shared memory, above the largest carve-out",
-                    program.smem_bytes
-                ),
-            })?;
-        &auto_cfg
-    } else {
-        config
-    };
+    let (config, resident) = admit(config, program, launch, args)?;
+    let config = &*config;
     if let Some(p) = profile.as_deref_mut() {
-        // The carve-out auto-raise above may have shrunk the L1; keep the
+        // The carve-out auto-raise may have shrunk the L1; keep the
         // profile's recorded geometry in sync with what the SMs simulate.
         p.l1 = config.l1_config();
-    }
-    let occ = max_resident_tbs(
-        config,
-        program.smem_bytes,
-        program.num_regs as u32,
-        launch.threads_per_block(),
-    );
-    let resident = occ.resident_tbs();
-    if resident == 0 {
-        return Err(SimError::BadArgument {
-            kernel: program.name.clone(),
-            message: format!(
-                "cannot launch: a single block exceeds SM resources \
-                 (smem {} B, {} regs/thread, {} threads/block)",
-                program.smem_bytes,
-                program.num_regs,
-                launch.threads_per_block()
-            ),
-        });
     }
 
     let num_blocks = launch.num_blocks();
@@ -194,7 +202,7 @@ fn launch_impl<S: ProfileSink>(
     // sanitizer state must observe every block's global accesses to catch
     // races between blocks on different SMs.
     let mut san_state = if config.sanitize_enabled() {
-        Some(SanitizerState::new())
+        Some(SanitizerState::with_footprint(mem.footprint_bytes()))
     } else {
         None
     };
@@ -395,13 +403,7 @@ fn run_sm<M: DeviceMem, S: ProfileSink>(
     san: Option<&mut SanitizerState>,
     blocks: VecDeque<u32>,
 ) -> Result<LaunchStats, SimError> {
-    ws.prepare(
-        program,
-        resident,
-        launch.warps_per_block(),
-        config.schedulers_per_sm as usize,
-    );
-    let nwarps = ws.warps.len();
+    ws.prepare(program, resident, launch.warps_per_block());
     let mut sm = Sm {
         config,
         program,
@@ -409,55 +411,28 @@ fn run_sm<M: DeviceMem, S: ProfileSink>(
         tables,
         launch,
         mem,
-        cache: L1Cache::new(config.l1_config()),
-        l2: config.l2_slice_config().map(L1Cache::new),
-        l1_port_free: 0,
-        offchip_free: 0,
         cycle: 0,
-        wake: std::mem::take(&mut ws.wake),
-        soa_pc: std::mem::take(&mut ws.pc),
-        age: std::mem::take(&mut ws.age),
-        order: std::mem::take(&mut ws.order),
-        ready: std::mem::take(&mut ws.ready),
-        num_regs: program.num_regs as usize,
         warps: std::mem::take(&mut ws.warps),
         tbs: std::mem::take(&mut ws.tbs),
-        warps_per_tb: launch.warps_per_block(),
-        sched_next: vec![0; ws.last_issued.len()],
-        last_issued: std::mem::take(&mut ws.last_issued),
-        dispatch_age: 0,
-        resident_blocks: 0,
-        barrier_dirty: false,
-        refill_dirty: true,
-        active_tb_limit: resident as usize,
-        dyncta_window: (0, 0),
         fuel,
-        trace,
         stats: LaunchStats::default(),
         sink,
         san,
-        prof_load_ready: if S::ENABLED {
-            vec![0; nwarps]
-        } else {
-            Vec::new()
-        },
+        t: Timed::new(config, program, launch, resident, trace),
     };
     let result = sm.run(blocks);
     if S::ENABLED && result.is_err() {
         // The success path records final aggregates inside `run`; on error
         // close the shard with whatever the SM reached so partial profiles
         // still carry cycle and instruction totals.
-        sm.sink
-            .sm_end(sm.cycle, sm.last_issued.len() as u32, sm.stats.instructions);
+        sm.sink.sm_end(
+            sm.cycle,
+            sm.t.last_issued.len() as u32,
+            sm.stats.instructions,
+        );
     }
-    ws.wake = std::mem::take(&mut sm.wake);
-    ws.pc = std::mem::take(&mut sm.soa_pc);
-    ws.age = std::mem::take(&mut sm.age);
-    ws.order = std::mem::take(&mut sm.order);
-    ws.ready = std::mem::take(&mut sm.ready);
     ws.warps = std::mem::take(&mut sm.warps);
     ws.tbs = std::mem::take(&mut sm.tbs);
-    ws.last_issued = std::mem::take(&mut sm.last_issued);
     result
 }
 
@@ -700,41 +675,18 @@ impl DispatchTables {
 /// Reusable per-thread SM storage: warp slots (register files included)
 /// and TB slots survive from one SM to the next instead of being
 /// reallocated per SM — the dominant allocation cost of a multi-SM launch.
-///
-/// The scheduler-hot per-warp state lives here struct-of-arrays, not in
-/// [`Warp`]: `wake` (next candidate issue cycle, `u64::MAX` for warps
-/// that are not Ready), `pc` (mirror of `Warp::pc`), `age` (dispatch age
-/// for GTO arbitration), and `ready` (the register scoreboard, flattened
-/// to `nwarps × num_regs`). The per-cycle ready-scan and skip-ahead
-/// min-reduction touch only these contiguous arrays; the heap-heavy
-/// `Warp` structs are consulted only at issue time.
 #[derive(Default)]
 struct SmWorkspace {
     warps: Vec<Warp>,
-    /// Next cycle warp `i` could possibly issue; `u64::MAX` when not
-    /// Ready. This is the event queue of the scheduler: the idle-cycle
-    /// skip-ahead jumps straight to its minimum.
-    wake: Vec<u64>,
-    /// SoA mirror of `Warp::pc`, synced after every issue — the scan
-    /// reads the next op's access set without touching the warp.
-    pc: Vec<u32>,
-    /// Dispatch age (smaller = older) for greedy-then-oldest arbitration.
-    age: Vec<u64>,
-    /// Warp indices in per-scheduler age order (see [`Sm::order`]).
-    order: Vec<u32>,
-    /// Flattened scoreboard: `ready[i * num_regs + r]` is the cycle at
-    /// which warp `i`'s register `r` becomes available.
-    ready: Vec<u64>,
     tbs: Vec<TbSlot>,
-    last_issued: Vec<Option<usize>>,
 }
 
 impl SmWorkspace {
-    /// Shape the workspace for one SM of this launch and reset all
-    /// per-SM state. Storage is reused whenever the geometry matches;
-    /// warp register files are *not* cleared here — `Warp::reset` zeroes
-    /// them at dispatch, exactly as the per-SM allocation path did.
-    fn prepare(&mut self, program: &Program, resident: u32, warps_per_tb: u32, nsched: usize) {
+    /// Shape the warp and TB slots for one SM of this launch. Storage is
+    /// reused whenever the geometry matches; warp register files are *not*
+    /// cleared here — `Warp::reset` zeroes them at dispatch, exactly as
+    /// the per-SM allocation path did.
+    fn prepare(&mut self, program: &Program, resident: u32, warps_per_tb: u32) {
         let nwarps = (resident * warps_per_tb) as usize;
         let num_regs = program.num_regs as usize;
         if self.warps.len() != nwarps
@@ -746,16 +698,6 @@ impl SmWorkspace {
                 w.state = WarpState::Idle;
             }
         }
-        self.wake.clear();
-        self.wake.resize(nwarps, u64::MAX);
-        self.pc.clear();
-        self.pc.resize(nwarps, 0);
-        self.age.clear();
-        self.age.resize(nwarps, 0);
-        self.order.clear();
-        self.order.extend(0..nwarps as u32);
-        self.ready.clear();
-        self.ready.resize(nwarps * num_regs, 0);
         let smem_words = (program.smem_bytes as usize).div_ceil(4);
         if self.tbs.len() != resident as usize
             || self.tbs.first().is_some_and(|t| t.smem.len() != smem_words)
@@ -771,20 +713,57 @@ impl SmWorkspace {
                 t.block = None;
             }
         }
-        self.last_issued.clear();
-        self.last_issued.resize(nsched, None);
     }
 }
 
-struct Sm<'a, M: DeviceMem, S: ProfileSink> {
-    config: &'a GpuConfig,
-    program: &'a Program,
-    /// The launch's decoded op table, indexed by pc.
-    decoded: &'a [Decoded],
-    /// Launch-wide dispatch precomputation.
-    tables: &'a DispatchTables,
-    launch: LaunchConfig,
-    mem: &'a mut M,
+/// The seam between *what a warp computes* and *when it issues*. [`Sm`]
+/// owns the functional state and executes every op exactly once; through
+/// these hooks it tells the timing side what the op means for time.
+/// [`Timed`] is the cycle-level model; [`Untimed`] keeps every default — an
+/// empty `#[inline]` body, the compile-out trick of [`NullSink`] — so the
+/// functional driver carries no cache, port, scoreboard or scheduler code.
+trait Timing {
+    /// Warp slot `wi` was reset for a warp of a newly dispatched block.
+    #[inline]
+    fn warp_dispatched(&mut self, _wi: usize) {}
+    /// Every warp of one block has been dispatched.
+    #[inline]
+    fn block_dispatched(&mut self) {}
+    /// Warp `wi` was released from its barrier and is `Ready` again.
+    #[inline]
+    fn warp_released(&mut self, _wi: usize) {}
+    /// Warp `wi` issued an ALU (`sfu`: special-function) op writing `dst`.
+    #[inline]
+    fn alu(&mut self, _cycle: u64, _wi: usize, _dst: u16, _sfu: bool) {}
+    /// Warp `wi` issued a shared-memory load into `dst`, or a store (`None`).
+    #[inline]
+    fn shared(&mut self, _cycle: u64, _wi: usize, _dst: Option<u16>) {}
+    /// Warp `wi` issued a global load into `dst`, or a store (`None`), of
+    /// `addrs` in the lanes of mask `active`.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn global<S: ProfileSink>(
+        &mut self,
+        _sink: &mut S,
+        _cycle: u64,
+        _wi: usize,
+        _dst: Option<u16>,
+        _addrs: &[u32; 32],
+        _active: u32,
+    ) {
+    }
+}
+
+/// No timing at all: what [`run_functional`] instantiates [`Sm`] with.
+struct Untimed;
+impl Timing for Untimed {}
+
+/// Everything that exists only because a run is timed: the L1D/L2 tag
+/// stores, the two ports, the register scoreboard, and the GTO scheduler's
+/// per-warp state — struct-of-arrays, so the per-cycle ready-scan and the
+/// skip-ahead min-reduction never touch the heap-heavy [`Warp`] structs.
+struct Timed {
+    lat: Latencies,
     cache: L1Cache,
     /// This SM's slice of the shared L2 (`None` when the L2 is
     /// disabled, see [`GpuConfig::l2_slice_config`]). Probed only by
@@ -797,15 +776,9 @@ struct Sm<'a, M: DeviceMem, S: ProfileSink> {
     l1_port_free: u64,
     /// Next cycle the off-chip port is free.
     offchip_free: u64,
-    cycle: u64,
-    warps: Vec<Warp>,
-    tbs: Vec<TbSlot>,
-    warps_per_tb: u32,
-    /// Per-warp wake time (see [`SmWorkspace::wake`]): a lower bound on
-    /// the warp's next issue cycle, or `u64::MAX` while it is not Ready.
-    /// Invariant: `wake[i] < u64::MAX` ⟺ `warps[i].state == Ready`, so
-    /// the scheduler scan and the skip-ahead min-reduction run over this
-    /// contiguous array alone.
+    /// Per-warp wake time — the scheduler's event queue: a lower bound on
+    /// the warp's next issue cycle, or `u64::MAX` while it is not Ready
+    /// (`wake[i] < u64::MAX` ⟺ `warps[i].state == Ready`).
     wake: Vec<u64>,
     /// SoA mirror of `Warp::pc`, synced after every issue.
     soa_pc: Vec<u32>,
@@ -813,8 +786,8 @@ struct Sm<'a, M: DeviceMem, S: ProfileSink> {
     age: Vec<u64>,
     /// Each scheduler's partition in dispatch-age order, interleaved like
     /// the warp slots themselves: `order[s + k * nsched]` is scheduler
-    /// `s`'s `k`-th oldest warp. Re-sorted in `dispatch`, the only place
-    /// ages change.
+    /// `s`'s `k`-th oldest warp. Re-sorted in `block_dispatched`, the only
+    /// place ages change.
     order: Vec<u32>,
     /// Flattened scoreboard: `ready[i * num_regs + r]`.
     ready: Vec<u64>,
@@ -847,10 +820,190 @@ struct Sm<'a, M: DeviceMem, S: ProfileSink> {
     active_tb_limit: usize,
     /// DYNCTA sampling-window state: (window start cycle, busy cycles).
     dyncta_window: (u64, u64),
-    /// Cycle-fuel budget for this launch. Checked at the top of the run
-    /// loop, so skip-ahead jumps are charged too.
+    /// Per-instruction request trace (`Some` on the traced SM only),
+    /// handed to [`LaunchStats::trace`] when the run ends.
+    trace: Option<RequestTrace>,
+    /// Per-warp completion cycle of the latest global load issued (updated
+    /// when profiling only): lets [`Sm::classify_stall`] tell long
+    /// (memory) scoreboard waits from short (ALU-dependency) ones.
+    prof_load_ready: Vec<u64>,
+}
+
+impl Timed {
+    /// Fresh timing state for one SM of `resident` TB slots.
+    fn new(
+        config: &GpuConfig,
+        program: &Program,
+        launch: LaunchConfig,
+        resident: u32,
+        trace: bool,
+    ) -> Timed {
+        let nwarps = (resident * launch.warps_per_block()) as usize;
+        let num_regs = program.num_regs as usize;
+        let nsched = config.schedulers_per_sm as usize;
+        Timed {
+            lat: config.latencies,
+            cache: L1Cache::new(config.l1_config()),
+            l2: config.l2_slice_config().map(L1Cache::new),
+            l1_port_free: 0,
+            offchip_free: 0,
+            wake: vec![u64::MAX; nwarps],
+            soa_pc: vec![0; nwarps],
+            age: vec![0; nwarps],
+            order: (0..nwarps as u32).collect(),
+            ready: vec![0; nwarps * num_regs],
+            num_regs,
+            last_issued: vec![None; nsched],
+            sched_next: vec![0; nsched],
+            dispatch_age: 0,
+            resident_blocks: 0,
+            barrier_dirty: false,
+            refill_dirty: true,
+            active_tb_limit: resident as usize,
+            dyncta_window: (0, 0),
+            trace: trace.then(RequestTrace::default),
+            prof_load_ready: vec![0; nwarps],
+        }
+    }
+}
+
+impl Timing for Timed {
+    #[inline]
+    fn warp_dispatched(&mut self, wi: usize) {
+        self.dispatch_age += 1;
+        self.wake[wi] = 0;
+        self.soa_pc[wi] = 0;
+        self.age[wi] = self.dispatch_age;
+        let base = wi * self.num_regs;
+        self.ready[base..base + self.num_regs].fill(0);
+        self.prof_load_ready[wi] = 0;
+    }
+
+    fn block_dispatched(&mut self) {
+        self.resident_blocks += 1;
+        // The block's warps are now the youngest of their partitions:
+        // restore every scheduler's age order (a strided insertion sort —
+        // the partitions are a few warps each and already nearly sorted).
+        let nsched = self.last_issued.len();
+        for p in nsched..self.order.len() {
+            let mut q = p;
+            while q >= nsched
+                && self.age[self.order[q - nsched] as usize] > self.age[self.order[q] as usize]
+            {
+                self.order.swap(q - nsched, q);
+                q -= nsched;
+            }
+        }
+        // The fresh warps are issuable now: drop every scheduler's
+        // cached next-issue bound.
+        self.sched_next.fill(0);
+    }
+
+    #[inline]
+    fn warp_released(&mut self, wi: usize) {
+        self.wake[wi] = 0;
+        // A released warp is issuable now: drop the cached next-issue
+        // bounds.
+        self.sched_next.fill(0);
+    }
+
+    #[inline(always)]
+    fn alu(&mut self, cycle: u64, wi: usize, dst: u16, sfu: bool) {
+        let lat = if sfu { self.lat.sfu } else { self.lat.alu };
+        self.ready[wi * self.num_regs + dst as usize] = cycle + lat;
+    }
+
+    #[inline]
+    fn shared(&mut self, cycle: u64, wi: usize, dst: Option<u16>) {
+        if let Some(dst) = dst {
+            self.ready[wi * self.num_regs + dst as usize] = cycle + self.lat.shared;
+        }
+        self.l1_port_free = self.l1_port_free.max(cycle) + 1;
+    }
+
+    fn global<S: ProfileSink>(
+        &mut self,
+        sink: &mut S,
+        cycle: u64,
+        wi: usize,
+        dst: Option<u16>,
+        addrs: &[u32; 32],
+        active: u32,
+    ) {
+        let (lines, n) = coalesce(&self.cache, addrs, active);
+        if let Some(trace) = &mut self.trace {
+            trace.record(n as u32);
+        }
+        let lat = self.lat;
+        let start = self.l1_port_free.max(cycle);
+        self.l1_port_free = start + n.max(1) as u64;
+        let line_bytes = self.cache.config().line_bytes;
+        let Some(dst) = dst else {
+            for (k, la) in lines[..n].iter().enumerate() {
+                let t = start + k as u64;
+                let set = self.cache.access_store(la * line_bytes);
+                if S::ENABLED {
+                    sink.l1_store(set, *la);
+                }
+                self.offchip_free = self.offchip_free.max(t) + lat.offchip_port;
+            }
+            return;
+        };
+        let mut data_ready = cycle + lat.l1_hit;
+        for (k, la) in lines[..n].iter().enumerate() {
+            let t = start + k as u64;
+            let offchip_free = &mut self.offchip_free;
+            let l2 = &mut self.l2;
+            let mut l2_probe = None;
+            let res = self.cache.access_load(la * line_bytes, t, lat.l1_hit, || {
+                // Off-chip port first: L2 hits and misses both cross the
+                // SM's off-chip interface, so the bandwidth limit — the
+                // contention effect CATT exploits — is independent of the
+                // L2-hit/DRAM latency split below.
+                *offchip_free = (*offchip_free).max(t) + lat.offchip_port;
+                let issue = *offchip_free;
+                match l2 {
+                    Some(l2) => {
+                        let r = l2.access_load(la * line_bytes, issue, lat.l2_hit, || {
+                            issue + lat.offchip
+                        });
+                        l2_probe = Some((r.hit, r.evicted));
+                        r.data_ready
+                    }
+                    None => issue + lat.offchip,
+                }
+            });
+            if S::ENABLED {
+                sink.l1_load(res.set, *la, res.hit, res.evicted);
+                if let Some((hit, evicted)) = l2_probe {
+                    sink.l2_load(hit, evicted);
+                }
+            }
+            data_ready = data_ready.max(res.data_ready);
+        }
+        if S::ENABLED {
+            self.prof_load_ready[wi] = self.prof_load_ready[wi].max(data_ready);
+        }
+        self.ready[wi * self.num_regs + dst as usize] = data_ready;
+    }
+}
+
+struct Sm<'a, M: DeviceMem, S: ProfileSink, T: Timing> {
+    config: &'a GpuConfig,
+    program: &'a Program,
+    /// The launch's decoded op table, indexed by pc.
+    decoded: &'a [Decoded],
+    /// Launch-wide dispatch precomputation.
+    tables: &'a DispatchTables,
+    launch: LaunchConfig,
+    mem: &'a mut M,
+    /// Current cycle (stays 0 on the functional instantiation).
+    cycle: u64,
+    warps: Vec<Warp>,
+    tbs: Vec<TbSlot>,
+    /// Cycle-fuel budget for this launch. The timed run loop checks it at
+    /// the top of every iteration, so skip-ahead jumps are charged too.
     fuel: u64,
-    trace: bool,
     stats: LaunchStats,
     /// Profiling sink — [`NullSink`] when profiling is off, in which case
     /// every hook call below compiles to nothing.
@@ -859,13 +1012,416 @@ struct Sm<'a, M: DeviceMem, S: ProfileSink> {
     /// Shared by every SM of the launch — sanitized launches run
     /// sequentially — so inter-block races across SMs are observed.
     san: Option<&'a mut SanitizerState>,
-    /// Per-warp completion cycle of the latest global load issued
-    /// (profiling only, empty otherwise): lets [`Sm::classify_stall`] tell
-    /// long (memory) scoreboard waits from short (ALU-dependency) ones.
-    prof_load_ready: Vec<u64>,
+    /// The timing side: [`Timed`] or [`Untimed`].
+    t: T,
 }
 
-impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
+/// The timed driver: the event-driven run loop, GTO arbitration, DYNCTA.
+impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S, Timed> {
+    /// DYNCTA-style dynamic adjustment (paper §2.2): at each sampling
+    /// window boundary, compare the fraction of issue slots lost to
+    /// stalls against the thresholds and pause/resume one resident block.
+    /// This is the reactive baseline — it pays a warm-up window before
+    /// reacting and re-converges after every phase change, which is
+    /// exactly the lag CATT's compile-time decisions avoid.
+    fn dyncta_tick(&mut self, issued: bool) {
+        let Some(cfg) = self.config.dyncta else {
+            return;
+        };
+        if issued {
+            self.t.dyncta_window.1 += 1;
+        }
+        let elapsed = self.cycle - self.t.dyncta_window.0;
+        if elapsed < cfg.window {
+            return;
+        }
+        let busy = self.t.dyncta_window.1 as f64 / elapsed as f64;
+        let stall = 1.0 - busy;
+        if stall > cfg.t_high && self.t.active_tb_limit > 1 {
+            self.t.active_tb_limit -= 1;
+        } else if stall < cfg.t_low && self.t.active_tb_limit < self.tbs.len() {
+            self.t.active_tb_limit += 1;
+        }
+        self.t.dyncta_window = (self.cycle, 0);
+    }
+
+    fn run(&mut self, mut pending: VecDeque<u32>) -> Result<LaunchStats, SimError> {
+        loop {
+            // Cancellation poll: one pointer test when no token is set
+            // (the default everywhere outside `catt serve`). Sits next to
+            // the fuel check so both launch bounds share one exit point;
+            // the event-driven loop makes iterations proportional to
+            // issued work, so a relaxed load per iteration is noise.
+            if let Some(tok) = &self.config.cancel {
+                if tok.is_cancelled() {
+                    return Err(SimError::Cancelled {
+                        kernel: self.program.name.clone(),
+                        cycles: self.cycle,
+                    });
+                }
+            }
+            if self.cycle >= self.fuel {
+                if S::ENABLED {
+                    // Fuel cut the launch short: charge the cut-off
+                    // slot to its own reason so fuel-bounded shards
+                    // are identifiable in the breakdown.
+                    self.sink
+                        .stall(StallReason::Fuel, self.t.last_issued.len() as u64);
+                }
+                return Err(self.out_of_fuel());
+            }
+            // Barrier release and TB retire/refill can only become
+            // possible after a warp parks or finishes — both transitions
+            // happen exclusively in `issue`, which raises the matching
+            // dirty flag. All other cycles skip the per-slot scans
+            // entirely (they would be no-ops).
+            if self.t.barrier_dirty {
+                self.t.barrier_dirty = false;
+                self.release_barriers()?;
+            }
+            if self.t.refill_dirty {
+                self.t.refill_dirty = false;
+                self.retire_and_refill(&mut pending);
+            }
+            if pending.is_empty() && self.t.resident_blocks == 0 {
+                break;
+            }
+            let mut issued = false;
+            for sched in 0..self.t.last_issued.len() {
+                if let Some(w) = self.pick(sched) {
+                    self.issue(w)?;
+                    self.sync_after_issue(w);
+                    self.t.last_issued[sched] = Some(w);
+                    issued = true;
+                } else if S::ENABLED {
+                    // Unused issue slot: classify and charge exactly one
+                    // stall cycle, so per-SM slots always reconcile:
+                    //   instructions + Σ stall_cycles = cycles × schedulers.
+                    let reason = self.classify_stall(sched);
+                    self.sink.stall(reason, 1);
+                }
+            }
+            self.cycle += 1;
+            self.dyncta_tick(issued);
+            if !issued {
+                match self.earliest_wakeup() {
+                    Some(t) => {
+                        // Clamp the jump to the fuel limit: a skip landing
+                        // past `fuel` would report an exhaustion cycle
+                        // count (and charge profiled stall slots) beyond
+                        // the configured budget.
+                        let t = t.min(self.fuel);
+                        if S::ENABLED && t > self.cycle {
+                            // Skip-ahead: nothing can issue before `t`, so
+                            // every scheduler loses the jumped-over cycles
+                            // to the same reason it just stalled for (no
+                            // state can change while nothing issues).
+                            let delta = t - self.cycle;
+                            for sched in 0..self.t.last_issued.len() {
+                                let reason = self.classify_stall(sched);
+                                self.sink.stall(reason, delta);
+                            }
+                        }
+                        self.cycle = self.cycle.max(t);
+                    }
+                    None => {
+                        if self.t.active_tb_limit < self.tbs.len() {
+                            // Everything schedulable is done but paused
+                            // blocks remain: resume them.
+                            self.t.active_tb_limit = self.tbs.len();
+                            continue;
+                        }
+                        // No Ready warp can ever issue. Barriers release at
+                        // the top of the loop; reaching here with parked
+                        // warps means a real deadlock — a peer that will
+                        // never arrive.
+                        let parked = self.parked_warps();
+                        if parked > 0 {
+                            return Err(SimError::BarrierDeadlock {
+                                kernel: self.program.name.clone(),
+                                parked_warps: parked,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        let mut stats = std::mem::take(&mut self.stats);
+        stats.trace = self.t.trace.take().unwrap_or_default();
+        stats.cycles = self.cycle;
+        stats.l1_accesses = self.t.cache.accesses;
+        stats.l1_hits = self.t.cache.hits + self.t.cache.mshr_merges;
+        stats.offchip_requests = self.t.cache.offchip_requests;
+        if let Some(l2) = &self.t.l2 {
+            stats.l2_accesses = l2.accesses;
+            stats.l2_hits = l2.hits + l2.mshr_merges;
+            stats.l2_evictions = l2.evictions;
+        }
+        if S::ENABLED {
+            self.sink.sm_end(
+                stats.cycles,
+                self.t.last_issued.len() as u32,
+                stats.instructions,
+            );
+        }
+        Ok(stats)
+    }
+
+    /// Attribute a scheduler's unused issue slot to a [`StallReason`] by
+    /// inspecting its warp partition (profiling only; pure observation,
+    /// never perturbs scheduling). The earliest-waking Ready warp decides
+    /// between `Memory` (L1-port serialization or an outstanding load's
+    /// data) and `Scoreboard` (short ALU dependency — heuristic: a wait
+    /// that ends at or before the warp's latest load completion counts as
+    /// memory); with no Ready warp, parked warps mean `Barrier`,
+    /// throttle-paused ones `Throttled`, and an empty or finished
+    /// partition `Idle`.
+    fn classify_stall(&self, sched: usize) -> StallReason {
+        let nsched = self.t.last_issued.len();
+        let mut best: Option<(u64, StallReason)> = None;
+        let mut any_barrier = false;
+        let mut any_throttled = false;
+        for i in (sched..self.warps.len()).step_by(nsched) {
+            let w = &self.warps[i];
+            match w.state {
+                WarpState::AtBarrier => any_barrier = true,
+                WarpState::Ready => {
+                    if (w.tb_slot as usize) >= self.t.active_tb_limit {
+                        any_throttled = true;
+                        continue;
+                    }
+                    let a = &self.decoded[self.t.soa_pc[i] as usize];
+                    let mut reg_t = self.cycle;
+                    let base = i * self.t.num_regs;
+                    for &r in &a.regs[..a.n as usize] {
+                        reg_t = reg_t.max(self.t.ready[base + r as usize]);
+                    }
+                    let port_t = if a.uses_l1_port {
+                        self.t.l1_port_free
+                    } else {
+                        0
+                    };
+                    let t = reg_t.max(port_t);
+                    // Memory if the wait is on the L1 port, or if it ends at or
+                    // before the warp's latest outstanding-load completion (a
+                    // register dependency on load data); otherwise scoreboard.
+                    let memory = (a.uses_l1_port && port_t >= reg_t && port_t > self.cycle)
+                        || t <= self.t.prof_load_ready[i];
+                    let reason = if memory {
+                        StallReason::Memory
+                    } else {
+                        StallReason::Scoreboard
+                    };
+                    match best {
+                        Some((bt, _)) if bt <= t => {}
+                        _ => best = Some((t, reason)),
+                    }
+                }
+                _ => {}
+            }
+        }
+        match best {
+            Some((_, reason)) => reason,
+            None if any_barrier => StallReason::Barrier,
+            None if any_throttled => StallReason::Throttled,
+            None => StallReason::Idle,
+        }
+    }
+
+    fn retire_and_refill(&mut self, pending: &mut VecDeque<u32>) {
+        for slot in 0..self.tbs.len() {
+            if self.tbs[slot].block.is_some() {
+                let lo = slot * self.tables.warps.len();
+                let hi = lo + self.tables.warps.len();
+                if self.warps[lo..hi]
+                    .iter()
+                    .all(|w| w.state == WarpState::Done)
+                {
+                    if S::ENABLED {
+                        if let Some(b) = self.tbs[slot].block {
+                            self.sink.tb_end(slot, b, self.cycle);
+                        }
+                    }
+                    self.tbs[slot].block = None;
+                    self.t.resident_blocks -= 1;
+                    for w in &mut self.warps[lo..hi] {
+                        w.state = WarpState::Idle;
+                    }
+                }
+            }
+            if self.tbs[slot].block.is_none() {
+                if let Some(block) = pending.pop_front() {
+                    self.dispatch(slot, block);
+                }
+            }
+        }
+    }
+
+    // ----- scheduling ----------------------------------------------------
+
+    /// Re-establish the SoA invariants for warp `w` after it issued: sync
+    /// the pc mirror, reset its wake time (still schedulable this cycle if
+    /// Ready, `u64::MAX` otherwise), and raise the dirty flags for the
+    /// state transitions that can unlock other warps or TB slots.
+    #[inline]
+    fn sync_after_issue(&mut self, w: usize) {
+        self.t.soa_pc[w] = self.warps[w].pc;
+        match self.warps[w].state {
+            WarpState::Ready => self.t.wake[w] = self.cycle,
+            WarpState::AtBarrier => {
+                self.t.wake[w] = u64::MAX;
+                // Parking may complete its block's arrival condition.
+                self.t.barrier_dirty = true;
+            }
+            WarpState::Done => {
+                self.t.wake[w] = u64::MAX;
+                // Finishing counts as "arrived" for sibling barriers and
+                // may retire the block.
+                self.t.barrier_dirty = true;
+                self.t.refill_dirty = true;
+            }
+            // An issued warp is never Idle; park it defensively (a parked
+            // warp can only under-schedule, never corrupt results).
+            WarpState::Idle => self.t.wake[w] = u64::MAX,
+        }
+    }
+
+    /// Earliest cycle at which Ready warp `i` could issue its next
+    /// instruction. Consults only the SoA state (pc mirror, flattened
+    /// scoreboard) and the decoded op — this runs on every ready-check of
+    /// every scheduler and must not touch `Warp`.
+    #[inline]
+    fn issue_time(&self, i: usize) -> u64 {
+        debug_assert_eq!(self.warps[i].state, WarpState::Ready);
+        let a = &self.decoded[self.t.soa_pc[i] as usize];
+        let mut t = self.cycle;
+        let base = i * self.t.num_regs;
+        for &r in &a.regs[..a.n as usize] {
+            t = t.max(self.t.ready[base + r as usize]);
+        }
+        if a.uses_l1_port {
+            t = t.max(self.t.l1_port_free);
+        }
+        t
+    }
+
+    /// GTO pick for one scheduler: keep issuing the last warp while it is
+    /// ready; otherwise the oldest ready warp — the first issuable one in
+    /// the partition's dispatch-age order, where the scan stops. `wake`
+    /// filters out warps whose last computed stall has not elapsed (and,
+    /// at `u64::MAX`, everything not Ready), so the costlier scoreboard
+    /// check in `issue_time` runs once per stall instead of every cycle.
+    /// Warps behind an early exit keep a stale-low `wake` (it is only ever
+    /// a lower bound); a *failed* scan visits the whole partition, so the
+    /// bounds it leaves behind are exactly what the skip-ahead
+    /// min-reduction jumps to.
+    fn pick(&mut self, sched: usize) -> Option<usize> {
+        let cycle = self.cycle;
+        let nsched = self.t.last_issued.len();
+        // The throttle filter dereferences `warps[i].tb_slot`; hoist the
+        // "is anything throttled at all" test so the common (untrottled)
+        // scan never touches the warp structs.
+        let throttling = self.t.active_tb_limit < self.tbs.len();
+        let choice = 'scan: {
+            // O(1) fast path: a previous failed scan proved nothing in
+            // this partition can issue before `sched_next[sched]`.
+            if cycle < self.t.sched_next[sched] {
+                break 'scan None;
+            }
+            if let Some(last) = self.t.last_issued[sched] {
+                if self.t.wake[last] <= cycle
+                    && (!throttling || (self.warps[last].tb_slot as usize) < self.t.active_tb_limit)
+                {
+                    let t = self.issue_time(last);
+                    if t <= cycle {
+                        break 'scan Some(last);
+                    }
+                    self.t.wake[last] = t;
+                }
+            }
+            // Min wake over the whole partition, throttled warps included
+            // (a paused warp's stale-low wake keeps the bound conservative,
+            // so a resume never needs to invalidate it).
+            let mut next = u64::MAX;
+            for p in (sched..self.t.order.len()).step_by(nsched) {
+                let i = self.t.order[p] as usize;
+                let mut wk = self.t.wake[i];
+                if wk <= cycle
+                    && !(throttling && (self.warps[i].tb_slot as usize) >= self.t.active_tb_limit)
+                {
+                    wk = self.issue_time(i);
+                    if wk <= cycle {
+                        break 'scan Some(i);
+                    }
+                    self.t.wake[i] = wk;
+                }
+                next = next.min(wk); // u64::MAX stays u64::MAX
+            }
+            self.t.sched_next[sched] = next;
+            None
+        };
+        debug_assert_eq!(choice, self.pick_exhaustive(sched));
+        choice
+    }
+
+    /// The GTO choice by definition, from warp state alone (no `wake`, no
+    /// age order): the last-issued warp if it can issue, else the oldest
+    /// issuable warp of the whole partition. Debug builds check every
+    /// `pick` against it; release builds compile the call out.
+    fn pick_exhaustive(&self, sched: usize) -> Option<usize> {
+        let issuable = |i: usize| {
+            self.warps[i].state == WarpState::Ready
+                && (self.warps[i].tb_slot as usize) < self.t.active_tb_limit
+                && self.issue_time(i) <= self.cycle
+        };
+        self.t.last_issued[sched]
+            .filter(|&last| issuable(last))
+            .or_else(|| {
+                (sched..self.warps.len())
+                    .step_by(self.t.last_issued.len())
+                    .filter(|&i| issuable(i))
+                    .min_by_key(|&i| self.t.age[i])
+            })
+    }
+
+    /// Minimum future issue time over all Ready warps (for idle-cycle
+    /// skip-ahead), or `None` when nothing is Ready. Called only after
+    /// every scheduler's `pick` failed, so `wake` entries are exact here:
+    /// the failed scans recomputed every Ready warp that had reached its
+    /// previous bound, and everything else holds `u64::MAX`.
+    fn earliest_wakeup(&self) -> Option<u64> {
+        let t = if self.t.active_tb_limit < self.tbs.len() {
+            // Dynamic throttling active: paused-slot warps must not drive
+            // the jump (they cannot issue until resumed).
+            self.t
+                .wake
+                .iter()
+                .enumerate()
+                .filter(|&(i, &t)| {
+                    t != u64::MAX && (self.warps[i].tb_slot as usize) < self.t.active_tb_limit
+                })
+                .map(|(_, &t)| t)
+                .min()
+        } else {
+            // Unthrottled: every scheduler's pick this cycle either
+            // scanned (recomputing its bound) or fast-pathed on a bound
+            // that is still the exact partition min — so the global min
+            // is the min over the per-scheduler bounds, O(schedulers)
+            // instead of O(warps).
+            self.t
+                .sched_next
+                .iter()
+                .copied()
+                .min()
+                .filter(|&t| t != u64::MAX)
+        };
+        t.map(|t| t.max(self.cycle))
+    }
+}
+
+/// What a warp computes: dispatch, barrier release, `issue` and every
+/// sanitizer check exist once, shared by the timed and functional drivers.
+impl<M: DeviceMem, S: ProfileSink, T: Timing> Sm<'_, M, S, T> {
     /// Warps currently parked at a `__syncthreads()` barrier.
     fn parked_warps(&self) -> usize {
         self.warps
@@ -892,246 +1448,11 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
         }
     }
 
-    /// DYNCTA-style dynamic adjustment (paper §2.2): at each sampling
-    /// window boundary, compare the fraction of issue slots lost to
-    /// stalls against the thresholds and pause/resume one resident block.
-    /// This is the reactive baseline — it pays a warm-up window before
-    /// reacting and re-converges after every phase change, which is
-    /// exactly the lag CATT's compile-time decisions avoid.
-    fn dyncta_tick(&mut self, issued: bool) {
-        let Some(cfg) = self.config.dyncta else {
-            return;
-        };
-        if issued {
-            self.dyncta_window.1 += 1;
-        }
-        let elapsed = self.cycle - self.dyncta_window.0;
-        if elapsed < cfg.window {
-            return;
-        }
-        let busy = self.dyncta_window.1 as f64 / elapsed as f64;
-        let stall = 1.0 - busy;
-        if stall > cfg.t_high && self.active_tb_limit > 1 {
-            self.active_tb_limit -= 1;
-        } else if stall < cfg.t_low && self.active_tb_limit < self.tbs.len() {
-            self.active_tb_limit += 1;
-        }
-        self.dyncta_window = (self.cycle, 0);
-    }
-
-    fn run(&mut self, mut pending: VecDeque<u32>) -> Result<LaunchStats, SimError> {
-        loop {
-            // Cancellation poll: one pointer test when no token is set
-            // (the default everywhere outside `catt serve`). Sits next to
-            // the fuel check so both launch bounds share one exit point;
-            // the event-driven loop makes iterations proportional to
-            // issued work, so a relaxed load per iteration is noise.
-            if let Some(tok) = &self.config.cancel {
-                if tok.is_cancelled() {
-                    return Err(SimError::Cancelled {
-                        kernel: self.program.name.clone(),
-                        cycles: self.cycle,
-                    });
-                }
-            }
-            if self.cycle >= self.fuel {
-                if S::ENABLED {
-                    // Fuel cut the launch short: charge the cut-off
-                    // slot to its own reason so fuel-bounded shards
-                    // are identifiable in the breakdown.
-                    self.sink
-                        .stall(StallReason::Fuel, self.last_issued.len() as u64);
-                }
-                return Err(self.out_of_fuel());
-            }
-            // Barrier release and TB retire/refill can only become
-            // possible after a warp parks or finishes — both transitions
-            // happen exclusively in `issue`, which raises the matching
-            // dirty flag. All other cycles skip the per-slot scans
-            // entirely (they would be no-ops).
-            if self.barrier_dirty {
-                self.barrier_dirty = false;
-                self.release_barriers()?;
-            }
-            if self.refill_dirty {
-                self.refill_dirty = false;
-                self.retire_and_refill(&mut pending);
-            }
-            if pending.is_empty() && self.resident_blocks == 0 {
-                break;
-            }
-            let mut issued = false;
-            for sched in 0..self.last_issued.len() {
-                if let Some(w) = self.pick(sched) {
-                    self.issue(w)?;
-                    self.sync_after_issue(w);
-                    self.last_issued[sched] = Some(w);
-                    issued = true;
-                } else if S::ENABLED {
-                    // Unused issue slot: classify and charge exactly one
-                    // stall cycle, so per-SM slots always reconcile:
-                    //   instructions + Σ stall_cycles = cycles × schedulers.
-                    let reason = self.classify_stall(sched);
-                    self.sink.stall(reason, 1);
-                }
-            }
-            self.cycle += 1;
-            self.dyncta_tick(issued);
-            if !issued {
-                match self.earliest_wakeup() {
-                    Some(t) => {
-                        // Clamp the jump to the fuel limit: a skip landing
-                        // past `fuel` would report an exhaustion cycle
-                        // count (and charge profiled stall slots) beyond
-                        // the configured budget.
-                        let t = t.min(self.fuel);
-                        if S::ENABLED && t > self.cycle {
-                            // Skip-ahead: nothing can issue before `t`, so
-                            // every scheduler loses the jumped-over cycles
-                            // to the same reason it just stalled for (no
-                            // state can change while nothing issues).
-                            let delta = t - self.cycle;
-                            for sched in 0..self.last_issued.len() {
-                                let reason = self.classify_stall(sched);
-                                self.sink.stall(reason, delta);
-                            }
-                        }
-                        self.cycle = self.cycle.max(t);
-                    }
-                    None => {
-                        if self.active_tb_limit < self.tbs.len() {
-                            // Everything schedulable is done but paused
-                            // blocks remain: resume them.
-                            self.active_tb_limit = self.tbs.len();
-                            continue;
-                        }
-                        // No Ready warp can ever issue. Barriers release at
-                        // the top of the loop; reaching here with parked
-                        // warps means a real deadlock — a peer that will
-                        // never arrive.
-                        let parked = self.parked_warps();
-                        if parked > 0 {
-                            return Err(SimError::BarrierDeadlock {
-                                kernel: self.program.name.clone(),
-                                parked_warps: parked,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let mut stats = std::mem::take(&mut self.stats);
-        stats.cycles = self.cycle;
-        stats.l1_accesses = self.cache.accesses;
-        stats.l1_hits = self.cache.hits + self.cache.mshr_merges;
-        stats.offchip_requests = self.cache.offchip_requests;
-        if let Some(l2) = &self.l2 {
-            stats.l2_accesses = l2.accesses;
-            stats.l2_hits = l2.hits + l2.mshr_merges;
-            stats.l2_evictions = l2.evictions;
-        }
-        if S::ENABLED {
-            self.sink.sm_end(
-                stats.cycles,
-                self.last_issued.len() as u32,
-                stats.instructions,
-            );
-        }
-        Ok(stats)
-    }
-
-    /// Attribute a scheduler's unused issue slot to a [`StallReason`] by
-    /// inspecting its warp partition (profiling only; pure observation,
-    /// never perturbs scheduling). The earliest-waking Ready warp decides
-    /// between `Memory` (L1-port serialization or an outstanding load's
-    /// data) and `Scoreboard` (short ALU dependency — heuristic: a wait
-    /// that ends at or before the warp's latest load completion counts as
-    /// memory); with no Ready warp, parked warps mean `Barrier`,
-    /// throttle-paused ones `Throttled`, and an empty or finished
-    /// partition `Idle`.
-    fn classify_stall(&self, sched: usize) -> StallReason {
-        let nsched = self.last_issued.len();
-        let mut best: Option<(u64, StallReason)> = None;
-        let mut any_barrier = false;
-        let mut any_throttled = false;
-        for i in (sched..self.warps.len()).step_by(nsched) {
-            let w = &self.warps[i];
-            match w.state {
-                WarpState::AtBarrier => any_barrier = true,
-                WarpState::Ready => {
-                    if (w.tb_slot as usize) >= self.active_tb_limit {
-                        any_throttled = true;
-                        continue;
-                    }
-                    let a = &self.decoded[self.soa_pc[i] as usize];
-                    let mut reg_t = self.cycle;
-                    let base = i * self.num_regs;
-                    for &r in &a.regs[..a.n as usize] {
-                        reg_t = reg_t.max(self.ready[base + r as usize]);
-                    }
-                    let port_t = if a.uses_l1_port { self.l1_port_free } else { 0 };
-                    let t = reg_t.max(port_t);
-                    // Memory if the wait is on the L1 port, or if it ends at or
-                    // before the warp's latest outstanding-load completion (a
-                    // register dependency on load data); otherwise scoreboard.
-                    let memory = (a.uses_l1_port && port_t >= reg_t && port_t > self.cycle)
-                        || t <= self.prof_load_ready[i];
-                    let reason = if memory {
-                        StallReason::Memory
-                    } else {
-                        StallReason::Scoreboard
-                    };
-                    match best {
-                        Some((bt, _)) if bt <= t => {}
-                        _ => best = Some((t, reason)),
-                    }
-                }
-                _ => {}
-            }
-        }
-        match best {
-            Some((_, reason)) => reason,
-            None if any_barrier => StallReason::Barrier,
-            None if any_throttled => StallReason::Throttled,
-            None => StallReason::Idle,
-        }
-    }
-
     // ----- dispatch ------------------------------------------------------
-
-    fn retire_and_refill(&mut self, pending: &mut VecDeque<u32>) {
-        for slot in 0..self.tbs.len() {
-            if self.tbs[slot].block.is_some() {
-                let lo = slot * self.warps_per_tb as usize;
-                let hi = lo + self.warps_per_tb as usize;
-                if self.warps[lo..hi]
-                    .iter()
-                    .all(|w| w.state == WarpState::Done)
-                {
-                    if S::ENABLED {
-                        if let Some(b) = self.tbs[slot].block {
-                            self.sink.tb_end(slot, b, self.cycle);
-                        }
-                    }
-                    self.tbs[slot].block = None;
-                    self.resident_blocks -= 1;
-                    for w in &mut self.warps[lo..hi] {
-                        w.state = WarpState::Idle;
-                    }
-                }
-            }
-            if self.tbs[slot].block.is_none() {
-                if let Some(block) = pending.pop_front() {
-                    self.dispatch(slot, block);
-                }
-            }
-        }
-    }
 
     fn dispatch(&mut self, slot: usize, block: u32) {
         self.tbs[slot].block = Some(block);
         self.tbs[slot].smem.fill(0);
-        self.resident_blocks += 1;
         self.stats.tbs += 1;
         if S::ENABLED {
             self.sink.tb_start(slot, block, self.cycle);
@@ -1148,20 +1469,14 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
             (builtin_reg(Builtin::BlockIdxZ), block / (gx * gy)),
         ];
         let tables = self.tables;
-        let lo = slot * self.warps_per_tb as usize;
+        let lo = slot * tables.warps.len();
         for (wi, init) in tables.warps.iter().enumerate() {
             let w = &mut self.warps[lo + wi];
-            self.dispatch_age += 1;
             w.reset(init.valid, slot as u32);
-            self.wake[lo + wi] = 0;
-            self.soa_pc[lo + wi] = 0;
-            self.age[lo + wi] = self.dispatch_age;
-            let base = (lo + wi) * self.num_regs;
-            self.ready[base..base + self.num_regs].fill(0);
+            self.t.warp_dispatched(lo + wi);
             self.stats.warps += 1;
             if S::ENABLED {
                 self.sink.warp_begin(lo + wi, block, self.cycle);
-                self.prof_load_ready[lo + wi] = 0;
             }
             w.regs[builtin_reg(Builtin::ThreadIdxX) as usize] = init.tidx[0];
             w.regs[builtin_reg(Builtin::ThreadIdxY) as usize] = init.tidx[1];
@@ -1176,22 +1491,7 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                 w.regs[*r as usize] = *image;
             }
         }
-        // The block's warps are now the youngest of their partitions:
-        // restore every scheduler's age order (a strided insertion sort —
-        // the partitions are a few warps each and already nearly sorted).
-        let nsched = self.last_issued.len();
-        for p in nsched..self.order.len() {
-            let mut q = p;
-            while q >= nsched
-                && self.age[self.order[q - nsched] as usize] > self.age[self.order[q] as usize]
-            {
-                self.order.swap(q - nsched, q);
-                q -= nsched;
-            }
-        }
-        // The fresh warps are issuable now: drop every scheduler's
-        // cached next-issue bound.
-        self.sched_next.fill(0);
+        self.t.block_dispatched();
     }
 
     /// Release barriers by arrival count: once every non-finished warp of
@@ -1207,8 +1507,8 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
             if self.tbs[slot].block.is_none() {
                 continue;
             }
-            let lo = slot * self.warps_per_tb as usize;
-            let hi = lo + self.warps_per_tb as usize;
+            let lo = slot * self.tables.warps.len();
+            let hi = lo + self.tables.warps.len();
             let ws = &mut self.warps[lo..hi];
             let any_parked = ws.iter().any(|w| w.state == WarpState::AtBarrier);
             let all_arrived = ws
@@ -1226,177 +1526,15 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                 for (off, w) in ws.iter_mut().enumerate() {
                     if w.state == WarpState::AtBarrier {
                         w.state = WarpState::Ready;
-                        self.wake[lo + off] = 0;
+                        self.t.warp_released(lo + off);
                         if S::ENABLED {
                             self.sink.warp_release(lo + off, self.cycle);
                         }
                     }
                 }
-                // Released warps are issuable now: drop the cached
-                // next-issue bounds.
-                self.sched_next.fill(0);
             }
         }
         Ok(())
-    }
-
-    // ----- scheduling ----------------------------------------------------
-
-    /// Re-establish the SoA invariants for warp `w` after it issued: sync
-    /// the pc mirror, reset its wake time (still schedulable this cycle if
-    /// Ready, `u64::MAX` otherwise), and raise the dirty flags for the
-    /// state transitions that can unlock other warps or TB slots.
-    #[inline]
-    fn sync_after_issue(&mut self, w: usize) {
-        self.soa_pc[w] = self.warps[w].pc;
-        match self.warps[w].state {
-            WarpState::Ready => self.wake[w] = self.cycle,
-            WarpState::AtBarrier => {
-                self.wake[w] = u64::MAX;
-                // Parking may complete its block's arrival condition.
-                self.barrier_dirty = true;
-            }
-            WarpState::Done => {
-                self.wake[w] = u64::MAX;
-                // Finishing counts as "arrived" for sibling barriers and
-                // may retire the block.
-                self.barrier_dirty = true;
-                self.refill_dirty = true;
-            }
-            // An issued warp is never Idle; park it defensively (a parked
-            // warp can only under-schedule, never corrupt results).
-            WarpState::Idle => self.wake[w] = u64::MAX,
-        }
-    }
-
-    /// Earliest cycle at which Ready warp `i` could issue its next
-    /// instruction. Consults only the SoA state (pc mirror, flattened
-    /// scoreboard) and the decoded op — this runs on every ready-check of
-    /// every scheduler and must not touch `Warp`.
-    #[inline]
-    fn issue_time(&self, i: usize) -> u64 {
-        debug_assert_eq!(self.warps[i].state, WarpState::Ready);
-        let a = &self.decoded[self.soa_pc[i] as usize];
-        let mut t = self.cycle;
-        let base = i * self.num_regs;
-        for &r in &a.regs[..a.n as usize] {
-            t = t.max(self.ready[base + r as usize]);
-        }
-        if a.uses_l1_port {
-            t = t.max(self.l1_port_free);
-        }
-        t
-    }
-
-    /// GTO pick for one scheduler: keep issuing the last warp while it is
-    /// ready; otherwise the oldest ready warp — the first issuable one in
-    /// the partition's dispatch-age order, where the scan stops. `wake`
-    /// filters out warps whose last computed stall has not elapsed (and,
-    /// at `u64::MAX`, everything not Ready), so the costlier scoreboard
-    /// check in `issue_time` runs once per stall instead of every cycle.
-    /// Warps behind an early exit keep a stale-low `wake` (it is only ever
-    /// a lower bound); a *failed* scan visits the whole partition, so the
-    /// bounds it leaves behind are exactly what the skip-ahead
-    /// min-reduction jumps to.
-    fn pick(&mut self, sched: usize) -> Option<usize> {
-        let cycle = self.cycle;
-        let nsched = self.last_issued.len();
-        // The throttle filter dereferences `warps[i].tb_slot`; hoist the
-        // "is anything throttled at all" test so the common (untrottled)
-        // scan never touches the warp structs.
-        let throttling = self.active_tb_limit < self.tbs.len();
-        let choice = 'scan: {
-            // O(1) fast path: a previous failed scan proved nothing in
-            // this partition can issue before `sched_next[sched]`.
-            if cycle < self.sched_next[sched] {
-                break 'scan None;
-            }
-            if let Some(last) = self.last_issued[sched] {
-                if self.wake[last] <= cycle
-                    && (!throttling || (self.warps[last].tb_slot as usize) < self.active_tb_limit)
-                {
-                    let t = self.issue_time(last);
-                    if t <= cycle {
-                        break 'scan Some(last);
-                    }
-                    self.wake[last] = t;
-                }
-            }
-            // Min wake over the whole partition, throttled warps included
-            // (a paused warp's stale-low wake keeps the bound conservative,
-            // so a resume never needs to invalidate it).
-            let mut next = u64::MAX;
-            for p in (sched..self.order.len()).step_by(nsched) {
-                let i = self.order[p] as usize;
-                let mut wk = self.wake[i];
-                if wk <= cycle
-                    && !(throttling && (self.warps[i].tb_slot as usize) >= self.active_tb_limit)
-                {
-                    wk = self.issue_time(i);
-                    if wk <= cycle {
-                        break 'scan Some(i);
-                    }
-                    self.wake[i] = wk;
-                }
-                next = next.min(wk); // u64::MAX stays u64::MAX
-            }
-            self.sched_next[sched] = next;
-            None
-        };
-        debug_assert_eq!(choice, self.pick_exhaustive(sched));
-        choice
-    }
-
-    /// The GTO choice by definition, from warp state alone (no `wake`, no
-    /// age order): the last-issued warp if it can issue, else the oldest
-    /// issuable warp of the whole partition. Debug builds check every
-    /// `pick` against it; release builds compile the call out.
-    fn pick_exhaustive(&self, sched: usize) -> Option<usize> {
-        let issuable = |i: usize| {
-            self.warps[i].state == WarpState::Ready
-                && (self.warps[i].tb_slot as usize) < self.active_tb_limit
-                && self.issue_time(i) <= self.cycle
-        };
-        self.last_issued[sched]
-            .filter(|&last| issuable(last))
-            .or_else(|| {
-                (sched..self.warps.len())
-                    .step_by(self.last_issued.len())
-                    .filter(|&i| issuable(i))
-                    .min_by_key(|&i| self.age[i])
-            })
-    }
-
-    /// Minimum future issue time over all Ready warps (for idle-cycle
-    /// skip-ahead), or `None` when nothing is Ready. Called only after
-    /// every scheduler's `pick` failed, so `wake` entries are exact here:
-    /// the failed scans recomputed every Ready warp that had reached its
-    /// previous bound, and everything else holds `u64::MAX`.
-    fn earliest_wakeup(&self) -> Option<u64> {
-        let t = if self.active_tb_limit < self.tbs.len() {
-            // Dynamic throttling active: paused-slot warps must not drive
-            // the jump (they cannot issue until resumed).
-            self.wake
-                .iter()
-                .enumerate()
-                .filter(|&(i, &t)| {
-                    t != u64::MAX && (self.warps[i].tb_slot as usize) < self.active_tb_limit
-                })
-                .map(|(_, &t)| t)
-                .min()
-        } else {
-            // Unthrottled: every scheduler's pick this cycle either
-            // scanned (recomputing its bound) or fast-pathed on a bound
-            // that is still the exact partition min — so the global min
-            // is the min over the per-scheduler bounds, O(schedulers)
-            // instead of O(warps).
-            self.sched_next
-                .iter()
-                .copied()
-                .min()
-                .filter(|&t| t != u64::MAX)
-        };
-        t.map(|t| t.max(self.cycle))
     }
 
     // ----- execution -----------------------------------------------------
@@ -1412,6 +1550,7 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
         }
     }
 
+    #[inline]
     fn issue(&mut self, wi: usize) -> Result<(), SimError> {
         self.stats.instructions += 1;
         let pc = self.warps[wi].pc as usize;
@@ -1468,28 +1607,39 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
             Kind::Sel => self.alu(wi, d, |a, b, c| if c != 0 { a } else { b }),
             Kind::CvtIF => self.alu(wi, d, |a, _, _| (a as i32 as f32).to_bits()),
             Kind::CvtFI => self.alu(wi, d, |a, _, _| (f32::from_bits(a) as i32) as u32),
-            Kind::Ldg => self.exec_ldg(wi, d.dst, d.a)?,
-            Kind::Stg => self.exec_stg(wi, d.b, d.a)?,
+            Kind::Ldg => {
+                if self.san.is_some() {
+                    self.sanitize_global(wi, d.a, false)?;
+                }
+                let w = &mut self.warps[wi];
+                let addrs = w.regs[d.a as usize];
+                let active = w.active;
+                let dst = &mut w.regs[d.dst as usize];
+                for_active_lanes(active, |l| dst[l] = self.mem.load(addrs[l]));
+                w.pc += 1;
+                self.t
+                    .global(self.sink, self.cycle, wi, Some(d.dst), &addrs, active);
+            }
+            Kind::Stg => {
+                if self.san.is_some() {
+                    self.sanitize_global(wi, d.a, true)?;
+                }
+                let w = &mut self.warps[wi];
+                let addrs = w.regs[d.a as usize];
+                let vals = w.regs[d.b as usize];
+                let active = w.active;
+                for_active_lanes(active, |l| self.mem.store(addrs[l], vals[l]));
+                w.pc += 1;
+                self.t
+                    .global(self.sink, self.cycle, wi, None, &addrs, active);
+            }
             Kind::Lds => {
                 let slot = self.warps[wi].tb_slot as usize;
+                self.sanitize_shared(wi, d.a, "loads")?;
                 let w = &mut self.warps[wi];
                 let addrs = w.regs[d.a as usize];
                 let active = w.active;
                 let smem = &self.tbs[slot].smem;
-                if self.san.is_some() {
-                    if let Some((lane, a)) = shared_oob_lane(&addrs, active, smem.len()) {
-                        return Err(SimError::Sanitizer(SanitizerReport {
-                            kind: SanitizerKind::SharedOutOfBounds,
-                            kernel: self.program.name.clone(),
-                            pc: pc as u32,
-                            detail: format!(
-                                "lane {lane} loads shared byte address {a} past the {} B \
-                                 of declared __shared__ storage",
-                                smem.len() * 4
-                            ),
-                        }));
-                    }
-                }
                 // Branchless like `Sm::alu`: load every lane (a clamped
                 // read is total), mask at the write.
                 let mut vals = [0u32; 32];
@@ -1497,39 +1647,24 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                     vals[l] = smem.get(addrs[l] as usize / 4).copied().unwrap_or(0);
                 }
                 write_lanes(&mut w.regs[d.dst as usize], &vals, active);
-                self.ready[wi * self.num_regs + d.dst as usize] =
-                    self.cycle + self.config.latencies.shared;
-                self.l1_port_free = self.l1_port_free.max(self.cycle) + 1;
                 w.pc += 1;
+                self.t.shared(self.cycle, wi, Some(d.dst));
             }
             Kind::Sts => {
                 let slot = self.warps[wi].tb_slot as usize;
+                self.sanitize_shared(wi, d.a, "stores to")?;
                 let w = &mut self.warps[wi];
                 let addrs = w.regs[d.a as usize];
                 let vals = w.regs[d.b as usize];
                 let active = w.active;
                 let smem = &mut self.tbs[slot].smem;
-                if self.san.is_some() {
-                    if let Some((lane, a)) = shared_oob_lane(&addrs, active, smem.len()) {
-                        return Err(SimError::Sanitizer(SanitizerReport {
-                            kind: SanitizerKind::SharedOutOfBounds,
-                            kernel: self.program.name.clone(),
-                            pc: pc as u32,
-                            detail: format!(
-                                "lane {lane} stores to shared byte address {a} past the \
-                                 {} B of declared __shared__ storage",
-                                smem.len() * 4
-                            ),
-                        }));
-                    }
-                }
                 for_active_lanes(active, |l| {
                     if let Some(word) = smem.get_mut(addrs[l] as usize / 4) {
                         *word = vals[l];
                     }
                 });
-                self.l1_port_free = self.l1_port_free.max(self.cycle) + 1;
                 w.pc += 1;
+                self.t.shared(self.cycle, wi, None);
             }
             Kind::Bar => {
                 let w = &mut self.warps[wi];
@@ -1700,10 +1835,34 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
             vals[l] = f(a[l], b[l], c[l]);
         }
         write_lanes(&mut w.regs[d.dst as usize], &vals, w.active);
-        let lat = self.config.latencies;
-        self.ready[wi * self.num_regs + d.dst as usize] =
-            self.cycle + if d.sfu { lat.sfu } else { lat.alu };
         w.pc += 1;
+        self.t.alu(self.cycle, wi, d.dst, d.sfu);
+    }
+
+    /// Sanitize mode: report the first active lane whose shared-memory
+    /// access (`verb`: "loads" / "stores to") falls past the declared
+    /// `__shared__` storage. The simulator clamps such accesses (loads 0,
+    /// drops stores); hardware corrupts a neighbouring block's data.
+    fn sanitize_shared(&self, wi: usize, addr: u16, verb: &str) -> Result<(), SimError> {
+        if self.san.is_none() {
+            return Ok(());
+        }
+        let w = &self.warps[wi];
+        let words = self.tbs[w.tb_slot as usize].smem.len();
+        let oob = |&(l, &a): &(usize, &u32)| w.active & (1 << l) != 0 && a as usize / 4 >= words;
+        let Some((lane, a)) = w.regs[addr as usize].iter().enumerate().find(oob) else {
+            return Ok(());
+        };
+        Err(SimError::Sanitizer(SanitizerReport {
+            kind: SanitizerKind::SharedOutOfBounds,
+            kernel: self.program.name.clone(),
+            pc: w.pc,
+            detail: format!(
+                "lane {lane} {verb} shared byte address {a} past the {} B of declared \
+                 __shared__ storage",
+                words * 4
+            ),
+        }))
     }
 
     /// Sanitize one warp's global access (sanitize mode only): every
@@ -1711,133 +1870,156 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
     /// access is fed to the launch-wide inter-block race detector. Wild
     /// *stores* are not flagged — [`GlobalMem::store`] drops them, so they
     /// cannot corrupt state — but they are recorded for race detection.
+    /// Lanes are checked in order and the first finding is the report.
     fn sanitize_global(&mut self, wi: usize, addr: u16, is_store: bool) -> Result<(), SimError> {
+        let Some(san) = self.san.as_deref_mut() else {
+            return Ok(());
+        };
         let w = &self.warps[wi];
-        let addrs = w.regs[addr as usize];
-        let active = w.active;
-        let pc = w.pc;
+        let (addrs, active, pc) = (&w.regs[addr as usize], w.active, w.pc);
         let block = self.tbs[w.tb_slot as usize].block.unwrap_or(0);
+        let report = |kind, detail| {
+            Err(SimError::Sanitizer(SanitizerReport {
+                kind,
+                kernel: self.program.name.clone(),
+                pc,
+                detail,
+            }))
+        };
+        // The allocation (start word, length) the previous lane's load fell
+        // in: neighbouring lanes mostly share it, which keeps the span
+        // search off the per-lane path.
+        let mut span = (0, 0);
         for (l, &a) in addrs.iter().enumerate() {
             if active & (1 << l) == 0 {
                 continue;
             }
-            if !is_store && !self.mem.is_allocated(a) {
-                return Err(SimError::Sanitizer(SanitizerReport {
-                    kind: SanitizerKind::UninitializedRead,
-                    kernel: self.program.name.clone(),
-                    pc,
-                    detail: format!(
-                        "lane {l} loads byte address {a:#x}, which no allocation covers \
-                         (the simulator reads 0; hardware reads garbage or faults)"
-                    ),
-                }));
-            }
-            if let Some(san) = self.san.as_deref_mut() {
-                let race = if is_store {
-                    san.record_global_store(a, block)
-                } else {
-                    san.record_global_load(a, block)
+            if !is_store && (a / 4).wrapping_sub(span.0) >= span.1 {
+                let Some(hit) = self.mem.allocated_span(a) else {
+                    return report(
+                        SanitizerKind::UninitializedRead,
+                        format!(
+                            "lane {l} loads byte address {a:#x}, which no allocation covers \
+                             (the simulator reads 0; hardware reads garbage or faults)"
+                        ),
+                    );
                 };
-                if let Some(detail) = race {
-                    return Err(SimError::Sanitizer(SanitizerReport {
-                        kind: SanitizerKind::GlobalRace,
-                        kernel: self.program.name.clone(),
-                        pc,
-                        detail: format!("lane {l}: {detail}"),
-                    }));
-                }
+                span = hit;
+            }
+            let race = if is_store {
+                san.record_global_store(a, block)
+            } else {
+                san.record_global_load(a, block)
+            };
+            if let Some(detail) = race {
+                return report(SanitizerKind::GlobalRace, format!("lane {l}: {detail}"));
             }
         }
         Ok(())
     }
+}
 
-    fn exec_ldg(&mut self, wi: usize, dst: u16, addr: u16) -> Result<(), SimError> {
-        if self.san.is_some() {
-            self.sanitize_global(wi, addr, false)?;
-        }
-        // Functional load now; timing below.
-        let w = &mut self.warps[wi];
-        let addrs = w.regs[addr as usize];
-        let active = w.active;
-        let d = &mut w.regs[dst as usize];
-        for_active_lanes(active, |l| d[l] = self.mem.load(addrs[l]));
-        let (lines, n) = coalesce(&self.cache, &addrs, active);
-        if self.trace {
-            self.stats.trace.record(n as u32);
-        }
-        let lat = self.config.latencies;
-        let start = self.l1_port_free.max(self.cycle);
-        self.l1_port_free = start + n.max(1) as u64;
-        let mut data_ready = self.cycle + lat.l1_hit;
-        let line_bytes = self.config.l1_line_bytes;
-        for (k, la) in lines[..n].iter().enumerate() {
-            let t = start + k as u64;
-            let offchip_free = &mut self.offchip_free;
-            let l2 = &mut self.l2;
-            let mut l2_probe = None;
-            let res = self.cache.access_load(la * line_bytes, t, lat.l1_hit, || {
-                // Off-chip port first: L2 hits and misses both cross the
-                // SM's off-chip interface, so the bandwidth limit — the
-                // contention effect CATT exploits — is independent of the
-                // L2-hit/DRAM latency split below.
-                *offchip_free = (*offchip_free).max(t) + lat.offchip_port;
-                let issue = *offchip_free;
-                match l2 {
-                    Some(l2) => {
-                        let r = l2.access_load(la * line_bytes, issue, lat.l2_hit, || {
-                            issue + lat.offchip
-                        });
-                        l2_probe = Some((r.hit, r.evicted));
-                        r.data_ready
+/// The functional driver: no cycle is ever computed.
+impl Sm<'_, GlobalMem, NullSink, Untimed> {
+    /// Run blocks `0..num_blocks` in ascending order, one at a time in TB
+    /// slot 0, each `Ready` warp in turn up to its next barrier or exit,
+    /// then release the barrier — a *legal* schedule, not the timed one;
+    /// they agree on every kernel free of intra-block races. The launch is
+    /// out of fuel once `budget` warp-instructions have issued.
+    fn run(&mut self, num_blocks: u32, budget: u64) -> Result<(), SimError> {
+        let kernel = || self.program.name.clone();
+        for block in 0..num_blocks {
+            self.dispatch(0, block);
+            loop {
+                if self
+                    .config
+                    .cancel
+                    .as_ref()
+                    .is_some_and(|t| t.is_cancelled())
+                {
+                    return Err(SimError::Cancelled {
+                        kernel: kernel(),
+                        cycles: 0,
+                    });
+                }
+                let before = self.stats.instructions;
+                let (mut limit, mut spent) = (budget, false);
+                for wi in 0..self.warps.len() {
+                    while self.warps[wi].state == WarpState::Ready {
+                        if self.stats.instructions >= limit {
+                            // Out of fuel. The timed model interleaves a
+                            // block's warps, so a sibling headed for a
+                            // barrier parked long ago: let the rest run (one
+                            // more budget at most) before classifying.
+                            (limit, spent) = (budget.saturating_mul(2), true);
+                            break;
+                        }
+                        self.issue(wi)?;
                     }
-                    None => issue + lat.offchip,
                 }
-            });
-            if S::ENABLED {
-                self.sink.l1_load(res.set, *la, res.hit, res.evicted);
-                if let Some((hit, evicted)) = l2_probe {
-                    self.sink.l2_load(hit, evicted);
+                if spent {
+                    self.cycle = self.fuel;
+                    return Err(self.out_of_fuel());
                 }
+                let parked_warps = self.parked_warps();
+                if parked_warps == 0 {
+                    break; // every warp is Done
+                }
+                if self.stats.instructions == before {
+                    let kernel = kernel();
+                    return Err(SimError::BarrierDeadlock {
+                        kernel,
+                        parked_warps,
+                    });
+                }
+                self.release_barriers()?;
             }
-            data_ready = data_ready.max(res.data_ready);
         }
-        if S::ENABLED {
-            self.prof_load_ready[wi] = self.prof_load_ready[wi].max(data_ready);
-        }
-        self.ready[wi * self.num_regs + dst as usize] = data_ready;
-        self.warps[wi].pc += 1;
         Ok(())
     }
+}
 
-    fn exec_stg(&mut self, wi: usize, src: u16, addr: u16) -> Result<(), SimError> {
-        if self.san.is_some() {
-            self.sanitize_global(wi, addr, true)?;
-        }
-        let w = &self.warps[wi];
-        let addrs = w.regs[addr as usize];
-        let vals = w.regs[src as usize];
-        let active = w.active;
-        for_active_lanes(active, |l| self.mem.store(addrs[l], vals[l]));
-        let (lines, n) = coalesce(&self.cache, &addrs, active);
-        if self.trace {
-            self.stats.trace.record(n as u32);
-        }
-        let lat = self.config.latencies;
-        let start = self.l1_port_free.max(self.cycle);
-        self.l1_port_free = start + n.max(1) as u64;
-        let line_bytes = self.config.l1_line_bytes;
-        for (k, la) in lines[..n].iter().enumerate() {
-            let t = start + k as u64;
-            let set = self.cache.access_store(la * line_bytes);
-            if S::ENABLED {
-                self.sink.l1_store(set, *la);
-            }
-            self.offchip_free = self.offchip_free.max(t) + lat.offchip_port;
-        }
-        let w = &mut self.warps[wi];
-        w.pc += 1;
-        Ok(())
-    }
+/// Execute a launch *functionally* (see [`crate::Gpu::execute_program`]):
+/// [`run_launch`]'s admission, then `issue` with `Untimed` behind the seam.
+pub fn run_functional(
+    config: &GpuConfig,
+    program: &Program,
+    launch: LaunchConfig,
+    args: &[Arg],
+    mem: &mut GlobalMem,
+) -> Result<ExecCounts, SimError> {
+    admit(config, program, launch, args)?;
+    let decoded = decode(program);
+    let tables = DispatchTables::new(program, launch, args);
+    let fuel = config.fuel_budget(mem.footprint_bytes() as u64);
+    let mut san = config
+        .sanitize_enabled()
+        .then(|| SanitizerState::with_footprint(mem.footprint_bytes()));
+    let mut ws = SmWorkspace::default();
+    ws.prepare(program, 1, launch.warps_per_block());
+    let mut sm = Sm {
+        config,
+        program,
+        decoded: &decoded,
+        tables: &tables,
+        launch,
+        mem,
+        cycle: 0,
+        warps: ws.warps,
+        tbs: ws.tbs,
+        fuel,
+        stats: LaunchStats::default(),
+        sink: &mut NullSink,
+        san: san.as_mut(),
+        t: Untimed,
+    };
+    let nsched = config.schedulers_per_sm.max(1) as u64;
+    sm.run(launch.num_blocks(), fuel.saturating_mul(nsched))?;
+    Ok(ExecCounts {
+        instructions: sm.stats.instructions,
+        tbs: sm.stats.tbs,
+        warps: sm.stats.warps,
+    })
 }
 
 /// Run `f` on every active lane, in lane order. A fully-active warp (the
@@ -1882,19 +2064,6 @@ fn coalesce(cache: &L1Cache, addrs: &[u32; 32], active: u32) -> ([u32; 32], usiz
         }
     }
     (lines, n)
-}
-
-/// First active lane whose shared-memory access falls past the declared
-/// `__shared__` storage (`smem_words` words), if any. The simulator
-/// clamps such accesses (loads 0, drops stores); under sanitize mode they
-/// are reported instead.
-fn shared_oob_lane(addrs: &[u32; 32], active: u32, smem_words: usize) -> Option<(usize, u32)> {
-    for (l, &a) in addrs.iter().enumerate() {
-        if active & (1 << l) != 0 && a as usize / 4 >= smem_words {
-            return Some((l, a));
-        }
-    }
-    None
 }
 
 // ----- lane ALU semantics ---------------------------------------------------

@@ -309,6 +309,31 @@ fn read_in_alignment_padding_is_reported() {
     assert!(msg.contains("no allocation covers"), "{msg}");
 }
 
+#[test]
+fn read_of_a_zero_length_buffer_is_reported() {
+    // An empty buffer allocated last starts at the first byte *past* the
+    // footprint and owns no word: `e[0]` is a wild read.
+    let src = "
+        __global__ void empty(float *a, float *e) {
+            a[threadIdx.x] = e[0];
+        }";
+    let mut mem = GlobalMem::new();
+    let ba = mem.alloc_f32(&[1.0; 4]);
+    let be = mem.alloc_f32(&[]);
+    assert_eq!(be.addr as usize, mem.footprint_bytes());
+    let msg = expect_finding(
+        launch(
+            src,
+            true,
+            LaunchConfig::d1(1, 4),
+            &[Arg::Buf(ba), Arg::Buf(be)],
+            &mut mem,
+        ),
+        SanitizerKind::UninitializedRead,
+    );
+    assert!(msg.contains("no allocation covers"), "{msg}");
+}
+
 // ----- shared-memory overflow -----------------------------------------------
 
 #[test]

@@ -17,10 +17,10 @@
 //!    variant the compiler could emit for the kernel (all
 //!    `warp_throttle` loop/divisor combinations, all reachable
 //!    `tb_throttle` targets, and their composition) and runs each
-//!    against the original under [`catt_sim::Gpu::launch`] with the
-//!    simulator sanitizer armed. Variants must produce bit-identical
-//!    global memory and the identical [`catt_sim::SimError`]
-//!    classification.
+//!    against the original under [`catt_sim::Gpu::execute`] (functional
+//!    execution: no timing) with the simulator sanitizer armed. Variants
+//!    must produce bit-identical global memory and the identical
+//!    [`catt_sim::SimError`] classification.
 //! 3. **Shrink** — [`shrink`] minimizes any counterexample by statement
 //!    deletion, control-structure hoisting, and loop-bound reduction
 //!    until no single edit still reproduces the failure.

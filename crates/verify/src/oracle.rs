@@ -1,7 +1,7 @@
 //! The differential transform oracle.
 //!
-//! For one [`TestCase`] the oracle (1) runs the original kernel with the
-//! simulator sanitizer armed; (2) enumerates every transform variant the
+//! For one [`TestCase`] the oracle (1) executes the original kernel
+//! (functionally, sanitizer armed); (2) enumerates every transform variant the
 //! compiler could emit — `warp_throttle` over the eligible loops ×
 //! divisors of the block's warp count, `tb_throttle` over reachable TB
 //! targets, and warp∘tb compositions as `pipeline`/`multiversion`
@@ -21,7 +21,7 @@ use crate::generate::TestCase;
 use crate::ViolationKind;
 use catt_core::{cta_swizzle, eligible_loops_for, tb_throttle, warp_throttle, SwizzlePolicy};
 use catt_ir::visit::walk_stmts;
-use catt_ir::{Kernel, Stmt};
+use catt_ir::{Kernel, LaunchConfig, Stmt};
 use catt_sim::{Arg, GlobalMem, Gpu, GpuConfig, SimError};
 
 /// Shared-memory carve-out assumed when enumerating `tb_throttle`
@@ -185,23 +185,46 @@ pub fn classify(e: &SimError) -> String {
     }
 }
 
+/// A case's initial device state: every buffer allocated and filled
+/// ([`crate::fill_f32`]) once, then cloned for the original and each variant.
+pub struct CaseImage {
+    mem: GlobalMem,
+    args: Vec<Arg>,
+}
+
+impl CaseImage {
+    pub fn new(case: &TestCase) -> CaseImage {
+        let mut mem = GlobalMem::new();
+        let args = case
+            .buffers
+            .iter()
+            .map(|(_, len)| {
+                let data: Vec<f32> = (0..*len).map(crate::fill_f32).collect();
+                Arg::Buf(mem.alloc_f32(&data))
+            })
+            .collect();
+        CaseImage { mem, args }
+    }
+
+    /// Execute `kernel` on a copy of the image — functionally: the oracle
+    /// compares memory and error classes, never cycles — with the sanitizer
+    /// armed. Returns the classification and (for clean completions) the
+    /// final global memory.
+    pub fn run(&self, kernel: &Kernel, launch: LaunchConfig) -> (String, Option<GlobalMem>) {
+        let mut mem = self.mem.clone();
+        match Gpu::new(sim_config()).execute(kernel, launch, &self.args, &mut mem) {
+            Ok(_) => ("ok".into(), Some(mem)),
+            Err(e) => (classify(&e), None),
+        }
+    }
+}
+
 /// Run `kernel` under the case's launch geometry on fresh, deterministic
 /// memory. Returns the classification and (for clean completions) the
 /// global-memory content digest.
 pub fn run_case(kernel: &Kernel, case: &TestCase) -> (String, Option<u64>) {
-    let mut mem = GlobalMem::new();
-    let args: Vec<Arg> = case
-        .buffers
-        .iter()
-        .map(|(_, len)| {
-            let data: Vec<f32> = (0..*len).map(crate::fill_f32).collect();
-            Arg::Buf(mem.alloc_f32(&data))
-        })
-        .collect();
-    match Gpu::new(sim_config()).launch(kernel, case.launch, &args, &mut mem) {
-        Ok(_) => ("ok".into(), Some(mem.content_digest())),
-        Err(e) => (classify(&e), None),
-    }
+    let (class, mem) = CaseImage::new(case).run(kernel, case.launch);
+    (class, mem.map(|m| m.content_digest()))
 }
 
 /// Pre-order ids of loops whose bodies contain no `__syncthreads()` —
@@ -344,7 +367,8 @@ pub fn signature_reproduces(
     baseline: &str,
     variant: &str,
 ) -> bool {
-    let (base_class, base_digest) = run_case(&case.kernel, case);
+    let image = CaseImage::new(case);
+    let (base_class, base_mem) = image.run(&case.kernel, case.launch);
     if base_class != baseline || base_class.starts_with("sanitizer") {
         return false;
     }
@@ -354,13 +378,11 @@ pub fn signature_reproduces(
         let Some(v) = apply_recipe(&case.kernel, &recipe, warps, grid) else {
             continue;
         };
-        let (var_class, var_digest) = run_case(&v, case);
+        let (var_class, var_mem) = image.run(&v, case.launch);
         let hit = if var_class != base_class {
             var_class == variant
         } else {
-            var_class == "ok"
-                && var_digest != base_digest
-                && variant == "ok, but global memory differs"
+            var_class == "ok" && var_mem != base_mem && variant == "ok, but global memory differs"
         };
         if hit {
             return true;
@@ -371,7 +393,8 @@ pub fn signature_reproduces(
 
 /// Differentially check one case. See the module docs for the protocol.
 pub fn check_case(case: &TestCase, legality_checked: bool) -> CaseOutcome {
-    let (base_class, base_digest) = run_case(&case.kernel, case);
+    let image = CaseImage::new(case);
+    let (base_class, base_mem) = image.run(&case.kernel, case.launch);
     if base_class.starts_with("sanitizer") {
         return CaseOutcome::DirtyOriginal { class: base_class };
     }
@@ -384,7 +407,7 @@ pub fn check_case(case: &TestCase, legality_checked: bool) -> CaseOutcome {
             continue;
         };
         variants += 1;
-        let (var_class, var_digest) = run_case(&variant, case);
+        let (var_class, var_mem) = image.run(&variant, case.launch);
         if var_class != base_class {
             violations.push(ViolationSeed {
                 kind: ViolationKind::Classification,
@@ -392,7 +415,7 @@ pub fn check_case(case: &TestCase, legality_checked: bool) -> CaseOutcome {
                 baseline: base_class.clone(),
                 variant: var_class,
             });
-        } else if var_class == "ok" && var_digest != base_digest {
+        } else if var_class == "ok" && var_mem != base_mem {
             violations.push(ViolationSeed {
                 kind: ViolationKind::ResultMismatch,
                 recipe,
@@ -412,7 +435,6 @@ mod tests {
     use super::*;
     use crate::generate::{generate_case, GenOptions};
     use catt_frontend::parse_kernel;
-    use catt_ir::LaunchConfig;
 
     fn case_for(src: &str, launch: LaunchConfig, buffers: &[(&str, u32)]) -> TestCase {
         TestCase {

@@ -201,10 +201,19 @@ pub fn exec_sequence(
     assert_eq!(kernels.len(), args.len());
     let mut gpu = catt_sim::Gpu::new(config.clone());
     let mut total = LaunchStats::default();
+    let functional = FUNCTIONAL.with(|f| f.get());
     for ((k, launch), a) in kernels.iter().zip(launches).zip(args) {
-        let stats = gpu
-            .launch(k, *launch, a, mem)
-            .unwrap_or_else(|e| panic!("kernel `{}`: {e}", k.name));
+        let stats = if functional {
+            gpu.execute(k, *launch, a, mem).map(|c| LaunchStats {
+                instructions: c.instructions,
+                tbs: c.tbs,
+                warps: c.warps,
+                ..LaunchStats::default()
+            })
+        } else {
+            gpu.launch(k, *launch, a, mem)
+        }
+        .unwrap_or_else(|e| panic!("kernel `{}`: {e}", k.name));
         total.resident_tbs_per_sm = stats.resident_tbs_per_sm;
         total.accumulate(&stats);
     }
@@ -221,6 +230,21 @@ thread_local! {
     /// `exec_sequence` on this thread).
     static MEM_DIGEST: std::cell::Cell<(bool, Option<u64>)> =
         const { std::cell::Cell::new((false, None)) };
+}
+
+thread_local! {
+    /// Whether [`exec_sequence`] executes functionally on this thread.
+    static FUNCTIONAL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Test instrumentation, like [`set_mem_digest_capture`]: make
+/// [`exec_sequence`] on this thread run every launch through
+/// [`catt_sim::Gpu::execute`] instead of [`catt_sim::Gpu::launch`], so the
+/// functional-vs-timed equivalence suite can drive each workload's own
+/// host orchestration both ways. The returned stats then carry only the
+/// instruction, block and warp counts.
+pub fn set_functional_execution(enabled: bool) {
+    FUNCTIONAL.with(|f| f.set(enabled));
 }
 
 /// Enable or disable capturing the post-run memory digest in

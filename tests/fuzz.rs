@@ -135,3 +135,29 @@ fn unchecked_fuzzing_rediscovers_and_shrinks_the_miscompile() {
         v.recipe
     );
 }
+
+/// `catt fuzz --seed 1 --iters 200` and the same `--unchecked`, as printed
+/// by the commit before the oracle moved to functional execution and the
+/// sanitizer to the paged shadow: verdict for verdict, byte for byte.
+#[test]
+fn reports_match_the_goldens_recorded_on_the_timed_oracle() {
+    for (legality_checked, golden) in [
+        (true, include_str!("golden/fuzz-seed1-iters200.txt")),
+        (
+            false,
+            include_str!("golden/fuzz-unchecked-seed1-iters200.txt"),
+        ),
+    ] {
+        let report = run_fuzz(&FuzzOptions {
+            seed: 1,
+            iters: 200,
+            shrink: false,
+            legality_checked,
+        });
+        assert_eq!(
+            report.render(),
+            golden,
+            "legality_checked = {legality_checked}"
+        );
+    }
+}
