@@ -1,16 +1,14 @@
 //! # catt-bench — the paper's evaluation harness
 //!
 //! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index), plus Criterion benches for analysis overhead and simulator
-//! throughput. This library holds the shared experiment drivers and
-//! plain-text table/CSV formatting.
+//! index). This library holds the shared experiment drivers and
+//! plain-text table formatting; host-side timing is `benchmark/`'s job
+//! (`BENCHMARK.json`), not this crate's.
 //!
 //! ```text
 //! cargo run --release -p catt-bench --bin table3
 //! cargo run --release -p catt-bench --bin fig7
 //! ```
-
-pub mod timing;
 
 use catt_sim::GpuConfig;
 use catt_workloads::registry::Workload;

@@ -122,11 +122,6 @@ impl KernelAnalysis {
         (self.warps_per_tb, self.plan.resident_tbs)
     }
 
-    /// Whether CATT would transform anything in this kernel.
-    pub fn any_throttling(&self) -> bool {
-        self.loops.iter().any(|l| l.decision.is_throttled())
-    }
-
     /// Largest `M` over all loops (TB-level throttling is kernel-wide: a
     /// dummy shared array changes occupancy for the whole kernel).
     pub fn tb_throttle_m(&self) -> u32 {

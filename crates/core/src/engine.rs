@@ -23,19 +23,17 @@
 //!
 //! ## Guard rails
 //!
-//! The engine is the fault boundary of the evaluation stack. Job failures
-//! are classified as *fatal* (a [`catt_sim::SimError`], a panic, a
-//! validation failure — rerunning cannot help) or *retryable* (transient
-//! I/O); retryable failures are retried with linear backoff up to
-//! [`DEFAULT_RETRIES`] times ([`Engine::with_retry_policy`]). Each job's
-//! wall-clock time is compared against the optional
-//! [`Engine::with_deadline`] watchdog deadline and overruns are counted
-//! and reported. The persistent simcache is versioned and checksummed
-//! per line, appended per insert under a cross-process lock, compacted
-//! atomically (tempfile-then-rename) on load repair and flush, and
-//! corrupt or stale lines are skipped with a reported count — never a
-//! crash. The [`crate::fault`] module can
-//! inject worker panics and cache corruption to exercise all of it.
+//! The engine is the fault boundary of the evaluation stack. Every job
+//! failure — a [`catt_sim::SimError`], a panic, a validation failure — is
+//! deterministic, so a failed job is reported once as a [`JobError`] and
+//! never rerun; what bounds a job's run time is the simulator's fuel
+//! budget and, under `catt serve`, the request's cancel token. The
+//! persistent simcache is versioned and checksummed per line, appended
+//! per insert under a cross-process lock, compacted atomically
+//! (tempfile-then-rename) on load repair and flush, and corrupt or stale
+//! lines are skipped with a reported count — never a crash. The
+//! [`crate::fault`] module can inject worker panics and cache corruption
+//! to exercise all of it.
 //!
 //! The engine takes its settings from its constructors and builders —
 //! cache mode ([`Engine::new`] / [`Engine::persistent`] /
@@ -70,10 +68,6 @@ pub struct JobError {
     pub label: String,
     /// What went wrong.
     pub message: String,
-    /// Whether rerunning the job could plausibly succeed (transient
-    /// I/O: yes; a deterministic simulator verdict or a panic: no).
-    /// Retryable failures get [`Engine`]'s bounded retry with backoff.
-    pub retryable: bool,
     /// Stable machine-readable classification, when one exists: a
     /// `catt_sim::SimError::code()` token (`"fuel-exhausted"`,
     /// `"cancelled"`, ...) or `"panic"` for caught panics. `catt serve`
@@ -83,13 +77,12 @@ pub struct JobError {
 }
 
 impl JobError {
-    /// A fatal (non-retryable) failure: a deterministic simulator error,
-    /// failed validation, or any other fault rerunning cannot fix.
+    /// A failed job: a deterministic simulator error, failed validation,
+    /// or any other fault (rerunning cannot fix any of them).
     pub fn fatal(label: impl Into<String>, message: impl Into<String>) -> JobError {
         JobError {
             label: label.into(),
             message: message.into(),
-            retryable: false,
             code: None,
         }
     }
@@ -100,18 +93,7 @@ impl JobError {
         self
     }
 
-    /// A transient failure (e.g. cache I/O) worth retrying with backoff.
-    pub fn transient(label: impl Into<String>, message: impl Into<String>) -> JobError {
-        JobError {
-            label: label.into(),
-            message: message.into(),
-            retryable: true,
-            code: None,
-        }
-    }
-
-    /// Build an error for `label` out of a caught panic payload. Panics
-    /// are always fatal: the worker state that produced them is gone.
+    /// Build an error for `label` out of a caught panic payload.
     fn from_panic(label: &str, payload: Box<dyn std::any::Any + Send>) -> JobError {
         let message = payload
             .downcast_ref::<&str>()
@@ -539,8 +521,7 @@ pub enum SimSource {
 }
 
 /// A [`Engine::sim_app_shared`] result plus its provenance — `catt serve`
-/// reports provenance per request (and the load harness derives its cache
-/// hit rate from it).
+/// reports provenance per request.
 #[derive(Debug, Clone)]
 pub struct SimOutcome {
     /// The simulation result.
@@ -558,16 +539,6 @@ pub struct Engine {
     fault: FaultPlan,
     /// Lifetime job-execution counter (drives `panic-job=N` injection).
     job_seq: AtomicU64,
-    /// Retry budget for retryable job failures.
-    retries: u32,
-    /// Backoff unit between retries (linear: attempt × unit).
-    retry_backoff: Duration,
-    /// Per-job wall-clock watchdog deadline.
-    deadline: Option<Duration>,
-    /// Jobs that overran the deadline (reported, not killed: the
-    /// simulator's fuel budget is the hard stop; the watchdog names slow
-    /// jobs so mis-sized budgets are visible).
-    deadline_exceeded: AtomicU64,
     progress: Progress,
     /// Single-flight table: cache key → slot the leader publishes into.
     /// See [`Engine::sim_app_shared`].
@@ -603,19 +574,14 @@ impl Default for Engine {
 /// The process-wide engine used by the harness and bench binaries.
 static GLOBAL: OnceLock<Engine> = OnceLock::new();
 
-/// Retry budget for retryable job failures unless
-/// [`Engine::with_retry_policy`] says otherwise.
-pub const DEFAULT_RETRIES: u32 = 2;
-
 impl Engine {
     /// Default worker bound: `available_parallelism()`.
     fn default_workers() -> usize {
         catt_sim::host_parallelism().unwrap_or(4)
     }
 
-    /// Assemble an engine: the given cache mode and worker bound, the
-    /// default retry policy, no watchdog deadline, silent progress, and
-    /// the `CATT_FAULT_PLAN` fault plan.
+    /// Assemble an engine: the given cache mode and worker bound, silent
+    /// progress, and the `CATT_FAULT_PLAN` fault plan.
     fn build(workers: usize, mode: CacheMode) -> Engine {
         let fault = FaultPlan::from_env();
         let engine = Engine {
@@ -623,10 +589,6 @@ impl Engine {
             cache: SimCache::new(mode),
             fault,
             job_seq: AtomicU64::new(0),
-            retries: DEFAULT_RETRIES,
-            retry_backoff: Duration::from_millis(10),
-            deadline: None,
-            deadline_exceeded: AtomicU64::new(0),
             progress: Progress::Off,
             inflight: Mutex::new(HashMap::new()),
         };
@@ -675,19 +637,6 @@ impl Engine {
         self
     }
 
-    /// Replace the retry policy (builder-style).
-    pub fn with_retry_policy(mut self, retries: u32, backoff: Duration) -> Engine {
-        self.retries = retries;
-        self.retry_backoff = backoff;
-        self
-    }
-
-    /// Replace the watchdog deadline (builder-style).
-    pub fn with_deadline(mut self, deadline: Option<Duration>) -> Engine {
-        self.deadline = deadline;
-        self
-    }
-
     /// Replace the progress mode (builder-style).
     pub fn with_progress(mut self, progress: Progress) -> Engine {
         self.progress = progress;
@@ -719,11 +668,6 @@ impl Engine {
         self.cache.counters()
     }
 
-    /// Jobs that overran the [`Engine::with_deadline`] watchdog deadline.
-    pub fn deadline_exceeded(&self) -> u64 {
-        self.deadline_exceeded.load(Ordering::Relaxed)
-    }
-
     /// The stderr verbosity this engine runs at.
     pub fn progress(&self) -> Progress {
         self.progress
@@ -745,10 +689,6 @@ impl Engine {
         if c.skipped > 0 {
             extras.push_str(&format!(" | {} corrupt line(s) skipped", c.skipped));
         }
-        let overdue = self.deadline_exceeded();
-        if overdue > 0 {
-            extras.push_str(&format!(" | {overdue} job(s) over deadline"));
-        }
         eprintln!(
             "[engine] {} workers | simcache: {} hits / {} misses ({:.0}% hit){extras}",
             self.workers,
@@ -758,48 +698,27 @@ impl Engine {
         );
     }
 
-    /// Execute one job body with fault injection, panic capture, and
-    /// bounded retry-with-backoff for retryable failures.
+    /// Execute one job body with fault injection and panic capture.
     fn run_one<J, T, F>(&self, i: usize, job: &J, f: &F) -> Result<T, JobError>
     where
         F: Fn(usize, &J) -> Result<T, JobError>,
     {
-        let max_attempts = 1 + self.retries;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let seq = self.job_seq.fetch_add(1, Ordering::Relaxed);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(ms) = self.fault.delay_job_ms {
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                if self.fault.panic_at_job == Some(seq) {
-                    panic!("fault injection: worker panic at job {seq}");
-                }
-                f(i, job)
-            }))
-            .unwrap_or_else(|payload| Err(JobError::from_panic(&format!("job #{i}"), payload)));
-            match result {
-                Err(e) if e.retryable && attempt < max_attempts => {
-                    if self.progress == Progress::Full {
-                        eprintln!(
-                            "[engine] job #{i} attempt {attempt}/{max_attempts} failed \
-                             (retryable): {} — backing off",
-                            e.message
-                        );
-                    }
-                    std::thread::sleep(self.retry_backoff * attempt);
-                }
-                final_result => return final_result,
+        let seq = self.job_seq.fetch_add(1, Ordering::Relaxed);
+        catch_unwind(AssertUnwindSafe(|| {
+            if let Some(ms) = self.fault.delay_job_ms {
+                std::thread::sleep(Duration::from_millis(ms));
             }
-        }
+            if self.fault.panic_at_job == Some(seq) {
+                panic!("fault injection: worker panic at job {seq}");
+            }
+            f(i, job)
+        }))
+        .unwrap_or_else(|payload| Err(JobError::from_panic(&format!("job #{i}"), payload)))
     }
 
     /// Run `jobs` through `f` on the bounded pool. Results come back in
     /// job order; each job's panic is caught and surfaced as its own
-    /// `Err`, retryable failures are retried with backoff, and the
-    /// watchdog counts jobs that overran the wall-clock deadline. `label`
-    /// names the batch in the stderr progress line.
+    /// `Err`. `label` names the batch in the stderr progress line.
     pub fn run_jobs<J, T, F>(&self, label: &str, jobs: &[J], f: F) -> Vec<Result<T, JobError>>
     where
         J: Sync,
@@ -846,17 +765,6 @@ impl Engine {
             while let Ok((i, took, result)) = rx.recv() {
                 slots[i] = Some(result);
                 done += 1;
-                if let Some(deadline) = self.deadline {
-                    if took > deadline {
-                        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                        if self.progress >= Progress::Summary {
-                            eprintln!(
-                                "[engine] warning: {label} job #{i} took {took:.1?}, \
-                                 over the {deadline:.1?} deadline"
-                            );
-                        }
-                    }
-                }
                 if self.progress == Progress::Full {
                     let c = self.cache_counters();
                     eprint!(

@@ -179,13 +179,6 @@ pub struct LegalPlan {
     pub tb: Option<(u32, u32)>,
 }
 
-impl LegalPlan {
-    /// Whether the plan changes the kernel at all.
-    pub fn is_identity(&self) -> bool {
-        self.warp.is_empty() && self.tb.is_none()
-    }
-}
-
 /// `legalize`: analysis decisions → concrete transform plan. Every
 /// loop the analysis wanted to throttle but legality rejects is
 /// reported as a warning naming the loop's source span (`W010` barrier,
@@ -225,8 +218,7 @@ fn loop_warning(
 }
 
 /// Select the transforms the analysis decisions legally permit, with a
-/// typed warning for every rejection. This is the selection logic that
-/// used to live inline in `apply_decisions`.
+/// typed warning for every rejection.
 pub fn legalize(
     kernel: &Kernel,
     analysis: &KernelAnalysis,

@@ -7,9 +7,7 @@
 
 use crate::analysis::KernelAnalysis;
 use crate::fault::FaultPlan;
-use crate::passes::{
-    legalize, AnalyzePass, EmitPass, LegalizePass, ParsePass, PassManager, TransformPass,
-};
+use crate::passes::{AnalyzePass, EmitPass, LegalizePass, ParsePass, PassManager, TransformPass};
 use catt_diag::{codes, Diagnostic, Severity};
 use catt_ir::kernel::{Kernel, LaunchConfig};
 use catt_sim::GpuConfig;
@@ -120,11 +118,6 @@ impl CompiledApp {
     /// The transformed kernels, in order (convenience for runners).
     pub fn transformed_kernels(&self) -> Vec<Kernel> {
         self.kernels.iter().map(|k| k.transformed.clone()).collect()
-    }
-
-    /// The original kernels, in order.
-    pub fn original_kernels(&self) -> Vec<Kernel> {
-        self.kernels.iter().map(|k| k.original.clone()).collect()
     }
 }
 
@@ -249,19 +242,6 @@ impl Pipeline {
             warnings: diags,
         })
     }
-}
-
-/// Apply the analysis decisions to a kernel: per-loop warp throttling for
-/// every outermost resolved loop (descendants of a throttled loop are
-/// skipped — splitting nested loops would interleave barrier sites), then
-/// one kernel-wide TB throttle for the largest `M`.
-///
-/// This is the legalize + apply steps fused, without diagnostics — the
-/// convenience entry point for callers that already hold an analysis.
-pub fn apply_decisions(kernel: &Kernel, analysis: &KernelAnalysis) -> Kernel {
-    let mut diags = Vec::new();
-    let plan = legalize(kernel, analysis, &mut diags);
-    crate::passes::apply_plan(kernel, analysis, &plan)
 }
 
 /// Apply a *uniform* `(n, m)` throttling to a kernel — the BFTT baseline's

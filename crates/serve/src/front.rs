@@ -9,7 +9,7 @@
 use crate::proto::Response;
 use crate::server::Server;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -39,17 +39,6 @@ pub fn install_signal_handlers() {
 #[cfg(not(unix))]
 pub fn install_signal_handlers() {}
 
-/// Whether a signal asked for shutdown (tests may also set this via
-/// [`request_shutdown`]).
-pub fn shutdown_requested() -> bool {
-    SHUTDOWN_REQUESTED.load(Ordering::SeqCst)
-}
-
-/// Programmatic equivalent of SIGTERM (used by tests).
-pub fn request_shutdown() {
-    SHUTDOWN_REQUESTED.store(true, Ordering::SeqCst);
-}
-
 /// Spawn the watcher that turns a signal into `server.drain()` and a
 /// clean exit. Runs for the life of the process.
 fn spawn_signal_watcher(server: &Arc<Server>) {
@@ -57,7 +46,7 @@ fn spawn_signal_watcher(server: &Arc<Server>) {
     std::thread::Builder::new()
         .name("serve-signal-watcher".to_string())
         .spawn(move || loop {
-            if shutdown_requested() {
+            if SHUTDOWN_REQUESTED.load(Ordering::SeqCst) {
                 server.drain();
                 // Drain flushed the cache and answered everything that
                 // was admitted; responses already handed to transport
@@ -103,47 +92,59 @@ pub fn serve_stdio(server: Arc<Server>) {
     let _ = writer.join();
 }
 
-/// Serve NDJSON over a TCP listener. Each connection gets a reader and a
-/// writer thread; a `shutdown` op (or signal) drains the daemon and
-/// stops accepting. Returns after the drain completes.
+/// `catt serve --tcp <addr>`: bind, arm the signal-triggered drain, and
+/// serve until a `shutdown` op or a signal ([`serve_listener`]).
 pub fn serve_tcp(server: Arc<Server>, addr: &str) -> std::io::Result<()> {
     install_signal_handlers();
     spawn_signal_watcher(&server);
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     eprintln!("[serve] listening on {}", listener.local_addr()?);
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    serve_listener(server, listener)
+}
+
+/// Serve NDJSON over `listener`. Each connection gets a reader and a
+/// writer thread; a `shutdown` op on any of them drains the daemon and
+/// stops accepting. Returns after the drain completes and every
+/// connection has been closed — clients that are merely connected cannot
+/// keep the daemon alive.
+pub fn serve_listener(server: Arc<Server>, listener: TcpListener) -> std::io::Result<()> {
+    listener.set_nonblocking(true)?;
+    let mut conns: Vec<(TcpStream, std::thread::JoinHandle<()>)> = Vec::new();
     loop {
         if server.is_draining() {
             break;
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
+                // Our handle on the socket, to end the handler's blocking
+                // read after the drain; a connection we could not close
+                // later is not served.
+                let Ok(closer) = stream.try_clone() else {
+                    continue;
+                };
                 let server = Arc::clone(&server);
-                conns.push(
-                    std::thread::Builder::new()
-                        .name("serve-conn".to_string())
-                        .spawn(move || handle_conn(server, stream))
-                        .expect("spawn connection handler"),
-                );
+                let handler = std::thread::Builder::new()
+                    .name("serve-conn".to_string())
+                    .spawn(move || handle_conn(server, stream))
+                    .expect("spawn connection handler");
+                conns.push((closer, handler));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
             }
             Err(_) => break,
         }
-        conns.retain(|c| !c.is_finished());
+        conns.retain(|(_, handler)| !handler.is_finished());
     }
     server.drain();
-    for c in conns {
-        let _ = c.join();
+    // Every admitted request has its response queued on its connection's
+    // writer. Closing only the read half ends each handler's `lines()`
+    // loop while its writer still flushes that backlog.
+    for (closer, handler) in conns {
+        let _ = closer.shutdown(Shutdown::Read);
+        let _ = handler.join();
     }
     Ok(())
-}
-
-/// Connection handler reused by the load harness's self-hosted listener.
-pub fn conn_for_bench(server: Arc<Server>, stream: TcpStream) {
-    handle_conn(server, stream)
 }
 
 fn handle_conn(server: Arc<Server>, stream: TcpStream) {

@@ -27,11 +27,11 @@
 //!   cache ([`catt_core::engine::Engine::sim_app_shared`]).
 //!
 //! The wire protocol is newline-delimited JSON over stdio or TCP
-//! ([`proto`]); every request ends in exactly one typed response. The
-//! [`bench`] module is the chaos-driven load harness behind
-//! `catt serve-bench` (BENCH_serve.json).
+//! ([`proto`]); every request ends in exactly one typed response — the
+//! contract `tests/serve_load.rs` holds under load and chaos over both the
+//! in-process admission path and the TCP front end. Throughput and latency
+//! are measured by `benchmark/` (`serve-cold`, `serve-hot`), from outside.
 
-pub mod bench;
 pub mod breaker;
 pub mod fair;
 pub mod front;

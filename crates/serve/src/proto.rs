@@ -95,7 +95,7 @@ pub enum ErrorKind {
 }
 
 impl ErrorKind {
-    /// Wire token (also the key in BENCH_serve.json outcome counts).
+    /// Wire token.
     pub fn token(self) -> &'static str {
         match self {
             ErrorKind::BadRequest => "bad-request",
@@ -408,9 +408,9 @@ fn recover_id(line: &str) -> Option<String> {
     Some(rest[..close].to_string())
 }
 
-/// Parse one response line back into a [`Response`] (used by the load
-/// harness and tests; `source` strings outside the known set map to
-/// `"computed"`).
+/// Parse one response line back into a [`Response`] (used by clients:
+/// the tests and the benchmark; `source` strings outside the known set
+/// map to `"computed"`).
 pub fn parse_response(line: &str) -> Result<Response, String> {
     let v = parse(line)?;
     let id = v

@@ -1,7 +1,6 @@
 //! Chaos integration tests: the serve daemon under a fault plan (the
-//! same grammar CI's chaos bench passes through `CATT_FAULT_PLAN`). Every
-//! test in this binary runs with the SAME plan — `fuel=2000,delay-job=20`
-//! — armed on its engine.
+//! `CATT_FAULT_PLAN` grammar). Every test in this binary runs with the
+//! SAME plan — `fuel=2000,delay-job=20` — armed on its engine.
 //!
 //! `fuel=2000` makes cache-straining kernels exhaust their cycle budget
 //! (a fatal simulation fault), `delay-job=20` injects deterministic

@@ -1,7 +1,7 @@
 //! End-to-end robustness suite for the serve daemon (DESIGN.md
 //! "catt-serve: service architecture & failure model"). Each scenario
 //! drives a real [`Server`] — worker pool, reaper, and all — and checks
-//! the contract the load harness enforces at scale: every submission
+//! the contract `serve_load.rs` enforces at scale: every submission
 //! ends in exactly one typed response, and overload, deadlines, faults,
 //! and shutdown all degrade into *typed* outcomes, never hangs.
 //!

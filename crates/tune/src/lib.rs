@@ -36,7 +36,7 @@ use catt_workloads::registry::Workload;
 use std::collections::BTreeMap;
 
 /// Tuner knobs (`catt tune --seed` / `--iters` set the first two);
-/// defaults reproduce the committed `BENCH_tune.json`.
+/// defaults reproduce the recorded `results/tune.txt`.
 #[derive(Debug, Clone)]
 pub struct TuneOptions {
     /// PRNG seed for the second climb restart (the first always starts at
@@ -624,7 +624,7 @@ impl TuneSummary {
         s
     }
 
-    /// Machine-readable summary (the committed `BENCH_tune.json`).
+    /// Machine-readable summary (`catt tune --out`).
     pub fn to_json(&self, opts: &TuneOptions) -> String {
         let mut j = String::new();
         j.push_str("{\n");

@@ -60,6 +60,14 @@ for f in $(find crates/*/src src -name '*.rs'); do
     fi
 done
 
+echo "==> one benchmark: no root-level BENCH_*.json"
+# BENCHMARK.json is the contract and BENCH_history.jsonl the trajectory;
+# a one-off report file next to them is a second schema nobody compares.
+if ls BENCH_*.json >/dev/null 2>&1; then
+    echo "error: $(echo BENCH_*.json) at the repository root (write reports under target/ or results/)" >&2
+    exit 1
+fi
+
 echo "==> fuzz smoke: fixed-seed differential campaign + corpus replay"
 # Legal-mode translation validation must find nothing, the recorded
 # counterexample corpus must replay clean (the --corpus pass does both),

@@ -3,7 +3,7 @@
 //! ```text
 //! catt compile kernels.cu --launch atax_kernel1=320x256 [--l1 32] [-o out.cu]
 //! catt analyze kernels.cu --launch atax_kernel1=320x256 [--l1 32]
-//! catt run     kernels.cu --launch k=4x256 --args f:1024,f:1024 [--l1 32] [--fuel <cycles>] [--sm-parallel on|off] [--sanitize]
+//! catt run     kernels.cu --launch k=4x256 --args f:1024,f:1024 [--l1 32] [--fuel <cycles>] [--sanitize]
 //! catt profile <ABBREV|all> [--l1 <KB>] [--trace-out <trace.json>]
 //! catt tune    <ABBREV|all> [--l1 <KB>] [--seed <S>] [--iters <N>] [--out <tune.json>]
 //! catt fuzz    [--seed <S>] [--iters <N>] [--shrink] [--unchecked] [--corpus <dir>] [--frontend]
@@ -29,9 +29,9 @@
 //!   `all`): an APEX-style increase/decrease-cap climb over the joint
 //!   `(N, M, CTA-swizzle)` space steered by observed profile counters,
 //!   compared against baseline, static CATT, and BFTT. `--out` writes the
-//!   machine-readable summary (`BENCH_tune.json` is the committed
-//!   artifact). Tuner self-checks run on every report; any violation
-//!   exits non-zero. Same seed ⇒ identical trajectory;
+//!   machine-readable summary (the recorded 25-app table is
+//!   `results/tune.txt`). Tuner self-checks run on every report; any
+//!   violation exits non-zero. Same seed ⇒ identical trajectory;
 //! * `fuzz` runs the `catt-verify` differential transform oracle:
 //!   deterministic random kernels, every reachable throttle variant,
 //!   bit-exact memory + `SimError`-classification comparison under the
@@ -105,7 +105,7 @@ fn engine_from_env(default_dir: Option<&str>) -> Engine {
     })
 }
 
-/// The daemon under `catt serve` / `catt serve-bench`: [`ServeConfig`]'s
+/// The daemon under `catt serve`: [`ServeConfig`]'s
 /// defaults with the `CATT_SERVE_*` overrides applied (EXPERIMENTS.md),
 /// over the engine `CATT_SIMCACHE` selects (a directory enables the
 /// multi-writer-safe persistent cache).
@@ -130,13 +130,12 @@ fn serve_from_env() -> (catt_repro::serve::ServeConfig, Engine) {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: catt <compile|analyze|run> <file.cu> --launch <kernel>=<grid>x<block> \
-         [--launch ...] [--l1 <KB>] [--fuel <cycles>] [--sm-parallel <on|off>] \
-         [--sanitize] [--args <spec,...>] [-o <out.cu>]\n\
+         [--launch ...] [--l1 <KB>] [--fuel <cycles>] [--sanitize] [--args <spec,...>] \
+         [-o <out.cu>]\n\
          \x20      catt profile <ABBREV|all> [--l1 <KB>] [--trace-out <trace.json>]\n\
          \x20      catt tune <ABBREV|all> [--l1 <KB>] [--seed <S>] [--iters <N>] [--out <tune.json>]\n\
          \x20      catt fuzz [--seed <S>] [--iters <N>] [--shrink] [--unchecked] [--corpus <dir>] [--frontend]\n\
-         \x20      catt serve [--stdio | --tcp <addr>]\n\
-         \x20      catt serve-bench [--clients N] [--requests N] [--transport inproc|tcp] [...]"
+         \x20      catt serve [--stdio | --tcp <addr>]"
     );
     ExitCode::from(2)
 }
@@ -536,19 +535,11 @@ fn serve_main(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    // `fuzz`, `serve`, and `serve-bench` have defaults for every flag,
-    // so they may appear bare.
+    // `fuzz` and `serve` have defaults for every flag, so they may
+    // appear bare.
     match argv.first().map(String::as_str) {
         Some("fuzz") => return fuzz_main(&argv[1..]),
         Some("serve") => return serve_main(&argv[1..]),
-        Some("serve-bench") => {
-            let (config, engine) = serve_from_env();
-            return ExitCode::from(catt_repro::serve::bench::bench_main(
-                &argv[1..],
-                config,
-                engine,
-            ));
-        }
         _ => {}
     }
     if argv.len() < 2 {
@@ -568,7 +559,6 @@ fn main() -> ExitCode {
     let mut launches: Vec<(String, LaunchConfig)> = Vec::new();
     let mut l1_kb: Option<u32> = None;
     let mut fuel: Option<u64> = None;
-    let mut sm_parallel: Option<bool> = None;
     let mut sanitize = false;
     let mut out_path: Option<String> = None;
     let mut arg_spec: Option<String> = None;
@@ -589,17 +579,6 @@ fn main() -> ExitCode {
             }
             "--fuel" if i + 1 < argv.len() => {
                 fuel = argv[i + 1].parse().ok();
-                i += 2;
-            }
-            "--sm-parallel" if i + 1 < argv.len() => {
-                sm_parallel = match argv[i + 1].as_str() {
-                    "on" => Some(true),
-                    "off" => Some(false),
-                    other => {
-                        eprintln!("catt: bad --sm-parallel value `{other}` (want on|off)");
-                        return usage();
-                    }
-                };
                 i += 2;
             }
             "--sanitize" => {
@@ -639,8 +618,6 @@ fn main() -> ExitCode {
     if let Some(n) = fuel {
         config.sim_fuel = Some(n);
     }
-    // Results are bit-identical either way; this is a throughput knob.
-    config.sm_parallel = sm_parallel;
     if sanitize {
         config.sanitize = Some(true);
     }

@@ -21,8 +21,7 @@
 //!   the transforms, counterexample shrinking, and the replayable
 //!   regression corpus (`catt-verify`; see `catt fuzz`);
 //! * [`serve`] — the overload-safe multi-tenant compile-and-simulate
-//!   daemon and its chaos-driven load harness (`catt-serve`; see
-//!   `catt serve` / `catt serve-bench`);
+//!   daemon (`catt-serve`; see `catt serve`);
 //! * [`tune`] — the feedback-driven autotuner hill-climbing the joint
 //!   `(N, M, CTA-swizzle)` space from observed profile counters
 //!   (`catt-tune`; see `catt tune`).
