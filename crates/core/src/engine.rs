@@ -3,7 +3,8 @@
 //! The paper's evaluation (Tables 1–3, Figs. 2–10) re-runs the simulator
 //! hundreds of times: a full BFTT sweep per application per cache
 //! configuration, and the same (kernel, launch, config) points across
-//! several figure binaries. Both structures are exploited here:
+//! several figures, which `catt reproduce all` renders in one process.
+//! Both structures are exploited here:
 //!
 //! * **Bounded worker pool** — simulation jobs run on at most
 //!   [`Engine::workers`] OS threads (default: `available_parallelism()`),
@@ -13,10 +14,10 @@
 //!   poisoning the whole sweep.
 //! * **Content-addressed simulation cache** — results are memoized under a
 //!   stable digest of (lowered kernel programs, launch geometry,
-//!   [`GpuConfig`], scope tag). An in-memory layer serves repeats within a
-//!   process; an optional persistent JSONL layer under
-//!   `results/.simcache/` makes warm re-runs of any table/figure binary
-//!   near-instant. One rule (`CacheUse::of`) says how a run's
+//!   [`GpuConfig`], scope tag), in memory, for the life of the process.
+//!   Nothing is persisted: one process reproduces every figure, and
+//!   rendering them all cold costs about a minute. One rule
+//!   (`CacheUse::of`) says how a run's
 //!   configuration may use the cache: traced runs
 //!   (`GpuConfig::trace_requests`) and sanitized runs
 //!   (`GpuConfig::sanitize`) bypass it entirely — the request trace is a
@@ -34,16 +35,11 @@
 //! deterministic, so a failed job is reported once as a [`JobError`] and
 //! never rerun; what bounds a job's run time is the simulator's fuel
 //! budget and, under `catt serve`, the request's cancel token. The
-//! persistent simcache is versioned and checksummed per line, appended
-//! per insert under a cross-process lock, compacted atomically
-//! (tempfile-then-rename) on load repair and flush, and corrupt or stale
-//! lines are skipped with a reported count — never a crash. The
-//! [`crate::fault`] module can inject worker panics and cache corruption
-//! to exercise all of it.
+//! [`crate::fault`] module can inject worker panics and job delays to
+//! exercise all of it.
 //!
 //! The engine takes its settings from its constructors and builders —
-//! cache mode ([`Engine::new`] / [`Engine::persistent`] /
-//! [`Engine::uncached`]), worker bound ([`Engine::with_worker_bound`];
+//! cache or none ([`Engine::new`] / [`Engine::uncached`]), worker bound ([`Engine::with_worker_bound`];
 //! published to `catt-sim` for the duration of each batch, so per-launch
 //! SM parallelism budgets `available_parallelism / workers` threads per
 //! launch instead of oversubscribing the machine), stderr verbosity
@@ -58,11 +54,8 @@ use catt_ir::kernel::{Kernel, LaunchConfig};
 use catt_sim::{Fnv64, GpuConfig, LaunchStats};
 use std::collections::HashMap;
 use std::fmt;
-use std::fs;
-use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -138,15 +131,11 @@ impl std::error::Error for JobError {}
 /// Cache hit/miss counters (cumulative over the engine's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Jobs answered from the in-memory or persistent layer.
+    /// Jobs answered from the cache.
     pub hits: u64,
     /// Lookups that found nothing, so the job simulated. Profiled runs
     /// never look up (see the module docs) and count as neither.
     pub misses: u64,
-    /// Persistent-cache lines dropped at load time (corrupt checksum,
-    /// stale version, unparsable) — each skip costs one recomputation,
-    /// never a crash.
-    pub skipped: u64,
     /// Jobs that coalesced onto another caller's identical in-flight
     /// simulation instead of running their own (single-flight dedupe,
     /// see [`Engine::sim_app_shared`]). Not counted in `hits`.
@@ -168,12 +157,6 @@ impl CacheCounters {
 /// Stable identity of one simulation job. See [`job_digest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JobKey(pub u64);
-
-impl JobKey {
-    fn hex(self) -> String {
-        format!("{:016x}", self.0)
-    }
-}
 
 /// Content digest of a simulation job: `scope` (application + input
 /// identity — the workload abbreviation for registry apps), the *lowered*
@@ -226,148 +209,29 @@ impl CacheUse {
     }
 }
 
-/// Where cached results live.
-enum CacheMode {
-    /// No caching at all (every job simulates).
-    Off,
-    /// In-memory map only.
-    Memory,
-    /// In-memory map backed by a JSONL append log.
-    Persistent(PathBuf),
-}
-
-/// The content-addressed simulation cache.
-///
-/// Persistent format (v2): one JSON object per line,
-/// `{"v":2,"crc":"<16 hex>","key":"<16 hex>",<stat fields>}`, where `crc`
-/// is the FNV-1a 64 digest of everything after it (`"key":...` to the
-/// closing brace, exclusive). Loads drop any line whose version, checksum,
-/// or fields don't check out — counting them in
-/// [`CacheCounters::skipped`] — and immediately rewrite a clean file.
-/// Inserts *append* one line under the cross-process [`CacheLock`] — O(1)
-/// disk traffic per miss instead of rewriting the whole file — while the
-/// full merge-and-rewrite (tempfile then `rename`, disk map merged in
-/// first so another writer's lines survive) runs only on load repair and
-/// explicit flush. Duplicate keys from racing appenders are harmless:
-/// the store is content-addressed (identical key ⇒ identical stats) and
-/// loads keep the last occurrence. A killed process can truncate at most
-/// a final line that the next load repairs, never wedge the file.
+/// The content-addressed simulation cache: one in-memory map, or none
+/// when caching is off.
 struct SimCache {
-    mode: CacheMode,
-    mem: Mutex<HashMap<u64, LaunchStats>>,
+    mem: Option<Mutex<HashMap<u64, LaunchStats>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Lines dropped at load time (bad checksum / stale version).
-    skipped: AtomicU64,
     /// Jobs that waited on another caller's identical in-flight
     /// simulation (single-flight dedupe, see [`Engine::sim_app_shared`]).
     coalesced: AtomicU64,
-    /// Fault injection: corrupt the checksum of one persisted line.
-    corrupt_armed: AtomicBool,
-    /// The key whose line is rendered with a poisoned checksum.
-    poisoned: Mutex<Option<u64>>,
 }
 
 impl SimCache {
-    const FILE: &'static str = "cache.jsonl";
-    const LINE_PREFIX: &'static str = "{\"v\":2,\"crc\":\"";
-
-    fn new(mode: CacheMode) -> SimCache {
-        let (mem, skipped) = match &mode {
-            CacheMode::Persistent(dir) => Self::load(dir),
-            _ => (HashMap::new(), 0),
-        };
-        let cache = SimCache {
-            mode,
-            mem: Mutex::new(mem),
+    fn new(enabled: bool) -> SimCache {
+        SimCache {
+            mem: enabled.then(|| Mutex::new(HashMap::new())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            skipped: AtomicU64::new(skipped),
             coalesced: AtomicU64::new(0),
-            corrupt_armed: AtomicBool::new(false),
-            poisoned: Mutex::new(None),
-        };
-        // Repair the file right away when corrupt/stale lines were
-        // dropped, so the damage is paid for exactly once.
-        if skipped > 0 {
-            cache.persist();
         }
-        cache
-    }
-
-    /// Arm fault injection: the next inserted entry is persisted with a
-    /// deliberately wrong checksum (see [`FaultPlan::corrupt_cache`]).
-    fn arm_corruption(&self) {
-        self.corrupt_armed.store(true, Ordering::Relaxed);
-    }
-
-    /// The `"key":...` payload of one persistent line.
-    fn line_payload(key: u64, stats: &LaunchStats) -> String {
-        format!(
-            "\"key\":\"{}\",{}",
-            JobKey(key).hex(),
-            stats.to_json_fields()
-        )
-    }
-
-    /// Checksum of a line payload.
-    fn crc(payload: &str) -> u64 {
-        Fnv64::new().write_str(payload).finish()
-    }
-
-    /// Render one v2 line; a poisoned line gets a bitwise-inverted
-    /// checksum so the next load must reject it.
-    fn render_line(key: u64, stats: &LaunchStats, poison: bool) -> String {
-        let payload = Self::line_payload(key, stats);
-        let mut crc = Self::crc(&payload);
-        if poison {
-            crc = !crc;
-        }
-        format!("{}{:016x}\",{}}}", Self::LINE_PREFIX, crc, payload)
-    }
-
-    /// Parse and verify one v2 line.
-    fn parse_line(line: &str) -> Option<(u64, LaunchStats)> {
-        let rest = line.strip_prefix(Self::LINE_PREFIX)?;
-        let crc = u64::from_str_radix(rest.get(..16)?, 16).ok()?;
-        let payload = rest.get(16..)?.strip_prefix("\",")?.strip_suffix('}')?;
-        if Self::crc(payload) != crc {
-            return None;
-        }
-        let key_hex = payload.strip_prefix("\"key\":\"")?.get(..16)?;
-        let key = u64::from_str_radix(key_hex, 16).ok()?;
-        Some((key, LaunchStats::from_json_line(payload)?))
-    }
-
-    /// Read the JSONL log. Every line that fails the version, checksum,
-    /// or field check is dropped and counted — a truncated final line
-    /// from a killed process or a flipped bit on disk costs one
-    /// recomputation, never a wedged cache.
-    fn load(dir: &Path) -> (HashMap<u64, LaunchStats>, u64) {
-        let mut map = HashMap::new();
-        let mut skipped = 0u64;
-        let Ok(text) = fs::read_to_string(dir.join(Self::FILE)) else {
-            return (map, skipped);
-        };
-        for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            match Self::parse_line(line) {
-                Some((key, stats)) => {
-                    map.insert(key, stats);
-                }
-                None => skipped += 1,
-            }
-        }
-        (map, skipped)
     }
 
     fn lookup(&self, key: JobKey) -> Option<LaunchStats> {
-        if matches!(self.mode, CacheMode::Off) {
-            return None;
-        }
-        let found = self.mem.lock().unwrap().get(&key.0).cloned();
+        let found = self.mem.as_ref()?.lock().unwrap().get(&key.0).cloned();
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -375,102 +239,9 @@ impl SimCache {
         found
     }
 
-    /// Rewrite the persistent file atomically from the in-memory map:
-    /// render every entry (sorted by key for determinism) into
-    /// `cache.jsonl.tmp.<pid>`, then `rename` over the live file. Holding
-    /// the `mem` lock across the write serializes concurrent persists
-    /// within the process; a [`CacheLock`] file serializes writers across
-    /// processes. Under the lock the on-disk file is re-read and merged
-    /// into the in-memory map before the rewrite, so entries another
-    /// writer persisted since our load survive — the store is
-    /// content-addressed (identical key ⇒ identical stats), which makes
-    /// the union conflict-free and no acknowledged line is ever lost.
-    fn persist(&self) {
-        let CacheMode::Persistent(dir) = &self.mode else {
-            return;
-        };
-        let _ = fs::create_dir_all(dir);
-        let lock = CacheLock::acquire(dir);
-        if lock.is_none() {
-            eprintln!(
-                "[engine] warning: simcache lock under {} unavailable; persisting unlocked",
-                dir.display()
-            );
-        }
-        let mut mem = self.mem.lock().unwrap();
-        let (disk, _) = Self::load(dir);
-        for (key, stats) in disk {
-            mem.entry(key).or_insert(stats);
-        }
-        let mem = &*mem;
-        let poisoned = *self.poisoned.lock().unwrap();
-        let mut entries: Vec<(&u64, &LaunchStats)> = mem.iter().collect();
-        entries.sort_by_key(|(k, _)| **k);
-        let mut text = String::new();
-        for (key, stats) in entries {
-            text.push_str(&Self::render_line(*key, stats, poisoned == Some(*key)));
-            text.push('\n');
-        }
-        let tmp = dir.join(format!("{}.tmp.{}", Self::FILE, std::process::id()));
-        let write = fs::File::create(&tmp)
-            .and_then(|mut f| f.write_all(text.as_bytes()))
-            .and_then(|_| fs::rename(&tmp, dir.join(Self::FILE)));
-        if let Err(e) = write {
-            let _ = fs::remove_file(&tmp);
-            eprintln!(
-                "[engine] warning: cannot persist simcache under {}: {e}",
-                dir.display()
-            );
-        }
-    }
-
-    /// Append one just-inserted entry to the JSONL log. O(1) per insert
-    /// (the merge-and-rewrite path is reserved for load repair and
-    /// flush), done *outside* the `mem` lock, and serialized against
-    /// other writers' appends and rewrites by the same [`CacheLock`] —
-    /// an unlocked appender racing a tempfile-rename rewrite could land
-    /// its line on the doomed inode and lose an acknowledged entry.
-    fn append_line(&self, key: u64, stats: &LaunchStats) {
-        let CacheMode::Persistent(dir) = &self.mode else {
-            return;
-        };
-        let _ = fs::create_dir_all(dir);
-        let lock = CacheLock::acquire(dir);
-        if lock.is_none() {
-            eprintln!(
-                "[engine] warning: simcache lock under {} unavailable; appending unlocked",
-                dir.display()
-            );
-        }
-        let poison = *self.poisoned.lock().unwrap() == Some(key);
-        let mut line = Self::render_line(key, stats, poison);
-        line.push('\n');
-        let write = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(Self::FILE))
-            .and_then(|mut f| f.write_all(line.as_bytes()));
-        if let Err(e) = write {
-            eprintln!(
-                "[engine] warning: cannot append to simcache under {}: {e}",
-                dir.display()
-            );
-        }
-    }
-
     fn insert(&self, key: JobKey, stats: &LaunchStats) {
-        match &self.mode {
-            CacheMode::Off => {}
-            CacheMode::Memory => {
-                self.mem.lock().unwrap().insert(key.0, stats.clone());
-            }
-            CacheMode::Persistent(_) => {
-                self.mem.lock().unwrap().insert(key.0, stats.clone());
-                if self.corrupt_armed.swap(false, Ordering::Relaxed) {
-                    *self.poisoned.lock().unwrap() = Some(key.0);
-                }
-                self.append_line(key.0, stats);
-            }
+        if let Some(mem) = &self.mem {
+            mem.lock().unwrap().insert(key.0, stats.clone());
         }
     }
 
@@ -478,67 +249,8 @@ impl SimCache {
         CacheCounters {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            skipped: self.skipped.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// An advisory cross-process lock over the persistent simcache file,
-/// taken with `O_CREAT|O_EXCL` (`create_new`) on a sibling `.lock` file —
-/// the one filesystem primitive that is atomic everywhere std runs.
-/// Holders that die without unlinking are broken by age: a lock file
-/// older than [`CacheLock::STALE`] is presumed orphaned and removed.
-/// Waiting is bounded; on timeout the writer proceeds *unlocked* (a
-/// last-writer-wins persist is strictly better than a wedged engine).
-struct CacheLock {
-    path: PathBuf,
-}
-
-impl CacheLock {
-    const STALE: Duration = Duration::from_secs(10);
-    const WAIT: Duration = Duration::from_secs(10);
-
-    fn acquire(dir: &Path) -> Option<CacheLock> {
-        let path = dir.join(format!("{}.lock", SimCache::FILE));
-        let deadline = Instant::now() + Self::WAIT;
-        loop {
-            match fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    let _ = write!(f, "{}", std::process::id());
-                    return Some(CacheLock { path });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let stale = fs::metadata(&path)
-                        .and_then(|md| md.modified())
-                        .ok()
-                        .and_then(|t| t.elapsed().ok())
-                        .is_some_and(|age| age > Self::STALE);
-                    if stale {
-                        // Orphaned by a killed holder; break it. Two
-                        // waiters may both remove and race to recreate —
-                        // `create_new` lets exactly one win.
-                        let _ = fs::remove_file(&path);
-                        continue;
-                    }
-                    if Instant::now() >= deadline {
-                        return None;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => return None,
-            }
-        }
-    }
-}
-
-impl Drop for CacheLock {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
     }
 }
 
@@ -605,7 +317,7 @@ impl Default for Engine {
     }
 }
 
-/// The process-wide engine used by the harness and bench binaries.
+/// The process-wide engine used by the harness and `catt reproduce`.
 static GLOBAL: OnceLock<Engine> = OnceLock::new();
 
 impl Engine {
@@ -614,45 +326,33 @@ impl Engine {
         catt_sim::host_parallelism().unwrap_or(4)
     }
 
-    /// Assemble an engine: the given cache mode and worker bound, silent
-    /// progress, and the `CATT_FAULT_PLAN` fault plan.
-    fn build(workers: usize, mode: CacheMode) -> Engine {
-        let fault = FaultPlan::from_env();
-        let engine = Engine {
+    /// Assemble an engine: the given worker bound, a cache or none,
+    /// silent progress, and the `CATT_FAULT_PLAN` fault plan.
+    fn build(workers: usize, cached: bool) -> Engine {
+        Engine {
             workers: workers.max(1),
-            cache: SimCache::new(mode),
-            fault,
+            cache: SimCache::new(cached),
+            fault: FaultPlan::from_env(),
             job_seq: AtomicU64::new(0),
             progress: Progress::Off,
             inflight: Mutex::new(HashMap::new()),
-        };
-        if engine.fault.corrupt_cache {
-            engine.cache.arm_corruption();
         }
-        engine
     }
 
     /// Engine with an in-memory cache and the default worker bound.
     pub fn new() -> Engine {
-        Self::build(Self::default_workers(), CacheMode::Memory)
+        Self::build(Self::default_workers(), true)
     }
 
     /// Engine with an explicit worker bound (clamped to ≥ 1) and an
     /// in-memory cache.
     pub fn with_workers(workers: usize) -> Engine {
-        Self::build(workers, CacheMode::Memory)
-    }
-
-    /// Engine whose cache persists as JSONL under `dir` (loaded eagerly,
-    /// one checksummed line appended per miss, compacted atomically on
-    /// load repair and [`Engine::flush_cache`]).
-    pub fn persistent(dir: impl Into<PathBuf>) -> Engine {
-        Self::build(Self::default_workers(), CacheMode::Persistent(dir.into()))
+        Self::build(workers, true)
     }
 
     /// Engine with caching disabled (every job simulates).
     pub fn uncached() -> Engine {
-        Self::build(Self::default_workers(), CacheMode::Off)
+        Self::build(Self::default_workers(), false)
     }
 
     /// Replace the worker-pool bound (builder-style, clamped to ≥ 1).
@@ -664,9 +364,6 @@ impl Engine {
     /// Replace the fault plan (builder-style; used by the fault-injection
     /// tests — production engines read `CATT_FAULT_PLAN` on construction).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Engine {
-        if plan.corrupt_cache {
-            self.cache.arm_corruption();
-        }
         self.fault = plan;
         self
     }
@@ -712,19 +409,15 @@ impl Engine {
         &self.fault
     }
 
-    /// Print a one-line cache/pool summary to stderr (bench binaries call
-    /// this after their last evaluation). Silent under [`Progress::Off`].
+    /// Print a one-line cache/pool summary to stderr (the `catt` binary
+    /// calls this after its last evaluation). Silent under [`Progress::Off`].
     pub fn print_summary(&self) {
         if self.progress == Progress::Off {
             return;
         }
         let c = self.cache_counters();
-        let mut extras = String::new();
-        if c.skipped > 0 {
-            extras.push_str(&format!(" | {} corrupt line(s) skipped", c.skipped));
-        }
         eprintln!(
-            "[engine] {} workers | simcache: {} hits / {} misses ({:.0}% hit){extras}",
+            "[engine] {} workers | simcache: {} hits / {} misses ({:.0}% hit)",
             self.workers,
             c.hits,
             c.misses,
@@ -827,7 +520,7 @@ impl Engine {
     /// Get-or-simulate one application run. The cache key is
     /// [`job_digest`] of `(scope, kernels, launch, config)`; on a miss
     /// `compute` runs — with panics converted into `Err` — and the result
-    /// enters both cache layers. Traced and sanitized runs compute without
+    /// enters the cache. Traced and sanitized runs compute without
     /// touching the cache; profiled runs compute without reading it and
     /// then record their stats (see the module docs).
     pub fn sim_app<F>(
@@ -1027,13 +720,6 @@ impl Engine {
                 }
             }
         }
-    }
-
-    /// Flush the in-memory cache to its persistent backing now (a no-op
-    /// for in-memory / disabled caches). `catt serve` calls this during
-    /// graceful drain so a SIGTERM never costs acknowledged results.
-    pub fn flush_cache(&self) {
-        self.cache.persist();
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! A [`FaultPlan`] describes deliberate failures to inject into the
 //! evaluation stack so that every degradation path (worker panic → job
-//! error, fuel exhaustion → faulted candidate, corrupt cache line →
-//! skip-with-count, failed transform → original-kernel fallback) can be
+//! error, fuel exhaustion → faulted candidate, delayed job → deadline
+//! and breaker paths, failed transform → original-kernel fallback) can be
 //! exercised end to end, both in integration tests and from CI.
 //!
 //! Plans come from the `CATT_FAULT_PLAN` environment variable, a
@@ -14,9 +14,6 @@
 //! * `fuel=C` — every simulation runs under a cycle budget of `C`:
 //!   whoever holds the plan writes it into `GpuConfig::sim_fuel` on the
 //!   config it launches with (`catt serve` does);
-//! * `corrupt-cache` — the persistent simcache writes one deliberately
-//!   checksum-corrupted line (the first entry persisted), so the next
-//!   warm run must skip exactly one entry;
 //! * `delay-job=<ms>` — every job sleeps `<ms>` milliseconds before it
 //!   simulates: deterministic latency injection, so deadline, watchdog,
 //!   and circuit-breaker paths (`catt serve`) are testable without racing
@@ -25,7 +22,7 @@
 //!   failure for every kernel, forcing the multiversion fallback to the
 //!   original code.
 //!
-//! Example: `CATT_FAULT_PLAN="panic-job=3,corrupt-cache"`.
+//! Example: `CATT_FAULT_PLAN="panic-job=3,delay-job=2"`.
 //!
 //! Unknown directives are ignored (forward compatibility); an empty or
 //! unset variable is an inactive plan. Injection sites consult the plan
@@ -40,8 +37,6 @@ pub struct FaultPlan {
     pub panic_at_job: Option<u64>,
     /// Cycle-fuel budget forced onto every simulation.
     pub fuel: Option<u64>,
-    /// Corrupt the checksum of the first cache line persisted.
-    pub corrupt_cache: bool,
     /// Milliseconds every job sleeps before simulating (deterministic
     /// latency injection for deadline/watchdog/breaker testing).
     pub delay_job_ms: Option<u64>,
@@ -71,8 +66,6 @@ impl FaultPlan {
                 plan.fuel = c.trim().parse().ok();
             } else if let Some(ms) = entry.strip_prefix("delay-job=") {
                 plan.delay_job_ms = ms.trim().parse().ok();
-            } else if entry == "corrupt-cache" {
-                plan.corrupt_cache = true;
             } else if entry == "fail-transform" {
                 plan.fail_transform = true;
             }
@@ -98,7 +91,6 @@ impl std::fmt::Display for FaultPlan {
         let directives = [
             self.panic_at_job.map(|n| format!("panic-job={n}")),
             self.fuel.map(|c| format!("fuel={c}")),
-            self.corrupt_cache.then(|| "corrupt-cache".to_string()),
             self.delay_job_ms.map(|ms| format!("delay-job={ms}")),
             self.fail_transform.then(|| "fail-transform".to_string()),
         ];
@@ -113,14 +105,12 @@ mod tests {
 
     #[test]
     fn parses_every_directive() {
-        let p =
-            FaultPlan::parse("panic-job=3, fuel=5000, corrupt-cache, fail-transform, delay-job=25");
+        let p = FaultPlan::parse("panic-job=3, fuel=5000, fail-transform, delay-job=25");
         assert_eq!(
             p,
             FaultPlan {
                 panic_at_job: Some(3),
                 fuel: Some(5000),
-                corrupt_cache: true,
                 fail_transform: true,
                 delay_job_ms: Some(25),
             }
@@ -141,6 +131,5 @@ mod tests {
     fn empty_and_unknown_directives_are_inactive() {
         assert!(!FaultPlan::parse("").is_active());
         assert!(!FaultPlan::parse("frobnicate=9").is_active());
-        assert!(FaultPlan::parse("corrupt-cache").corrupt_cache);
     }
 }

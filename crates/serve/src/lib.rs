@@ -20,8 +20,8 @@
 //!   tenant's breaker; a cooldown later one probe half-opens it
 //!   ([`breaker::Breaker`]).
 //! * **Graceful drain** — SIGTERM/`shutdown` stops admission, finishes
-//!   or cancels in-flight work, answers everything queued, and flushes
-//!   the simcache atomically ([`server::Server::drain`]).
+//!   or cancels in-flight work, and answers everything queued
+//!   ([`server::Server::drain`]).
 //! * **Single-flight dedupe** — identical submissions (tenant excluded)
 //!   coalesce onto one simulation through the engine's content-addressed
 //!   cache ([`catt_core::engine::Engine::sim_app_shared`]).

@@ -457,8 +457,8 @@ impl Server {
     /// Graceful drain (idempotent): stop admitting, give in-flight and
     /// queued work `drain_grace_ms` to finish, then cancel what remains
     /// (queued jobs answered `deadline-exceeded`, running simulations
-    /// cancelled through their tokens), flush the simcache, and join the
-    /// pool. Every admitted request still gets its one response.
+    /// cancelled through their tokens), and join the pool. Every admitted
+    /// request still gets its one response.
     pub fn drain(&self) {
         let first = !self.inner.draining.swap(true, Ordering::SeqCst);
         self.inner.work_cv.notify_all();
@@ -500,12 +500,10 @@ impl Server {
         }
         drop(st);
         if first {
-            // Stop the reaper and flush acknowledged results to disk.
             let mut r = self.inner.reaper.lock().unwrap();
             r.stop = true;
             drop(r);
             self.inner.reaper_cv.notify_all();
-            self.inner.engine.flush_cache();
             let threads = std::mem::take(&mut *self.threads.lock().unwrap());
             for t in threads {
                 let _ = t.join();

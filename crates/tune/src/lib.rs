@@ -618,6 +618,14 @@ impl TuneSummary {
         .unwrap_or(1.0)
     }
 
+    /// Every report's [`TuneReport::self_check`] violation.
+    pub fn violations(&self, opts: &TuneOptions) -> Vec<String> {
+        self.reports
+            .iter()
+            .filter_map(|r| r.self_check(opts).err())
+            .collect()
+    }
+
     /// Render the comparison table (the `catt tune` output).
     pub fn render_table(&self) -> String {
         let mut s = String::new();

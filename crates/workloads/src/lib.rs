@@ -31,6 +31,5 @@ pub mod harness;
 pub mod micro;
 pub mod registry;
 
-pub use catt_core::engine::{self, CacheCounters, Engine, JobError};
 pub use harness::{run_baseline, run_bftt, run_cached, run_catt, EvalError, RunOutcome};
 pub use registry::{all_workloads, ci_workloads, cs_workloads, Group, Workload};

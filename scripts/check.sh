@@ -46,16 +46,16 @@ done
 
 echo "==> configuration enters at the edge: no environment reads in library code"
 # Library crates take typed configuration (GpuConfig, TuneOptions,
-# ServeConfig, the Engine/Pipeline builders). Only the binaries' edges
-# parse CATT_* variables, plus the chaos harness's FaultPlan::from_env.
+# ServeConfig, the Engine/Pipeline builders). Only the binary's edge
+# parses CATT_* variables, plus the chaos harness's FaultPlan::from_env.
 # Test modules are stripped as above.
 for f in $(find crates/*/src src -name '*.rs'); do
     case "$f" in
-        src/bin/catt.rs | crates/bench/src/lib.rs | crates/core/src/fault.rs) continue ;;
+        src/bin/catt.rs | crates/core/src/fault.rs) continue ;;
     esac
     if sed -n '1,/#\[cfg(test)\]/p' "$f" | grep -vE '^[[:space:]]*//' \
         | grep -nE 'env::(var|set_var|remove_var)' ; then
-        echo "error: environment access in $f (parse it in src/bin/catt.rs or crates/bench/src/lib.rs)" >&2
+        echo "error: environment access in $f (parse it in src/bin/catt.rs)" >&2
         exit 1
     fi
 done
@@ -135,6 +135,13 @@ diff "$TUNE_OUT" tests/golden/tune-DM-ATAX.json >&2 || {
     echo "error: catt tune summary differs from tests/golden/tune-DM-ATAX.json (see $TUNE_TXT)" >&2
     exit 1
 }
+
+echo "==> reproduce: every committed paper table regenerates byte for byte"
+# One process, one in-memory engine: the figures share their baseline,
+# BFTT and CATT runs. --check writes nothing, prints one line per table
+# and exits non-zero naming each drifted table's first differing line
+# (analysis_overhead's host-time column is not compared).
+target/release/catt reproduce all --check
 
 echo "==> serve smoke: NDJSON daemon answers every line and drains clean"
 # A checked-in request batch (good submit, malformed line, unknown kernel,

@@ -7,6 +7,7 @@
 //! catt profile <ABBREV|all> [--l1 <KB>] [--trace-out <trace.json>]
 //! catt tune    <ABBREV|all> [--l1 <KB>] [--seed <S>] [--iters <N>] [--out <tune.json>]
 //! catt fuzz    [--seed <S>] [--iters <N>] [--shrink] [--unchecked] [--corpus <dir>] [--frontend]
+//! catt reproduce <id|all> [--check]
 //! ```
 //!
 //! * `analyze` prints the per-loop footprint analysis and throttling
@@ -44,7 +45,11 @@
 //!   lexer/parser campaign instead (byte flips, truncation, token
 //!   splices over the registry workload sources; default 300 iters):
 //!   no panics, every rejection carries an error diagnostic, every
-//!   span in bounds.
+//!   span in bounds;
+//! * `reproduce` regenerates the paper's tables (`results/<id>.txt`, ids
+//!   in `catt_repro::reproduce::ARTIFACTS`) in one process on one
+//!   engine; `--check` writes nothing and exits non-zero naming each
+//!   drifted table and its first differing line.
 //!
 //! Launch syntax: `<kernel>=<grid>x<block>` (1-D) or
 //! `<kernel>=<gx>,<gy>x<bx>,<by>` (2-D). Repeat `--launch` per kernel.
@@ -82,18 +87,18 @@ fn env_u64(name: &str) -> Option<u64> {
 }
 
 /// The evaluation engine the environment asks for: cache mode from
-/// `CATT_SIMCACHE` (`off` | `mem` | `<dir>`; unset means `default_dir`,
-/// or in-memory without one), worker bound from `CATT_ENGINE_WORKERS`,
+/// `CATT_SIMCACHE` (`mem`, the default, or `off`; anything else is a
+/// usage error, exit status 2), worker bound from `CATT_ENGINE_WORKERS`,
 /// stderr verbosity from `CATT_ENGINE_PROGRESS` (`off` | `summary` |
 /// `full`; default `summary`).
-fn engine_from_env(default_dir: Option<&str>) -> Engine {
-    let cache = std::env::var("CATT_SIMCACHE")
-        .ok()
-        .filter(|v| !v.is_empty());
-    let mut engine = match cache.as_deref().or(default_dir) {
-        Some("off") => Engine::uncached(),
-        Some("mem") | None => Engine::new(),
-        Some(dir) => Engine::persistent(dir),
+fn engine_from_env() -> Engine {
+    let mut engine = match std::env::var("CATT_SIMCACHE").as_deref() {
+        Ok("mem") | Ok("") | Err(_) => Engine::new(),
+        Ok("off") => Engine::uncached(),
+        Ok(other) => {
+            eprintln!("catt: CATT_SIMCACHE=`{other}` is not one of `mem` (the default) or `off`");
+            std::process::exit(2);
+        }
     };
     if let Some(n) = env_u64("CATT_ENGINE_WORKERS") {
         engine = engine.with_worker_bound(n as usize);
@@ -107,8 +112,7 @@ fn engine_from_env(default_dir: Option<&str>) -> Engine {
 
 /// The daemon under `catt serve`: [`ServeConfig`]'s
 /// defaults with the `CATT_SERVE_*` overrides applied (EXPERIMENTS.md),
-/// over the engine `CATT_SIMCACHE` selects (a directory enables the
-/// multi-writer-safe persistent cache).
+/// over the engine `CATT_SIMCACHE` selects.
 fn serve_from_env() -> (catt_repro::serve::ServeConfig, Engine) {
     use catt_repro::serve::ServeConfig;
     let d = ServeConfig::default();
@@ -124,7 +128,7 @@ fn serve_from_env() -> (catt_repro::serve::ServeConfig, Engine) {
         drain_grace_ms: get("CATT_SERVE_DRAIN_MS", d.drain_grace_ms),
         quantum: get("CATT_SERVE_QUANTUM", d.quantum),
     };
-    (config, engine_from_env(None))
+    (config, engine_from_env())
 }
 
 fn usage() -> ExitCode {
@@ -135,7 +139,8 @@ fn usage() -> ExitCode {
          \x20      catt profile <ABBREV|all> [--l1 <KB>] [--trace-out <trace.json>]\n\
          \x20      catt tune <ABBREV|all> [--l1 <KB>] [--seed <S>] [--iters <N>] [--out <tune.json>]\n\
          \x20      catt fuzz [--seed <S>] [--iters <N>] [--shrink] [--unchecked] [--corpus <dir>] [--frontend]\n\
-         \x20      catt serve [--stdio | --tcp <addr>]"
+         \x20      catt serve [--stdio | --tcp <addr>]\n\
+         \x20      catt reproduce <id|all> [--check]"
     );
     ExitCode::from(2)
 }
@@ -453,11 +458,9 @@ fn tune_main(args: &[String]) -> ExitCode {
     print!("{}", summary.render_table());
 
     let mut failed = !summary.failures.is_empty();
-    for r in &summary.reports {
-        if let Err(e) = r.self_check(&opts) {
-            eprintln!("catt tune: SELF-CHECK VIOLATION: {e}");
-            failed = true;
-        }
+    for e in summary.violations(&opts) {
+        eprintln!("catt tune: SELF-CHECK VIOLATION: {e}");
+        failed = true;
     }
     if let Some(path) = out_path {
         let json = summary.to_json(&opts);
@@ -533,6 +536,66 @@ fn serve_main(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `catt reproduce`: regenerate `results/<id>.txt` for one artifact or
+/// `all`, or with `--check` compare instead and name every drifted table.
+fn reproduce_main(args: &[String]) -> ExitCode {
+    use catt_repro::reproduce::{self, ARTIFACTS};
+    use std::path::Path;
+
+    let (mut target, mut check) = (None, false);
+    for a in args {
+        match a.as_str() {
+            "--check" => check = true,
+            id if target.is_none() && !id.starts_with('-') => target = Some(id),
+            other => {
+                eprintln!("catt reproduce: unexpected argument `{other}`");
+                return usage();
+            }
+        }
+    }
+    let ids: Vec<&str> = match target {
+        Some("all") => ARTIFACTS.iter().map(|(id, _)| *id).collect(),
+        Some(id) if reproduce::find(id).is_some() => vec![id],
+        _ => {
+            let known: Vec<&str> = ARTIFACTS.iter().map(|(id, _)| *id).collect();
+            eprintln!("catt reproduce: name one of {} or `all`", known.join(", "));
+            return ExitCode::from(2);
+        }
+    };
+    let dir = Path::new("results");
+    let mut failed = false;
+    for id in ids {
+        let file = dir.join(format!("{id}.txt"));
+        let outcome = if check {
+            reproduce::check(id, dir).map(|fresh| {
+                if id == "analysis_overhead" {
+                    // Its host-time column is not compared; show it.
+                    eprint!("{fresh}");
+                }
+                "ok     "
+            })
+        } else {
+            let render = reproduce::find(id).expect("id checked above");
+            (render().map_err(|e| e.to_string()))
+                .and_then(|text| std::fs::write(&file, text).map_err(|e| e.to_string()))
+                .map(|()| "wrote  ")
+        };
+        match outcome {
+            Ok(done) => println!("{done} {}", file.display()),
+            Err(e) => {
+                println!("FAILED  {}: {e}", file.display());
+                failed = true;
+            }
+        }
+    }
+    Engine::global().print_summary();
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     // `fuzz` and `serve` have defaults for every flag, so they may
@@ -546,13 +609,13 @@ fn main() -> ExitCode {
         return usage();
     }
     let mode = argv[0].as_str();
-    if mode == "profile" || mode == "tune" {
+    if matches!(mode, "profile" | "tune" | "reproduce") {
         // Registry workloads evaluate on the process-wide engine.
-        Engine::init_global(engine_from_env(None));
-        return if mode == "profile" {
-            profile_main(&argv[1..])
-        } else {
-            tune_main(&argv[1..])
+        Engine::init_global(engine_from_env());
+        return match mode {
+            "profile" => profile_main(&argv[1..]),
+            "tune" => tune_main(&argv[1..]),
+            _ => reproduce_main(&argv[1..]),
         };
     }
     let path = &argv[1];
@@ -693,10 +756,9 @@ fn main() -> ExitCode {
                 eprintln!("catt run: --args is required (e.g. --args f:1024,f:64,si:64)");
                 return ExitCode::from(2);
             };
-            // Simulations are memoized in the persistent cache under
-            // results/.simcache/ (CATT_SIMCACHE=off forces cold runs); the
+            // Baseline and throttled runs are memoized in memory; the
             // --args spec is part of the cache scope (input identity).
-            let engine = engine_from_env(Some("results/.simcache"));
+            let engine = engine_from_env();
             for (ki, ck) in app.kernels.iter().enumerate() {
                 let exec = |kernel: &catt_repro::ir::Kernel| {
                     let mut mem = GlobalMem::new();

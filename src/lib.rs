@@ -53,8 +53,9 @@
 //! ```
 //!
 //! See `examples/` for end-to-end scenarios (compile → simulate →
-//! compare against baseline and BFTT) and `crates/bench` for the binaries
-//! regenerating every table and figure of the paper.
+//! compare against baseline and BFTT) and [`reproduce`] for the renderers
+//! behind `catt reproduce`, which regenerates and checks every table and
+//! figure of the paper.
 
 pub use catt_core as core;
 pub use catt_diag as diag;
@@ -66,3 +67,5 @@ pub use catt_sim as sim;
 pub use catt_tune as tune;
 pub use catt_verify as verify;
 pub use catt_workloads as workloads;
+
+pub mod reproduce;

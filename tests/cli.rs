@@ -160,6 +160,42 @@ fn bad_usage_exits_nonzero() {
     assert!(!out.status.success());
 }
 
+/// `catt reproduce <id> --check` reads `results/` under the working
+/// directory and writes nothing; an unknown id or cache mode is a usage
+/// error that names what is accepted.
+#[test]
+fn reproduce_checks_a_committed_table() {
+    let repo = env!("CARGO_MANIFEST_DIR");
+    let out = catt()
+        .args(["reproduce", "table1", "--check"])
+        .current_dir(repo)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.starts_with("ok") && stdout.contains("results/table1.txt"),
+        "{stdout}"
+    );
+
+    let out = catt().args(["reproduce", "fig1"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("fig7"));
+
+    let out = catt()
+        .args(["reproduce", "table1", "--check"])
+        .env("CATT_SIMCACHE", "results/.simcache")
+        .current_dir(repo)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("`mem`") && stderr.contains("`off`"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn fuzz_small_campaign_is_deterministic_and_clean() {
     let run = || {

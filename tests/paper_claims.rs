@@ -1,6 +1,6 @@
 //! Integration tests pinning the paper's qualitative claims (the "shape"
 //! DESIGN.md §4 commits to). These use the cheaper workloads so the suite
-//! stays fast; the full evaluation lives in `catt-bench`.
+//! stays fast; the full evaluation is `catt reproduce all`.
 
 use catt_repro::sim::GpuConfig;
 use catt_repro::workloads::registry::{find, Group};
