@@ -1,12 +1,19 @@
-//! A minimal JSON reader/writer for the serve wire protocol.
+//! The workspace's one JSON reader and writer.
 //!
-//! The workspace is dependency-free (offline build), so the NDJSON
-//! protocol runs on this ~200-line recursive-descent parser instead of
-//! `serde_json`. It covers the full JSON grammar — nested values, string
-//! escapes including `\uXXXX` with surrogate pairs, exponent-form
-//! numbers — with a recursion-depth guard so a hostile request cannot
-//! blow the daemon's stack. Numbers are carried as `f64` (the protocol
-//! never needs more than 53 bits of integer precision).
+//! The workspace is dependency-free (offline build), so every JSON the
+//! tool reads or writes goes through this recursive-descent parser and
+//! compact writer instead of `serde_json`: the `catt serve` NDJSON wire,
+//! `CATT_DIAG_FORMAT=json` diagnostics ([`crate::Diagnostic::to_json`])
+//! and the `catt profile --trace-out` Chrome trace (written with
+//! [`write_str`], checked with [`parse`]).
+//!
+//! The reader is strict: it accepts exactly RFC 8259 — raw control
+//! characters inside strings, leading zeros and numbers with an empty
+//! fraction or exponent (`1.`, `1e`) are rejected — plus a
+//! recursion-depth guard so a hostile request cannot blow the daemon's
+//! stack. String scanning is linear in the input: each unescaped run is
+//! copied as one slice. Numbers are carried as `f64` (the protocol never
+//! needs more than 53 bits of integer precision).
 
 use std::fmt::Write as _;
 
@@ -120,7 +127,10 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
+/// Append `s` to `out` as a quoted JSON string literal: `"` and `\`
+/// backslash-escaped, `\n`/`\r`/`\t` by name, other control characters
+/// as `\u00XX`, everything else verbatim.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -142,6 +152,7 @@ fn write_str(s: &str, out: &mut String) {
 /// lines carry exactly one value).
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -156,6 +167,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: u32,
@@ -266,6 +278,14 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte as one slice. All three are ASCII, so the run ends on
+            // a char boundary of the `&str` input.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(self.text.get(start..self.pos).ok_or("invalid utf8")?);
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
@@ -274,51 +294,54 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
                             self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let code = 0x10000
-                                        + ((hi - 0xD800) << 10)
-                                        + lo.checked_sub(0xDC00).ok_or("bad low surrogate")?;
-                                    char::from_u32(code)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(hi)
-                            };
-                            out.push(c.ok_or_else(|| "bad \\u escape".to_string())?);
+                            out.push(self.unicode_escape()?);
                             continue; // hex4 advanced pos already
                         }
                         _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
+                    };
+                    out.push(c);
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // on char boundaries is safe via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf8")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    return Err(format!(
+                        "raw control character in string at offset {}",
+                        self.pos
+                    ))
                 }
             }
         }
+    }
+
+    /// The scalar of a `\uXXXX` escape (the `\u` already consumed),
+    /// joining a surrogate pair; a lone or mismatched surrogate is an
+    /// error.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let hi = self.hex4()?;
+        let code = if (0xD800..0xDC00).contains(&hi) {
+            if !self.bytes[self.pos..].starts_with(b"\\u") {
+                return Err("bad \\u escape".to_string());
+            }
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err("bad low surrogate".to_string());
+            }
+            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+        } else {
+            hi
+        };
+        char::from_u32(code).ok_or_else(|| "bad \\u escape".to_string())
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -326,28 +349,43 @@ impl Parser<'_> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        // int = "0" / [1-9] *DIGIT
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits(),
+            _ => return Err(format!("bad number at offset {start}")),
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.required_digits(start)?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.required_digits(start)?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "bad number")?;
+        let text = self.text.get(start..self.pos).ok_or("bad number")?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number `{text}` at offset {start}"))
+    }
+
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+    }
+
+    /// One or more digits (a fraction or exponent may not be empty).
+    fn required_digits(&mut self, number_start: usize) -> Result<(), String> {
+        let from = self.pos;
+        self.digits();
+        if self.pos == from {
+            return Err(format!("bad number at offset {number_start}"));
+        }
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, String> {
@@ -355,8 +393,11 @@ impl Parser<'_> {
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or("truncated \\u escape")?;
-        let s = std::str::from_utf8(chunk).map_err(|_| "bad \\u escape")?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape")?;
+        let mut v = 0;
+        for &b in chunk {
+            let d = (b as char).to_digit(16).ok_or("bad \\u escape")?;
+            v = v * 16 + d;
+        }
         self.pos += 4;
         Ok(v)
     }
@@ -380,6 +421,20 @@ mod tests {
     fn unicode_escapes_and_surrogates() {
         let v = parse(r#""\u00e9\ud83d\ude00""#).unwrap();
         assert_eq!(v, Json::Str("é😀".to_string()));
+        // Multi-byte UTF-8 passes through unescaped runs untouched.
+        assert_eq!(
+            parse("\"aé😀b\\n\"").unwrap(),
+            Json::Str("aé😀b\n".to_string())
+        );
+        for bad in [
+            r#""\ud83d""#,       // lone high surrogate
+            r#""\ude00""#,       // lone low surrogate
+            r#""\ud83d\u0041""#, // high surrogate, non-surrogate after
+            r#""\ud83d\ue000""#, // high surrogate, past the low range
+            r#""\u+041""#,       // sign is not a hex digit
+        ] {
+            assert!(parse(bad).is_err(), "`{bad}` should be rejected");
+        }
     }
 
     #[test]
@@ -390,6 +445,54 @@ mod tests {
         assert!(parse("\"\\u12\"").is_err());
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&deep).is_err(), "depth guard");
+        let shallow = "[".repeat(64) + &"]".repeat(64);
+        assert!(parse(&shallow).is_ok(), "64 levels are allowed");
+    }
+
+    #[test]
+    fn accepts_valid_json() {
+        for ok in [
+            "{}",
+            "[]",
+            "null",
+            "0",
+            "-0.5",
+            "-12.5e3",
+            "1E+2",
+            "\"\"",
+            r#"{"a": [1, 2, {"b": "x\ny"}], "c": true}"#,
+            r#" { "traceEvents" : [ ] } "#,
+            r#""\/\b\f\r\t""#,
+        ] {
+            parse(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
+        }
+    }
+
+    #[test]
+    fn rejects_invalid_json() {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\" 1}",
+            "tru",
+            "1.2.3",
+            "\"unterminated",
+            "{} trailing",
+            "01e",
+            "1.",
+            "1e",
+            "1e+",
+            "-",
+            "01",
+            "-.5",
+            "\"tab\there\"",
+            "\"nl\nhere\"",
+            "\"\u{1}\"",
+            "\"\\x\"",
+        ] {
+            assert!(parse(bad).is_err(), "`{bad}` should be rejected");
+        }
     }
 
     #[test]
@@ -397,5 +500,41 @@ mod tests {
         let s = Json::Str("a\u{1}b".to_string()).render();
         assert_eq!(s, "\"a\\u0001b\"");
         assert_eq!(parse(&s).unwrap(), Json::Str("a\u{1}b".to_string()));
+    }
+
+    #[test]
+    fn escape_roundtrips_through_validate() {
+        let nasty = "a\"b\\c\nd\te\u{1}\u{1f}é";
+        let mut doc = String::from("{\"k\": ");
+        write_str(nasty, &mut doc);
+        doc.push('}');
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("k").and_then(Json::as_str), Some(nasty));
+    }
+
+    /// A multi-megabyte string value parses in linear time.
+    #[test]
+    fn long_string_parses_in_linear_time() {
+        let payload = "x".repeat(4 << 20);
+        let line = format!(r#"{{"id":"big","op":"submit","kernel":"{payload}"}}"#);
+        let t = std::time::Instant::now();
+        let v = parse(&line).unwrap();
+        let took = t.elapsed();
+        assert_eq!(
+            v.get("kernel").and_then(Json::as_str).map(str::len),
+            Some(4 << 20)
+        );
+        assert!(took.as_secs_f64() < 5.0, "4 MiB string took {took:?}");
+    }
+
+    #[test]
+    fn integers_render_without_a_fraction() {
+        let v = obj(vec![
+            ("a", Json::Num(3.0)),
+            ("b", Json::Num(0.25)),
+            ("c", Json::Num(f64::NAN)),
+            ("d", Json::Num(-7.0)),
+        ]);
+        assert_eq!(v.render(), r#"{"a":3,"b":0.25,"c":null,"d":-7}"#);
     }
 }

@@ -9,17 +9,23 @@
 //! * [`render_human`] — a rustc-style caret report against the source
 //!   text, for terminals;
 //! * [`Diagnostic::to_json`] / [`render_json`] — a machine-readable
-//!   form carried verbatim on the `catt-serve` NDJSON wire.
+//!   form carried verbatim on the `catt-serve` NDJSON wire, read back by
+//!   [`Diagnostic::from_json`].
 //!
 //! The crate is dependency-free and knows nothing about the IR: spans
 //! are plain byte ranges, produced by the frontend and carried through
-//! the pass pipeline untouched.
+//! the pass pipeline untouched. It also owns the workspace's one JSON
+//! reader and writer, [`json`], which the serve protocol and the
+//! profiler's Chrome trace use as well.
 
 pub mod codes;
+pub mod json;
 pub mod span;
 
 pub use codes::Code;
 pub use span::{LineIndex, Span};
+
+use json::Json;
 
 /// How bad a diagnostic is. `Note` never appears as a top-level
 /// severity; it exists so attached notes can reuse the rendering.
@@ -117,80 +123,96 @@ impl Diagnostic {
         format!("{}[{}]: {}", self.severity.label(), self.code, self.message)
     }
 
-    /// Machine-readable JSON object (hand-rolled; the workspace is
-    /// dependency-free). Stable field order.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        push_str_field(&mut out, "severity", self.severity.label());
-        out.push(',');
-        push_str_field(&mut out, "code", self.code.as_str());
-        out.push(',');
-        push_str_field(&mut out, "message", &self.message);
+    /// Machine-readable form, the one wire shape of a diagnostic: the
+    /// `CATT_DIAG_FORMAT=json` array element and the `catt serve`
+    /// `diagnostics`/`fallback` field. Stable field order; absent parts
+    /// (no span, unlocated, no pass, no notes) are omitted.
+    pub fn to_json(&self) -> Json {
+        let mut f: Vec<(&str, Json)> = vec![
+            ("severity", Json::Str(self.severity.label().to_string())),
+            ("code", Json::Str(self.code.as_str().to_string())),
+            ("message", Json::Str(self.message.clone())),
+        ];
         if let Some(s) = self.span {
-            out.push_str(&format!(
-                ",\"span\":{{\"start\":{},\"end\":{}}}",
-                s.start, s.end
-            ));
+            f.push(("span", span_to_json(s)));
         }
         if self.line > 0 {
-            out.push_str(&format!(",\"line\":{},\"col\":{}", self.line, self.col));
+            f.push(("line", Json::Num(self.line as f64)));
+            f.push(("col", Json::Num(self.col as f64)));
         }
         if let Some(p) = self.pass {
-            out.push(',');
-            push_str_field(&mut out, "pass", p);
+            f.push(("pass", Json::Str(p.to_string())));
         }
         if !self.notes.is_empty() {
-            out.push_str(",\"notes\":[");
-            for (i, n) in self.notes.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('{');
-                push_str_field(&mut out, "message", &n.message);
+            let notes = self.notes.iter().map(|n| {
+                let mut nf = vec![("message", Json::Str(n.message.clone()))];
                 if let Some(s) = n.span {
-                    out.push_str(&format!(
-                        ",\"span\":{{\"start\":{},\"end\":{}}}",
-                        s.start, s.end
-                    ));
+                    nf.push(("span", span_to_json(s)));
                 }
-                out.push('}');
-            }
-            out.push(']');
+                json::obj(nf)
+            });
+            f.push(("notes", Json::Arr(notes.collect())));
         }
-        out.push('}');
-        out
+        json::obj(f)
+    }
+
+    /// Read a diagnostic back from its [`Diagnostic::to_json`] form.
+    /// Codes resolve through the stable registry and pass names through
+    /// the known set; an unknown code or severity is `None` (a malformed
+    /// reply to the serve client).
+    pub fn from_json(v: &Json) -> Option<Diagnostic> {
+        let severity = match v.get("severity")?.as_str()? {
+            "error" => Severity::Error,
+            "warning" => Severity::Warning,
+            "note" => Severity::Note,
+            _ => return None,
+        };
+        let mut d = Diagnostic::error(
+            codes::lookup(v.get("code")?.as_str()?)?,
+            v.get("message")?.as_str()?,
+        );
+        d.severity = severity;
+        d.span = v.get("span").and_then(span_from_json);
+        d.line = v.get("line").and_then(Json::as_u64).unwrap_or(0) as u32;
+        d.col = v.get("col").and_then(Json::as_u64).unwrap_or(0) as u32;
+        d.pass = v
+            .get("pass")
+            .and_then(Json::as_str)
+            .and_then(|p| PASSES.iter().find(|k| **k == p).copied());
+        if let Some(Json::Arr(notes)) = v.get("notes") {
+            for n in notes {
+                d.notes.push(Note {
+                    message: n.get("message")?.as_str()?.to_string(),
+                    span: n.get("span").and_then(span_from_json),
+                });
+            }
+        }
+        Some(d)
     }
 }
 
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Names of the compile pipeline's passes, in order: the values
+/// `Diagnostic::pass` takes once a diagnostic has gone through the pass
+/// manager.
+const PASSES: [&str; 5] = ["parse", "analyze", "legalize", "transform", "emit"];
+
+fn span_to_json(s: Span) -> Json {
+    json::obj(vec![
+        ("start", Json::Num(s.start as f64)),
+        ("end", Json::Num(s.end as f64)),
+    ])
+}
+
+fn span_from_json(v: &Json) -> Option<Span> {
+    Some(Span::new(
+        v.get("start")?.as_u64()? as u32,
+        v.get("end")?.as_u64()? as u32,
+    ))
 }
 
 /// Render a diagnostic list as one JSON array.
 pub fn render_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&d.to_json());
-    }
-    out.push(']');
-    out
+    Json::Arr(diags.iter().map(Diagnostic::to_json).collect()).render()
 }
 
 /// Backfill `line`/`col` on every diagnostic (and leave already-located
@@ -304,7 +326,7 @@ mod tests {
             .with_span(Span::new(2, 3))
             .at(1, 3)
             .in_pass("parse");
-        let j = d.to_json();
+        let j = d.to_json().render();
         assert!(j.contains("\"severity\":\"error\""), "{j}");
         assert!(j.contains("\"code\":\"E001\""), "{j}");
         assert!(j.contains("\\\"char\\\"\\n"), "{j}");
@@ -314,6 +336,38 @@ mod tests {
         let arr = render_json(&[d.clone(), d]);
         assert!(arr.starts_with('[') && arr.ends_with(']'));
         assert!(arr.contains("},{"));
+    }
+
+    /// Every registered code survives the wire: with and without span,
+    /// line/col, pass and notes, `from_json(to_json(d)) == d`, also after
+    /// a render/parse trip.
+    #[test]
+    fn every_code_round_trips_through_json() {
+        for &(name, _) in codes::REGISTRY {
+            let code = codes::lookup(name).expect("registered code resolves");
+            let bare = Diagnostic::warning(code, format!("{name}: \"quoted\"\tand\u{1}"));
+            let full = Diagnostic::error(code, "full")
+                .with_span(Span::new(3, 9))
+                .at(2, 7)
+                .in_pass(PASSES[name.len() % PASSES.len()])
+                .note("spanned note", Some(Span::new(0, 1)))
+                .note("bare note", None);
+            let mut note_severity = full.clone();
+            note_severity.severity = Severity::Note;
+            let located = Diagnostic::error(code, "located").at(4, 1);
+            for d in [bare, located, full, note_severity] {
+                let j = d.to_json();
+                assert_eq!(Diagnostic::from_json(&j).as_ref(), Some(&d), "{name}");
+                let reparsed = json::parse(&j.render()).expect("rendered diagnostic parses");
+                assert_eq!(reparsed, j, "{name}");
+            }
+        }
+        let unknown = json::obj(vec![
+            ("severity", Json::Str("error".into())),
+            ("code", Json::Str("E999".into())),
+            ("message", Json::Str("x".into())),
+        ]);
+        assert_eq!(Diagnostic::from_json(&unknown), None);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! launch's events are offset by the cumulative cycle count of the
 //! launches before it (plus a small gap so boundaries are visible).
 
-use crate::json::escape;
+use catt_diag::json::write_str;
 use catt_sim::profile::{LaunchProfile, PhaseKind};
 use std::fmt::Write as _;
 
@@ -28,7 +28,8 @@ pub fn chrome_trace(profiles: &[LaunchProfile]) -> String {
     let mut first = true;
     let mut offset = 0u64;
     for p in profiles {
-        let kernel = escape(&p.kernel);
+        let mut kernel = String::new();
+        write_str(&p.kernel, &mut kernel);
         for sm in &p.sms {
             for e in &sm.events {
                 let (tid, name) = match e.kind {
@@ -40,11 +41,12 @@ pub fn chrome_trace(profiles: &[LaunchProfile]) -> String {
                     out.push_str(",\n");
                 }
                 first = false;
+                out.push_str("{\"name\": ");
+                write_str(&name, &mut out);
                 let _ = write!(
                     out,
-                    "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": {}, \
-                     \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{\"kernel\": \"{}\"}}}}",
-                    escape(&name),
+                    ", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": {}, \
+                     \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{\"kernel\": {}}}}}",
                     kind_label(e.kind),
                     sm.sm_id,
                     tid,
@@ -101,7 +103,7 @@ mod tests {
     #[test]
     fn trace_is_valid_json_with_expected_shape() {
         let trace = chrome_trace(&[sample_profile("k1"), sample_profile("k\"2\"")]);
-        crate::json::validate(&trace).unwrap();
+        catt_diag::json::parse(&trace).unwrap();
         assert!(trace.contains("\"traceEvents\""));
         assert!(trace.contains("\"ph\": \"X\""));
         // Block spans land on the offset tid lane.
@@ -118,6 +120,6 @@ mod tests {
     #[test]
     fn empty_profile_list_is_still_valid() {
         let trace = chrome_trace(&[]);
-        crate::json::validate(&trace).unwrap();
+        catt_diag::json::parse(&trace).unwrap();
     }
 }

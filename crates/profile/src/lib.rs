@@ -19,12 +19,8 @@
 //! consumer run that profiles reconcile exactly with the simulator's own
 //! counters — profiling that disagrees with the stats it annotates is
 //! worse than no profiling.
-//!
-//! The workspace is dependency-free, so [`json`] provides the minimal
-//! validator the trace exporter is tested against.
 
 pub mod chrome;
-pub mod json;
 pub mod model;
 pub mod report;
 

@@ -35,7 +35,6 @@
 pub mod breaker;
 pub mod fair;
 pub mod front;
-pub mod json;
 pub mod proto;
 pub mod quota;
 pub mod server;

@@ -31,8 +31,8 @@
 //! "message":"..."}` — `kind` is one of [`ErrorKind`]'s wire tokens; every
 //! admitted request gets exactly one response, whatever happens.
 
-use crate::json::{obj, parse, Json};
-use catt_diag::{codes, Diagnostic, Note, Severity, Span};
+use catt_diag::json::{obj, parse, Json};
+use catt_diag::Diagnostic;
 
 /// Operations a request line can carry.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,100 +164,6 @@ pub struct ErrorBody {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// Wire form of one diagnostic (same shape as `Diagnostic::to_json`).
-fn diag_to_json(d: &Diagnostic) -> Json {
-    let mut f: Vec<(&str, Json)> = vec![
-        ("severity", Json::Str(d.severity.label().to_string())),
-        ("code", Json::Str(d.code.as_str().to_string())),
-        ("message", Json::Str(d.message.clone())),
-    ];
-    if let Some(s) = d.span {
-        f.push((
-            "span",
-            obj(vec![
-                ("start", Json::Num(s.start as f64)),
-                ("end", Json::Num(s.end as f64)),
-            ]),
-        ));
-    }
-    if d.line > 0 {
-        f.push(("line", Json::Num(d.line as f64)));
-        f.push(("col", Json::Num(d.col as f64)));
-    }
-    if let Some(p) = d.pass {
-        f.push(("pass", Json::Str(p.to_string())));
-    }
-    if !d.notes.is_empty() {
-        f.push((
-            "notes",
-            Json::Arr(
-                d.notes
-                    .iter()
-                    .map(|n| {
-                        let mut nf = vec![("message", Json::Str(n.message.clone()))];
-                        if let Some(s) = n.span {
-                            nf.push((
-                                "span",
-                                obj(vec![
-                                    ("start", Json::Num(s.start as f64)),
-                                    ("end", Json::Num(s.end as f64)),
-                                ]),
-                            ));
-                        }
-                        obj(nf)
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    obj(f)
-}
-
-fn span_from_json(v: &Json) -> Option<Span> {
-    Some(Span::new(
-        v.get("start")?.as_u64()? as u32,
-        v.get("end")?.as_u64()? as u32,
-    ))
-}
-
-/// Parse a diagnostic back off the wire. Codes resolve through the
-/// stable registry; unknown codes and severities are rejected (the
-/// harness treats that as a malformed response).
-fn diag_from_json(v: &Json) -> Option<Diagnostic> {
-    let code = codes::lookup(v.get("code")?.as_str()?)?;
-    let severity = match v.get("severity")?.as_str()? {
-        "error" => Severity::Error,
-        "warning" => Severity::Warning,
-        "note" => Severity::Note,
-        _ => return None,
-    };
-    let mut d = match severity {
-        Severity::Error => Diagnostic::error(code, v.get("message")?.as_str()?),
-        _ => Diagnostic::warning(code, v.get("message")?.as_str()?),
-    };
-    d.severity = severity;
-    d.span = v.get("span").and_then(span_from_json);
-    d.line = v.get("line").and_then(Json::as_u64).unwrap_or(0) as u32;
-    d.col = v.get("col").and_then(Json::as_u64).unwrap_or(0) as u32;
-    // Pass names are static strings; resolve through the known set.
-    d.pass = v.get("pass").and_then(Json::as_str).and_then(|p| {
-        ["parse", "analyze", "legalize", "transform", "emit"]
-            .iter()
-            .find(|k| **k == p)
-            .copied()
-    });
-    if let Some(Json::Arr(notes)) = v.get("notes") {
-        for n in notes {
-            let msg = n.get("message").and_then(Json::as_str)?;
-            d.notes.push(Note {
-                message: msg.to_string(),
-                span: n.get("span").and_then(span_from_json),
-            });
-        }
-    }
-    Some(d)
-}
-
 impl Response {
     /// The correlation id this response answers.
     pub fn id(&self) -> &str {
@@ -289,7 +195,7 @@ impl Response {
                     fields.push(("emitted_source", Json::Str(src.clone())));
                 }
                 if let Some(fb) = &r.fallback {
-                    fields.push(("fallback", diag_to_json(fb)));
+                    fields.push(("fallback", fb.to_json()));
                 }
                 obj(fields).render()
             }
@@ -306,7 +212,7 @@ impl Response {
                 if !e.diagnostics.is_empty() {
                     fields.push((
                         "diagnostics",
-                        Json::Arr(e.diagnostics.iter().map(diag_to_json).collect()),
+                        Json::Arr(e.diagnostics.iter().map(Diagnostic::to_json).collect()),
                     ));
                 }
                 obj(fields).render()
@@ -433,7 +339,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
         let diagnostics = match v.get("diagnostics") {
             Some(Json::Arr(items)) => items
                 .iter()
-                .map(diag_from_json)
+                .map(Diagnostic::from_json)
                 .collect::<Option<Vec<_>>>()
                 .ok_or("malformed diagnostic in response")?,
             _ => Vec::new(),
@@ -473,7 +379,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
                 .get("emitted_source")
                 .and_then(Json::as_str)
                 .map(str::to_string),
-            fallback: v.get("fallback").and_then(diag_from_json),
+            fallback: v.get("fallback").and_then(Diagnostic::from_json),
         })),
         None => Ok(Response::Info { id, fields: v }),
     }
@@ -482,6 +388,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use catt_diag::{codes, Span};
 
     #[test]
     fn submit_round_trips() {

@@ -26,13 +26,13 @@
 
 use crate::breaker::Breaker;
 use crate::fair::FairQueue;
-use crate::json::{obj, Json};
 use crate::proto::{
     parse_request, ErrorBody, ErrorKind, Op, Request, Response, ResultBody, SubmitRequest,
 };
 use crate::quota::TokenBucket;
 use catt_core::engine::{Engine, JobError, SimSource};
 use catt_core::pipeline::{CompiledKernel, Pipeline};
+use catt_diag::json::{obj, Json};
 use catt_diag::{codes, Diagnostic};
 use catt_frontend::parse_module;
 use catt_ir::kernel::{Kernel, LaunchConfig, ParamTy};

@@ -21,9 +21,9 @@
 
 use catt_core::engine::Engine;
 use catt_core::fault::FaultPlan;
+use catt_diag::json::{obj, Json};
 use catt_prng::Rng;
 use catt_serve::front::serve_listener;
-use catt_serve::json::{obj, Json};
 use catt_serve::proto::{parse_response, ErrorKind, Response, SubmitRequest};
 use catt_serve::server::{fuel_cost, ServeConfig, Server};
 use std::collections::HashMap;

@@ -732,6 +732,7 @@ pub fn tune_workloads(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use catt_diag::json::Json;
     use catt_workloads::registry;
 
     fn opts() -> TuneOptions {
@@ -826,10 +827,13 @@ mod tests {
         let json = summary.to_json(&o);
         assert!(json.contains("\"app\": \"DM\""));
         assert!(json.contains("\"geomean_tuned\""));
-        // Balanced braces/brackets — the cheap structural check the
-        // profile crate's JSON validator formalizes.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let parsed = catt_diag::json::parse(&json).expect("summary is valid JSON");
+        assert!(parsed.get("geomean_tuned").and_then(Json::as_f64).is_some());
+        let Some(Json::Arr(apps)) = parsed.get("apps") else {
+            panic!("no `apps` array in {json}")
+        };
+        assert_eq!(apps.len(), 1);
+        assert_eq!(apps[0].get("app").and_then(Json::as_str), Some("DM"));
         let table = summary.render_table();
         assert!(table.contains("DM"));
         assert!(table.contains("geomean"));

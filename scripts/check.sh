@@ -35,7 +35,8 @@ for f in crates/sim/src/sm.rs crates/sim/src/mem.rs crates/sim/src/warp.rs \
          crates/core/src/swizzle.rs crates/tune/src/lib.rs \
          crates/frontend/src/lexer.rs crates/frontend/src/parser.rs \
          crates/frontend/src/lib.rs crates/diag/src/lib.rs \
-         crates/diag/src/span.rs crates/diag/src/codes.rs; do
+         crates/diag/src/span.rs crates/diag/src/codes.rs \
+         crates/diag/src/json.rs; do
     [ -f "$f" ] || continue
     if sed -n '1,/#\[cfg(test)\]/p' "$f" | grep -vE '^[[:space:]]*//' \
         | grep -nE '(^|[^_a-zA-Z])(panic!|assert!|assert_eq!|assert_ne!|unreachable!|todo!|unimplemented!)\(' ; then

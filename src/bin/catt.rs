@@ -65,8 +65,8 @@ use catt_repro::sim::{Arg, GlobalMem, Gpu, GpuConfig};
 use std::process::ExitCode;
 
 /// Render diagnostics per `CATT_DIAG_FORMAT`: `human` (default) produces
-/// caret listings against the source; `json` emits one object per line
-/// for tooling.
+/// caret listings against the source; `json` emits one JSON array of
+/// diagnostic objects, on one line, for tooling.
 fn render_diags(diags: &[catt_repro::diag::Diagnostic], src: &str, file: &str) -> String {
     let mut out = match std::env::var("CATT_DIAG_FORMAT").as_deref() {
         Ok("json") => catt_repro::diag::render_json(diags),
@@ -282,7 +282,7 @@ fn fuzz_main(args: &[String]) -> ExitCode {
 /// `catt profile`: run registry workloads with the in-simulator tracer
 /// armed and print the consumer reports.
 fn profile_main(args: &[String]) -> ExitCode {
-    use catt_repro::profile::{check_against_stats, chrome, json, model, report};
+    use catt_repro::profile::{check_against_stats, chrome, model, report};
     use catt_repro::workloads::{harness, registry};
 
     let target = &args[0];
@@ -367,7 +367,7 @@ fn profile_main(args: &[String]) -> ExitCode {
                 format!("{path}.{}", w.abbrev)
             };
             let trace = chrome::chrome_trace(&profiles);
-            if let Err(e) = json::validate(&trace) {
+            if let Err(e) = catt_repro::diag::json::parse(&trace) {
                 eprintln!(
                     "catt profile {}: emitted trace is not valid JSON: {e}",
                     w.abbrev

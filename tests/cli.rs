@@ -139,8 +139,87 @@ fn profile_emits_reports_and_valid_trace() {
     assert!(stdout.contains("pred lines"), "{stdout}");
     let json = std::fs::read_to_string(&trace).unwrap();
     let _ = std::fs::remove_file(&trace);
-    catt_profile::json::validate(&json).expect("trace is valid JSON");
+    catt_diag::json::parse(&json).expect("trace is valid JSON");
     assert!(json.contains("\"traceEvents\""), "trace envelope present");
+}
+
+/// `CATT_DIAG_FORMAT=json` prints one JSON array of diagnostics, and that
+/// array is the `diagnostics` field `catt serve` sends for the same
+/// source: one wire form for a diagnostic. The one difference is content,
+/// not encoding: the daemon parses outside the pass manager, so its parse
+/// errors carry no `pass`, while the CLI's say `"pass":"parse"`.
+#[test]
+fn diag_format_json_matches_the_serve_wire_form() {
+    use catt_diag::json::{self, Json};
+    use std::io::Write;
+    use std::process::Stdio;
+    let src = "__global__ void k(float *a, int n) {\n    int i = threadIdx.x;\n    if (i < n) { a[i] = a[i] * ; }\n    @ \"q\\t\"\n}\n";
+    let f = tempfile_path::write(src);
+    let out = catt()
+        .args(["analyze", f.0.to_str().unwrap(), "--launch", "k=1x32"])
+        .env("CATT_DIAG_FORMAT", "json")
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let first = stderr.lines().next().unwrap_or_default();
+    let cli = json::parse(first).unwrap_or_else(|e| panic!("{e}: {stderr}"));
+    let Json::Arr(diags) = &cli else {
+        panic!("not an array: {stderr}")
+    };
+    assert!(diags.len() >= 2, "{stderr}");
+    assert!(
+        diags
+            .iter()
+            .all(|d| d.get("pass").and_then(Json::as_str) == Some("parse")),
+        "{stderr}"
+    );
+    let without_pass = |v: &Json| match v {
+        Json::Arr(items) => Json::Arr(
+            items
+                .iter()
+                .map(|d| match d {
+                    Json::Obj(fields) => Json::Obj(
+                        fields
+                            .iter()
+                            .filter(|(k, _)| k != "pass")
+                            .cloned()
+                            .collect(),
+                    ),
+                    other => other.clone(),
+                })
+                .collect(),
+        ),
+        other => other.clone(),
+    };
+
+    let request = json::obj(vec![
+        ("id", Json::Str("broken".into())),
+        ("kernel", Json::Str(src.into())),
+        ("grid", Json::Num(1.0)),
+        ("block", Json::Num(32.0)),
+    ]);
+    let mut child = catt()
+        .args(["serve", "--stdio"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    writeln!(child.stdin.take().unwrap(), "{}", request.render()).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let reply = json::parse(stdout.trim()).unwrap_or_else(|e| panic!("{e}: {stdout}"));
+    assert_eq!(
+        reply.get("kind").and_then(Json::as_str),
+        Some("compile-error"),
+        "{stdout}"
+    );
+    let served = reply
+        .get("diagnostics")
+        .expect("compile-error carries diagnostics");
+    assert_eq!(without_pass(served), without_pass(&cli), "{stdout}");
 }
 
 #[test]

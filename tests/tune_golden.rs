@@ -4,13 +4,14 @@
 //! The literals were recorded with `tune_workload` running every step one
 //! simulation at a time, before its candidates moved onto the engine pool
 //! as batches. GSMV, CORR and CFD are fast apps whose climbs all run. This
-//! file is its own test binary with a single test, so the process-wide
-//! engine's cache counters count only the calls made here.
+//! file is its own test binary with a single engine-using test, so the
+//! process-wide engine's cache counters count only the calls made here.
 
 use catt_repro::core::bftt::{candidate_grid, resident_tbs};
 use catt_repro::core::engine::{job_digest, Engine};
 use catt_repro::core::pipeline::apply_uniform;
 use catt_repro::core::{cta_swizzle, SwizzlePolicy};
+use catt_repro::diag::json::{self, Json};
 use catt_repro::ir::Kernel;
 use catt_repro::tune::{tune_workload, TuneOptions, TuneReport};
 use catt_repro::workloads::harness::{compile_catt, eval_config_max_l1d};
@@ -188,4 +189,21 @@ fn tuner_matches_golden_and_simulates_each_program_once() {
         assert_eq!(misses() - before, 0, "{}: a repeated call missed", g.app);
         check_against_golden(&again, g);
     }
+}
+
+/// The `catt tune --out` golden that `scripts/check.sh` diffs against is
+/// itself well-formed JSON with one entry per tuned app.
+#[test]
+fn tune_summary_golden_is_valid_json() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/tune-DM-ATAX.json"
+    );
+    let text = std::fs::read_to_string(path).expect("golden exists");
+    let v = json::parse(&text).expect("golden parses");
+    let Some(Json::Arr(apps)) = v.get("apps") else {
+        panic!("no `apps` array in {path}")
+    };
+    let names: Vec<_> = apps.iter().filter_map(|a| a.get("app")?.as_str()).collect();
+    assert_eq!(names, ["DM", "ATAX"]);
 }
