@@ -54,6 +54,7 @@ use catt_ir::kernel::{Kernel, LaunchConfig};
 use catt_sim::{Fnv64, GpuConfig, LaunchStats};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
@@ -175,10 +176,10 @@ pub fn job_digest(
     for k in kernels {
         let program = catt_sim::lower(k)
             .map_err(|e| JobError::fatal(scope, format!("kernel `{}`: {e}", k.name)))?;
-        h.write_debug(&program.content_digest());
+        program.content_digest().hash(&mut h);
     }
-    h.write_debug(&launches);
-    h.write_debug(&config.content_digest());
+    launches.hash(&mut h);
+    config.content_digest().hash(&mut h);
     Ok(JobKey(h.finish()))
 }
 
@@ -231,11 +232,20 @@ impl SimCache {
     }
 
     fn lookup(&self, key: JobKey) -> Option<LaunchStats> {
+        let found = self.peek(key);
+        if found.is_none() && self.mem.is_some() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    /// Like [`SimCache::lookup`], but a miss counts nothing: the caller
+    /// goes on to a counted lookup.
+    fn peek(&self, key: JobKey) -> Option<LaunchStats> {
         let found = self.mem.as_ref()?.lock().unwrap().get(&key.0).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
         found
     }
 
@@ -557,6 +567,18 @@ impl Engine {
         }
     }
 
+    /// The cached result under `key` — the [`job_digest`] of a run on
+    /// `config` — without simulating. A hit counts as a cache hit; a miss
+    /// counts nothing, because the caller then runs the job through
+    /// [`Engine::sim_app_shared`], which counts it. A run that may not
+    /// read the cache (see the module docs) always misses.
+    pub fn cached(&self, key: JobKey, config: &GpuConfig) -> Option<LaunchStats> {
+        if CacheUse::of(config) != CacheUse::ReadWrite {
+            return None;
+        }
+        self.cache.peek(key)
+    }
+
     /// Insert a profiled run's stats under the key a plain run of the same
     /// job looks up. The key is derived after the run, so a profiled
     /// run's errors are always the run's own.
@@ -846,6 +868,42 @@ mod tests {
         assert_eq!(a.cycles, b.cycles);
         let c = engine.cache_counters();
         assert_eq!((c.hits, c.misses), (1, 1));
+    }
+
+    #[test]
+    fn cached_counts_a_hit_and_never_a_miss() {
+        let engine = Engine::with_workers(1);
+        let k = kernel();
+        let launch = LaunchConfig::d1(1, 32);
+        let config = GpuConfig::small();
+        let key = job_digest("peek", std::slice::from_ref(&k), &[launch], &config).unwrap();
+        assert!(engine.cached(key, &config).is_none());
+        assert_eq!(engine.cache_counters(), CacheCounters::default());
+        let stats = LaunchStats {
+            cycles: 7,
+            ..LaunchStats::default()
+        };
+        let computed = engine
+            .sim_app_shared(
+                "peek",
+                std::slice::from_ref(&k),
+                &[launch],
+                &config,
+                None,
+                || Ok(stats.clone()),
+            )
+            .unwrap();
+        assert_eq!(computed.source, SimSource::Computed);
+        let c = engine.cache_counters();
+        assert_eq!((c.hits, c.misses), (0, 1));
+        assert_eq!(engine.cached(key, &config).map(|s| s.cycles), Some(7));
+        let c = engine.cache_counters();
+        assert_eq!((c.hits, c.misses), (1, 1));
+        // A run that may not read the cache never hits.
+        let mut traced = config.clone();
+        traced.trace_requests = true;
+        assert!(engine.cached(key, &traced).is_none());
+        assert_eq!(engine.cache_counters().hits, 1);
     }
 
     #[test]

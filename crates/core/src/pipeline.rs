@@ -9,7 +9,7 @@ use crate::analysis::KernelAnalysis;
 use crate::fault::FaultPlan;
 use crate::passes::{AnalyzePass, EmitPass, LegalizePass, ParsePass, PassManager, TransformPass};
 use catt_diag::{codes, Diagnostic, Severity};
-use catt_ir::kernel::{Kernel, LaunchConfig};
+use catt_ir::kernel::{Kernel, LaunchConfig, Module};
 use catt_sim::GpuConfig;
 use std::fmt;
 
@@ -150,6 +150,19 @@ impl Pipeline {
         &self.base_config
     }
 
+    /// Run the `parse` pass alone: source text to IR module. Its
+    /// diagnostics name the pass and are located against `src`.
+    pub fn parse(&self, src: &str) -> Result<Module, PipelineError> {
+        let mut diags: Vec<Diagnostic> = Vec::new();
+        match PassManager::run(&ParsePass, src, &mut diags) {
+            Some(module) => Ok(module),
+            None => {
+                catt_diag::locate(&mut diags, src);
+                Err(PipelineError::from_diags(diags))
+            }
+        }
+    }
+
     /// Compile a whole translation unit. `launches` pairs each kernel name
     /// with the launch configuration the host uses (the compile-time-known
     /// launch parameters of §4.3).
@@ -158,11 +171,8 @@ impl Pipeline {
         src: &str,
         launches: &[(&str, LaunchConfig)],
     ) -> Result<CompiledApp, PipelineError> {
+        let module = self.parse(src)?;
         let mut diags: Vec<Diagnostic> = Vec::new();
-        let Some(module) = PassManager::run(&ParsePass, src, &mut diags) else {
-            catt_diag::locate(&mut diags, src);
-            return Err(PipelineError::from_diags(diags));
-        };
         let mut kernels = Vec::new();
         for k in &module.kernels {
             let Some(launch) = launches.iter().find(|(n, _)| *n == k.name).map(|(_, l)| *l) else {

@@ -63,10 +63,12 @@ pub const REGISTRY: &[(&str, &str)] = &[
     ("E017", "malformed __shared__ declaration"),
     ("E018", "unknown struct member"),
     ("E019", "wrong intrinsic arity"),
-    // E02x — pipeline (lowering / analysis) errors.
+    // E02x — pipeline (lowering / analysis) errors, and the parser's
+    // nesting limit that keeps every later stage's recursion bounded.
     ("E020", "lowering failed"),
     ("E021", "kernel not launchable on this configuration"),
     ("E022", "no launch configuration supplied"),
+    ("E023", "nesting too deep"),
     // E03x — internal errors.
     ("E030", "internal error: compiler pass panicked"),
     // W00x — transform-level warnings.
@@ -102,6 +104,7 @@ pub const BAD_INTRINSIC_ARITY: Code = Code("E019");
 pub const LOWERING_FAILED: Code = Code("E020");
 pub const UNLAUNCHABLE: Code = Code("E021");
 pub const MISSING_LAUNCH: Code = Code("E022");
+pub const NESTING_TOO_DEEP: Code = Code("E023");
 pub const PASS_PANICKED: Code = Code("E030");
 pub const TRANSFORM_FALLBACK: Code = Code("W001");
 pub const FAULT_FALLBACK: Code = Code("W002");

@@ -30,6 +30,18 @@ use std::fmt;
 /// per byte.
 pub(crate) const MAX_ERRORS: usize = 25;
 
+/// Deepest nesting the parser accepts (`E023` past it), and so the
+/// deepest tree every later stage — printer, analysis, lowering, drop —
+/// recurses over. Along any path down from a kernel body it counts each
+/// statement body, each `expr`/`unary` the parser is inside (a
+/// parenthesis costs both, so 62 nested parentheses fit), and the
+/// expression-tree nodes below: unary operators, casts, index, call,
+/// ternary, and each operator of a left-associative chain. Without the
+/// limit, a debug build on a 2 MiB thread (a serve worker's or
+/// connection's stack) compiles 150 nested parentheses and overflows at
+/// 180, so this keeps a margin of more than 2×.
+pub const MAX_NESTING: u32 = 128;
+
 /// Result of a recovering parse: a (possibly partial) module plus every
 /// diagnostic collected along the way, in emission order, located
 /// (line/col filled in) against the source.
@@ -138,6 +150,10 @@ struct Parser {
     /// blind pre-order `catt_core` uses for `loop_id`.
     loop_spans: Vec<Span>,
     barrier_spans: Vec<Span>,
+    /// Statement bodies and `expr`/`unary` calls currently open.
+    depth: u32,
+    /// Tree depth of the expression most recently parsed.
+    tree: u32,
 }
 
 type PResult<T> = Result<T, Diagnostic>;
@@ -153,6 +169,8 @@ impl Parser {
             diags: Vec::new(),
             loop_spans: Vec::new(),
             barrier_spans: Vec::new(),
+            depth: 0,
+            tree: 0,
         }
     }
 
@@ -188,6 +206,34 @@ impl Parser {
         Err(Diagnostic::error(code, msg)
             .with_span(t.span)
             .at(t.line, t.col))
+    }
+
+    fn too_deep<T>(&self) -> PResult<T> {
+        self.err_code(
+            codes::NESTING_TOO_DEEP,
+            format!("nesting deeper than {MAX_NESTING} levels"),
+        )
+    }
+
+    /// Run `f` one nesting level deeper, refusing past [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth >= MAX_NESTING {
+            return self.too_deep();
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
+    }
+
+    /// Record that the expression just built is `tree` nodes deep,
+    /// refusing it when that reaches past [`MAX_NESTING`] from here.
+    fn built(&mut self, tree: u32) -> PResult<()> {
+        self.tree = tree;
+        if self.depth + tree > MAX_NESTING {
+            return self.too_deep();
+        }
+        Ok(())
     }
 
     fn push_diag(&mut self, d: Diagnostic) {
@@ -523,13 +569,15 @@ impl Parser {
 
     /// A single statement or `{ ... }` block, as a statement list.
     fn stmt_or_block(&mut self) -> PResult<Vec<Stmt>> {
-        if self.eat_punct("{") {
-            self.block_body()
-        } else {
-            let mut v = Vec::new();
-            self.stmt_into(&mut v)?;
-            Ok(v)
-        }
+        self.nested(|p| {
+            if p.eat_punct("{") {
+                p.block_body()
+            } else {
+                let mut v = Vec::new();
+                p.stmt_into(&mut v)?;
+                Ok(v)
+            }
+        })
     }
 
     fn stmt_into(&mut self, out: &mut Vec<Stmt>) -> PResult<()> {
@@ -840,15 +888,19 @@ impl Parser {
     // ----- expressions --------------------------------------------------
 
     fn expr(&mut self) -> PResult<Expr> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> PResult<Expr> {
         let c = self.binary(0)?;
         if self.eat_punct("?") {
+            let tc = self.tree;
             let a = self.expr()?;
+            let ta = self.tree;
             self.expect_punct(":")?;
-            let b = self.ternary()?;
+            // Right-associative: the else arm is itself a ternary.
+            let b = self.expr()?;
+            self.built(1 + tc.max(ta).max(self.tree))?;
             Ok(Expr::Select(Box::new(c), Box::new(a), Box::new(b)))
         } else {
             Ok(c)
@@ -858,14 +910,19 @@ impl Parser {
     /// Precedence-climbing over binary operators.
     fn binary(&mut self, min_prec: u8) -> PResult<Expr> {
         let mut lhs = self.unary()?;
+        let mut tree = self.tree;
         while let Some((op, prec)) = self.peek_binop() {
             if prec < min_prec {
                 break;
             }
             self.bump();
             let rhs = self.binary(prec + 1)?;
+            // The chain grows leftward: each operator is one node deeper.
+            tree = 1 + tree.max(self.tree);
+            self.built(tree)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.tree = tree;
         Ok(lhs)
     }
 
@@ -898,11 +955,16 @@ impl Parser {
     }
 
     fn unary(&mut self) -> PResult<Expr> {
-        if self.eat_punct("-") {
-            return Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary()?)));
-        }
-        if self.eat_punct("!") {
-            return Ok(Expr::Unary(UnOp::Not, Box::new(self.unary()?)));
+        self.nested(Self::unary_body)
+    }
+
+    fn unary_body(&mut self) -> PResult<Expr> {
+        for (punct, op) in [("-", UnOp::Neg), ("!", UnOp::Not)] {
+            if self.eat_punct(punct) {
+                let operand = self.unary()?;
+                self.built(1 + self.tree)?;
+                return Ok(Expr::Unary(op, Box::new(operand)));
+            }
         }
         if self.eat_punct("+") {
             return self.unary();
@@ -914,6 +976,7 @@ impl Parser {
             if let Some(ty) = self.try_type() {
                 if self.eat_punct(")") {
                     let inner = self.unary()?;
+                    self.built(1 + self.tree)?;
                     return Ok(Expr::Cast(ty, Box::new(inner)));
                 }
             }
@@ -932,6 +995,7 @@ impl Parser {
                 self.bump();
                 let idx = self.expr()?;
                 self.expect_punct("]")?;
+                self.built(1 + self.tree)?;
                 e = Expr::Index(name, Box::new(idx));
             } else {
                 break;
@@ -944,10 +1008,12 @@ impl Parser {
         match self.kind().clone() {
             TokenKind::Int(v) => {
                 self.bump();
+                self.tree = 0;
                 Ok(Expr::Int(v))
             }
             TokenKind::Float(v) => {
                 self.bump();
+                self.tree = 0;
                 Ok(Expr::Float(v))
             }
             TokenKind::Punct("(") => {
@@ -958,6 +1024,7 @@ impl Parser {
             }
             TokenKind::Ident(name) => {
                 self.bump();
+                self.tree = 0;
                 // Builtin member access.
                 if matches!(
                     name.as_str(),
@@ -999,15 +1066,18 @@ impl Parser {
                     };
                     self.bump();
                     let mut args = Vec::new();
+                    let mut tree = 0;
                     if !self.at_punct(")") {
                         loop {
                             args.push(self.expr()?);
+                            tree = tree.max(self.tree);
                             if !self.eat_punct(",") {
                                 break;
                             }
                         }
                     }
                     self.expect_punct(")")?;
+                    self.built(1 + tree)?;
                     if args.len() != intr.arity() {
                         return self.err_code(
                             codes::BAD_INTRINSIC_ARITY,
@@ -1322,5 +1392,67 @@ __global__ void k(float *A, int n) {
             &src[k.spans.name.start as usize..k.spans.name.end as usize],
             "k"
         );
+    }
+
+    /// One kernel body statement nested `n` deep in each way the
+    /// nesting limit counts.
+    fn nested_kernel(shape: &str, n: usize) -> String {
+        let stmt = match shape {
+            "parens" => format!("b[i] = {}a[i]{};", "(".repeat(n), ")".repeat(n)),
+            "unary" => format!("b[i] = {}a[i];", "- ".repeat(n)),
+            "casts" => format!("b[i] = {}a[i];", "(float)".repeat(n)),
+            "chain" => format!("b[i] = a[i]{};", " + a[i]".repeat(n)),
+            "ternary" => format!("b[i] = {}a[i];", "i < 1 ? a[i] : ".repeat(n)),
+            "index" => format!("b[i] = a[{}i{}];", "c[".repeat(n), "]".repeat(n)),
+            "calls" => format!("b[i] = {}a[i]{};", "sqrtf(".repeat(n), ")".repeat(n)),
+            "blocks" => format!(
+                "{}b[i] = a[i];{}",
+                "if (i < n) { ".repeat(n),
+                " }".repeat(n)
+            ),
+            other => panic!("unknown shape {other}"),
+        };
+        format!(
+            "__global__ void k(float *a, float *b, int *c, int n) {{\n    int i = threadIdx.x;\n    {stmt}\n}}\n"
+        )
+    }
+
+    const SHAPES: [&str; 8] = [
+        "parens", "unary", "casts", "chain", "ternary", "index", "calls", "blocks",
+    ];
+
+    /// Deep nesting of every kind is one located `E023`, not a stack
+    /// overflow, and the parser recovers after it.
+    #[test]
+    fn deep_nesting_is_one_located_e023() {
+        for shape in SHAPES {
+            let src = nested_kernel(shape, 2000);
+            let outcome = parse_module_recover(&src);
+            let errors: Vec<_> = outcome
+                .diagnostics
+                .iter()
+                .filter(|d| d.severity == Severity::Error)
+                .collect();
+            assert_eq!(errors.len(), 1, "{shape}: {:?}", outcome.diagnostics);
+            let d = errors[0];
+            assert_eq!(d.code, codes::NESTING_TOO_DEEP, "{shape}: {d:?}");
+            assert_eq!(d.line, 3, "{shape}: {d:?}");
+            assert!(d.span.is_some_and(|s| s.in_bounds(src.len())), "{shape}");
+            assert_eq!(outcome.module.kernels.len(), 1, "{shape}: recovered");
+        }
+    }
+
+    /// Nesting well inside the limit parses, and the limit is exact: the
+    /// deepest accepted input of each shape is refused one level deeper.
+    #[test]
+    fn nesting_limit_is_exact_and_leaves_room() {
+        for shape in SHAPES {
+            let ok = |n| parse_module(&nested_kernel(shape, n)).is_ok();
+            let deepest = (1..400).take_while(|&n| ok(n)).last().unwrap_or(0);
+            assert!(deepest >= 40, "{shape}: only {deepest} levels parse");
+            assert!(deepest < 400, "{shape}: no limit");
+            let err = parse_module(&nested_kernel(shape, deepest + 1)).unwrap_err();
+            assert_eq!(err.diagnostics[0].code, codes::NESTING_TOO_DEEP, "{shape}");
+        }
     }
 }

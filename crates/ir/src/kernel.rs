@@ -179,7 +179,7 @@ impl Kernel {
 }
 
 /// Launch configuration for one kernel invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LaunchConfig {
     pub grid: Dim3,
     pub block: Dim3,

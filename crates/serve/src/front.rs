@@ -7,7 +7,8 @@
 //! overtakes a queued `submit`), so clients must correlate by `id`.
 
 use crate::proto::Response;
-use crate::server::Server;
+use crate::server::{Server, MAX_LINE_BYTES};
+use std::borrow::Cow;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,8 +78,9 @@ pub fn serve_stdio(server: Arc<Server>) {
         })
         .expect("spawn stdout writer");
     let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
+    let mut input = stdin.lock();
+    let mut buf = Vec::new();
+    while let Some(line) = read_line(&mut input, &mut buf) {
         if !server.handle_line(&line, &tx) {
             // `shutdown` op: drain already ran inside handle_line.
             drop(tx);
@@ -162,13 +164,84 @@ fn handle_conn(server: Arc<Server>, stream: TcpStream) {
             let _ = out.flush();
         }
     });
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    while let Some(line) = read_line(&mut reader, &mut buf) {
         if !server.handle_line(&line, &tx) {
             break;
         }
     }
     drop(tx);
     let _ = writer.join();
+}
+
+/// Read the next `\n`-terminated line into `buf`, keeping at most
+/// [`MAX_LINE_BYTES`] + 1 bytes of it: the rest of a longer line is read
+/// and dropped, and [`Server::handle_line`] answers the kept prefix as
+/// `bad-request`, so the connection carries on. `None` ends the stream:
+/// end of input, a read error, or a line that is not UTF-8.
+fn read_line<'b>(input: &mut impl BufRead, buf: &'b mut Vec<u8>) -> Option<Cow<'b, str>> {
+    buf.clear();
+    let mut read_any = false;
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return None,
+        };
+        if chunk.is_empty() {
+            break;
+        }
+        read_any = true;
+        let (line_end, consumed) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(at) => (at, at + 1),
+            None => (chunk.len(), chunk.len()),
+        };
+        let room = (MAX_LINE_BYTES + 1).saturating_sub(buf.len());
+        buf.extend_from_slice(&chunk[..line_end.min(room)]);
+        input.consume(consumed);
+        if consumed > line_end {
+            break;
+        }
+    }
+    if !read_any {
+        return None;
+    }
+    match std::str::from_utf8(buf) {
+        Ok(line) => Some(Cow::Borrowed(line)),
+        // Cut at the cap, possibly inside a character: it is answered
+        // for its length alone.
+        Err(_) if buf.len() > MAX_LINE_BYTES => Some(String::from_utf8_lossy(buf)),
+        Err(_) => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lines_are_split_and_capped() {
+        let long = "x".repeat(MAX_LINE_BYTES + 10);
+        let text = format!("a\r\n{long}\nb\nlast");
+        let mut input = std::io::Cursor::new(text.into_bytes());
+        let mut buf = Vec::new();
+        let mut lines = Vec::new();
+        while let Some(line) = read_line(&mut input, &mut buf) {
+            lines.push(line.into_owned());
+        }
+        assert_eq!(lines.len(), 4);
+        assert_eq!(lines[0], "a\r");
+        assert_eq!(lines[1].len(), MAX_LINE_BYTES + 1);
+        assert_eq!(lines[2], "b");
+        assert_eq!(lines[3], "last");
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_ends_the_stream() {
+        let mut input = std::io::Cursor::new(b"ok\n\xff\xfe\nnever\n".to_vec());
+        let mut buf = Vec::new();
+        assert_eq!(read_line(&mut input, &mut buf).as_deref(), Some("ok"));
+        assert!(read_line(&mut input, &mut buf).is_none());
+    }
 }

@@ -24,7 +24,13 @@
 //!   ([`server::Server::drain`]).
 //! * **Single-flight dedupe** — identical submissions (tenant excluded)
 //!   coalesce onto one simulation through the engine's content-addressed
-//!   cache ([`catt_core::engine::Engine::sim_app_shared`]).
+//!   cache ([`catt_core::engine::Engine::sim_app_shared`]); one whose
+//!   result is already cached is answered at admission, unqueued.
+//! * **Bounded input** — line length, source size and nesting depth are
+//!   capped ([`server::MAX_LINE_BYTES`], [`server::MAX_SOURCE_BYTES`],
+//!   [`catt_frontend::parser::MAX_NESTING`]), so no request can overflow
+//!   the stack of the thread that compiles it; past a cap is a typed
+//!   error.
 //!
 //! The wire protocol is newline-delimited JSON over stdio or TCP
 //! ([`proto`]); every request ends in exactly one typed response — the

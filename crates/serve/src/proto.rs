@@ -305,7 +305,7 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
 }
 
 /// Fish an `"id":"..."` out of a line that failed to parse as JSON.
-fn recover_id(line: &str) -> Option<String> {
+pub(crate) fn recover_id(line: &str) -> Option<String> {
     let start = line.find("\"id\"")? + 4;
     let rest = line.get(start..)?;
     let open = rest.find('"')?;

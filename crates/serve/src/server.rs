@@ -5,24 +5,35 @@
 //! failure model"):
 //!
 //! ```text
-//! line ──parse──▶ admission ──▶ fair queue ──▶ worker ──▶ response
-//!                  │ drain?  ──▶ overloaded (draining)
-//!                  │ breaker ──▶ circuit-open (+retry-after)
-//!                  │ depth   ──▶ overloaded (+retry-after)
-//!                  │ quota   ──▶ quota-exhausted (+retry-after)
+//! line ──parse──▶ prepare ──▶ admission ──┬─▶ answer (compile error, cache hit)
+//!                               │         └─▶ fair queue ──▶ worker ──▶ response
+//!                               │ drain?  ──▶ overloaded (draining)
+//!                               │ breaker ──▶ circuit-open (+retry-after)
+//!                               │ depth   ──▶ overloaded (+retry-after)
+//!                               │ quota   ──▶ quota-exhausted (+retry-after)
 //! ```
+//!
+//! `prepare` runs on the caller's thread, before the admission lock:
+//! the size cap, parse, kernel lookup, CATT compile, argument spec and
+//! cache key. The parser's nesting limit (`catt_frontend::parser::MAX_NESTING`)
+//! and [`MAX_SOURCE_BYTES`] bound what that costs in time and stack.
+//! Admission then runs every gate in one critical section. A request
+//! that passes them and that `prepare` already rejected, or whose
+//! simulation is cached, is answered right there (`queue_ms` 0); only a
+//! cache miss is queued, already compiled, for a worker to simulate.
 //!
 //! Gate order matters: the breaker is *checked* first (an open breaker
 //! must not charge quota) but its half-open probe slot is only
 //! *committed* after every other gate passes, and depth precedes quota so
 //! a shed-as-overloaded submission never drains the tenant's bucket.
 //!
-//! Every admitted request terminates in exactly one typed response: the
-//! worker answers expired jobs without simulating, the deadline reaper
-//! cancels running simulations through their [`CancelToken`], and drain
-//! answers whatever is still queued. Identical submissions (same kernel,
-//! launch, arguments — tenant excluded) coalesce through the engine's
-//! single-flight layer onto one simulation.
+//! Every admitted request terminates in exactly one typed response:
+//! admission answers what needs no simulation, the worker answers
+//! expired jobs without simulating, the deadline reaper cancels running
+//! simulations through their [`CancelToken`], and drain answers whatever
+//! is still queued. Identical submissions (same kernel, launch, arguments
+//! — tenant excluded) coalesce through the engine's single-flight layer
+//! onto one simulation.
 
 use crate::breaker::Breaker;
 use crate::fair::FairQueue;
@@ -30,17 +41,18 @@ use crate::proto::{
     parse_request, ErrorBody, ErrorKind, Op, Request, Response, ResultBody, SubmitRequest,
 };
 use crate::quota::TokenBucket;
-use catt_core::engine::{Engine, JobError, SimSource};
+use catt_core::engine::{job_digest, Engine, JobError, JobKey, SimSource};
 use catt_core::pipeline::{CompiledKernel, Pipeline};
 use catt_diag::json::{obj, Json};
 use catt_diag::{codes, Diagnostic};
-use catt_frontend::parse_module;
 use catt_ir::kernel::{Kernel, LaunchConfig, ParamTy};
 use catt_ir::types::DType;
-use catt_sim::{Arg, CancelToken, GlobalMem, Gpu, GpuConfig, SimError, FUEL_BASE, FUEL_PER_BYTE};
+use catt_sim::{
+    Arg, CancelToken, GlobalMem, Gpu, GpuConfig, LaunchStats, SimError, FUEL_BASE, FUEL_PER_BYTE,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Serve tuning knobs. `catt serve` fills each from its `CATT_SERVE_*`
@@ -114,10 +126,21 @@ const DERIVED_BUF_LEN: u32 = 1024;
 /// Hard ceiling on a request deadline (5 minutes).
 const MAX_DEADLINE_MS: u64 = 300_000;
 
-/// One admitted job, queued for a worker.
+/// Longest request line [`Server::handle_line`] accepts, in bytes; the
+/// transports buffer at most one byte more of any line. Like
+/// [`MAX_SOURCE_BYTES`] it is a constant, not a [`ServeConfig`] field:
+/// one value is in use, and callers build `ServeConfig` as a literal.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Longest `kernel` source a submission may carry, in bytes. Checked
+/// before anything parses it.
+pub const MAX_SOURCE_BYTES: usize = 256 << 10;
+
+/// One admitted job, compiled and queued for a worker.
 struct Job {
     id: String,
-    req: SubmitRequest,
+    tenant: String,
+    prepared: Prepared,
     admitted: Instant,
     deadline: Instant,
     cancel: CancelToken,
@@ -250,6 +273,19 @@ impl Server {
         if line.is_empty() {
             return true;
         }
+        if line.len() > MAX_LINE_BYTES {
+            self.inner
+                .counters
+                .bad_request
+                .fetch_add(1, Ordering::Relaxed);
+            let id = crate::proto::recover_id(line).unwrap_or_default();
+            let _ = reply.send(err(
+                &id,
+                ErrorKind::BadRequest,
+                format!("request line longer than {MAX_LINE_BYTES} bytes"),
+            ));
+            return true;
+        }
         match parse_request(line) {
             Err((id, message)) => {
                 self.inner
@@ -296,29 +332,35 @@ impl Server {
         }
     }
 
-    /// Admission control: drain gate, circuit breaker, queue depth,
-    /// quota — in that order — then weighted-fair enqueue. Rejections
-    /// reply immediately; admissions reply from a worker later. The
-    /// breaker's half-open probe slot is consumed only once the request
-    /// is actually enqueued, so a probe shed by the depth or quota gate
-    /// cannot wedge the breaker half-open with no probe in flight.
+    /// Admission control. The submission is first prepared (compiled)
+    /// on the caller's thread; then drain gate, circuit breaker, queue
+    /// depth and quota run — in that order, in one critical section.
+    /// Rejections reply immediately. An admitted submission that needs no
+    /// simulation (a compile error, a cached result) is answered right
+    /// away too; the rest reply from a worker later. The breaker's
+    /// half-open probe slot is consumed only once the request is
+    /// admitted, so a probe shed by the depth or quota gate cannot wedge
+    /// the breaker half-open with no probe in flight.
     pub fn submit(&self, id: String, req: SubmitRequest, reply: mpsc::Sender<Response>) {
+        let prepared = prepare(&self.inner, &id, &req);
         let c = &self.inner.counters;
-        if self.inner.draining.load(Ordering::SeqCst) {
-            c.shed_overloaded.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(Response::Error(ErrorBody {
-                id,
-                kind: ErrorKind::Overloaded,
-                message: "server is draining (shutdown in progress)".to_string(),
-                retry_after_ms: None,
-                diagnostics: Vec::new(),
-            }));
-            return;
-        }
         let now_ms = self.now_ms();
         let cost = fuel_cost(&req);
         let cfg = &self.inner.config;
         let mut st = self.inner.state.lock().unwrap();
+        // Checked under the lock: workers exit once they see the drain
+        // flag with an empty queue, so a job pushed after that would
+        // never be answered.
+        if self.inner.draining.load(Ordering::SeqCst) {
+            drop(st);
+            c.shed_overloaded.fetch_add(1, Ordering::Relaxed);
+            let _ = reply.send(err(
+                &id,
+                ErrorKind::Overloaded,
+                "server is draining (shutdown in progress)",
+            ));
+            return;
+        }
         // Breaker first (check only: an open breaker must not charge
         // quota, and the half-open probe slot is committed below, after
         // every other gate passes).
@@ -383,22 +425,37 @@ impl Server {
         if let Some(b) = st.breakers.get_mut(&req.tenant) {
             b.commit(now_ms);
         }
+        c.admitted.fetch_add(1, Ordering::Relaxed);
+        let admitted = Instant::now();
+        let prepared = match prepared {
+            Ok(p) => p,
+            Err(rejected) => {
+                return answer_now(st, &req.tenant, c, &reply, || Response::Error(rejected))
+            }
+        };
+        let cached = prepared
+            .key
+            .and_then(|key| self.inner.engine.cached(key, &self.inner.base_config));
+        if let Some(stats) = cached {
+            return answer_now(st, &req.tenant, c, &reply, || {
+                let took = admitted.elapsed();
+                result_response(&id, &prepared, stats, SimSource::CacheHit, 0, took)
+            });
+        }
         let deadline_ms = req
             .deadline_ms
             .unwrap_or(cfg.default_deadline_ms)
             .clamp(1, MAX_DEADLINE_MS);
-        let admitted = Instant::now();
         let job = Job {
             id,
+            tenant: req.tenant.clone(),
+            prepared,
             deadline: admitted + Duration::from_millis(deadline_ms),
             admitted,
             cancel: CancelToken::new(),
             reply,
-            req,
         };
-        c.admitted.fetch_add(1, Ordering::Relaxed);
-        let (tenant, weight) = (job.req.tenant.clone(), job.req.weight);
-        st.queue.push(&tenant, weight, cost, job);
+        st.queue.push(&req.tenant, req.weight, cost, job);
         drop(st);
         self.inner.work_cv.notify_one();
     }
@@ -522,6 +579,42 @@ impl Server {
     }
 }
 
+/// Answer an admitted submission that needs no simulation (a compile
+/// error, a cached result) on the caller's thread. The breaker books a
+/// success, as it does for a worker's answer; the reply is built after
+/// the lock is released.
+fn answer_now(
+    mut st: MutexGuard<'_, QueueState>,
+    tenant: &str,
+    c: &Counters,
+    reply: &mpsc::Sender<Response>,
+    response: impl FnOnce() -> Response,
+) {
+    if let Some(b) = st.breakers.get_mut(tenant) {
+        b.on_success();
+    }
+    drop(st);
+    let response = response();
+    count_answer(c, &response);
+    let _ = reply.send(response);
+}
+
+/// Count the answer to an admitted request under its outcome.
+fn count_answer(c: &Counters, response: &Response) {
+    let counter = match response {
+        Response::Result(_) => &c.completed,
+        Response::Error(e) => match e.kind {
+            ErrorKind::BadRequest => &c.bad_request,
+            ErrorKind::CompileError => &c.compile_error,
+            ErrorKind::DeadlineExceeded => &c.deadline_exceeded,
+            ErrorKind::Fault => &c.faults,
+            ErrorKind::Overloaded | ErrorKind::QuotaExhausted | ErrorKind::CircuitOpen => return,
+        },
+        Response::Info { .. } => return,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
 fn worker_loop(inner: &Arc<Inner>) {
     loop {
         let job = {
@@ -543,8 +636,9 @@ fn worker_loop(inner: &Arc<Inner>) {
         };
         let cancel = job.cancel.clone();
         let reply = job.reply.clone();
-        let tenant = job.req.tenant.clone();
+        let tenant = job.tenant.clone();
         let response = process_job(inner, job);
+        count_answer(&inner.counters, &response);
         // Breaker bookkeeping: only genuine simulation faults count —
         // typed rejections prove the service is healthy for the tenant.
         {
@@ -643,132 +737,190 @@ fn materialize_args(spec: &[ArgSpec], mem: &mut GlobalMem) -> Vec<Arg> {
 }
 
 fn err(id: &str, kind: ErrorKind, message: impl Into<String>) -> Response {
-    Response::Error(ErrorBody {
+    Response::Error(error_body(id, kind, message, Vec::new()))
+}
+
+/// A typed error; a `compile-error` carries its structured diagnostics
+/// (stable code + byte span into the submitted source).
+fn error_body(
+    id: &str,
+    kind: ErrorKind,
+    message: impl Into<String>,
+    diagnostics: Vec<Diagnostic>,
+) -> ErrorBody {
+    ErrorBody {
         id: id.to_string(),
         kind,
         message: message.into(),
         retry_after_ms: None,
-        diagnostics: Vec::new(),
-    })
-}
-
-/// A `compile-error` response carrying its structured diagnostics
-/// (stable code + byte span into the submitted source).
-fn compile_err(id: &str, message: impl Into<String>, diagnostics: Vec<Diagnostic>) -> Response {
-    Response::Error(ErrorBody {
-        id: id.to_string(),
-        kind: ErrorKind::CompileError,
-        message: message.into(),
-        retry_after_ms: None,
         diagnostics,
+    }
+}
+
+/// A submission compiled on the caller's thread: everything its
+/// simulation and its reply need.
+struct Prepared {
+    compiled: CompiledKernel,
+    spec: Vec<ArgSpec>,
+    /// Cache scope: the canonical argument spec (tenant excluded, so
+    /// identical cross-tenant submissions share cache entries and
+    /// single-flight slots).
+    scope: String,
+    /// The job's cache key; `None` when the transformed kernel does not
+    /// lower, which the worker then reports as a fault.
+    key: Option<JobKey>,
+    emit: bool,
+}
+
+/// Check the size cap, parse, pick the kernel, run the CATT pipeline and
+/// settle the arguments and cache key. Counts nothing: the caller
+/// answers a rejection only once the request passes admission.
+fn prepare(inner: &Inner, id: &str, req: &SubmitRequest) -> Result<Prepared, ErrorBody> {
+    let source = &req.kernel_source;
+    if source.len() > MAX_SOURCE_BYTES {
+        let message = format!(
+            "kernel source is {} bytes, over the {MAX_SOURCE_BYTES}-byte limit",
+            source.len()
+        );
+        return Err(error_body(id, ErrorKind::BadRequest, message, Vec::new()));
+    }
+    let module = inner.pipe.parse(source).map_err(|e| {
+        let first = e.errors().next().map(|d| (d.line, d.col)).unwrap_or((0, 0));
+        let message = format!("{}:{}: {}", first.0, first.1, e.message);
+        error_body(id, ErrorKind::CompileError, message, e.diagnostics)
+    })?;
+    let kernel = if req.name.is_empty() {
+        module.kernels.first()
+    } else {
+        module.kernels.iter().find(|k| k.name == req.name)
+    };
+    let Some(kernel) = kernel else {
+        let message = format!("kernel `{}` not found in the translation unit", req.name);
+        let diag = Diagnostic::error(codes::KERNEL_NOT_FOUND, message.clone())
+            .with_span(catt_diag::Span::point(0))
+            .at(1, 1);
+        return Err(error_body(id, ErrorKind::CompileError, message, vec![diag]));
+    };
+    let launch = LaunchConfig::d1(req.grid, req.block);
+    let mut compiled = inner.pipe.compile_kernel(kernel, launch).map_err(|mut e| {
+        catt_diag::locate(&mut e.diagnostics, source);
+        error_body(id, ErrorKind::CompileError, e.to_string(), e.diagnostics)
+    })?;
+    if let Some(fb) = compiled.fallback_diagnostic.take() {
+        let mut one = vec![fb];
+        catt_diag::locate(&mut one, source);
+        compiled.fallback_diagnostic = one.pop();
+    }
+
+    // Arguments: explicit spec (validated against the parameter count) or
+    // derived from the parameter types.
+    let spec = if req.args.is_empty() {
+        derive_arg_spec(kernel)
+    } else {
+        match parse_arg_spec(&req.args) {
+            Ok(s) if s.len() == kernel.params.len() => Ok(s),
+            Ok(s) => Err(format!(
+                "arg spec has {} entries, kernel `{}` has {} parameters",
+                s.len(),
+                kernel.name,
+                kernel.params.len()
+            )),
+            Err(e) => Err(e),
+        }
+    }
+    .map_err(|e| error_body(id, ErrorKind::BadRequest, e, Vec::new()))?;
+    let scope = format!("catt-serve:{}", render_spec(&spec));
+    let key = job_digest(
+        &scope,
+        std::slice::from_ref(&compiled.transformed),
+        &[launch],
+        &inner.base_config,
+    )
+    .ok();
+    Ok(Prepared {
+        compiled,
+        spec,
+        scope,
+        key,
+        emit: req.emit,
     })
 }
 
-/// Compile and simulate one admitted job. Always returns a typed
-/// response; never panics (simulation panics are caught by the engine).
+/// The success reply for a prepared submission and its simulation.
+fn result_response(
+    id: &str,
+    p: &Prepared,
+    stats: LaunchStats,
+    source: SimSource,
+    queue_ms: u64,
+    total: Duration,
+) -> Response {
+    let a = &p.compiled.analysis;
+    let n = a
+        .loops
+        .iter()
+        .map(|l| l.decision.n)
+        .max()
+        .unwrap_or(1)
+        .max(1);
+    let miss_rate = if stats.l1_accesses > 0 {
+        1.0 - stats.l1_hits as f64 / stats.l1_accesses as f64
+    } else {
+        0.0
+    };
+    Response::Result(ResultBody {
+        id: id.to_string(),
+        kernel: p.compiled.original.name.clone(),
+        n,
+        m: a.tb_throttle_m(),
+        transformed: p.compiled.is_transformed(),
+        cycles: stats.cycles,
+        miss_rate,
+        source: match source {
+            SimSource::Computed => "computed",
+            SimSource::CacheHit => "cache",
+            SimSource::Coalesced => "coalesced",
+        },
+        queue_ms,
+        total_ms: total.as_millis() as u64,
+        emitted_source: p.emit.then(|| p.compiled.emitted_source.clone()),
+        fallback: p.compiled.fallback_diagnostic.clone(),
+    })
+}
+
+/// Simulate one admitted, compiled job. Always returns a typed response;
+/// never panics (simulation panics are caught by the engine).
 fn process_job(inner: &Arc<Inner>, job: Job) -> Response {
-    let c = &inner.counters;
-    let id = job.id.clone();
     let now = Instant::now();
     if now >= job.deadline || job.cancel.is_cancelled() {
-        c.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
         return err(
-            &id,
+            &job.id,
             ErrorKind::DeadlineExceeded,
             "deadline expired while queued",
         );
     }
     let queue_ms = now.duration_since(job.admitted).as_millis() as u64;
 
-    // Compile: parse the unit, pick the kernel, run the CATT pipeline.
-    let module = match parse_module(&job.req.kernel_source) {
-        Ok(m) => m,
-        Err(e) => {
-            c.compile_error.fetch_add(1, Ordering::Relaxed);
-            return compile_err(&id, e.to_string(), e.diagnostics);
-        }
-    };
-    let kernel = if job.req.name.is_empty() {
-        module.kernels.first()
-    } else {
-        module.kernels.iter().find(|k| k.name == job.req.name)
-    };
-    let Some(kernel) = kernel else {
-        c.compile_error.fetch_add(1, Ordering::Relaxed);
-        let message = format!(
-            "kernel `{}` not found in the translation unit",
-            job.req.name
-        );
-        let diag = Diagnostic::error(codes::KERNEL_NOT_FOUND, message.clone())
-            .with_span(catt_diag::Span::point(0))
-            .at(1, 1);
-        return compile_err(&id, message, vec![diag]);
-    };
-    let launch = LaunchConfig::d1(job.req.grid, job.req.block);
-    let compiled: CompiledKernel = match inner.pipe.compile_kernel(kernel, launch) {
-        Ok(ck) => ck,
-        Err(mut e) => {
-            c.compile_error.fetch_add(1, Ordering::Relaxed);
-            catt_diag::locate(&mut e.diagnostics, &job.req.kernel_source);
-            let message = e.to_string();
-            return compile_err(&id, message, e.diagnostics);
-        }
-    };
-
-    // Arguments: explicit spec (validated against the parameter count) or
-    // derived from the parameter types.
-    let spec = if job.req.args.is_empty() {
-        match derive_arg_spec(kernel) {
-            Ok(s) => s,
-            Err(e) => {
-                c.bad_request.fetch_add(1, Ordering::Relaxed);
-                return err(&id, ErrorKind::BadRequest, e);
-            }
-        }
-    } else {
-        match parse_arg_spec(&job.req.args) {
-            Ok(s) if s.len() == kernel.params.len() => s,
-            Ok(s) => {
-                c.bad_request.fetch_add(1, Ordering::Relaxed);
-                return err(
-                    &id,
-                    ErrorKind::BadRequest,
-                    format!(
-                        "arg spec has {} entries, kernel `{}` has {} parameters",
-                        s.len(),
-                        kernel.name,
-                        kernel.params.len()
-                    ),
-                );
-            }
-            Err(e) => {
-                c.bad_request.fetch_add(1, Ordering::Relaxed);
-                return err(&id, ErrorKind::BadRequest, e);
-            }
-        }
-    };
-
-    // Simulate the throttled kernel with the deadline token wired in. The
-    // scope excludes the tenant, so identical cross-tenant submissions
-    // share cache entries and single-flight slots.
+    // Simulate the throttled kernel with the deadline token wired in.
+    let p = &job.prepared;
     let mut config = inner.base_config.clone();
     config.cancel = Some(job.cancel.clone());
-    let scope = format!("catt-serve:{}", render_spec(&spec));
-    let transformed = compiled.transformed.clone();
-    let label = format!("serve `{}`", kernel.name);
+    let transformed = &p.compiled.transformed;
+    let launch = p.compiled.launch;
+    let label = format!("serve `{}`", p.compiled.original.name);
     // Register with the deadline reaper for the duration of the sim.
     reaper_register(inner, job.deadline, job.cancel.clone());
     let outcome = inner.engine.sim_app_shared(
-        &scope,
-        std::slice::from_ref(&transformed),
+        &p.scope,
+        std::slice::from_ref(transformed),
         &[launch],
         &config,
         Some(job.deadline),
         || {
             let mut mem = GlobalMem::new();
-            let args = materialize_args(&spec, &mut mem);
+            let args = materialize_args(&p.spec, &mut mem);
             let mut gpu = Gpu::new(config.clone());
-            gpu.launch(&transformed, launch, &args, &mut mem)
+            gpu.launch(transformed, launch, &args, &mut mem)
                 .map_err(|e| match &e {
                     SimError::Cancelled { .. } => {
                         JobError::fatal(&label, e.to_string()).with_code("cancelled")
@@ -780,63 +932,26 @@ fn process_job(inner: &Arc<Inner>, job: Job) -> Response {
     reaper_unregister(inner, &job.cancel);
 
     match outcome {
-        Ok(out) => {
-            c.completed.fetch_add(1, Ordering::Relaxed);
-            let a = &compiled.analysis;
-            let n = a
-                .loops
-                .iter()
-                .map(|l| l.decision.n)
-                .max()
-                .unwrap_or(1)
-                .max(1);
-            let stats = out.stats;
-            let miss_rate = if stats.l1_accesses > 0 {
-                1.0 - stats.l1_hits as f64 / stats.l1_accesses as f64
-            } else {
-                0.0
-            };
-            Response::Result(ResultBody {
-                id,
-                kernel: kernel.name.clone(),
-                n,
-                m: a.tb_throttle_m(),
-                transformed: compiled.is_transformed(),
-                cycles: stats.cycles,
-                miss_rate,
-                source: match out.source {
-                    SimSource::Computed => "computed",
-                    SimSource::CacheHit => "cache",
-                    SimSource::Coalesced => "coalesced",
-                },
-                queue_ms,
-                total_ms: job.admitted.elapsed().as_millis() as u64,
-                emitted_source: job.req.emit.then(|| compiled.emitted_source.clone()),
-                fallback: compiled.fallback_diagnostic.clone().map(|fb| {
-                    let mut one = vec![fb];
-                    catt_diag::locate(&mut one, &job.req.kernel_source);
-                    one.pop().unwrap()
-                }),
-            })
-        }
+        Ok(out) => result_response(
+            &job.id,
+            p,
+            out.stats,
+            out.source,
+            queue_ms,
+            job.admitted.elapsed(),
+        ),
         Err(e) if matches!(e.code, Some("cancelled" | "deadline")) => {
-            c.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            err(&id, ErrorKind::DeadlineExceeded, e.message)
+            err(&job.id, ErrorKind::DeadlineExceeded, e.message)
         }
-        Err(e) => {
-            c.faults.fetch_add(1, Ordering::Relaxed);
-            Response::Error(ErrorBody {
-                id,
-                kind: ErrorKind::Fault,
-                message: format!(
-                    "simulation fault{}: {}",
-                    e.code.map(|c| format!(" [{c}]")).unwrap_or_default(),
-                    e.message
-                ),
-                retry_after_ms: None,
-                diagnostics: Vec::new(),
-            })
-        }
+        Err(e) => err(
+            &job.id,
+            ErrorKind::Fault,
+            format!(
+                "simulation fault{}: {}",
+                e.code.map(|c| format!(" [{c}]")).unwrap_or_default(),
+                e.message
+            ),
+        ),
     }
 }
 

@@ -283,3 +283,53 @@ fn malformed_sources_are_rejected_with_spanned_diagnostics() {
     }
     server.drain();
 }
+
+/// A breaker opened by fuel faults closes when its half-open probe is
+/// answered from the cache at admission: the answer books the success a
+/// worker would, or the breaker would stay half-open with its one probe
+/// spent.
+#[test]
+fn a_probe_answered_from_the_cache_closes_the_breaker() {
+    let server = Server::new(
+        ServeConfig {
+            workers: 1,
+            ..config()
+        },
+        chaos_engine(),
+    );
+    let one = |label: &str, req: SubmitRequest| {
+        let (tx, rx) = mpsc::channel();
+        server.submit(label.to_string(), req, tx);
+        recv(&rx, label)
+    };
+    assert!(matches!(
+        one("warm", tiny_req("probe-tenant", 77)),
+        Response::Result(_)
+    ));
+    assert_eq!(
+        error_kind(&one("f1", starve_req("probe-tenant"))),
+        Some(ErrorKind::Fault)
+    );
+    assert_eq!(
+        error_kind(&one("f2", starve_req("probe-tenant"))),
+        Some(ErrorKind::Fault)
+    );
+    assert_eq!(
+        error_kind(&one("open", tiny_req("probe-tenant", 77))),
+        Some(ErrorKind::CircuitOpen)
+    );
+    std::thread::sleep(Duration::from_millis(250));
+    match one("probe", tiny_req("probe-tenant", 77)) {
+        Response::Result(b) => assert_eq!(b.source, "cache"),
+        other => panic!("want the probe answered from the cache, got {other:?}"),
+    }
+    for i in 0..3 {
+        let label = format!("closed-{i}");
+        let reply = one(&label, tiny_req("probe-tenant", 77));
+        assert!(
+            matches!(reply, Response::Result(_)),
+            "{label}: the breaker must be closed, got {reply:?}"
+        );
+    }
+    server.drain();
+}

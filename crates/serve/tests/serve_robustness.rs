@@ -445,3 +445,274 @@ fn protocol_lines_always_get_one_typed_reply() {
     assert!(matches!(recv(&rx, "shutdown ack"), Response::Info { .. }));
     assert!(server.is_draining());
 }
+
+/// A submit line for `source` (grid 1 × block 32, arguments derived).
+fn submit_line(id: &str, source: &str, deadline_ms: Option<u64>) -> String {
+    use catt_diag::json::{obj, Json};
+    let mut fields = vec![
+        ("id", Json::Str(id.into())),
+        ("kernel", Json::Str(source.into())),
+        ("grid", Json::Num(1.0)),
+        ("block", Json::Num(32.0)),
+    ];
+    if let Some(ms) = deadline_ms {
+        fields.push(("deadline_ms", Json::Num(ms as f64)));
+    }
+    obj(fields).render()
+}
+
+/// `b[i] = ((…(a[i])…));` with `depth` parentheses: about 4 KB at 2 000.
+fn deep_kernel(depth: usize) -> String {
+    format!(
+        "__global__ void deep(float *a, float *b) {{\n    int i = threadIdx.x;\n    b[i] = {}a[i]{};\n}}\n",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    )
+}
+
+/// Replies to `lines`, sent in order through `handle_line` on a thread
+/// with a 2 MiB stack: the stack of a serve worker and of a TCP
+/// connection thread.
+fn replies_on_a_small_stack(server: &Server, lines: &[String]) -> Vec<Response> {
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(s, || {
+                let (tx, rx) = mpsc::channel();
+                let mut replies = Vec::new();
+                for line in lines {
+                    server.handle_line(line, &tx);
+                    replies.push(recv(&rx, line.get(..60).unwrap_or(line)));
+                }
+                replies
+            })
+            .expect("spawn a 2 MiB thread")
+            .join()
+            .expect("the 2 MiB thread survived")
+    })
+}
+
+/// The deep request is a located `compile-error`, the daemon keeps
+/// serving, and a shutdown behind it is answered.
+fn assert_deep_normal_shutdown(replies: &[Response]) {
+    assert_eq!(replies.len(), 3, "{replies:?}");
+    match &replies[0] {
+        Response::Error(e) => {
+            assert_eq!(e.kind, ErrorKind::CompileError, "{e:?}");
+            let d = &e.diagnostics[0];
+            assert_eq!(d.code.as_str(), "E023", "{d:?}");
+            assert_eq!(d.pass, Some("parse"), "{d:?}");
+            assert_eq!((d.line, d.col > 1), (3, true), "{d:?}");
+        }
+        other => panic!("want a compile-error, got {other:?}"),
+    }
+    assert!(
+        matches!(&replies[1], Response::Result(b) if b.id == "normal"),
+        "{:?}",
+        replies[1]
+    );
+    assert!(
+        replies[2].render().contains("\"drained\":true"),
+        "{:?}",
+        replies[2]
+    );
+}
+
+/// A 2 000-deep request, a normal submit and a shutdown through
+/// `handle_line` on a 2 MiB thread, where compiling now happens.
+#[test]
+fn deep_nesting_is_a_compile_error_on_a_small_stack() {
+    let server = server_with(base_config(), "");
+    let lines = [
+        submit_line("deep", &deep_kernel(2000), None),
+        submit_line("normal", &kernel(40), None),
+        r#"{"id":"bye","op":"shutdown"}"#.to_string(),
+    ];
+    assert_deep_normal_shutdown(&replies_on_a_small_stack(&server, &lines));
+}
+
+/// The same sequence over TCP: the connection thread compiles, and an
+/// over-long line or source is a `bad-request` that keeps the connection.
+#[test]
+fn deep_nesting_and_oversized_lines_over_tcp() {
+    use catt_serve::front::serve_listener;
+    use catt_serve::server::{MAX_LINE_BYTES, MAX_SOURCE_BYTES};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::Arc;
+
+    let server = Arc::new(server_with(base_config(), ""));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+    let addr = listener.local_addr().expect("bound address");
+    let daemon = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || serve_listener(server, listener))
+    };
+    let conn = TcpStream::connect(addr).expect("connect");
+    let mut writer = conn.try_clone().expect("clone the stream");
+    let mut reader = BufReader::new(conn);
+    let mut exchange = |line: &str| {
+        writeln!(writer, "{line}").expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read a reply");
+        catt_serve::proto::parse_response(&reply)
+            .unwrap_or_else(|e| panic!("{e}: {}", reply.get(..200).unwrap_or(&reply)))
+    };
+
+    let long_line = format!(
+        r#"{{"id":"long","op":"ping","pad":"{}"}}"#,
+        "x".repeat(MAX_LINE_BYTES)
+    );
+    match exchange(&long_line) {
+        Response::Error(e) => {
+            assert_eq!((e.kind, e.id.as_str()), (ErrorKind::BadRequest, "long"));
+            assert!(e.message.contains("longer than"), "{}", e.message);
+        }
+        other => panic!("want bad-request, got {other:?}"),
+    }
+    let big_source = format!("{}\n{}", " ".repeat(MAX_SOURCE_BYTES), kernel(41));
+    match exchange(&submit_line("big", &big_source, None)) {
+        Response::Error(e) => {
+            assert_eq!(e.kind, ErrorKind::BadRequest);
+            assert!(e.message.contains("limit"), "{}", e.message);
+        }
+        other => panic!("want bad-request, got {other:?}"),
+    }
+    let replies = vec![
+        exchange(&submit_line("deep", &deep_kernel(2000), None)),
+        exchange(&submit_line("normal", &kernel(40), None)),
+        exchange(r#"{"id":"bye","op":"shutdown"}"#),
+    ];
+    assert_deep_normal_shutdown(&replies);
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("serve_listener");
+}
+
+/// Every kind of nesting at the deepest the parser accepts compiles,
+/// lowers and simulates on 2 MiB stacks: the caller's for compiling, a
+/// worker's for simulating.
+#[test]
+fn nesting_at_the_limit_compiles_and_simulates_on_a_small_stack() {
+    let shapes = [
+        ("parens", "(", ")"),
+        ("unary", "- ", ""),
+        ("casts", "(float)", ""),
+        ("calls", "sqrtf(", ")"),
+        ("index", "a[c[", "]]"),
+    ];
+    let body = |open: &str, close: &str, n: usize| {
+        format!(
+            "__global__ void k(float *a, float *b, int *c, int n) {{\n    int i = threadIdx.x;\n    \
+             if (i < n) {{ b[i] = {}a[i]{}; }}\n}}\n",
+            open.repeat(n),
+            close.repeat(n)
+        )
+    };
+    let ok = |src: &str| catt_frontend::parse_module(src).is_ok();
+    let mut lines = Vec::new();
+    for (name, open, close) in shapes {
+        let deepest = (1..300).take_while(|&n| ok(&body(open, close, n))).last();
+        let n = deepest.unwrap_or_else(|| panic!("{name}: nothing parses"));
+        lines.push(submit_line(name, &body(open, close, n), None));
+    }
+    let chain = format!(
+        "__global__ void k(float *a, float *b, int n) {{\n    int i = threadIdx.x;\n    \
+         b[i] = a[i]{};\n}}\n",
+        " + a[i]".repeat(120)
+    );
+    assert!(ok(&chain));
+    lines.push(submit_line("chain", &chain, None));
+    let blocks = format!(
+        "__global__ void k(float *a, float *b, int n) {{\n    int i = threadIdx.x;\n    \
+         {}b[i] = a[i];{}\n}}\n",
+        "if (i < n) { ".repeat(120),
+        " }".repeat(120)
+    );
+    assert!(ok(&blocks));
+    lines.push(submit_line("blocks", &blocks, None));
+
+    let server = server_with(base_config(), "");
+    for reply in replies_on_a_small_stack(&server, &lines) {
+        assert!(matches!(reply, Response::Result(_)), "{reply:?}");
+    }
+    server.drain();
+}
+
+/// A repeated submission is answered from the cache at admission:
+/// `"source":"cache"`, `queue_ms` 0, one more cache hit and no miss. The
+/// first one counts one miss and simulates.
+#[test]
+fn a_repeated_submission_is_a_cache_hit_answered_at_admission() {
+    let server = server_with(base_config(), "");
+    let counters = || server.engine().cache_counters();
+    let (tx, rx) = mpsc::channel();
+    let before = counters();
+    server.handle_line(&submit_line("first", &kernel(50), None), &tx);
+    let first = match recv(&rx, "first submission") {
+        Response::Result(b) => b,
+        other => panic!("want ok, got {other:?}"),
+    };
+    assert_eq!(first.source, "computed");
+    let after_first = counters();
+    assert_eq!(
+        (after_first.hits, after_first.misses),
+        (before.hits, before.misses + 1)
+    );
+
+    server.handle_line(&submit_line("again", &kernel(50), None), &tx);
+    let again = match rx.try_recv() {
+        Ok(Response::Result(b)) => b,
+        other => panic!("a hit is answered before handle_line returns, got {other:?}"),
+    };
+    assert_eq!((again.source, again.queue_ms), ("cache", 0));
+    assert_eq!(
+        (again.cycles, again.n, again.m),
+        (first.cycles, first.n, first.m)
+    );
+    let after_again = counters();
+    assert_eq!(
+        (after_again.hits, after_again.misses),
+        (after_first.hits + 1, after_first.misses)
+    );
+    server.drain();
+}
+
+/// `deadline_ms: 0` (clamped to 1 ms) on a hit and on a miss, and
+/// submissions after a drain: still one typed reply per line.
+#[test]
+fn zero_deadlines_and_drain_still_get_one_reply_per_line() {
+    let server = server_with(base_config(), "delay-job=20");
+    let (tx, rx) = mpsc::channel();
+    server.handle_line(&submit_line("warm", &kernel(60), None), &tx);
+    assert!(matches!(recv(&rx, "warm-up"), Response::Result(_)));
+    let lines = [
+        submit_line("hit-0", &kernel(60), Some(0)),
+        submit_line("miss-0", &kernel(61), Some(0)),
+        submit_line("miss-1", &kernel(62), None),
+    ];
+    for line in &lines {
+        server.handle_line(line, &tx);
+    }
+    let mut replies: Vec<Response> = (0..lines.len())
+        .map(|i| recv(&rx, &format!("line {i}")))
+        .collect();
+    server.drain();
+    server.handle_line(&submit_line("late-hit", &kernel(60), None), &tx);
+    replies.push(recv(&rx, "post-drain hit"));
+    assert!(rx.try_recv().is_err(), "one reply per line");
+    let by_id = |id: &str| {
+        replies
+            .iter()
+            .find(|r| r.render().contains(&format!("\"id\":\"{id}\"")))
+            .unwrap_or_else(|| panic!("no reply for {id}: {replies:?}"))
+    };
+    assert!(matches!(by_id("hit-0"), Response::Result(b) if b.source == "cache"));
+    assert!(matches!(
+        error_kind(by_id("miss-0")),
+        Some(ErrorKind::DeadlineExceeded)
+    ));
+    assert!(matches!(by_id("miss-1"), Response::Result(_)));
+    assert_eq!(error_kind(by_id("late-hit")), Some(ErrorKind::Overloaded));
+}

@@ -49,7 +49,7 @@ pub const fn builtin_reg(b: Builtin) -> Reg {
 }
 
 /// Integer binary ALU operations (i32 wrapping semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IBinOp {
     Add,
     Sub,
@@ -66,7 +66,7 @@ pub enum IBinOp {
 }
 
 /// Float binary ALU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FBinOp {
     Add,
     Sub,
@@ -78,7 +78,7 @@ pub enum FBinOp {
 }
 
 /// Float unary operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FUnOp {
     Neg,
     Sqrt,
@@ -90,7 +90,7 @@ pub enum FUnOp {
 }
 
 /// Comparison operations (produce 0/1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     Lt,
     Le,
@@ -101,7 +101,7 @@ pub enum CmpOp {
 }
 
 /// One bytecode instruction.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub enum Op {
     /// `dst = imm` (bit image).
     MovImm { dst: Reg, imm: u32 },

@@ -71,7 +71,7 @@ impl L1Config {
 }
 
 /// Latency model, in SM cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Latencies {
     /// ALU dependent-use latency.
     pub alu: u64,

@@ -1,17 +1,18 @@
-//! Stable content digests for simulation inputs.
+//! Content digests for simulation inputs.
 //!
 //! The evaluation engine (`catt-core::engine`) memoizes simulation results
-//! in a content-addressed cache that persists across processes, so the
-//! digest must be stable across runs and builds. `std::hash::DefaultHasher`
-//! makes no such guarantee, so this module implements FNV-1a 64-bit by
-//! hand over a canonical byte encoding: the `Debug` rendering of the
-//! hashed values. Debug output is part of this crate's own types, so a
-//! change in the simulated semantics (new ops, new config fields) changes
-//! the rendering and automatically invalidates stale cache entries.
+//! in a content-addressed cache, so the digest must be a function of the
+//! simulated inputs alone. `std::hash::DefaultHasher` is randomly keyed per
+//! process, so this module implements FNV-1a 64-bit by hand and makes it a
+//! [`std::hash::Hasher`]: the hashed values feed it through their derived
+//! `Hash` impls — structure, not text. A new op or operand field is part of
+//! the derived impl, so it changes the digest of every program that uses
+//! it; [`GpuConfig::content_digest`] names every field of the config, so a
+//! new field does not compile until the digest decides about it.
 
 use crate::bytecode::Program;
-use crate::config::GpuConfig;
-use std::fmt::Write as _;
+use crate::config::{DynctaConfig, GpuConfig};
+use std::hash::{Hash, Hasher};
 
 /// FNV-1a, 64-bit.
 #[derive(Debug, Clone)]
@@ -45,13 +46,6 @@ impl Fnv64 {
         self.write(s.as_bytes()).write(&[0xFF])
     }
 
-    /// Fold any `Debug` value via its canonical rendering.
-    pub fn write_debug(&mut self, v: &impl std::fmt::Debug) -> &mut Self {
-        let mut s = String::new();
-        let _ = write!(s, "{v:?}");
-        self.write_str(&s)
-    }
-
     /// Final digest.
     pub fn finish(&self) -> u64 {
         self.state
@@ -64,27 +58,37 @@ impl Default for Fnv64 {
     }
 }
 
+impl Hasher for Fnv64 {
+    fn write(&mut self, bytes: &[u8]) {
+        Fnv64::write(self, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
 impl Program {
-    /// Stable digest of the lowered kernel: instruction stream, register
-    /// and shared-memory layout. Two kernels with identical lowering get
+    /// Digest of the lowered kernel: instruction stream, register and
+    /// shared-memory layout. Two kernels with identical lowering get
     /// identical digests, whatever source they came from.
     pub fn content_digest(&self) -> u64 {
         let mut h = Fnv64::new();
-        h.write_str(&self.name)
-            .write_debug(&self.ops)
-            .write_debug(&self.num_regs)
-            .write_debug(&self.param_regs)
-            .write_debug(&self.shared_layout)
-            .write_debug(&self.smem_bytes);
+        self.name.hash(&mut h);
+        self.ops.hash(&mut h);
+        self.num_regs.hash(&mut h);
+        self.param_regs.hash(&mut h);
+        self.shared_layout.hash(&mut h);
+        self.smem_bytes.hash(&mut h);
         h.finish()
     }
 }
 
 impl GpuConfig {
-    /// Stable digest over every architectural parameter (geometry,
-    /// capacities, latencies, DYNCTA settings). Any change invalidates
-    /// cached simulation results keyed on this config. The cycle-fuel
-    /// budget (`sim_fuel`) is excluded: fuel bounds a simulation, it never
+    /// Digest over every architectural parameter (geometry, capacities,
+    /// latencies, DYNCTA settings). Any change invalidates cached
+    /// simulation results keyed on this config. The cycle-fuel budget
+    /// (`sim_fuel`) is excluded: fuel bounds a simulation, it never
     /// changes the result of one that completes, so tightening or lifting
     /// the budget must not invalidate cached results. The SM-parallelism
     /// knobs (`sm_parallel`, `sm_threads`) are excluded for the same
@@ -98,23 +102,65 @@ impl GpuConfig {
     /// bit-identical to an unsanitized one, and sanitized runs bypass the
     /// cache so the checks always execute.
     pub fn content_digest(&self) -> u64 {
-        let mut canonical = self.clone();
-        canonical.sim_fuel = None;
-        canonical.sm_parallel = None;
-        canonical.sm_threads = None;
-        canonical.profile = None;
-        canonical.sanitize = None;
+        // Destructured field by field: a new field must be placed on one
+        // side of the digest before this compiles.
+        let GpuConfig {
+            num_sms,
+            warp_size,
+            max_warps_per_sm,
+            max_tbs_per_sm,
+            schedulers_per_sm,
+            regfile_bytes_per_sm,
+            onchip_bytes_per_sm,
+            smem_carveout_bytes,
+            l1_cap_bytes,
+            l1_line_bytes,
+            l1_assoc,
+            l2_kb: _,
+            latencies,
+            trace_requests,
+            dyncta,
+            sim_fuel: _,
+            sm_parallel: _,
+            sm_threads: _,
+            profile: _,
+            sanitize: _,
+            // The cancellation token is an execution handle, not a
+            // simulated parameter: a deadline-carrying `catt serve`
+            // request must share its cache entry (and single-flight slot)
+            // with tokenless runs.
+            cancel: _,
+        } = self;
+        let mut h = Fnv64::new();
+        (
+            num_sms,
+            warp_size,
+            max_warps_per_sm,
+            max_tbs_per_sm,
+            schedulers_per_sm,
+            regfile_bytes_per_sm,
+            onchip_bytes_per_sm,
+            smem_carveout_bytes,
+            l1_cap_bytes,
+            l1_line_bytes,
+            l1_assoc,
+        )
+            .hash(&mut h);
         // The L2 capacity is *architectural* — unlike the knobs above it
         // changes cycle counts — but `None` and an explicit `Some` of the
         // default must share a cache entry, so the digest folds the
         // resolved capacity, not the raw option.
-        canonical.l2_kb = Some(self.l2_kb_resolved());
-        // The cancellation token is an execution handle, not a simulated
-        // parameter: a deadline-carrying `catt serve` request must share
-        // its cache entry (and single-flight slot) with tokenless runs.
-        canonical.cancel = None;
-        let mut h = Fnv64::new();
-        h.write_debug(&canonical);
+        self.l2_kb_resolved().hash(&mut h);
+        (latencies, trace_requests).hash(&mut h);
+        dyncta
+            .map(
+                |DynctaConfig {
+                     window,
+                     t_high,
+                     t_low,
+                 }| { (window, t_high.to_bits(), t_low.to_bits()) },
+            )
+            .hash(&mut h);
         h.finish()
     }
 }
@@ -122,6 +168,294 @@ impl GpuConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::{CmpOp, FBinOp, FUnOp, IBinOp, Op};
+
+    fn program(ops: Vec<Op>) -> Program {
+        Program {
+            name: "k".to_string(),
+            ops,
+            num_regs: 8,
+            param_regs: vec![3, 4],
+            shared_layout: vec![("s".to_string(), 0, 128)],
+            smem_bytes: 128,
+        }
+    }
+
+    /// Every `Op` variant, each paired with one copy per field where only
+    /// that field (or the variant itself) differs.
+    fn op_mutations() -> Vec<(Op, Vec<Op>)> {
+        let (d, a, b, c) = (1, 2, 3, 4);
+        vec![
+            (
+                Op::MovImm { dst: d, imm: 7 },
+                vec![Op::MovImm { dst: a, imm: 7 }, Op::MovImm { dst: d, imm: 8 }],
+            ),
+            (
+                Op::Mov { dst: d, src: a },
+                vec![Op::Mov { dst: b, src: a }, Op::Mov { dst: d, src: b }],
+            ),
+            (
+                Op::IBin {
+                    op: IBinOp::Add,
+                    dst: d,
+                    a,
+                    b,
+                },
+                vec![
+                    Op::IBin {
+                        op: IBinOp::Sub,
+                        dst: d,
+                        a,
+                        b,
+                    },
+                    Op::IBin {
+                        op: IBinOp::Add,
+                        dst: c,
+                        a,
+                        b,
+                    },
+                    Op::IBin {
+                        op: IBinOp::Add,
+                        dst: d,
+                        a: c,
+                        b,
+                    },
+                    Op::IBin {
+                        op: IBinOp::Add,
+                        dst: d,
+                        a,
+                        b: c,
+                    },
+                    Op::FBin {
+                        op: FBinOp::Add,
+                        dst: d,
+                        a,
+                        b,
+                    },
+                ],
+            ),
+            (
+                Op::FBin {
+                    op: FBinOp::Mul,
+                    dst: d,
+                    a,
+                    b,
+                },
+                vec![
+                    Op::FBin {
+                        op: FBinOp::Div,
+                        dst: d,
+                        a,
+                        b,
+                    },
+                    Op::FBin {
+                        op: FBinOp::Mul,
+                        dst: c,
+                        a,
+                        b,
+                    },
+                    Op::FBin {
+                        op: FBinOp::Mul,
+                        dst: d,
+                        a: c,
+                        b,
+                    },
+                    Op::FBin {
+                        op: FBinOp::Mul,
+                        dst: d,
+                        a,
+                        b: c,
+                    },
+                ],
+            ),
+            (
+                Op::FUn {
+                    op: FUnOp::Sqrt,
+                    dst: d,
+                    a,
+                },
+                vec![
+                    Op::FUn {
+                        op: FUnOp::Exp,
+                        dst: d,
+                        a,
+                    },
+                    Op::FUn {
+                        op: FUnOp::Sqrt,
+                        dst: b,
+                        a,
+                    },
+                    Op::FUn {
+                        op: FUnOp::Sqrt,
+                        dst: d,
+                        a: b,
+                    },
+                ],
+            ),
+            (
+                Op::INeg { dst: d, a },
+                vec![
+                    Op::INeg { dst: b, a },
+                    Op::INeg { dst: d, a: b },
+                    Op::IAbs { dst: d, a },
+                    Op::Not { dst: d, a },
+                    Op::CvtIF { dst: d, a },
+                    Op::CvtFI { dst: d, a },
+                ],
+            ),
+            (
+                Op::Cmp {
+                    op: CmpOp::Lt,
+                    float: false,
+                    dst: d,
+                    a,
+                    b,
+                },
+                vec![
+                    Op::Cmp {
+                        op: CmpOp::Le,
+                        float: false,
+                        dst: d,
+                        a,
+                        b,
+                    },
+                    Op::Cmp {
+                        op: CmpOp::Lt,
+                        float: true,
+                        dst: d,
+                        a,
+                        b,
+                    },
+                    Op::Cmp {
+                        op: CmpOp::Lt,
+                        float: false,
+                        dst: c,
+                        a,
+                        b,
+                    },
+                    Op::Cmp {
+                        op: CmpOp::Lt,
+                        float: false,
+                        dst: d,
+                        a: c,
+                        b,
+                    },
+                    Op::Cmp {
+                        op: CmpOp::Lt,
+                        float: false,
+                        dst: d,
+                        a,
+                        b: c,
+                    },
+                ],
+            ),
+            (
+                Op::Sel { dst: d, c, a, b },
+                vec![
+                    Op::Sel { dst: 5, c, a, b },
+                    Op::Sel { dst: d, c: 5, a, b },
+                    Op::Sel { dst: d, c, a: 5, b },
+                    Op::Sel { dst: d, c, a, b: 5 },
+                ],
+            ),
+            (
+                Op::Ldg { dst: d, addr: a },
+                vec![
+                    Op::Ldg { dst: b, addr: a },
+                    Op::Ldg { dst: d, addr: b },
+                    Op::Lds { dst: d, addr: a },
+                ],
+            ),
+            (
+                Op::Stg { src: d, addr: a },
+                vec![
+                    Op::Stg { src: b, addr: a },
+                    Op::Stg { src: d, addr: b },
+                    Op::Sts { src: d, addr: a },
+                ],
+            ),
+            (
+                Op::If {
+                    cond: c,
+                    else_pc: 10,
+                    end_pc: 12,
+                },
+                vec![
+                    Op::If {
+                        cond: d,
+                        else_pc: 10,
+                        end_pc: 12,
+                    },
+                    Op::If {
+                        cond: c,
+                        else_pc: 11,
+                        end_pc: 12,
+                    },
+                    Op::If {
+                        cond: c,
+                        else_pc: 10,
+                        end_pc: 13,
+                    },
+                ],
+            ),
+            (
+                Op::Else { end_pc: 12 },
+                vec![
+                    Op::Else { end_pc: 13 },
+                    Op::LoopBegin { end_pc: 12 },
+                    Op::LoopJump { cond_pc: 12 },
+                ],
+            ),
+            (Op::LoopTest { cond: c }, vec![Op::LoopTest { cond: d }]),
+            (Op::Bar, vec![Op::EndIf, Op::Break, Op::Ret, Op::Exit]),
+        ]
+    }
+
+    #[test]
+    fn equal_lowerings_give_equal_digests() {
+        for (op, _) in op_mutations() {
+            let p = program(vec![op, Op::Exit]);
+            assert_eq!(p.content_digest(), p.clone().content_digest(), "{op:?}");
+        }
+        // The source a program came from is not part of its identity.
+        let parsed = |src: &str| {
+            let k = catt_frontend::parse_kernel(src).unwrap();
+            crate::lower(&k).unwrap().content_digest()
+        };
+        assert_eq!(
+            parsed("__global__ void k(float *a) { a[threadIdx.x] = 1.0f; }"),
+            parsed(
+                "__global__ void k(float *a) {\n  // same kernel\n  a[threadIdx.x] = (1.0f);\n}"
+            )
+        );
+    }
+
+    #[test]
+    fn changing_any_one_op_field_changes_the_digest() {
+        for (op, mutants) in op_mutations() {
+            let base = program(vec![op, Op::Exit]).content_digest();
+            for m in mutants {
+                assert_ne!(
+                    base,
+                    program(vec![m, Op::Exit]).content_digest(),
+                    "{op:?} vs {m:?}"
+                );
+            }
+        }
+        // The layout fields count too.
+        let base = program(vec![Op::Exit]);
+        let mut regs = base.clone();
+        regs.num_regs += 1;
+        let mut params = base.clone();
+        params.param_regs[1] = 5;
+        let mut shared = base.clone();
+        shared.shared_layout[0].2 = 256;
+        let mut smem = base.clone();
+        smem.smem_bytes = 256;
+        for other in [regs, params, shared, smem] {
+            assert_ne!(base.content_digest(), other.content_digest());
+        }
+    }
 
     #[test]
     fn fnv_is_stable() {
@@ -148,6 +482,33 @@ mod tests {
         capped.l1_cap_bytes = Some(32 * 1024);
         assert_ne!(base.content_digest(), capped.content_digest());
         assert_eq!(base.content_digest(), base.clone().content_digest());
+    }
+
+    #[test]
+    fn config_digest_covers_latencies_tracing_and_dyncta() {
+        let base = GpuConfig::titan_v_1sm();
+        let mut slower = base.clone();
+        slower.latencies.offchip += 1;
+        let mut traced = base.clone();
+        traced.trace_requests = true;
+        let mut dyncta = base.clone();
+        dyncta.dyncta = Some(DynctaConfig::default());
+        let mut dyncta_high = dyncta.clone();
+        if let Some(d) = &mut dyncta_high.dyncta {
+            d.t_high = 0.75;
+        }
+        let digests: Vec<u64> = [&base, &slower, &traced, &dyncta, &dyncta_high]
+            .iter()
+            .map(|c| c.content_digest())
+            .collect();
+        for (i, a) in digests.iter().enumerate() {
+            for b in &digests[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        let mut tokened = base.clone();
+        tokened.cancel = Some(crate::CancelToken::new());
+        assert_eq!(base.content_digest(), tokened.content_digest());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! of the lexer/parser over printed registry kernels.
 //!
 //! Each iteration takes a real kernel source, applies a small stack of
-//! mutations (byte flips, truncation, token splices, slice duplication),
+//! mutations (byte flips, truncation, token splices, slice duplication,
+//! deep nesting),
 //! and feeds the result to [`catt_frontend::parse_module_recover`] under
 //! `catch_unwind`. The frontend's contract on *arbitrary* input:
 //!
@@ -20,6 +21,7 @@
 
 use catt_diag::Severity;
 use catt_frontend::parse_module_recover;
+use catt_frontend::parser::MAX_NESTING;
 use catt_prng::Rng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -139,13 +141,28 @@ const SPLICE_TOKENS: &[&str] = &[
     "\u{fffd}",
 ];
 
+/// Opener and closer of each construct the parser's nesting limit
+/// counts: parentheses, unary chains, casts, index, calls, ternaries,
+/// operator chains and statement bodies.
+const NESTERS: &[(&str, &str)] = &[
+    ("(", ")"),
+    ("- ", ""),
+    ("!", ""),
+    ("(float)", ""),
+    ("a[", "]"),
+    ("sqrtf(", ")"),
+    ("i ? x : ", ""),
+    ("x + ", ""),
+    ("if (i) { ", " }"),
+];
+
 /// Apply one PRNG-chosen mutation to `bytes`.
 fn mutate(bytes: &mut Vec<u8>, rng: &mut Rng) {
     if bytes.is_empty() {
         bytes.extend_from_slice(b"{");
         return;
     }
-    match rng.bounded_u64(4) {
+    match rng.bounded_u64(5) {
         // Byte flip: any byte value, including invalid UTF-8 lead bytes.
         0 => {
             let at = rng.bounded_u64(bytes.len() as u64) as usize;
@@ -167,7 +184,7 @@ fn mutate(bytes: &mut Vec<u8>, rng: &mut Rng) {
             *bytes = out;
         }
         // Duplicate a slice (grows nesting depth, repeats constructs).
-        _ => {
+        3 => {
             let a = rng.bounded_u64(bytes.len() as u64) as usize;
             let b = rng.bounded_u64(bytes.len() as u64) as usize;
             let (lo, hi) = (a.min(b), a.max(b).min(a.min(b) + 256));
@@ -179,7 +196,20 @@ fn mutate(bytes: &mut Vec<u8>, rng: &mut Rng) {
             out.extend_from_slice(&bytes[at..]);
             *bytes = out;
         }
+        _ => {
+            let at = rng.bounded_u64(bytes.len() as u64 + 1) as usize;
+            nest_deep(bytes, at, rng);
+        }
     }
+}
+
+/// Insert one construct nested from well inside the parser's limit to
+/// far past it at byte `at`.
+fn nest_deep(bytes: &mut Vec<u8>, at: usize, rng: &mut Rng) {
+    let (open, close) = NESTERS[rng.bounded_u64(NESTERS.len() as u64) as usize];
+    let depth = rng.range_u32(MAX_NESTING / 4, 3 * MAX_NESTING) as usize;
+    let nest = format!("{}x{}", open.repeat(depth), close.repeat(depth));
+    bytes.splice(at..at, nest.into_bytes());
 }
 
 /// Run a frontend fuzz campaign over `seeds` (kernel sources — typically
@@ -343,6 +373,34 @@ mod tests {
         );
         assert!(report.rejected > 0, "mutations never produced a reject");
         assert!(report.diagnostics_seen > 0, "no diagnostics observed");
+    }
+
+    #[test]
+    fn deep_nesting_mutations_land_on_both_sides_of_the_limit() {
+        let (mut refused, mut accepted) = (0, 0);
+        let mut rng = Rng::seed(5);
+        let seed = "__global__ void k(float *a, int i, float x) {\n    a[i] = ;\n}";
+        // Nest where `a[i] = ` expects an expression.
+        let at = seed.find(" ;").unwrap() + 1;
+        for _ in 0..400 {
+            let mut bytes = seed.as_bytes().to_vec();
+            nest_deep(&mut bytes, at, &mut rng);
+            let src = String::from_utf8(bytes).unwrap();
+            let outcome = parse_module_recover(&src);
+            if outcome
+                .diagnostics
+                .iter()
+                .any(|d| d.code == catt_diag::codes::NESTING_TOO_DEEP)
+            {
+                refused += 1;
+            } else if outcome.is_clean() {
+                accepted += 1;
+            }
+        }
+        assert!(
+            refused > 0 && accepted > 0,
+            "{refused} refused, {accepted} clean"
+        );
     }
 
     #[test]

@@ -146,12 +146,19 @@ target/release/catt reproduce all --check
 
 echo "==> serve smoke: NDJSON daemon answers every line and drains clean"
 # A checked-in request batch (good submit, malformed line, unknown kernel,
-# zero grid, zero deadline, probes, shutdown) piped through the stdio
-# daemon under an armed chaos plan. The contract: one typed response per
-# request line, at least one success and one typed error, clean exit.
+# zero grid, zero deadline, 2 000 nested parentheses, probes, a repeat of
+# the good submit, shutdown) piped through the stdio daemon under an armed
+# chaos plan. The contract: one typed response per request line, at least
+# one success and one typed error, the deep kernel a located compile error
+# (not a dead daemon), and the repeat answered from the cache — it goes
+# in a second after the rest, so it cannot coalesce onto ok-1 in flight.
 SERVE_OUT="${SERVE_OUT:-target/serve-smoke-out.jsonl}"
-CATT_FAULT_PLAN="delay-job=2" CATT_SERVE_WORKERS=2 \
-    target/release/catt serve --stdio < scripts/serve-smoke.jsonl > "$SERVE_OUT"
+{
+    grep -v -e '"id":"ok-2"' -e '"id":"bye"' scripts/serve-smoke.jsonl
+    sleep 1
+    grep -e '"id":"ok-2"' -e '"id":"bye"' scripts/serve-smoke.jsonl
+} | CATT_FAULT_PLAN="delay-job=2" CATT_SERVE_WORKERS=2 \
+    target/release/catt serve --stdio > "$SERVE_OUT"
 REQ_LINES=$(grep -c . scripts/serve-smoke.jsonl)
 RESP_LINES=$(grep -c . "$SERVE_OUT")
 if [ "$REQ_LINES" != "$RESP_LINES" ]; then
@@ -166,6 +173,17 @@ grep -q '"id":"ok-1","ok":true' "$SERVE_OUT" || {
 }
 grep -q '"id":"bad-1","ok":false' "$SERVE_OUT" || {
     echo "error: catt serve smoke: malformed line not answered as bad-request" >&2
+    cat "$SERVE_OUT" >&2
+    exit 1
+}
+grep '"id":"deep-1","ok":false,"kind":"compile-error"' "$SERVE_OUT" \
+    | grep -q '"code":"E023".*"line":3,"col":[0-9]*,"pass":"parse"' || {
+    echo "error: catt serve smoke: the deep kernel is not a located E023 compile error" >&2
+    cat "$SERVE_OUT" >&2
+    exit 1
+}
+grep '"id":"ok-2","ok":true' "$SERVE_OUT" | grep -q '"source":"cache","queue_ms":0' || {
+    echo "error: catt serve smoke: the repeated submit was not answered from the cache" >&2
     cat "$SERVE_OUT" >&2
     exit 1
 }

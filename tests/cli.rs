@@ -145,9 +145,9 @@ fn profile_emits_reports_and_valid_trace() {
 
 /// `CATT_DIAG_FORMAT=json` prints one JSON array of diagnostics, and that
 /// array is the `diagnostics` field `catt serve` sends for the same
-/// source: one wire form for a diagnostic. The one difference is content,
-/// not encoding: the daemon parses outside the pass manager, so its parse
-/// errors carry no `pass`, while the CLI's say `"pass":"parse"`.
+/// source: one wire form for a diagnostic, and one compile path — both
+/// parse through the pipeline's `parse` pass, so the arrays are equal,
+/// `"pass":"parse"` included.
 #[test]
 fn diag_format_json_matches_the_serve_wire_form() {
     use catt_diag::json::{self, Json};
@@ -174,25 +174,6 @@ fn diag_format_json_matches_the_serve_wire_form() {
             .all(|d| d.get("pass").and_then(Json::as_str) == Some("parse")),
         "{stderr}"
     );
-    let without_pass = |v: &Json| match v {
-        Json::Arr(items) => Json::Arr(
-            items
-                .iter()
-                .map(|d| match d {
-                    Json::Obj(fields) => Json::Obj(
-                        fields
-                            .iter()
-                            .filter(|(k, _)| k != "pass")
-                            .cloned()
-                            .collect(),
-                    ),
-                    other => other.clone(),
-                })
-                .collect(),
-        ),
-        other => other.clone(),
-    };
-
     let request = json::obj(vec![
         ("id", Json::Str("broken".into())),
         ("kernel", Json::Str(src.into())),
@@ -219,7 +200,7 @@ fn diag_format_json_matches_the_serve_wire_form() {
     let served = reply
         .get("diagnostics")
         .expect("compile-error carries diagnostics");
-    assert_eq!(without_pass(served), without_pass(&cli), "{stdout}");
+    assert_eq!(served, &cli, "{stdout}");
 }
 
 #[test]
