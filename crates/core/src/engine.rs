@@ -51,7 +51,7 @@
 
 use crate::fault::FaultPlan;
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Fnv64, GpuConfig, LaunchStats};
+use catt_sim::{Fnv64, GpuConfig, LaunchStats, Program};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
@@ -162,25 +162,43 @@ pub struct JobKey(pub u64);
 /// Content digest of a simulation job: `scope` (application + input
 /// identity — the workload abbreviation for registry apps), the *lowered*
 /// program of every kernel the job runs, the launch geometry, and the
-/// full GPU configuration. Kernels are lowered here so that two sources
-/// with identical lowering share one cache entry, and any change to the
-/// lowering itself changes every digest (automatic invalidation).
+/// full GPU configuration. Keying on programs means two sources with
+/// identical lowering share one cache entry, and any change to the
+/// lowering itself changes every digest (automatic invalidation). The
+/// caller lowers: a compile already holds its kernel's program
+/// ([`crate::pipeline::CompiledKernel::program`]).
 pub fn job_digest(
+    scope: &str,
+    programs: &[Program],
+    launches: &[LaunchConfig],
+    config: &GpuConfig,
+) -> JobKey {
+    let mut h = Fnv64::new();
+    h.write_str("catt-simcache-v1").write_str(scope);
+    for program in programs {
+        program.content_digest().hash(&mut h);
+    }
+    launches.hash(&mut h);
+    config.content_digest().hash(&mut h);
+    JobKey(h.finish())
+}
+
+/// [`job_digest`] of `kernels`, lowering each; a kernel that does not
+/// lower is the job's error.
+fn kernels_digest(
     scope: &str,
     kernels: &[Kernel],
     launches: &[LaunchConfig],
     config: &GpuConfig,
 ) -> Result<JobKey, JobError> {
-    let mut h = Fnv64::new();
-    h.write_str("catt-simcache-v1").write_str(scope);
-    for k in kernels {
-        let program = catt_sim::lower(k)
-            .map_err(|e| JobError::fatal(scope, format!("kernel `{}`: {e}", k.name)))?;
-        program.content_digest().hash(&mut h);
-    }
-    launches.hash(&mut h);
-    config.content_digest().hash(&mut h);
-    Ok(JobKey(h.finish()))
+    let programs = kernels
+        .iter()
+        .map(|k| {
+            catt_sim::lower(k)
+                .map_err(|e| JobError::fatal(scope, format!("kernel `{}`: {e}", k.name)))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(job_digest(scope, &programs, launches, config))
 }
 
 /// How a run may use the simulation cache: the one rule both
@@ -528,7 +546,8 @@ impl Engine {
     }
 
     /// Get-or-simulate one application run. The cache key is
-    /// [`job_digest`] of `(scope, kernels, launch, config)`; on a miss
+    /// [`job_digest`] of `(scope, kernels lowered, launch, config)`; a
+    /// kernel that does not lower fails the job. On a miss
     /// `compute` runs — with panics converted into `Err` — and the result
     /// enters the cache. Traced and sanitized runs compute without
     /// touching the cache; profiled runs compute without reading it and
@@ -552,11 +571,15 @@ impl Engine {
             CacheUse::Bypass => caught(compute),
             CacheUse::WriteOnly => {
                 let stats = caught(compute)?;
-                self.record(scope, kernels, launches, config, &stats);
+                // The key is derived after the run, so a profiled run's
+                // errors are always the run's own.
+                if let Ok(key) = kernels_digest(scope, kernels, launches, config) {
+                    self.cache.insert(key, &stats);
+                }
                 Ok(stats)
             }
             CacheUse::ReadWrite => {
-                let key = job_digest(scope, kernels, launches, config)?;
+                let key = kernels_digest(scope, kernels, launches, config)?;
                 if let Some(stats) = self.cache.lookup(key) {
                     return Ok(stats);
                 }
@@ -579,23 +602,9 @@ impl Engine {
         self.cache.peek(key)
     }
 
-    /// Insert a profiled run's stats under the key a plain run of the same
-    /// job looks up. The key is derived after the run, so a profiled
-    /// run's errors are always the run's own.
-    fn record(
-        &self,
-        scope: &str,
-        kernels: &[Kernel],
-        launches: &[LaunchConfig],
-        config: &GpuConfig,
-        stats: &LaunchStats,
-    ) {
-        if let Ok(key) = job_digest(scope, kernels, launches, config) {
-            self.cache.insert(key, stats);
-        }
-    }
-
-    /// Like [`Engine::sim_app`], but with **single-flight dedupe**: when
+    /// Like [`Engine::sim_app`], but keyed by the caller's [`job_digest`]
+    /// `key` (`scope` only names the job in errors), and with
+    /// **single-flight dedupe**: when
     /// several callers submit the same job (same digest) concurrently,
     /// exactly one — the *leader* — simulates; the rest block on its slot
     /// and receive the identical result marked [`SimSource::Coalesced`].
@@ -626,8 +635,7 @@ impl Engine {
     pub fn sim_app_shared<F>(
         &self,
         scope: &str,
-        kernels: &[Kernel],
-        launches: &[LaunchConfig],
+        key: JobKey,
         config: &GpuConfig,
         wait_deadline: Option<Instant>,
         compute: F,
@@ -643,12 +651,11 @@ impl Engine {
             CacheUse::Bypass => return self.run_injected(&scope, compute).map(computed),
             CacheUse::WriteOnly => {
                 let stats = self.run_injected(&scope, compute)?;
-                self.record(scope, kernels, launches, config, &stats);
+                self.cache.insert(key, &stats);
                 return Ok(computed(stats));
             }
             CacheUse::ReadWrite => {}
         }
-        let key = job_digest(scope, kernels, launches, config)?;
         // A request leads at most once (the leader branch returns), but a
         // follower can re-contend after a retired slot — hence the loop
         // and the Option around the one-shot compute closure.
@@ -750,6 +757,11 @@ mod tests {
     use super::*;
     use catt_frontend::parse_kernel;
 
+    fn key(scope: &str, k: &Kernel, launch: LaunchConfig, config: &GpuConfig) -> JobKey {
+        let program = catt_sim::lower(k).unwrap();
+        job_digest(scope, std::slice::from_ref(&program), &[launch], config)
+    }
+
     fn kernel() -> Kernel {
         parse_kernel(
             "__global__ void k(float *a, int n) {
@@ -820,24 +832,15 @@ mod tests {
         let k = kernel();
         let launch = LaunchConfig::d1(4, 128);
         let config = GpuConfig::small();
-        let a = job_digest("S", std::slice::from_ref(&k), &[launch], &config).unwrap();
-        let b = job_digest("S", std::slice::from_ref(&k), &[launch], &config).unwrap();
+        let a = key("S", &k, launch, &config);
+        let b = key("S", &k, launch, &config);
         assert_eq!(a, b);
         // Scope, launch, and config all separate keys.
-        let other_scope = job_digest("T", std::slice::from_ref(&k), &[launch], &config).unwrap();
-        assert_ne!(a, other_scope);
-        let other_launch = job_digest(
-            "S",
-            std::slice::from_ref(&k),
-            &[LaunchConfig::d1(8, 128)],
-            &config,
-        )
-        .unwrap();
-        assert_ne!(a, other_launch);
+        assert_ne!(a, key("T", &k, launch, &config));
+        assert_ne!(a, key("S", &k, LaunchConfig::d1(8, 128), &config));
         let mut capped = config.clone();
         capped.l1_cap_bytes = Some(2 * 1024);
-        let other_config = job_digest("S", std::slice::from_ref(&k), &[launch], &capped).unwrap();
-        assert_ne!(a, other_config);
+        assert_ne!(a, key("S", &k, launch, &capped));
     }
 
     #[test]
@@ -876,7 +879,7 @@ mod tests {
         let k = kernel();
         let launch = LaunchConfig::d1(1, 32);
         let config = GpuConfig::small();
-        let key = job_digest("peek", std::slice::from_ref(&k), &[launch], &config).unwrap();
+        let key = key("peek", &k, launch, &config);
         assert!(engine.cached(key, &config).is_none());
         assert_eq!(engine.cache_counters(), CacheCounters::default());
         let stats = LaunchStats {
@@ -884,14 +887,7 @@ mod tests {
             ..LaunchStats::default()
         };
         let computed = engine
-            .sim_app_shared(
-                "peek",
-                std::slice::from_ref(&k),
-                &[launch],
-                &config,
-                None,
-                || Ok(stats.clone()),
-            )
+            .sim_app_shared("peek", key, &config, None, || Ok(stats.clone()))
             .unwrap();
         assert_eq!(computed.source, SimSource::Computed);
         let c = engine.cache_counters();

@@ -11,7 +11,7 @@ use catt_diag::{codes, Diagnostic};
 use catt_frontend::parse_module_recover;
 use catt_ir::kernel::{Kernel, LaunchConfig, Module};
 use catt_ir::printer;
-use catt_sim::{GpuConfig, SMEM_CONFIGS_KB};
+use catt_sim::{GpuConfig, Program, SMEM_CONFIGS_KB};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One stage of the compile pipeline.
@@ -100,6 +100,15 @@ impl Pass for ParsePass {
     }
 }
 
+/// What `analyze` hands on: the analysis, and the kernel's program, which
+/// it lowers to count registers. The transform reuses the program when it
+/// leaves the kernel as it is, so each kernel form is lowered once.
+#[derive(Debug, Clone)]
+pub struct Analyzed {
+    pub analysis: KernelAnalysis,
+    pub program: Program,
+}
+
 /// `analyze`: kernel → occupancy plan + per-loop footprint decisions
 /// (paper §4.1–4.3), including the Fig. 5 carve-out reconfiguration
 /// when a TB throttle needs shared-memory space.
@@ -110,13 +119,13 @@ pub struct AnalyzePass<'c> {
 
 impl Pass for AnalyzePass<'_> {
     type Input<'a> = &'a Kernel;
-    type Output = KernelAnalysis;
+    type Output = Analyzed;
 
     fn name(&self) -> &'static str {
         "analyze"
     }
 
-    fn run(&self, kernel: &Kernel, diags: &mut Vec<Diagnostic>) -> Option<KernelAnalysis> {
+    fn run(&self, kernel: &Kernel, diags: &mut Vec<Diagnostic>) -> Option<Analyzed> {
         let program = match catt_sim::lower(kernel) {
             Ok(p) => p,
             Err(e) => {
@@ -164,7 +173,7 @@ impl Pass for AnalyzePass<'_> {
             analysis.plan.smem_carveout_bytes = max_kb * 1024;
             analysis.plan.l1d_bytes = analysis.plan.config.l1d_bytes();
         }
-        Some(analysis)
+        Some(Analyzed { analysis, program })
     }
 }
 
@@ -177,6 +186,14 @@ pub struct LegalPlan {
     /// `(target resident TBs, carve-out bytes)` for the kernel-wide TB
     /// throttle, when one is needed.
     pub tb: Option<(u32, u32)>,
+}
+
+impl LegalPlan {
+    /// No warp split and no TB throttle: [`apply_plan`] returns the
+    /// kernel unchanged.
+    pub fn is_identity(&self) -> bool {
+        self.warp.is_empty() && self.tb.is_none()
+    }
 }
 
 /// `legalize`: analysis decisions → concrete transform plan. Every
@@ -308,25 +325,29 @@ pub fn legalize(
     LegalPlan { warp, tb }
 }
 
-/// What the transform stage produced: the (possibly) rewritten kernel,
-/// plus the structured fallback diagnostic when the transform had to be
-/// abandoned and the original code is used instead.
+/// What the transform stage produced: the (possibly) rewritten kernel
+/// and its lowered program, plus the structured fallback diagnostic when
+/// the transform had to be abandoned and the original code is used
+/// instead.
 #[derive(Debug, Clone)]
 pub struct TransformOutcome {
     pub kernel: Kernel,
+    pub program: Program,
     pub fallback: Option<Diagnostic>,
 }
 
 /// `transform`: apply the legalized plan with a guard rail — a
 /// transform that panics or produces a kernel that no longer lowers
 /// falls back to the *original* code (correct, merely unthrottled) with
-/// a typed `W001`/`W002` diagnostic.
+/// a typed `W001`/`W002` diagnostic. The lowering that checks the
+/// rewritten kernel is its program; the original kernel's program is the
+/// one `analyze` lowered, so an identity plan lowers nothing here.
 pub struct TransformPass<'f> {
     pub fault: &'f FaultPlan,
 }
 
 impl Pass for TransformPass<'_> {
-    type Input<'a> = (&'a Kernel, &'a KernelAnalysis, &'a LegalPlan);
+    type Input<'a> = (&'a Kernel, &'a Analyzed, &'a LegalPlan);
     type Output = TransformOutcome;
 
     fn name(&self) -> &'static str {
@@ -335,51 +356,45 @@ impl Pass for TransformPass<'_> {
 
     fn run(
         &self,
-        (kernel, analysis, plan): (&Kernel, &KernelAnalysis, &LegalPlan),
+        (kernel, analyzed, plan): (&Kernel, &Analyzed, &LegalPlan),
         _diags: &mut Vec<Diagnostic>,
     ) -> Option<TransformOutcome> {
+        let original = |fallback: Option<Diagnostic>| TransformOutcome {
+            kernel: kernel.clone(),
+            program: analyzed.program.clone(),
+            fallback,
+        };
+        let fallback = |code, message: String| {
+            Some(original(Some(
+                Diagnostic::warning(code, message).with_span(kernel.spans.name),
+            )))
+        };
         if self.fault.fail_transform {
-            return Some(TransformOutcome {
-                kernel: kernel.clone(),
-                fallback: Some(
-                    Diagnostic::warning(
-                        codes::FAULT_FALLBACK,
-                        "fault injection: transform forced to fail",
-                    )
-                    .with_span(kernel.spans.name),
-                ),
-            });
+            return fallback(
+                codes::FAULT_FALLBACK,
+                "fault injection: transform forced to fail".to_string(),
+            );
         }
+        if plan.is_identity() {
+            return Some(original(None));
+        }
+        let analysis = &analyzed.analysis;
         match catch_unwind(AssertUnwindSafe(|| apply_plan(kernel, analysis, plan))) {
             Ok(transformed) => match catt_sim::lower(&transformed) {
-                Ok(_) => Some(TransformOutcome {
+                Ok(program) => Some(TransformOutcome {
                     kernel: transformed,
+                    program,
                     fallback: None,
                 }),
-                Err(e) => Some(TransformOutcome {
-                    kernel: kernel.clone(),
-                    fallback: Some(
-                        Diagnostic::warning(
-                            codes::TRANSFORM_FALLBACK,
-                            format!("transformed kernel fails to lower: {e}"),
-                        )
-                        .with_span(kernel.spans.name),
-                    ),
-                }),
+                Err(e) => fallback(
+                    codes::TRANSFORM_FALLBACK,
+                    format!("transformed kernel fails to lower: {e}"),
+                ),
             },
-            Err(payload) => {
-                let msg = panic_message(payload);
-                Some(TransformOutcome {
-                    kernel: kernel.clone(),
-                    fallback: Some(
-                        Diagnostic::warning(
-                            codes::TRANSFORM_FALLBACK,
-                            format!("transform panicked: {msg}"),
-                        )
-                        .with_span(kernel.spans.name),
-                    ),
-                })
-            }
+            Err(payload) => fallback(
+                codes::TRANSFORM_FALLBACK,
+                format!("transform panicked: {}", panic_message(payload)),
+            ),
         }
     }
 }

@@ -10,7 +10,7 @@ use crate::fault::FaultPlan;
 use crate::passes::{AnalyzePass, EmitPass, LegalizePass, ParsePass, PassManager, TransformPass};
 use catt_diag::{codes, Diagnostic, Severity};
 use catt_ir::kernel::{Kernel, LaunchConfig, Module};
-use catt_sim::GpuConfig;
+use catt_sim::{GpuConfig, Program};
 use std::fmt;
 
 /// Pipeline failure: one or more error diagnostics (parse errors,
@@ -79,6 +79,9 @@ pub struct CompiledKernel {
     /// Kernel with CATT's throttling code inserted (identical to
     /// `original` when nothing needed throttling).
     pub transformed: Kernel,
+    /// `transformed`, lowered: what a launch runs and what the simulation
+    /// cache key digests. Lowered once per kernel form by the passes.
+    pub program: Program,
     /// Launch configuration the analysis assumed.
     pub launch: LaunchConfig,
     /// Full analysis record (Table 3 data).
@@ -217,16 +220,17 @@ impl Pipeline {
             config: &self.base_config,
             launch,
         };
-        let Some(analysis) = PassManager::run(&analyze, kernel, &mut diags) else {
+        let Some(analyzed) = PassManager::run(&analyze, kernel, &mut diags) else {
             return Err(PipelineError::from_diags(diags));
         };
 
-        let Some(plan) = PassManager::run(&LegalizePass, (kernel, &analysis), &mut diags) else {
+        let Some(plan) = PassManager::run(&LegalizePass, (kernel, &analyzed.analysis), &mut diags)
+        else {
             return Err(PipelineError::from_diags(diags));
         };
 
         let transform = TransformPass { fault: &self.fault };
-        let Some(outcome) = PassManager::run(&transform, (kernel, &analysis, &plan), &mut diags)
+        let Some(outcome) = PassManager::run(&transform, (kernel, &analyzed, &plan), &mut diags)
         else {
             return Err(PipelineError::from_diags(diags));
         };
@@ -245,8 +249,9 @@ impl Pipeline {
         Ok(CompiledKernel {
             original: kernel.clone(),
             transformed: outcome.kernel,
+            program: outcome.program,
             launch,
-            analysis,
+            analysis: analyzed.analysis,
             emitted_source,
             fallback_diagnostic: outcome.fallback,
             warnings: diags,

@@ -4,7 +4,7 @@
 //! must invalidate when the GPU configuration or kernel source changes.
 
 use catt_core::bftt::sweep_on;
-use catt_core::engine::{job_digest, Engine, SimSource};
+use catt_core::engine::{job_digest, Engine, JobKey, SimSource};
 use catt_frontend::parse_kernel;
 use catt_ir::kernel::{Kernel, LaunchConfig};
 use catt_sim::{Arg, GlobalMem, Gpu, GpuConfig, LaunchStats};
@@ -40,6 +40,12 @@ fn simulate(kernels: &[Kernel], launch: LaunchConfig, cfg: &GpuConfig) -> Launch
         &mut mem,
     )
     .unwrap()
+}
+
+/// The cache key of one run of `kernel`.
+fn key_of(scope: &str, kernel: &Kernel, launch: LaunchConfig, cfg: &GpuConfig) -> JobKey {
+    let program = catt_sim::lower(kernel).expect("the kernel lowers");
+    job_digest(scope, std::slice::from_ref(&program), &[launch], cfg)
 }
 
 /// Every counter of `s`, the request trace left out (the one thing a
@@ -148,11 +154,11 @@ fn cache_invalidates_on_config_or_source_change() {
     let kernel = mv_kernel();
     let launch = LaunchConfig::d1(1, 256);
     let cfg = contended_config();
-    let key = job_digest("inv", std::slice::from_ref(&kernel), &[launch], &cfg).unwrap();
+    let key = key_of("inv", &kernel, launch, &cfg);
 
     let mut bigger = cfg.clone();
     bigger.l1_cap_bytes = Some(64 * 1024);
-    let key_cfg = job_digest("inv", std::slice::from_ref(&kernel), &[launch], &bigger).unwrap();
+    let key_cfg = key_of("inv", &kernel, launch, &bigger);
     assert_ne!(key, key_cfg, "GpuConfig change must invalidate");
 
     let changed = parse_kernel(&format!(
@@ -167,7 +173,7 @@ fn cache_invalidates_on_config_or_source_change() {
          }}"
     ))
     .unwrap();
-    let key_src = job_digest("inv", std::slice::from_ref(&changed), &[launch], &cfg).unwrap();
+    let key_src = key_of("inv", &changed, launch, &cfg);
     assert_ne!(key, key_src, "kernel source change must invalidate");
 
     // End to end: the engine really recomputes for the changed config.
@@ -241,9 +247,13 @@ fn profiled_runs_record_and_traced_or_sanitized_runs_bypass() {
     let shared = Engine::with_workers(1);
     let outcome = |cfg: &GpuConfig| {
         shared
-            .sim_app_shared("rule", ks, &[launch], cfg, None, || {
-                Ok(simulate(ks, launch, cfg))
-            })
+            .sim_app_shared(
+                "rule",
+                key_of("rule", &kernel, launch, cfg),
+                cfg,
+                None,
+                || Ok(simulate(ks, launch, cfg)),
+            )
             .expect("sim_app_shared succeeds")
             .source
     };
@@ -325,8 +335,7 @@ fn cancelled_leader_retires_slot_and_follower_recontends() {
         let leader = scope.spawn(move || {
             engine_ref.sim_app_shared(
                 "retire",
-                std::slice::from_ref(kernel_ref),
-                &[launch],
+                key_of("retire", kernel_ref, launch, cfg_ref),
                 cfg_ref,
                 None,
                 move || {
@@ -342,8 +351,7 @@ fn cancelled_leader_retires_slot_and_follower_recontends() {
         let follower = scope.spawn(|| {
             engine.sim_app_shared(
                 "retire",
-                std::slice::from_ref(&kernel),
-                &[launch],
+                key_of("retire", &kernel, launch, &cfg),
                 &cfg,
                 Some(Instant::now() + Duration::from_secs(60)),
                 || Ok(simulate(std::slice::from_ref(&kernel), launch, &cfg)),

@@ -7,15 +7,20 @@
 //! contains no panic or unwrap sites: arbitrary byte soup — including
 //! invalid UTF-8 reached through fuzzing — lexes to tokens plus
 //! diagnostics.
+//!
+//! Tokens borrow from the source: an identifier is a slice of it, and
+//! punctuation is one of the fixed `&'static str` spellings, picked by a
+//! match on its first byte. Lexing well-formed input allocates nothing
+//! but the token vector.
 
 use catt_diag::{codes, Diagnostic, Span};
 use std::fmt;
 
 /// Token kinds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
-    /// Identifier or keyword.
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'a> {
+    /// Identifier or keyword: its text in the source.
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Float literal (`1.5`, `1.0f`, `1e-3`).
@@ -29,25 +34,84 @@ pub enum TokenKind {
     Eof,
 }
 
-/// All multi- and single-character operator spellings, longest first so the
-/// lexer is maximal-munch.
-const PUNCTS: &[&str] = &[
-    "<<=", ">>=", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+=", "-=", "*=", "/=", "%=",
-    "&=", "|=", "^=", "++", "--", "->", "(", ")", "{", "}", "[", "]", ";", ",", "+", "-", "*", "/",
-    "%", "<", ">", "=", "!", "&", "|", "^", "?", ":", ".", "~",
-];
+/// The operator or punctuation spelled at the start of `rest`, longest
+/// match first (maximal munch), if any.
+fn punct(rest: &[u8]) -> Option<&'static str> {
+    let at = |i: usize| rest.get(i).copied();
+    let next = at(1);
+    Some(match at(0)? {
+        b'<' => match (next, at(2)) {
+            (Some(b'<'), Some(b'=')) => "<<=",
+            (Some(b'<'), _) => "<<",
+            (Some(b'='), _) => "<=",
+            _ => "<",
+        },
+        b'>' => match (next, at(2)) {
+            (Some(b'>'), Some(b'=')) => ">>=",
+            (Some(b'>'), _) => ">>",
+            (Some(b'='), _) => ">=",
+            _ => ">",
+        },
+        b'=' if next == Some(b'=') => "==",
+        b'=' => "=",
+        b'!' if next == Some(b'=') => "!=",
+        b'!' => "!",
+        b'&' => match next {
+            Some(b'&') => "&&",
+            Some(b'=') => "&=",
+            _ => "&",
+        },
+        b'|' => match next {
+            Some(b'|') => "||",
+            Some(b'=') => "|=",
+            _ => "|",
+        },
+        b'+' => match next {
+            Some(b'=') => "+=",
+            Some(b'+') => "++",
+            _ => "+",
+        },
+        b'-' => match next {
+            Some(b'=') => "-=",
+            Some(b'-') => "--",
+            Some(b'>') => "->",
+            _ => "-",
+        },
+        b'*' if next == Some(b'=') => "*=",
+        b'*' => "*",
+        b'/' if next == Some(b'=') => "/=",
+        b'/' => "/",
+        b'%' if next == Some(b'=') => "%=",
+        b'%' => "%",
+        b'^' if next == Some(b'=') => "^=",
+        b'^' => "^",
+        b'(' => "(",
+        b')' => ")",
+        b'{' => "{",
+        b'}' => "}",
+        b'[' => "[",
+        b']' => "]",
+        b';' => ";",
+        b',' => ",",
+        b'?' => "?",
+        b':' => ":",
+        b'.' => ".",
+        b'~' => "~",
+        _ => return None,
+    })
+}
 
 /// A token with its source position (1-based line and column) and byte
 /// span into the original source.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
+    pub kind: TokenKind<'a>,
     pub line: u32,
     pub col: u32,
     pub span: Span,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "`{s}`"),
@@ -62,6 +126,8 @@ impl fmt::Display for TokenKind {
 
 /// Streaming tokenizer.
 pub struct Lexer<'a> {
+    /// The source as text (identifiers are slices of it) and as bytes.
+    source: &'a str,
     src: &'a [u8],
     pos: usize,
     line: u32,
@@ -72,6 +138,7 @@ impl<'a> Lexer<'a> {
     /// Create a lexer over `src`.
     pub fn new(src: &'a str) -> Lexer<'a> {
         Lexer {
+            source: src,
             src: src.as_bytes(),
             pos: 0,
             line: 1,
@@ -81,7 +148,7 @@ impl<'a> Lexer<'a> {
 
     /// Tokenize the entire input, appending a final `Eof` token. Stops
     /// at the first lexical error.
-    pub fn tokenize(src: &'a str) -> Result<Vec<Token>, Diagnostic> {
+    pub fn tokenize(src: &'a str) -> Result<Vec<Token<'a>>, Diagnostic> {
         let (tokens, mut diags) = Lexer::tokenize_recover(src);
         if diags.is_empty() {
             Ok(tokens)
@@ -93,7 +160,7 @@ impl<'a> Lexer<'a> {
     /// Tokenize with recovery: every lexical error becomes a diagnostic
     /// and lexing continues past it. The token stream always ends with
     /// `Eof`, so the parser can run over partially-broken input.
-    pub fn tokenize_recover(src: &'a str) -> (Vec<Token>, Vec<Diagnostic>) {
+    pub fn tokenize_recover(src: &'a str) -> (Vec<Token<'a>>, Vec<Diagnostic>) {
         let mut lx = Lexer::new(src);
         let mut out = Vec::new();
         let mut diags = Vec::new();
@@ -222,7 +289,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Produce the next token.
-    pub fn next_token(&mut self) -> Result<Token, Diagnostic> {
+    pub fn next_token(&mut self) -> Result<Token<'a>, Diagnostic> {
         self.skip_trivia()?;
         let (start, line, col) = (self.pos, self.line, self.col);
         let Some(c) = self.peek() else {
@@ -243,9 +310,8 @@ impl<'a> Lexer<'a> {
                 }
                 self.bump();
             }
-            let word = self.text(start);
-            match word.as_ref() {
-                "#define" => {
+            match &self.src[start..self.pos] {
+                b"#define" => {
                     return Ok(Token {
                         kind: TokenKind::HashDefine,
                         line,
@@ -274,7 +340,9 @@ impl<'a> Lexer<'a> {
                     break;
                 }
             }
-            let s = self.text(start).into_owned();
+            // Identifiers are ASCII, so both ends are character
+            // boundaries of the source text.
+            let s = self.source.get(start..self.pos).unwrap_or_default();
             return Ok(Token {
                 kind: TokenKind::Ident(s),
                 line,
@@ -287,18 +355,16 @@ impl<'a> Lexer<'a> {
             return self.lex_number(start, line, col);
         }
 
-        for p in PUNCTS {
-            if self.src[self.pos..].starts_with(p.as_bytes()) {
-                for _ in 0..p.len() {
-                    self.bump();
-                }
-                return Ok(Token {
-                    kind: TokenKind::Punct(p),
-                    line,
-                    col,
-                    span: Span::new(start as u32, self.pos as u32),
-                });
-            }
+        if let Some(p) = punct(&self.src[self.pos..]) {
+            // No spelling holds a newline: the token stays on this line.
+            self.pos += p.len();
+            self.col += p.len() as u32;
+            return Ok(Token {
+                kind: TokenKind::Punct(p),
+                line,
+                col,
+                span: Span::new(start as u32, self.pos as u32),
+            });
         }
 
         // `c` may be a stray non-ASCII byte (including bytes that are not
@@ -318,7 +384,7 @@ impl<'a> Lexer<'a> {
         .at(line, col))
     }
 
-    fn lex_number(&mut self, start: usize, line: u32, col: u32) -> Result<Token, Diagnostic> {
+    fn lex_number(&mut self, start: usize, line: u32, col: u32) -> Result<Token<'a>, Diagnostic> {
         let mut is_float = false;
         // Hex literals.
         if self.peek() == Some(b'0') && matches!(self.peek2(), Some(b'x') | Some(b'X')) {
@@ -428,7 +494,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         Lexer::tokenize(src)
             .unwrap()
             .into_iter()
@@ -442,8 +508,8 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokenKind::Ident("int".into()),
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("int"),
+                TokenKind::Ident("x"),
                 TokenKind::Punct("="),
                 TokenKind::Int(42),
                 TokenKind::Punct(";"),
@@ -485,11 +551,7 @@ mod tests {
         let ks = kinds("a // comment\n /* multi\nline */ b");
         assert_eq!(
             ks,
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Eof
-            ]
+            vec![TokenKind::Ident("a"), TokenKind::Ident("b"), TokenKind::Eof]
         );
     }
 
@@ -507,9 +569,9 @@ mod tests {
             ks,
             vec![
                 TokenKind::HashDefine,
-                TokenKind::Ident("NX".into()),
+                TokenKind::Ident("NX"),
                 TokenKind::Int(40960),
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Eof
             ]
         );
@@ -531,9 +593,9 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokenKind::Ident("threadIdx".into()),
+                TokenKind::Ident("threadIdx"),
                 TokenKind::Punct("."),
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Eof
             ]
         );
@@ -558,12 +620,12 @@ mod tests {
         let idents: Vec<_> = tokens
             .iter()
             .filter_map(|t| match &t.kind {
-                TokenKind::Ident(s) => Some(s.as_str()),
+                TokenKind::Ident(s) => Some(*s),
                 _ => None,
             })
             .collect();
         assert_eq!(idents, vec!["a", "b", "c"]);
-        assert_eq!(tokens.last().map(|t| t.kind.clone()), Some(TokenKind::Eof));
+        assert_eq!(tokens.last().map(|t| t.kind), Some(TokenKind::Eof));
     }
 
     #[test]
@@ -585,8 +647,6 @@ mod tests {
         for d in &diags {
             assert!(d.span.is_some_and(|s| s.in_bounds(src.len())));
         }
-        assert!(tokens
-            .iter()
-            .any(|t| t.kind == TokenKind::Ident("a".into())));
+        assert!(tokens.iter().any(|t| t.kind == TokenKind::Ident("a")));
     }
 }

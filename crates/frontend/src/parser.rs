@@ -138,8 +138,8 @@ pub fn parse_kernel(src: &str) -> Result<Kernel, ParseError> {
     })
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     /// End offset of the most recently consumed token (for loop spans).
     prev_end: u32,
@@ -158,8 +158,8 @@ struct Parser {
 
 type PResult<T> = Result<T, Diagnostic>;
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Parser {
+impl<'a> Parser<'a> {
+    fn new(tokens: Vec<Token<'a>>) -> Parser<'a> {
         Parser {
             tokens,
             pos: 0,
@@ -174,13 +174,13 @@ impl Parser {
         }
     }
 
-    fn cur(&self) -> &Token {
+    fn cur(&self) -> &Token<'a> {
         // The token stream always ends with `Eof`; an empty stream
         // cannot come out of the lexer, but fall back defensively.
         &self.tokens[self.pos.min(self.tokens.len().saturating_sub(1))]
     }
 
-    fn kind(&self) -> &TokenKind {
+    fn kind(&self) -> &TokenKind<'a> {
         &self.cur().kind
     }
 
@@ -188,13 +188,11 @@ impl Parser {
         matches!(self.kind(), TokenKind::Eof)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.cur().clone();
-        self.prev_end = t.span.end;
+    fn bump(&mut self) {
+        self.prev_end = self.cur().span.end;
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> PResult<T> {
@@ -291,7 +289,7 @@ impl Parser {
             match self.kind() {
                 TokenKind::Eof => break,
                 TokenKind::HashDefine => break,
-                TokenKind::Ident(s) if s == "__global__" => break,
+                TokenKind::Ident("__global__") => break,
                 _ => {
                     self.bump();
                 }
@@ -346,7 +344,7 @@ impl Parser {
     }
 
     fn at_ident(&self, s: &str) -> bool {
-        matches!(self.kind(), TokenKind::Ident(i) if i == s)
+        matches!(self.kind(), TokenKind::Ident(i) if *i == s)
     }
 
     fn eat_ident(&mut self, s: &str) -> bool {
@@ -358,14 +356,20 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> PResult<String> {
-        match self.kind().clone() {
+    /// Consume an identifier, borrowing its text from the source.
+    fn ident(&mut self) -> PResult<&'a str> {
+        match *self.kind() {
             TokenKind::Ident(s) => {
                 self.bump();
                 Ok(s)
             }
             other => self.err(format!("expected identifier, found {other}")),
         }
+    }
+
+    /// Consume an identifier the IR will own.
+    fn expect_ident(&mut self) -> PResult<String> {
+        self.ident().map(str::to_string)
     }
 
     // ----- types -------------------------------------------------------
@@ -406,10 +410,10 @@ impl Parser {
     }
 
     fn is_type_start(&self) -> bool {
-        matches!(self.kind(), TokenKind::Ident(s) if matches!(
-            s.as_str(),
-            "int" | "float" | "unsigned" | "bool" | "const" | "size_t" | "long"
-        ))
+        matches!(
+            self.kind(),
+            TokenKind::Ident("int" | "float" | "unsigned" | "bool" | "const" | "size_t" | "long")
+        )
     }
 
     // ----- module ------------------------------------------------------
@@ -420,7 +424,7 @@ impl Parser {
             if self.error_budget_spent() {
                 break;
             }
-            match self.kind().clone() {
+            match *self.kind() {
                 TokenKind::Eof => break,
                 TokenKind::HashDefine => {
                     if let Err(d) = self.define() {
@@ -428,14 +432,14 @@ impl Parser {
                         self.sync_top_level();
                     }
                 }
-                TokenKind::Ident(s) if s == "__global__" => match self.kernel() {
+                TokenKind::Ident("__global__") => match self.kernel() {
                     Ok(k) => kernels.push(k),
                     Err(d) => {
                         self.push_diag(d);
                         self.sync_top_level();
                     }
                 },
-                TokenKind::Ident(s) if s == "extern" => {
+                TokenKind::Ident("extern") => {
                     // `extern "C"` — not in the subset.
                     let d = self
                         .err_code::<()>(
@@ -459,7 +463,7 @@ impl Parser {
             }
         }
         Module {
-            defines: self.define_order.clone(),
+            defines: std::mem::take(&mut self.define_order),
             kernels,
         }
     }
@@ -801,7 +805,7 @@ impl Parser {
         self.expect_punct(";")?;
         // Guard must compare the iterator.
         let guard_span = self.cur().span;
-        let guard_var = self.expect_ident()?;
+        let guard_var = self.ident()?;
         if guard_var != var {
             return Err(Diagnostic::error(
                 codes::NON_CANONICAL_FOR,
@@ -1005,7 +1009,7 @@ impl Parser {
     }
 
     fn primary(&mut self) -> PResult<Expr> {
-        match self.kind().clone() {
+        match *self.kind() {
             TokenKind::Int(v) => {
                 self.bump();
                 self.tree = 0;
@@ -1026,14 +1030,11 @@ impl Parser {
                 self.bump();
                 self.tree = 0;
                 // Builtin member access.
-                if matches!(
-                    name.as_str(),
-                    "threadIdx" | "blockIdx" | "blockDim" | "gridDim"
-                ) {
+                if matches!(name, "threadIdx" | "blockIdx" | "blockDim" | "gridDim") {
                     self.expect_punct(".")?;
                     let member_span = self.cur().span;
-                    let member = self.expect_ident()?;
-                    let b = match (name.as_str(), member.as_str()) {
+                    let member = self.ident()?;
+                    let b = match (name, member) {
                         ("threadIdx", "x") => Builtin::ThreadIdxX,
                         ("threadIdx", "y") => Builtin::ThreadIdxY,
                         ("threadIdx", "z") => Builtin::ThreadIdxZ,
@@ -1058,7 +1059,7 @@ impl Parser {
                 }
                 // Intrinsic call.
                 if self.at_punct("(") {
-                    let Some(intr) = Intrinsic::from_name(&name) else {
+                    let Some(intr) = Intrinsic::from_name(name) else {
                         return self.err_code(
                             codes::UNKNOWN_FUNCTION,
                             format!("unknown function `{name}`"),
@@ -1091,10 +1092,10 @@ impl Parser {
                     return Ok(Expr::Call(intr, args));
                 }
                 // #define constant substitution.
-                if let Some(v) = self.defines.get(&name) {
+                if let Some(v) = self.defines.get(name) {
                     return Ok(Expr::Int(*v));
                 }
-                Ok(Expr::Var(name))
+                Ok(Expr::Var(name.to_string()))
             }
             other => self.err_code(
                 codes::EXPECTED_EXPRESSION,

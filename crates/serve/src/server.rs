@@ -433,9 +433,10 @@ impl Server {
                 return answer_now(st, &req.tenant, c, &reply, || Response::Error(rejected))
             }
         };
-        let cached = prepared
-            .key
-            .and_then(|key| self.inner.engine.cached(key, &self.inner.base_config));
+        let cached = self
+            .inner
+            .engine
+            .cached(prepared.key, &self.inner.base_config);
         if let Some(stats) = cached {
             return answer_now(st, &req.tenant, c, &reply, || {
                 let took = admitted.elapsed();
@@ -766,9 +767,8 @@ struct Prepared {
     /// identical cross-tenant submissions share cache entries and
     /// single-flight slots).
     scope: String,
-    /// The job's cache key; `None` when the transformed kernel does not
-    /// lower, which the worker then reports as a fault.
-    key: Option<JobKey>,
+    /// The job's cache key: [`job_digest`] of the compile's program.
+    key: JobKey,
     emit: bool,
 }
 
@@ -832,11 +832,10 @@ fn prepare(inner: &Inner, id: &str, req: &SubmitRequest) -> Result<Prepared, Err
     let scope = format!("catt-serve:{}", render_spec(&spec));
     let key = job_digest(
         &scope,
-        std::slice::from_ref(&compiled.transformed),
+        std::slice::from_ref(&compiled.program),
         &[launch],
         &inner.base_config,
-    )
-    .ok();
+    );
     Ok(Prepared {
         compiled,
         spec,
@@ -905,30 +904,24 @@ fn process_job(inner: &Arc<Inner>, job: Job) -> Response {
     let p = &job.prepared;
     let mut config = inner.base_config.clone();
     config.cancel = Some(job.cancel.clone());
-    let transformed = &p.compiled.transformed;
     let launch = p.compiled.launch;
     let label = format!("serve `{}`", p.compiled.original.name);
     // Register with the deadline reaper for the duration of the sim.
     reaper_register(inner, job.deadline, job.cancel.clone());
-    let outcome = inner.engine.sim_app_shared(
-        &p.scope,
-        std::slice::from_ref(transformed),
-        &[launch],
-        &config,
-        Some(job.deadline),
-        || {
+    let outcome = inner
+        .engine
+        .sim_app_shared(&p.scope, p.key, &config, Some(job.deadline), || {
             let mut mem = GlobalMem::new();
             let args = materialize_args(&p.spec, &mut mem);
             let mut gpu = Gpu::new(config.clone());
-            gpu.launch(transformed, launch, &args, &mut mem)
+            gpu.launch_program(&p.compiled.program, launch, &args, &mut mem)
                 .map_err(|e| match &e {
                     SimError::Cancelled { .. } => {
                         JobError::fatal(&label, e.to_string()).with_code("cancelled")
                     }
                     _ => JobError::fatal(&label, e.to_string()).with_code(e.code()),
                 })
-        },
-    );
+        });
     reaper_unregister(inner, &job.cancel);
 
     match outcome {
@@ -993,5 +986,69 @@ fn reaper_loop(inner: &Arc<Inner>) {
             .min(Duration::from_millis(200));
         let (guard, _) = inner.reaper_cv.wait_timeout(r, wait).unwrap();
         r = guard;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A contended kernel CATT warp-splits.
+    const ATAX: &str = "#define NX 4096
+__global__ void atax1(float *A, float *B, float *tmp) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < NX) {
+        for (int j = 0; j < NX; j++) {
+            tmp[i] += A[i * NX + j] * B[j];
+        }
+    }
+}";
+
+    /// The serve smoke batch's `ok-1` kernel, which CATT leaves alone.
+    const SMOKE: &str = "__global__ void k(float *a, float *b, int n) { \
+        int i = blockIdx.x * blockDim.x + threadIdx.x; if (i < n) { b[i] = a[i] * 2.0f; } }";
+
+    fn submit(src: &str, grid: u32, block: u32, args: &str) -> SubmitRequest {
+        SubmitRequest {
+            tenant: "t".to_string(),
+            kernel_source: src.to_string(),
+            name: String::new(),
+            grid,
+            block,
+            args: args.to_string(),
+            deadline_ms: None,
+            weight: 1,
+            emit: false,
+        }
+    }
+
+    /// `prepare` keys the cache on the compile's program without lowering
+    /// again, and the keys are the ones recorded when the key was
+    /// `job_digest` over the transformed kernel, lowered there: the
+    /// daemon's key space did not move.
+    #[test]
+    fn prepare_keys_on_the_compiled_program() {
+        let server = Server::new(ServeConfig::default(), Engine::with_workers(1));
+        let cases = [
+            (
+                submit(SMOKE, 2, 32, "f:64,f:64,si:64"),
+                false,
+                0x33d8_cc47_23ff_b1f4,
+            ),
+            (submit(ATAX, 16, 256, ""), true, 0xb664_ca25_2669_2472),
+        ];
+        for (req, transformed, recorded) in cases {
+            let Ok(p) = prepare(&server.inner, "x", &req) else {
+                panic!("{} does not prepare", req.kernel_source);
+            };
+            assert_eq!(p.compiled.is_transformed(), transformed);
+            let relowered = catt_sim::lower(&p.compiled.transformed).expect("lowers");
+            let launch = [p.compiled.launch];
+            let config = &server.inner.base_config;
+            let fresh = job_digest(&p.scope, std::slice::from_ref(&relowered), &launch, config);
+            assert_eq!(p.key, fresh, "{}", p.scope);
+            assert_eq!(p.key.0, recorded, "{}: key moved", p.scope);
+        }
+        server.drain();
     }
 }

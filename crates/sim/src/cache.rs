@@ -111,7 +111,7 @@ impl L1Cache {
     /// do not collapse onto a few sets; without this, a kernel like ATAX
     /// (row stride 2 KB) suffers pathological conflict misses that no real
     /// device shows. The tag is the full line address.
-    fn set_index(&self, line_addr: u32) -> usize {
+    pub fn set_index(&self, line_addr: u32) -> usize {
         match self.set_bits {
             Some(bits) => {
                 let mut x = line_addr;

@@ -20,12 +20,12 @@
 //! engine pool with the profiled baseline and static CATT, and both read
 //! it from the cache.
 //!
-//! Termination bound (DESIGN.md §3h): every iteration either halves the
-//! distance to one end of the throttle ladder or shrinks the active
-//! interval, so a climb from one start point takes at most
-//! `2·⌈log₂ L⌉ + 2` measurements for a ladder of length `L`; with the
-//! two seeded restarts and the hard `max_iters` cap the search is bounded
-//! whatever the cycle landscape looks like.
+//! Termination bound (DESIGN.md §3h): every iteration shrinks the climb's
+//! bracket and no ladder point is probed twice, so a climb from one start
+//! point stops once its bracket is a single point; `2·⌈log₂ L⌉ + 2`
+//! iterations for a ladder of length `L` is its loop condition. Each of
+//! the two seeded restarts gets that budget, under the hard `max_iters`
+//! cap on both together.
 
 use catt_core::bftt::{candidate_grid, resident_tbs};
 use catt_core::pipeline::apply_uniform;
@@ -308,6 +308,67 @@ fn prefetch<'a>(
         .expect("the first job is the profiled baseline")
 }
 
+/// Iteration budget of one [`climb`] over a ladder of `len` points:
+/// `2·⌈log₂ len⌉ + 2`, and none for a ladder of one point.
+pub fn climb_bound(len: usize) -> u32 {
+    if len <= 1 {
+        0
+    } else {
+        2 * (usize::BITS - (len - 1).leading_zeros()) + 2
+    }
+}
+
+/// APEX-style climb over ladder indices `0..len` (0 = untouched TLP,
+/// `len - 1` = maximum throttling), from `start`, measuring each probed
+/// index with `cost`. Returns the iterations spent (at most `budget`);
+/// the caller keeps the costs it was asked for and picks the best.
+///
+/// The bracket `[lo, hi]` holds every index still worth probing. Each
+/// move covers half the distance from the cap to the bracket's end in the
+/// current direction. A win moves the cap and drops the side it left; a
+/// loss drops the probe and everything past it, then reverses. An index
+/// is never probed twice, the bracket shrinks on every iteration, and on
+/// a cost that falls then rises the cheapest index probed is its
+/// minimum.
+pub fn climb(len: usize, start: usize, budget: u32, mut cost: impl FnMut(usize) -> u64) -> u32 {
+    let (mut lo, mut hi) = (0usize, len.saturating_sub(1));
+    let mut cap = start.min(hi);
+    let mut best = cost(cap);
+    let mut throttling = true;
+    let mut iterations = 0u32;
+    while lo < hi && iterations < budget {
+        // No room left this way: turn round (the other side has room,
+        // since `lo < hi`).
+        if (throttling && cap == hi) || (!throttling && cap == lo) {
+            throttling = !throttling;
+        }
+        let next = if throttling {
+            cap + (hi - cap).div_ceil(2)
+        } else {
+            cap - (cap - lo).div_ceil(2)
+        };
+        iterations += 1;
+        let c = cost(next);
+        if c < best {
+            if throttling {
+                lo = cap + 1;
+            } else {
+                hi = cap - 1;
+            }
+            cap = next;
+            best = c;
+        } else {
+            if throttling {
+                hi = next - 1;
+            } else {
+                lo = next + 1;
+            }
+            throttling = !throttling;
+        }
+    }
+    iterations
+}
+
 /// Tune one workload on `config`. Every candidate is a validated cached
 /// simulation; failures of non-baseline candidates are skipped like
 /// BFTT's faulted sweep points.
@@ -396,49 +457,20 @@ pub fn tune_workload(
         cycles
     };
 
-    // APEX-style climb: the cap is a ladder index (0 = untouched TLP,
-    // len-1 = maximum throttling); each move covers half the remaining
-    // distance toward the chosen end, reversing on regression. Skipped
-    // entirely when the baseline is not memory-bound — the counters say
-    // throttling cannot pay, so the tuner spends nothing finding that out.
+    // Two climbs over the ladder (see [`climb`]), each with its own
+    // budget. Skipped entirely when the baseline is not memory-bound —
+    // the counters say throttling cannot pay, so the tuner spends nothing
+    // finding that out.
     let mut iterations = 0u32;
     if observed.mem_stall_frac >= opts.mem_stall_threshold && ladder.len() > 1 {
         let mut rng = Rng::seed(opts.seed);
         let restarts = [0usize, rng.range_usize(0, ladder.len() - 1)];
         for &start in &restarts {
-            let mut lo = 0usize;
-            let mut hi = ladder.len() - 1;
-            let mut cap = start;
-            let mut best_here = measure(cap, &mut trace, &mut evaluations);
-            let mut throttling = true;
-            while iterations < opts.max_iters && lo < hi {
-                iterations += 1;
-                let next = if throttling {
-                    cap + (hi - cap).div_ceil(2)
-                } else {
-                    cap - (cap - lo).div_ceil(2)
-                };
-                if next == cap {
-                    break;
-                }
-                let c = measure(next, &mut trace, &mut evaluations);
-                if c < best_here {
-                    if throttling {
-                        lo = cap;
-                    } else {
-                        hi = cap;
-                    }
-                    cap = next;
-                    best_here = c;
-                } else {
-                    if throttling {
-                        hi = next;
-                    } else {
-                        lo = next;
-                    }
-                    throttling = !throttling;
-                }
-            }
+            let budget = climb_bound(ladder.len()).min(opts.max_iters.saturating_sub(iterations));
+            let spent = climb(ladder.len(), start, budget, |idx| {
+                measure(idx, &mut trace, &mut evaluations)
+            });
+            iterations += spent;
         }
     }
     let (&best_idx, &best_ladder_cycles) = measured
@@ -737,6 +769,110 @@ mod tests {
 
     fn opts() -> TuneOptions {
         TuneOptions::default()
+    }
+
+    /// Run [`climb`] on `costs`, checking what holds for any cost
+    /// function: the budget is respected, every probe is in range and
+    /// new, and one probe is made per iteration. Returns the cheapest
+    /// index probed (the first in probe order on a tie).
+    fn checked_climb(costs: &[u64], start: usize) -> usize {
+        let mut probed = Vec::new();
+        let iterations = climb(costs.len(), start, climb_bound(costs.len()), |i| {
+            assert!(
+                i < costs.len(),
+                "probe {i} outside a ladder of {}",
+                costs.len()
+            );
+            assert!(!probed.contains(&i), "index {i} probed twice: {probed:?}");
+            probed.push(i);
+            costs[i]
+        });
+        assert!(iterations <= climb_bound(costs.len()));
+        assert_eq!(
+            probed.len() as u32,
+            iterations + 1,
+            "one probe per iteration"
+        );
+        probed
+            .into_iter()
+            .min_by_key(|&i| costs[i])
+            .expect("the start is always probed")
+    }
+
+    /// Falls strictly to `at`, then rises strictly, by steps from `rng`.
+    fn valley(rng: &mut Rng, len: usize, at: usize) -> Vec<u64> {
+        let mut costs = vec![1_000u64; len];
+        for i in (0..at).rev() {
+            costs[i] = costs[i + 1] + rng.range_u32(1, 50) as u64;
+        }
+        for i in at + 1..len {
+            costs[i] = costs[i - 1] + rng.range_u32(1, 50) as u64;
+        }
+        costs
+    }
+
+    #[test]
+    fn climb_budget_is_two_log_len_plus_two() {
+        let bounds: Vec<u32> = [1, 2, 3, 4, 5, 8, 9, 16, 17].map(climb_bound).to_vec();
+        assert_eq!(bounds, [0, 4, 6, 6, 8, 8, 10, 10, 12]);
+    }
+
+    /// On a unimodal cost the climb ends at the minimum, from any start.
+    #[test]
+    fn climb_finds_the_minimum_of_a_unimodal_cost() {
+        let mut rng = Rng::seed(0xC11B);
+        for len in 1..48 {
+            for _ in 0..40 {
+                let at = rng.range_usize(0, len);
+                let costs = valley(&mut rng, len, at);
+                let start = rng.range_usize(0, len);
+                assert_eq!(checked_climb(&costs, start), at, "{costs:?} from {start}");
+            }
+        }
+    }
+
+    /// A flat cost never moves the cap: every probe loses.
+    #[test]
+    fn climb_stays_put_on_a_flat_cost() {
+        for len in 1..40 {
+            for start in 0..len {
+                assert_eq!(checked_climb(&vec![7; len], start), start);
+            }
+        }
+    }
+
+    /// A valley with a flat floor ends on the floor.
+    #[test]
+    fn climb_reaches_a_plateau_floor() {
+        let mut rng = Rng::seed(0x9A7E);
+        for len in 2..40 {
+            for _ in 0..40 {
+                let a = rng.range_usize(0, len);
+                let b = rng.range_usize(a, len);
+                let mut costs = valley(&mut rng, len, a);
+                for c in &mut costs[a..=b] {
+                    *c = 1_000;
+                }
+                for i in b + 1..len {
+                    costs[i] = costs[i - 1] + rng.range_u32(1, 50) as u64;
+                }
+                let start = rng.range_usize(0, len);
+                let best = checked_climb(&costs, start);
+                assert_eq!(costs[best], 1_000, "{costs:?} from {start}");
+            }
+        }
+    }
+
+    /// Arbitrary costs, with ties: the general properties still hold.
+    #[test]
+    fn climb_is_bounded_on_a_noisy_cost() {
+        let mut rng = Rng::seed(0x2015E);
+        for len in 1..64 {
+            for _ in 0..40 {
+                let costs: Vec<u64> = (0..len).map(|_| rng.range_u32(0, 4) as u64).collect();
+                checked_climb(&costs, rng.range_usize(0, len));
+            }
+        }
     }
 
     #[test]

@@ -212,6 +212,34 @@ fn nest_deep(bytes: &mut Vec<u8>, at: usize, rng: &mut Rng) {
     bytes.splice(at..at, nest.into_bytes());
 }
 
+/// The campaign's inputs: `(case seed, mutated source)` for each of
+/// `opts.iters` cases, derived from `opts.seed` alone. `seeds` are the
+/// kernel sources to mutate (a fixed one-line kernel when empty).
+pub fn mutated_sources<'s>(
+    seeds: &'s [String],
+    opts: &FrontFuzzOptions,
+) -> impl Iterator<Item = (u64, String)> + 's {
+    const FALLBACK: &str = "__global__ void k(float *a, int n) { a[0] = 1.0f; }";
+    let mut rng = Rng::seed(opts.seed);
+    (0..opts.iters).map(move |_| {
+        let case_seed = rng.next_u64();
+        let mut case_rng = Rng::seed(case_seed);
+        let base = if seeds.is_empty() {
+            FALLBACK
+        } else {
+            &seeds[case_rng.bounded_u64(seeds.len() as u64) as usize]
+        };
+        let mut bytes = base.as_bytes().to_vec();
+        for _ in 0..case_rng.range_u32(1, 4) {
+            mutate(&mut bytes, &mut case_rng);
+        }
+        // The frontend consumes `&str`; lossy conversion models what any
+        // caller feeding it file contents would do. Replacement chars are
+        // themselves a lexer edge case (multi-byte unexpected character).
+        (case_seed, String::from_utf8_lossy(&bytes).into_owned())
+    })
+}
+
 /// Run a frontend fuzz campaign over `seeds` (kernel sources — typically
 /// the printed registry workloads). Pure: no filesystem access, no
 /// wall-clock dependence.
@@ -225,24 +253,7 @@ pub fn run_frontend_fuzz(seeds: &[String], opts: &FrontFuzzOptions) -> FrontFuzz
         diagnostics_seen: 0,
         violations: Vec::new(),
     };
-    let fallback = "__global__ void k(float *a, int n) { a[0] = 1.0f; }".to_string();
-    let mut rng = Rng::seed(opts.seed);
-    for _ in 0..opts.iters {
-        let case_seed = rng.next_u64();
-        let mut case_rng = Rng::seed(case_seed);
-        let base = if seeds.is_empty() {
-            &fallback
-        } else {
-            &seeds[case_rng.bounded_u64(seeds.len() as u64) as usize]
-        };
-        let mut bytes = base.clone().into_bytes();
-        for _ in 0..case_rng.range_u32(1, 4) {
-            mutate(&mut bytes, &mut case_rng);
-        }
-        // The frontend consumes `&str`; lossy conversion models what any
-        // caller feeding it file contents would do. Replacement chars are
-        // themselves a lexer edge case (multi-byte unexpected character).
-        let src = String::from_utf8_lossy(&bytes).into_owned();
+    for (case_seed, src) in mutated_sources(seeds, opts) {
         report.cases += 1;
 
         let outcome = catch_unwind(AssertUnwindSafe(|| parse_module_recover(&src)));

@@ -53,7 +53,9 @@ pub mod generate;
 pub mod oracle;
 pub mod shrink;
 
-pub use frontfuzz::{run_frontend_fuzz, FrontFuzzOptions, FrontFuzzReport, FrontViolation};
+pub use frontfuzz::{
+    mutated_sources, run_frontend_fuzz, FrontFuzzOptions, FrontFuzzReport, FrontViolation,
+};
 pub use generate::{GenOptions, TestCase};
 pub use oracle::{CaseOutcome, Recipe};
 

@@ -187,5 +187,24 @@ grep '"id":"ok-2","ok":true' "$SERVE_OUT" | grep -q '"source":"cache","queue_ms"
     cat "$SERVE_OUT" >&2
     exit 1
 }
+# The cached reply is the computed one: every field but the id, the
+# provenance and the two timings (cycles, miss_rate, n, m, transformed,
+# kernel) must match ok-1's.
+reply_body() {
+    grep "\"id\":\"$1\"," "$SERVE_OUT" \
+        | sed -E 's/"(id|source|queue_ms|total_ms)":("[^"]*"|[0-9]+),?//g'
+}
+OK1_BODY="$(reply_body ok-1)"
+OK2_BODY="$(reply_body ok-2)"
+case "$OK1_BODY" in
+*'"cycles":'*'"miss_rate":'*) ;;
+*) OK1_BODY="" ;;
+esac
+if [ -z "$OK1_BODY" ] || [ "$OK1_BODY" != "$OK2_BODY" ]; then
+    echo "error: catt serve smoke: the cached reply differs from the computed one" >&2
+    echo "  ok-1: $OK1_BODY" >&2
+    echo "  ok-2: $OK2_BODY" >&2
+    exit 1
+fi
 
 echo "==> all checks passed"
