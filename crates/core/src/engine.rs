@@ -260,11 +260,16 @@ impl SimCache {
     /// Like [`SimCache::lookup`], but a miss counts nothing: the caller
     /// goes on to a counted lookup.
     fn peek(&self, key: JobKey) -> Option<LaunchStats> {
-        let found = self.mem.as_ref()?.lock().unwrap().get(&key.0).cloned();
+        let found = self.get(key);
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         found
+    }
+
+    /// The entry under `key`, counting nothing.
+    fn get(&self, key: JobKey) -> Option<LaunchStats> {
+        self.mem.as_ref()?.lock().unwrap().get(&key.0).cloned()
     }
 
     fn insert(&self, key: JobKey, stats: &LaunchStats) {
@@ -600,6 +605,16 @@ impl Engine {
             return None;
         }
         self.cache.peek(key)
+    }
+
+    /// Like [`Engine::cached`], but counts nothing, not even a hit: what
+    /// the cache holds under `key`. The cache never drops an entry, so a
+    /// later [`Engine::cached`] of the same key finds it too.
+    pub fn held(&self, key: JobKey, config: &GpuConfig) -> Option<LaunchStats> {
+        if CacheUse::of(config) != CacheUse::ReadWrite {
+            return None;
+        }
+        self.cache.get(key)
     }
 
     /// Like [`Engine::sim_app`], but keyed by the caller's [`job_digest`]

@@ -5,7 +5,7 @@
 //! failure model"):
 //!
 //! ```text
-//! line ──parse──▶ prepare ──▶ admission ──┬─▶ answer (compile error, cache hit)
+//! line ──parse──▶ prepare ──▶ admission ──┬─▶ answer (compile error, index or cache hit)
 //!                               │         └─▶ fair queue ──▶ worker ──▶ response
 //!                               │ drain?  ──▶ overloaded (draining)
 //!                               │ breaker ──▶ circuit-open (+retry-after)
@@ -14,13 +14,27 @@
 //! ```
 //!
 //! `prepare` runs on the caller's thread, before the admission lock:
-//! the size cap, parse, kernel lookup, CATT compile, argument spec and
-//! cache key. The parser's nesting limit (`catt_frontend::parser::MAX_NESTING`)
-//! and [`MAX_SOURCE_BYTES`] bound what that costs in time and stack.
-//! Admission then runs every gate in one critical section. A request
-//! that passes them and that `prepare` already rejected, or whose
-//! simulation is cached, is answered right there (`queue_ms` 0); only a
-//! cache miss is queued, already compiled, for a worker to simulate.
+//! the size cap, then the request index, then, for a submission the
+//! index cannot answer, parse, kernel lookup, CATT compile, argument
+//! spec and cache key. The parser's nesting limit
+//! (`catt_frontend::parser::MAX_NESTING`) and [`MAX_SOURCE_BYTES`] bound
+//! what that costs in time and stack. Admission then runs every gate in
+//! one critical section. A request that passes them and that `prepare`
+//! already rejected, or whose simulation is cached, is answered right
+//! there (`queue_ms` 0); only a cache miss is queued, already compiled,
+//! for a worker to simulate.
+//!
+//! The request index maps a [`Fingerprint`] of everything that decides a
+//! reply (kernel source, kernel name, grid, block, argument spec, `emit`)
+//! to the simcache key and the reply's compile-time fields ([`Indexed`]).
+//! A resubmission whose key the engine still holds skips parse, compile,
+//! lowering and `job_digest`; its reply is those fields plus the cached
+//! stats, so it is the compiled reply byte for byte but for `id`,
+//! `source`, `queue_ms` and `total_ms`. The index holds no simulation
+//! result, so it cannot disagree with the simcache, and it indexes only
+//! keys the engine holds: with the simcache off it stays empty. Like the
+//! simcache, it lives as long as the server and grows by one entry per
+//! distinct submission that yields a result.
 //!
 //! Gate order matters: the breaker is *checked* first (an open breaker
 //! must not charge quota) but its half-open probe slot is only
@@ -42,15 +56,18 @@ use crate::proto::{
 };
 use crate::quota::TokenBucket;
 use catt_core::engine::{job_digest, Engine, JobError, JobKey, SimSource};
-use catt_core::pipeline::{CompiledKernel, Pipeline};
+use catt_core::pipeline::Pipeline;
 use catt_diag::json::{obj, Json};
 use catt_diag::{codes, Diagnostic};
 use catt_ir::kernel::{Kernel, LaunchConfig, ParamTy};
 use catt_ir::types::DType;
 use catt_sim::{
-    Arg, CancelToken, GlobalMem, Gpu, GpuConfig, LaunchStats, SimError, FUEL_BASE, FUEL_PER_BYTE,
+    Arg, CancelToken, Fnv64, GlobalMem, Gpu, GpuConfig, LaunchStats, Program, SimError, FUEL_BASE,
+    FUEL_PER_BYTE,
 };
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -140,7 +157,7 @@ pub const MAX_SOURCE_BYTES: usize = 256 << 10;
 struct Job {
     id: String,
     tenant: String,
-    prepared: Prepared,
+    compiled: Compiled,
     admitted: Instant,
     deadline: Instant,
     cancel: CancelToken,
@@ -158,6 +175,8 @@ struct Counters {
     compile_error: AtomicU64,
     deadline_exceeded: AtomicU64,
     faults: AtomicU64,
+    /// Submissions answered from the request index.
+    index_hits: AtomicU64,
 }
 
 struct QueueState {
@@ -193,6 +212,10 @@ struct Inner {
     epoch: Instant,
     draining: AtomicBool,
     counters: Counters,
+    /// The request index (see the module docs).
+    index: Mutex<HashMap<Fingerprint, Arc<Indexed>>>,
+    /// The key of the fingerprint's second hash, random per server.
+    index_keys: RandomState,
 }
 
 /// The daemon core. Construction spawns the worker pool and the deadline
@@ -207,11 +230,13 @@ impl Server {
     /// given tuning.
     pub fn new(config: ServeConfig, engine: Engine) -> Server {
         let mut base_config = GpuConfig::titan_v_1sm();
-        // Chaos harness: a `fuel=C` fault plan starves every simulation.
+        // Chaos harness: a `fuel=C` fault plan starves every simulation,
+        // and `fail-transform` fails every compile's transform.
         base_config.sim_fuel = engine.fault_plan().fuel;
+        let pipe = Pipeline::new(base_config.clone()).with_fault_plan(engine.fault_plan().clone());
         let workers = config.workers.max(1);
         let inner = Arc::new(Inner {
-            pipe: Pipeline::new(base_config.clone()),
+            pipe,
             base_config,
             state: Mutex::new(QueueState {
                 queue: FairQueue::new(config.quantum),
@@ -231,6 +256,8 @@ impl Server {
             epoch: Instant::now(),
             draining: AtomicBool::new(false),
             counters: Counters::default(),
+            index: Mutex::new(HashMap::new()),
+            index_keys: RandomState::new(),
             config,
             engine,
         });
@@ -427,20 +454,30 @@ impl Server {
         }
         c.admitted.fetch_add(1, Ordering::Relaxed);
         let admitted = Instant::now();
-        let prepared = match prepared {
-            Ok(p) => p,
+        let engine = &self.inner.engine;
+        let compiled = match prepared {
             Err(rejected) => {
                 return answer_now(st, &req.tenant, c, &reply, || Response::Error(rejected))
             }
+            Ok(Prepared::Indexed(entry, held)) => {
+                // The counted lookup a compiled hit makes. It finds what
+                // `prepare` saw: the simcache never drops an entry.
+                let stats = engine
+                    .cached(entry.key, &self.inner.base_config)
+                    .unwrap_or(held);
+                c.index_hits.fetch_add(1, Ordering::Relaxed);
+                return answer_now(st, &req.tenant, c, &reply, || {
+                    let took = admitted.elapsed();
+                    result_response(&id, &entry, stats, SimSource::CacheHit, 0, took)
+                });
+            }
+            Ok(Prepared::Compiled(compiled)) => compiled,
         };
-        let cached = self
-            .inner
-            .engine
-            .cached(prepared.key, &self.inner.base_config);
-        if let Some(stats) = cached {
+        if let Some(stats) = engine.cached(compiled.entry.key, &self.inner.base_config) {
             return answer_now(st, &req.tenant, c, &reply, || {
+                index(&self.inner, &compiled);
                 let took = admitted.elapsed();
-                result_response(&id, &prepared, stats, SimSource::CacheHit, 0, took)
+                result_response(&id, &compiled.entry, stats, SimSource::CacheHit, 0, took)
             });
         }
         let deadline_ms = req
@@ -450,7 +487,7 @@ impl Server {
         let job = Job {
             id,
             tenant: req.tenant.clone(),
-            prepared,
+            compiled,
             deadline: admitted + Duration::from_millis(deadline_ms),
             admitted,
             cancel: CancelToken::new(),
@@ -465,6 +502,7 @@ impl Server {
     pub fn stats_json(&self) -> Json {
         let c = &self.inner.counters;
         let cache = self.inner.engine.cache_counters();
+        let index_entries = self.inner.index.lock().unwrap().len();
         let st = self.inner.state.lock().unwrap();
         obj(vec![
             ("queue_depth", Json::Num(st.queue.len() as f64)),
@@ -509,6 +547,11 @@ impl Server {
             ("cache_hits", Json::Num(cache.hits as f64)),
             ("cache_misses", Json::Num(cache.misses as f64)),
             ("coalesced", Json::Num(cache.coalesced as f64)),
+            ("index_entries", Json::Num(index_entries as f64)),
+            (
+                "index_hits",
+                Json::Num(c.index_hits.load(Ordering::Relaxed) as f64),
+            ),
         ])
     }
 
@@ -758,21 +801,74 @@ fn error_body(
     }
 }
 
-/// A submission compiled on the caller's thread: everything its
-/// simulation and its reply need.
-struct Prepared {
-    compiled: CompiledKernel,
+/// A 128-bit fingerprint of everything that decides a submission's
+/// reply: kernel source, kernel name, grid, block, argument spec and
+/// `emit`; not the id, tenant, deadline or weight. It is two independent
+/// 64-bit hashes, FNV-1a and std's SipHash under the server's random key:
+/// the index answers every tenant, and FNV alone can be collided on
+/// purpose.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Fingerprint(u64, u64);
+
+impl Fingerprint {
+    fn of(req: &SubmitRequest, keys: &RandomState) -> Fingerprint {
+        let decides = (
+            &req.kernel_source,
+            &req.name,
+            req.grid,
+            req.block,
+            &req.args,
+            req.emit,
+        );
+        let mut fnv = Fnv64::new();
+        decides.hash(&mut fnv);
+        Fingerprint(Hasher::finish(&fnv), keys.hash_one(decides))
+    }
+}
+
+/// A request-index entry: the simcache key of a submission and its
+/// reply's compile-time fields. No simulation result: a reply's stats
+/// always come from the engine.
+struct Indexed {
+    key: JobKey,
+    kernel: String,
+    /// Warp-throttling factor: the largest over the kernel's loops, 1
+    /// when none is throttled.
+    n: u32,
+    m: u32,
+    transformed: bool,
+    /// Boxed: few compiles fall back, and the index keeps every entry.
+    fallback: Option<Box<Diagnostic>>,
+    /// Only when the submission set `emit`.
+    emitted_source: Option<String>,
+}
+
+/// A submission ready for admission.
+enum Prepared {
+    /// Indexed, with the result the engine holds under its key (read
+    /// without counting; admission counts the hit).
+    Indexed(Arc<Indexed>, LaunchStats),
+    /// Compiled by this request.
+    Compiled(Compiled),
+}
+
+/// A submission compiled on the caller's thread: its index entry, to
+/// add once it yields a result, and what its simulation needs.
+struct Compiled {
+    fingerprint: Fingerprint,
+    entry: Arc<Indexed>,
+    /// The transformed kernel, lowered: the cache key's program.
+    program: Program,
+    launch: LaunchConfig,
     spec: Vec<ArgSpec>,
     /// Cache scope: the canonical argument spec (tenant excluded, so
     /// identical cross-tenant submissions share cache entries and
     /// single-flight slots).
     scope: String,
-    /// The job's cache key: [`job_digest`] of the compile's program.
-    key: JobKey,
-    emit: bool,
 }
 
-/// Check the size cap, parse, pick the kernel, run the CATT pipeline and
+/// Check the size cap and look the submission up in the request index;
+/// failing that, parse, pick the kernel, run the CATT pipeline and
 /// settle the arguments and cache key. Counts nothing: the caller
 /// answers a rejection only once the request passes admission.
 fn prepare(inner: &Inner, id: &str, req: &SubmitRequest) -> Result<Prepared, ErrorBody> {
@@ -783,6 +879,13 @@ fn prepare(inner: &Inner, id: &str, req: &SubmitRequest) -> Result<Prepared, Err
             source.len()
         );
         return Err(error_body(id, ErrorKind::BadRequest, message, Vec::new()));
+    }
+    let fingerprint = Fingerprint::of(req, &inner.index_keys);
+    let indexed = inner.index.lock().unwrap().get(&fingerprint).cloned();
+    if let Some(entry) = indexed {
+        if let Some(stats) = inner.engine.held(entry.key, &inner.base_config) {
+            return Ok(Prepared::Indexed(entry, stats));
+        }
     }
     let module = inner.pipe.parse(source).map_err(|e| {
         let first = e.errors().next().map(|d| (d.line, d.col)).unwrap_or((0, 0));
@@ -802,15 +905,10 @@ fn prepare(inner: &Inner, id: &str, req: &SubmitRequest) -> Result<Prepared, Err
         return Err(error_body(id, ErrorKind::CompileError, message, vec![diag]));
     };
     let launch = LaunchConfig::d1(req.grid, req.block);
-    let mut compiled = inner.pipe.compile_kernel(kernel, launch).map_err(|mut e| {
+    let compiled = inner.pipe.compile_kernel(kernel, launch).map_err(|mut e| {
         catt_diag::locate(&mut e.diagnostics, source);
         error_body(id, ErrorKind::CompileError, e.to_string(), e.diagnostics)
     })?;
-    if let Some(fb) = compiled.fallback_diagnostic.take() {
-        let mut one = vec![fb];
-        catt_diag::locate(&mut one, source);
-        compiled.fallback_diagnostic = one.pop();
-    }
 
     // Arguments: explicit spec (validated against the parameter count) or
     // derived from the parameter types.
@@ -836,32 +934,56 @@ fn prepare(inner: &Inner, id: &str, req: &SubmitRequest) -> Result<Prepared, Err
         &[launch],
         &inner.base_config,
     );
-    Ok(Prepared {
-        compiled,
+    let analysis = &compiled.analysis;
+    let n = analysis.loops.iter().map(|l| l.decision.n).max();
+    let entry = Indexed {
+        key,
+        kernel: kernel.name.clone(),
+        n: n.unwrap_or(1).max(1),
+        m: analysis.tb_throttle_m(),
+        transformed: compiled.is_transformed(),
+        fallback: compiled.fallback_diagnostic.map(|mut fb| {
+            catt_diag::locate(std::slice::from_mut(&mut fb), source);
+            Box::new(fb)
+        }),
+        emitted_source: req.emit.then_some(compiled.emitted_source),
+    };
+    Ok(Prepared::Compiled(Compiled {
+        fingerprint,
+        entry: Arc::new(entry),
+        program: compiled.program,
+        launch,
         spec,
         scope,
-        key,
-        emit: req.emit,
-    })
+    }))
 }
 
-/// The success reply for a prepared submission and its simulation.
+/// Index a compiled submission that yielded a result, if the engine
+/// holds it: with the simcache off, the index stays empty.
+fn index(inner: &Inner, compiled: &Compiled) {
+    if inner
+        .engine
+        .held(compiled.entry.key, &inner.base_config)
+        .is_some()
+    {
+        let entry = Arc::clone(&compiled.entry);
+        inner
+            .index
+            .lock()
+            .unwrap()
+            .insert(compiled.fingerprint, entry);
+    }
+}
+
+/// The success reply: an index entry's fields and a simulation's stats.
 fn result_response(
     id: &str,
-    p: &Prepared,
+    entry: &Indexed,
     stats: LaunchStats,
     source: SimSource,
     queue_ms: u64,
     total: Duration,
 ) -> Response {
-    let a = &p.compiled.analysis;
-    let n = a
-        .loops
-        .iter()
-        .map(|l| l.decision.n)
-        .max()
-        .unwrap_or(1)
-        .max(1);
     let miss_rate = if stats.l1_accesses > 0 {
         1.0 - stats.l1_hits as f64 / stats.l1_accesses as f64
     } else {
@@ -869,10 +991,10 @@ fn result_response(
     };
     Response::Result(ResultBody {
         id: id.to_string(),
-        kernel: p.compiled.original.name.clone(),
-        n,
-        m: a.tb_throttle_m(),
-        transformed: p.compiled.is_transformed(),
+        kernel: entry.kernel.clone(),
+        n: entry.n,
+        m: entry.m,
+        transformed: entry.transformed,
         cycles: stats.cycles,
         miss_rate,
         source: match source {
@@ -882,8 +1004,8 @@ fn result_response(
         },
         queue_ms,
         total_ms: total.as_millis() as u64,
-        emitted_source: p.emit.then(|| p.compiled.emitted_source.clone()),
-        fallback: p.compiled.fallback_diagnostic.clone(),
+        emitted_source: entry.emitted_source.clone(),
+        fallback: entry.fallback.as_deref().cloned(),
     })
 }
 
@@ -901,38 +1023,35 @@ fn process_job(inner: &Arc<Inner>, job: Job) -> Response {
     let queue_ms = now.duration_since(job.admitted).as_millis() as u64;
 
     // Simulate the throttled kernel with the deadline token wired in.
-    let p = &job.prepared;
+    let p = &job.compiled;
     let mut config = inner.base_config.clone();
     config.cancel = Some(job.cancel.clone());
-    let launch = p.compiled.launch;
-    let label = format!("serve `{}`", p.compiled.original.name);
+    let label = format!("serve `{}`", p.entry.kernel);
     // Register with the deadline reaper for the duration of the sim.
     reaper_register(inner, job.deadline, job.cancel.clone());
-    let outcome = inner
-        .engine
-        .sim_app_shared(&p.scope, p.key, &config, Some(job.deadline), || {
-            let mut mem = GlobalMem::new();
-            let args = materialize_args(&p.spec, &mut mem);
-            let mut gpu = Gpu::new(config.clone());
-            gpu.launch_program(&p.compiled.program, launch, &args, &mut mem)
-                .map_err(|e| match &e {
-                    SimError::Cancelled { .. } => {
-                        JobError::fatal(&label, e.to_string()).with_code("cancelled")
-                    }
-                    _ => JobError::fatal(&label, e.to_string()).with_code(e.code()),
-                })
-        });
+    let outcome =
+        inner
+            .engine
+            .sim_app_shared(&p.scope, p.entry.key, &config, Some(job.deadline), || {
+                let mut mem = GlobalMem::new();
+                let args = materialize_args(&p.spec, &mut mem);
+                let mut gpu = Gpu::new(config.clone());
+                gpu.launch_program(&p.program, p.launch, &args, &mut mem)
+                    .map_err(|e| match &e {
+                        SimError::Cancelled { .. } => {
+                            JobError::fatal(&label, e.to_string()).with_code("cancelled")
+                        }
+                        _ => JobError::fatal(&label, e.to_string()).with_code(e.code()),
+                    })
+            });
     reaper_unregister(inner, &job.cancel);
 
     match outcome {
-        Ok(out) => result_response(
-            &job.id,
-            p,
-            out.stats,
-            out.source,
-            queue_ms,
-            job.admitted.elapsed(),
-        ),
+        Ok(out) => {
+            index(inner, p);
+            let took = job.admitted.elapsed();
+            result_response(&job.id, &p.entry, out.stats, out.source, queue_ms, took)
+        }
         Err(e) if matches!(e.code, Some("cancelled" | "deadline")) => {
             err(&job.id, ErrorKind::DeadlineExceeded, e.message)
         }
@@ -1038,16 +1157,21 @@ __global__ void atax1(float *A, float *B, float *tmp) {
             (submit(ATAX, 16, 256, ""), true, 0xb664_ca25_2669_2472),
         ];
         for (req, transformed, recorded) in cases {
-            let Ok(p) = prepare(&server.inner, "x", &req) else {
-                panic!("{} does not prepare", req.kernel_source);
+            let Ok(Prepared::Compiled(p)) = prepare(&server.inner, "x", &req) else {
+                panic!("{} does not compile", req.kernel_source);
             };
-            assert_eq!(p.compiled.is_transformed(), transformed);
-            let relowered = catt_sim::lower(&p.compiled.transformed).expect("lowers");
-            let launch = [p.compiled.launch];
+            assert_eq!(p.entry.transformed, transformed);
+            let pipe = &server.inner.pipe;
+            let module = pipe.parse(&req.kernel_source).expect("parses");
+            let again = pipe
+                .compile_kernel(&module.kernels[0], p.launch)
+                .expect("compiles");
+            let relowered = catt_sim::lower(&again.transformed).expect("lowers");
+            let launch = [p.launch];
             let config = &server.inner.base_config;
             let fresh = job_digest(&p.scope, std::slice::from_ref(&relowered), &launch, config);
-            assert_eq!(p.key, fresh, "{}", p.scope);
-            assert_eq!(p.key.0, recorded, "{}: key moved", p.scope);
+            assert_eq!(p.entry.key, fresh, "{}", p.scope);
+            assert_eq!(p.entry.key.0, recorded, "{}: key moved", p.scope);
         }
         server.drain();
     }

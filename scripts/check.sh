@@ -147,16 +147,19 @@ target/release/catt reproduce all --check
 echo "==> serve smoke: NDJSON daemon answers every line and drains clean"
 # A checked-in request batch (good submit, malformed line, unknown kernel,
 # zero grid, zero deadline, 2 000 nested parentheses, probes, a repeat of
-# the good submit, shutdown) piped through the stdio daemon under an armed
-# chaos plan. The contract: one typed response per request line, at least
-# one success and one typed error, the deep kernel a located compile error
-# (not a dead daemon), and the repeat answered from the cache — it goes
-# in a second after the rest, so it cannot coalesce onto ok-1 in flight.
+# the good submit, the good submit re-spaced, shutdown) piped through the
+# stdio daemon under an armed chaos plan. The contract: one typed response
+# per request line, at least one success and one typed error, the deep
+# kernel a located compile error (not a dead daemon), and both repeats
+# answered from the cache: ok-2 from the request index, ok-3 (which the
+# index does not know) through its program's cache key. They go in a
+# second after the rest, so they cannot coalesce onto ok-1 in flight.
 SERVE_OUT="${SERVE_OUT:-target/serve-smoke-out.jsonl}"
+LATE='"id":"(ok-2|ok-3|bye)"'
 {
-    grep -v -e '"id":"ok-2"' -e '"id":"bye"' scripts/serve-smoke.jsonl
+    grep -v -E "$LATE" scripts/serve-smoke.jsonl
     sleep 1
-    grep -e '"id":"ok-2"' -e '"id":"bye"' scripts/serve-smoke.jsonl
+    grep -E "$LATE" scripts/serve-smoke.jsonl
 } | CATT_FAULT_PLAN="delay-job=2" CATT_SERVE_WORKERS=2 \
     target/release/catt serve --stdio > "$SERVE_OUT"
 REQ_LINES=$(grep -c . scripts/serve-smoke.jsonl)
@@ -182,12 +185,7 @@ grep '"id":"deep-1","ok":false,"kind":"compile-error"' "$SERVE_OUT" \
     cat "$SERVE_OUT" >&2
     exit 1
 }
-grep '"id":"ok-2","ok":true' "$SERVE_OUT" | grep -q '"source":"cache","queue_ms":0' || {
-    echo "error: catt serve smoke: the repeated submit was not answered from the cache" >&2
-    cat "$SERVE_OUT" >&2
-    exit 1
-}
-# The cached reply is the computed one: every field but the id, the
+# The cached replies are the computed one: every field but the id, the
 # provenance and the two timings (cycles, miss_rate, n, m, transformed,
 # kernel) must match ok-1's.
 reply_body() {
@@ -195,16 +193,23 @@ reply_body() {
         | sed -E 's/"(id|source|queue_ms|total_ms)":("[^"]*"|[0-9]+),?//g'
 }
 OK1_BODY="$(reply_body ok-1)"
-OK2_BODY="$(reply_body ok-2)"
 case "$OK1_BODY" in
 *'"cycles":'*'"miss_rate":'*) ;;
 *) OK1_BODY="" ;;
 esac
-if [ -z "$OK1_BODY" ] || [ "$OK1_BODY" != "$OK2_BODY" ]; then
-    echo "error: catt serve smoke: the cached reply differs from the computed one" >&2
-    echo "  ok-1: $OK1_BODY" >&2
-    echo "  ok-2: $OK2_BODY" >&2
-    exit 1
-fi
+for repeat in ok-2 ok-3; do
+    grep "\"id\":\"$repeat\",\"ok\":true" "$SERVE_OUT" | grep -q '"source":"cache","queue_ms":0' || {
+        echo "error: catt serve smoke: $repeat was not answered from the cache" >&2
+        cat "$SERVE_OUT" >&2
+        exit 1
+    }
+    REPEAT_BODY="$(reply_body $repeat)"
+    if [ -z "$OK1_BODY" ] || [ "$OK1_BODY" != "$REPEAT_BODY" ]; then
+        echo "error: catt serve smoke: the cached reply differs from the computed one" >&2
+        echo "  ok-1: $OK1_BODY" >&2
+        echo "  $repeat: $REPEAT_BODY" >&2
+        exit 1
+    fi
+done
 
 echo "==> all checks passed"
