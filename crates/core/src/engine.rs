@@ -39,15 +39,13 @@
 //! exercise all of it.
 //!
 //! The engine takes its settings from its constructors and builders —
-//! cache or none ([`Engine::new`] / [`Engine::uncached`]), worker bound ([`Engine::with_worker_bound`];
-//! published to `catt-sim` for the duration of each batch, so per-launch
-//! SM parallelism budgets `available_parallelism / workers` threads per
-//! launch instead of oversubscribing the machine), stderr verbosity
-//! ([`Engine::with_progress`], silent by default) — and never consults
-//! the environment for them; the binaries map `CATT_SIMCACHE`,
-//! `CATT_ENGINE_WORKERS` and `CATT_ENGINE_PROGRESS` onto these at
-//! start-up. The one exception is the chaos harness: every constructor
-//! arms the `CATT_FAULT_PLAN` plan, see [`crate::fault`].
+//! cache or none ([`Engine::new`] / [`Engine::uncached`]), worker bound
+//! ([`Engine::with_worker_bound`]), stderr verbosity
+//! ([`Engine::with_progress`], silent by default), fault plan
+//! ([`Engine::with_fault_plan`], none by default; see [`crate::fault`]) —
+//! and never consults the environment; the binaries map `CATT_SIMCACHE`,
+//! `CATT_ENGINE_WORKERS`, `CATT_ENGINE_PROGRESS` and `CATT_FAULT_PLAN`
+//! onto these at start-up.
 
 use crate::fault::FaultPlan;
 use catt_ir::kernel::{Kernel, LaunchConfig};
@@ -313,8 +311,7 @@ pub struct SimOutcome {
 pub struct Engine {
     workers: usize,
     cache: SimCache,
-    /// Armed fault injections (from `CATT_FAULT_PLAN` or
-    /// [`Engine::with_fault_plan`]).
+    /// Armed fault injections ([`Engine::with_fault_plan`]).
     fault: FaultPlan,
     /// Lifetime job-execution counter (drives `panic-job=N` injection).
     job_seq: AtomicU64,
@@ -354,18 +351,20 @@ impl Default for Engine {
 static GLOBAL: OnceLock<Engine> = OnceLock::new();
 
 impl Engine {
-    /// Default worker bound: `available_parallelism()`.
+    /// Default worker bound: `available_parallelism()`, read once per
+    /// process (on Linux every call re-parses cgroup files).
     fn default_workers() -> usize {
-        catt_sim::host_parallelism().unwrap_or(4)
+        static CORES: OnceLock<usize> = OnceLock::new();
+        *CORES.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
     }
 
     /// Assemble an engine: the given worker bound, a cache or none,
-    /// silent progress, and the `CATT_FAULT_PLAN` fault plan.
+    /// silent progress, and no fault armed.
     fn build(workers: usize, cached: bool) -> Engine {
         Engine {
             workers: workers.max(1),
             cache: SimCache::new(cached),
-            fault: FaultPlan::from_env(),
+            fault: FaultPlan::none(),
             job_seq: AtomicU64::new(0),
             progress: Progress::Off,
             inflight: Mutex::new(HashMap::new()),
@@ -394,8 +393,8 @@ impl Engine {
         self
     }
 
-    /// Replace the fault plan (builder-style; used by the fault-injection
-    /// tests — production engines read `CATT_FAULT_PLAN` on construction).
+    /// Replace the fault plan (builder-style; the chaos harness and the
+    /// fault-injection tests).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Engine {
         self.fault = plan;
         self
@@ -498,14 +497,6 @@ impl Engine {
         slots.resize_with(total, || None);
         let (tx, rx) = mpsc::channel::<(usize, Duration, Result<T, JobError>)>();
         let threads = self.workers.min(total);
-        // Publish this batch's worker count to the simulator so per-launch
-        // SM parallelism divides the machine instead of multiplying into
-        // it (W workers × S SM threads): each job's launches derive their
-        // SM thread budget as available_parallelism / active workers. The
-        // RAII guard deregisters on any exit from this function — an
-        // unwinding job must not leak the hint, or every later launch in
-        // the process runs with a permanently shrunken thread budget.
-        let _workers_hint = catt_sim::engine_workers_guard(threads);
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 let tx = tx.clone();
@@ -827,19 +818,6 @@ mod tests {
             Ok(())
         });
         assert!(peak.load(Ordering::SeqCst) <= 3, "peak {:?}", peak);
-    }
-
-    #[test]
-    fn run_jobs_publishes_engine_worker_count_to_the_simulator() {
-        // The simulator's SM thread budget divides by the active worker
-        // count; each job must observe at least this batch's pool size
-        // (other concurrently-running test batches can only add to it).
-        let engine = Engine::with_workers(3);
-        let jobs: Vec<u32> = (0..6).collect();
-        let out = engine.run_jobs("hint", &jobs, |_, _| Ok(catt_sim::engine_workers_hint()));
-        for r in out {
-            assert!(r.unwrap() >= 3);
-        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! and breaker paths, failed transform → original-kernel fallback) can be
 //! exercised end to end, both in integration tests and from CI.
 //!
-//! Plans come from the `CATT_FAULT_PLAN` environment variable, a
-//! comma-separated list of directives:
+//! Plans are written as a comma-separated list of directives — the
+//! syntax of the `CATT_FAULT_PLAN` environment variable, which the `catt`
+//! binary reads once and hands to its engine and pipeline:
 //!
 //! * `panic-job=N` — the N-th job (0-based, counted across the engine's
 //!   lifetime) panics inside the worker pool;
@@ -24,9 +25,10 @@
 //!
 //! Example: `CATT_FAULT_PLAN="panic-job=3,delay-job=2"`.
 //!
-//! Unknown directives are ignored (forward compatibility); an empty or
-//! unset variable is an inactive plan. Injection sites consult the plan
-//! explicitly — nothing in this module installs global state.
+//! Unknown directives are ignored (forward compatibility); an empty
+//! string is an inactive plan. Injection sites consult the plan
+//! explicitly — nothing in this module installs global state or reads
+//! the environment.
 
 /// A set of deliberate failures to inject. See the module docs for the
 /// `CATT_FAULT_PLAN` syntax.
@@ -71,15 +73,6 @@ impl FaultPlan {
             }
         }
         plan
-    }
-
-    /// The plan described by the `CATT_FAULT_PLAN` environment variable
-    /// (inactive when unset or empty).
-    pub fn from_env() -> FaultPlan {
-        match std::env::var("CATT_FAULT_PLAN") {
-            Ok(spec) => FaultPlan::parse(&spec),
-            Err(_) => FaultPlan::none(),
-        }
     }
 }
 

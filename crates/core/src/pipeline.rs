@@ -133,16 +133,17 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// A pipeline targeting `config` (e.g. [`GpuConfig::titan_v`]).
-    /// Arms the `CATT_FAULT_PLAN` fault plan, if any.
+    /// A pipeline targeting `config` (e.g. [`GpuConfig::titan_v`]), with
+    /// no fault armed.
     pub fn new(base_config: GpuConfig) -> Pipeline {
         Pipeline {
             base_config,
-            fault: FaultPlan::from_env(),
+            fault: FaultPlan::none(),
         }
     }
 
-    /// Replace the fault plan (builder-style, for fault-injection tests).
+    /// Replace the fault plan (builder-style; the chaos harness and the
+    /// fault-injection tests).
     pub fn with_fault_plan(mut self, fault: FaultPlan) -> Pipeline {
         self.fault = fault;
         self

@@ -49,4 +49,4 @@ pub use breaker::{Breaker, BreakerState};
 pub use fair::FairQueue;
 pub use proto::{ErrorKind, Op, Request, Response, SubmitRequest};
 pub use quota::TokenBucket;
-pub use server::{ServeConfig, Server};
+pub use server::{materialize_args, parse_arg_spec, ArgSpec, ServeConfig, Server};

@@ -120,19 +120,21 @@ impl Default for ServeConfig {
 
 /// Estimated simulation fuel for a submission — the quota and fairness
 /// cost unit. Footprint comes from the argument spec (buffer lengths);
-/// requests with derived arguments are charged the default footprint.
+/// requests with derived arguments, no buffers, or a spec
+/// [`parse_arg_spec`] rejects are charged the default footprint.
 pub fn fuel_cost(req: &SubmitRequest) -> u64 {
-    let mut bytes = 0u64;
-    for part in req.args.split(',').filter(|p| !p.is_empty()) {
-        if let Some((ty, val)) = part.split_once(':') {
-            if matches!(ty, "f" | "i") {
-                bytes = bytes.saturating_add(val.trim().parse::<u64>().unwrap_or(0) * 4);
-            }
-        }
-    }
-    if bytes == 0 {
-        bytes = DERIVED_BUF_LEN as u64 * 4;
-    }
+    let bytes: u64 = parse_arg_spec(&req.args)
+        .unwrap_or_default()
+        .iter()
+        .map(|a| match a {
+            ArgSpec::FBuf(len) | ArgSpec::IBuf(len) => *len as u64 * 4,
+            ArgSpec::F32(_) | ArgSpec::I32(_) => 0,
+        })
+        .sum();
+    let bytes = match bytes {
+        0 => DERIVED_BUF_LEN as u64 * 4,
+        b => b,
+    };
     FUEL_BASE.saturating_add(bytes.saturating_mul(FUEL_PER_BYTE))
 }
 
@@ -179,10 +181,17 @@ struct Counters {
     index_hits: AtomicU64,
 }
 
+/// One tenant's admission state.
+struct Tenant {
+    /// Fuel quota.
+    bucket: TokenBucket,
+    /// Circuit breaker over fatal simulation faults.
+    breaker: Breaker,
+}
+
 struct QueueState {
     queue: FairQueue<Job>,
-    quotas: HashMap<String, TokenBucket>,
-    breakers: HashMap<String, Breaker>,
+    tenants: HashMap<String, Tenant>,
     /// Jobs currently held by workers.
     running: usize,
     /// Cancel tokens of running jobs (for hard drain).
@@ -240,8 +249,7 @@ impl Server {
             base_config,
             state: Mutex::new(QueueState {
                 queue: FairQueue::new(config.quantum),
-                quotas: HashMap::new(),
-                breakers: HashMap::new(),
+                tenants: HashMap::new(),
                 running: 0,
                 running_tokens: Vec::new(),
                 workers_alive: workers,
@@ -388,14 +396,21 @@ impl Server {
             ));
             return;
         }
+        // One tenant lookup serves every gate. A new tenant's bucket is
+        // born full, so creating it ahead of the depth gate leaves what
+        // the quota gate sees unchanged.
+        let queue_full = st.queue.len() >= cfg.queue_high_water;
+        let tenant = st
+            .tenants
+            .entry(req.tenant.clone())
+            .or_insert_with(|| Tenant {
+                bucket: TokenBucket::new(cfg.quota_burst, cfg.quota_rate, now_ms),
+                breaker: Breaker::new(cfg.breaker_threshold, cfg.breaker_cooldown_ms),
+            });
         // Breaker first (check only: an open breaker must not charge
         // quota, and the half-open probe slot is committed below, after
         // every other gate passes).
-        let breaker = st
-            .breakers
-            .entry(req.tenant.clone())
-            .or_insert_with(|| Breaker::new(cfg.breaker_threshold, cfg.breaker_cooldown_ms));
-        if let Err(retry_ms) = breaker.check(now_ms) {
+        if let Err(retry_ms) = tenant.breaker.check(now_ms) {
             drop(st);
             c.shed_breaker.fetch_add(1, Ordering::Relaxed);
             let _ = reply.send(Response::Error(ErrorBody {
@@ -413,7 +428,7 @@ impl Server {
         // Depth before quota: a submission the server never accepts must
         // not drain the tenant's bucket, or sustained overload would
         // follow up with spurious quota-exhausted once the backlog clears.
-        if st.queue.len() >= cfg.queue_high_water {
+        if queue_full {
             drop(st);
             c.shed_overloaded.fetch_add(1, Ordering::Relaxed);
             // Retry-after scales with backlog per worker — honest
@@ -428,11 +443,7 @@ impl Server {
             }));
             return;
         }
-        let quota = st
-            .quotas
-            .entry(req.tenant.clone())
-            .or_insert_with(|| TokenBucket::new(cfg.quota_burst, cfg.quota_rate, now_ms));
-        if let Err(retry_ms) = quota.try_take(cost, now_ms) {
+        if let Err(retry_ms) = tenant.bucket.try_take(cost, now_ms) {
             drop(st);
             c.shed_quota.fetch_add(1, Ordering::Relaxed);
             let _ = reply.send(Response::Error(ErrorBody {
@@ -449,15 +460,16 @@ impl Server {
         }
         // All gates passed — the request will run and report back, so the
         // half-open probe slot (if any) can safely be consumed now.
-        if let Some(b) = st.breakers.get_mut(&req.tenant) {
-            b.commit(now_ms);
-        }
+        tenant.breaker.commit(now_ms);
         c.admitted.fetch_add(1, Ordering::Relaxed);
         let admitted = Instant::now();
         let engine = &self.inner.engine;
+        // An answer given here, as one from a worker, books a breaker
+        // success.
         let compiled = match prepared {
             Err(rejected) => {
-                return answer_now(st, &req.tenant, c, &reply, || Response::Error(rejected))
+                tenant.breaker.on_success();
+                return answer_now(st, c, &reply, || Response::Error(rejected));
             }
             Ok(Prepared::Indexed(entry, held)) => {
                 // The counted lookup a compiled hit makes. It finds what
@@ -466,7 +478,8 @@ impl Server {
                     .cached(entry.key, &self.inner.base_config)
                     .unwrap_or(held);
                 c.index_hits.fetch_add(1, Ordering::Relaxed);
-                return answer_now(st, &req.tenant, c, &reply, || {
+                tenant.breaker.on_success();
+                return answer_now(st, c, &reply, || {
                     let took = admitted.elapsed();
                     result_response(&id, &entry, stats, SimSource::CacheHit, 0, took)
                 });
@@ -474,7 +487,8 @@ impl Server {
             Ok(Prepared::Compiled(compiled)) => compiled,
         };
         if let Some(stats) = engine.cached(compiled.entry.key, &self.inner.base_config) {
-            return answer_now(st, &req.tenant, c, &reply, || {
+            tenant.breaker.on_success();
+            return answer_now(st, c, &reply, || {
                 index(&self.inner, &compiled);
                 let took = admitted.elapsed();
                 result_response(&id, &compiled.entry, stats, SimSource::CacheHit, 0, took)
@@ -624,19 +638,14 @@ impl Server {
 }
 
 /// Answer an admitted submission that needs no simulation (a compile
-/// error, a cached result) on the caller's thread. The breaker books a
-/// success, as it does for a worker's answer; the reply is built after
-/// the lock is released.
+/// error, a cached result) on the caller's thread; the reply is built
+/// after the lock is released.
 fn answer_now(
-    mut st: MutexGuard<'_, QueueState>,
-    tenant: &str,
+    st: MutexGuard<'_, QueueState>,
     c: &Counters,
     reply: &mpsc::Sender<Response>,
     response: impl FnOnce() -> Response,
 ) {
-    if let Some(b) = st.breakers.get_mut(tenant) {
-        b.on_success();
-    }
     drop(st);
     let response = response();
     count_answer(c, &response);
@@ -688,10 +697,10 @@ fn worker_loop(inner: &Arc<Inner>) {
         {
             let now_ms = inner.epoch.elapsed().as_millis() as u64;
             let mut st = inner.state.lock().unwrap();
-            if let Some(b) = st.breakers.get_mut(&tenant) {
+            if let Some(t) = st.tenants.get_mut(&tenant) {
                 match &response {
-                    Response::Error(e) if e.kind == ErrorKind::Fault => b.on_fatal(now_ms),
-                    _ => b.on_success(),
+                    Response::Error(e) if e.kind == ErrorKind::Fault => t.breaker.on_fatal(now_ms),
+                    _ => t.breaker.on_success(),
                 }
             }
             st.running -= 1;
@@ -702,15 +711,23 @@ fn worker_loop(inner: &Arc<Inner>) {
     }
 }
 
-/// Parsed `--args`-style spec entry.
-enum ArgSpec {
+/// One entry of an argument spec (`catt run --args`, a submission's
+/// `args`).
+#[derive(Debug)]
+pub enum ArgSpec {
+    /// `f:<len>`: a float buffer of `len` elements.
     FBuf(u32),
+    /// `i:<len>`: an int buffer of `len` elements.
     IBuf(u32),
+    /// `sf:<v>`: a float scalar.
     F32(f32),
+    /// `si:<v>`: an int scalar.
     I32(i32),
 }
 
-fn parse_arg_spec(spec: &str) -> Result<Vec<ArgSpec>, String> {
+/// Parse a comma-separated `<type>:<value>` argument spec. Empty parts
+/// are skipped and values are trimmed.
+pub fn parse_arg_spec(spec: &str) -> Result<Vec<ArgSpec>, String> {
     let mut out = Vec::new();
     for part in spec.split(',').filter(|p| !p.is_empty()) {
         let (ty, val) = part
@@ -758,9 +775,9 @@ fn render_spec(spec: &[ArgSpec]) -> String {
         .join(",")
 }
 
-/// Materialize the deterministic argument values (same patterns as
-/// `catt run`, so results are reproducible from the spec alone).
-fn materialize_args(spec: &[ArgSpec], mem: &mut GlobalMem) -> Vec<Arg> {
+/// Materialize the deterministic argument values into `mem`, so results
+/// are reproducible from the spec alone.
+pub fn materialize_args(spec: &[ArgSpec], mem: &mut GlobalMem) -> Vec<Arg> {
     spec.iter()
         .enumerate()
         .map(|(ai, a)| match a {
@@ -1174,5 +1191,26 @@ __global__ void atax1(float *A, float *B, float *tmp) {
             assert_eq!(p.entry.key.0, recorded, "{}: key moved", p.scope);
         }
         server.drain();
+    }
+
+    /// A spec is charged its buffers' bytes as `parse_arg_spec` reads
+    /// them; no buffers, or a rejected spec, is charged the default
+    /// footprint.
+    #[test]
+    fn fuel_cost_charges_the_parsed_buffers() {
+        let cost = |args: &str| fuel_cost(&submit(SMOKE, 2, 32, args));
+        let of = |bytes: u64| FUEL_BASE + bytes * FUEL_PER_BYTE;
+        let default = of(DERIVED_BUF_LEN as u64 * 4);
+        assert_eq!(cost("f:64,f:64,si:64"), of(512));
+        assert_eq!(cost("i:1024,sf:0.5"), of(4096));
+        // Empty parts are skipped and values trimmed, as the parser does.
+        assert_eq!(cost("f: 100 ,,i:28"), of(512));
+        assert_eq!(
+            cost("f:4294967295,i:4294967295"),
+            of(2 * 4 * u32::MAX as u64)
+        );
+        assert_eq!(cost("sf:1.5,si:3"), default);
+        assert_eq!(cost(""), default);
+        assert_eq!(cost("x:64"), default);
     }
 }

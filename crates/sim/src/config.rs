@@ -170,19 +170,13 @@ pub struct GpuConfig {
     /// Excluded from [`GpuConfig::content_digest`] — fuel bounds the
     /// simulation, it does not change its result.
     pub sim_fuel: Option<u64>,
-    /// Run the per-SM simulation loops of one launch on parallel worker
-    /// threads (snapshot + store-log memory, bit-identical results — see
-    /// DESIGN.md "Parallel SM execution"). `None` is on *iff* the SM
-    /// thread budget exceeds 1 (see [`GpuConfig::sm_parallel_enabled`]).
-    /// Excluded from [`GpuConfig::content_digest`] — parallelism is an
-    /// execution strategy, not a simulated parameter.
+    /// `Some(true)` runs each SM that has blocks on its own scoped
+    /// thread (snapshot + store-log memory, bit-identical results — see
+    /// DESIGN.md "Parallel SM execution"); `None` and `Some(false)` run
+    /// the SMs one after another. Excluded from
+    /// [`GpuConfig::content_digest`] — parallelism is an execution
+    /// strategy, not a simulated parameter.
     pub sm_parallel: Option<bool>,
-    /// Cap on the number of SM worker threads per launch. `None` derives
-    /// `available_parallelism / active engine workers` (min 1) so a sweep
-    /// of W engine workers × S SM threads cannot oversubscribe the
-    /// machine (see [`engine_workers_hint`]). Excluded from
-    /// [`GpuConfig::content_digest`].
-    pub sm_threads: Option<usize>,
     /// Record a full [`crate::profile::LaunchProfile`] per launch (stall
     /// breakdowns, per-set L1 counters, the windowed miss curve, phase
     /// timelines). `None` is off. Profiled and unprofiled runs are
@@ -278,7 +272,6 @@ impl GpuConfig {
             dyncta: None,
             sim_fuel: None,
             sm_parallel: None,
-            sm_threads: None,
             profile: None,
             sanitize: None,
             cancel: None,
@@ -317,7 +310,6 @@ impl GpuConfig {
             dyncta: None,
             sim_fuel: None,
             sm_parallel: None,
-            sm_threads: None,
             profile: None,
             sanitize: None,
             cancel: None,
@@ -396,31 +388,6 @@ impl GpuConfig {
         self.regfile_bytes_per_sm / 4
     }
 
-    /// Whether this launch may run its SMs on parallel worker threads:
-    /// [`GpuConfig::sm_parallel`] when set, otherwise on *iff* the SM
-    /// thread budget exceeds 1. On a one-thread budget (single-core host,
-    /// or a sweep whose engine workers already own every core) the
-    /// parallel path's snapshot + store-log machinery is pure overhead, so
-    /// the sequential path is the default there. Parallel and sequential
-    /// execution produce bit-identical results (see DESIGN.md), so this
-    /// is purely a throughput knob.
-    pub fn sm_parallel_enabled(&self) -> bool {
-        self.sm_parallel
-            .unwrap_or_else(|| self.sm_thread_budget() > 1)
-    }
-
-    /// The SM worker-thread budget for one launch (≥ 1):
-    /// [`GpuConfig::sm_threads`] when set, otherwise
-    /// `available_parallelism / active engine workers` — so W engine
-    /// workers each running a launch get `cores / W` SM threads apiece
-    /// instead of W × cores oversubscription.
-    pub fn sm_thread_budget(&self) -> usize {
-        if let Some(n) = self.sm_threads {
-            return n.max(1);
-        }
-        (host_parallelism().unwrap_or(1) / engine_workers_hint().max(1)).max(1)
-    }
-
     /// Whether launches under this config record a
     /// [`crate::profile::LaunchProfile`] ([`GpuConfig::profile`]; off
     /// when `None`).
@@ -432,68 +399,6 @@ impl GpuConfig {
     /// ([`GpuConfig::sanitize`]; off when `None`).
     pub fn sanitize_enabled(&self) -> bool {
         self.sanitize.unwrap_or(false)
-    }
-}
-
-/// `std::thread::available_parallelism()`, read once per process (`None`
-/// if the host cannot say). On Linux every call re-parses cgroup files —
-/// ≈ 25 µs, which was most of a small launch's fixed cost.
-pub fn host_parallelism() -> Option<usize> {
-    static CORES: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().ok().map(|n| n.get()))
-}
-
-/// Number of engine worker threads currently running simulation jobs in
-/// this process. `catt_core::engine` raises it for the duration of each
-/// `run_jobs` batch; the per-launch SM thread budget divides
-/// `available_parallelism` by it (see [`GpuConfig::sm_thread_budget`]).
-static ACTIVE_ENGINE_WORKERS: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(0);
-
-/// Register `n` additional active engine workers (call when a worker
-/// batch starts; pair with [`remove_active_engine_workers`]). Counting —
-/// rather than set/restore — keeps concurrent batches correct: two
-/// overlapping pools of 2 workers really are 4 threads competing for the
-/// machine.
-pub fn add_active_engine_workers(n: usize) {
-    ACTIVE_ENGINE_WORKERS.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Deregister `n` active engine workers (batch finished).
-pub fn remove_active_engine_workers(n: usize) {
-    ACTIVE_ENGINE_WORKERS.fetch_sub(n, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current engine-worker count used to divide the machine between
-/// sweep-level and SM-level parallelism (≥ 1; 1 when no engine batch is
-/// running, i.e. single-launch paths get the whole machine).
-pub fn engine_workers_hint() -> usize {
-    ACTIVE_ENGINE_WORKERS
-        .load(std::sync::atomic::Ordering::Relaxed)
-        .max(1)
-}
-
-/// RAII registration of `n` active engine workers: deregisters on drop,
-/// so an early return or panic between batch start and end cannot leak
-/// the count (a leaked hint permanently shrinks every later
-/// [`GpuConfig::sm_thread_budget`] in the process). Prefer this over the
-/// raw [`add_active_engine_workers`]/[`remove_active_engine_workers`]
-/// pair.
-#[must_use = "the guard deregisters the workers when dropped"]
-pub struct EngineWorkersGuard {
-    n: usize,
-}
-
-/// Register `n` active engine workers for the lifetime of the returned
-/// guard.
-pub fn engine_workers_guard(n: usize) -> EngineWorkersGuard {
-    add_active_engine_workers(n);
-    EngineWorkersGuard { n }
-}
-
-impl Drop for EngineWorkersGuard {
-    fn drop(&mut self) {
-        remove_active_engine_workers(self.n);
     }
 }
 
@@ -571,72 +476,11 @@ mod tests {
     }
 
     #[test]
-    fn sm_parallel_follows_the_thread_budget_unless_explicit() {
-        // On a one-thread budget the snapshot + store-log machinery is
-        // pure overhead, so the derived default is sequential there.
-        let mut c = GpuConfig::small();
-        c.sm_threads = Some(1);
-        assert!(!c.sm_parallel_enabled());
-        c.sm_threads = Some(4);
-        assert!(c.sm_parallel_enabled());
-        c.sm_threads = Some(1);
-        c.sm_parallel = Some(true);
-        assert!(c.sm_parallel_enabled(), "explicit field wins");
-        c.sm_threads = Some(4);
-        c.sm_parallel = Some(false);
-        assert!(!c.sm_parallel_enabled(), "explicit field wins");
-    }
-
-    #[test]
     fn profile_and_sanitize_default_off() {
         let mut c = GpuConfig::small();
         assert!(!c.profile_enabled() && !c.sanitize_enabled());
         c.profile = Some(true);
         c.sanitize = Some(true);
         assert!(c.profile_enabled() && c.sanitize_enabled());
-    }
-
-    #[test]
-    fn explicit_sm_thread_budget_wins_and_clamps() {
-        let mut c = GpuConfig::small();
-        c.sm_threads = Some(6);
-        assert_eq!(c.sm_thread_budget(), 6);
-        c.sm_threads = Some(0);
-        assert_eq!(c.sm_thread_budget(), 1, "budget is clamped to >= 1");
-        c.sm_threads = None;
-        assert!(c.sm_thread_budget() >= 1);
-    }
-
-    #[test]
-    fn engine_worker_accounting_divides_the_derived_budget() {
-        // This test is the only unit-test user of the counter in this
-        // process, so exact arithmetic is safe.
-        assert_eq!(engine_workers_hint(), 1, "idle process counts as 1");
-        add_active_engine_workers(3);
-        assert_eq!(engine_workers_hint(), 3);
-        add_active_engine_workers(2);
-        assert_eq!(engine_workers_hint(), 5, "concurrent batches sum");
-        remove_active_engine_workers(5);
-        assert_eq!(engine_workers_hint(), 1);
-        // With many engine workers active, the derived SM budget bottoms
-        // out at 1 instead of underflowing.
-        add_active_engine_workers(1_000);
-        assert_eq!(GpuConfig::small().sm_thread_budget(), 1);
-        remove_active_engine_workers(1_000);
-        // The RAII guard restores the count on drop — including an
-        // unwinding drop, which is what makes it leak-proof where the
-        // raw add/remove pair was not.
-        {
-            let _g = engine_workers_guard(4);
-            assert_eq!(engine_workers_hint(), 4);
-        }
-        assert_eq!(engine_workers_hint(), 1, "guard restored on drop");
-        let unwound = std::panic::catch_unwind(|| {
-            let _g = engine_workers_guard(7);
-            assert_eq!(engine_workers_hint(), 7);
-            panic!("boom");
-        });
-        assert!(unwound.is_err());
-        assert_eq!(engine_workers_hint(), 1, "guard restored across unwind");
     }
 }

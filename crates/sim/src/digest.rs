@@ -91,7 +91,7 @@ impl GpuConfig {
     /// (`sim_fuel`) is excluded: fuel bounds a simulation, it never
     /// changes the result of one that completes, so tightening or lifting
     /// the budget must not invalidate cached results. The SM-parallelism
-    /// knobs (`sm_parallel`, `sm_threads`) are excluded for the same
+    /// knob (`sm_parallel`) is excluded for the same
     /// reason: parallel and sequential execution are bit-identical (see
     /// DESIGN.md "Parallel SM execution"), so flipping them must keep
     /// serving cached results. The profiling knob (`profile`) is excluded
@@ -122,7 +122,6 @@ impl GpuConfig {
             dyncta,
             sim_fuel: _,
             sm_parallel: _,
-            sm_threads: _,
             profile: _,
             sanitize: _,
             // The cancellation token is an execution handle, not a
@@ -522,11 +521,10 @@ mod tests {
     #[test]
     fn sm_parallelism_knobs_do_not_change_the_digest() {
         // Parallel and sequential launches are bit-identical, so a cached
-        // result must survive flipping the execution-strategy knobs.
+        // result must survive flipping the execution-strategy knob.
         let base = GpuConfig::titan_v_1sm();
         let mut tuned = base.clone();
         tuned.sm_parallel = Some(false);
-        tuned.sm_threads = Some(7);
         assert_eq!(base.content_digest(), tuned.content_digest());
         tuned.sm_parallel = Some(true);
         assert_eq!(base.content_digest(), tuned.content_digest());

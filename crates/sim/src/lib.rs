@@ -52,9 +52,7 @@ pub mod warp;
 
 pub use bytecode::{lower, LowerError, Program};
 pub use config::{
-    add_active_engine_workers, engine_workers_guard, engine_workers_hint, host_parallelism,
-    remove_active_engine_workers, CancelToken, EngineWorkersGuard, GpuConfig, L1Config, Latencies,
-    FUEL_BASE, FUEL_PER_BYTE, SMEM_CONFIGS_KB,
+    CancelToken, GpuConfig, L1Config, Latencies, FUEL_BASE, FUEL_PER_BYTE, SMEM_CONFIGS_KB,
 };
 pub use digest::Fnv64;
 pub use error::SimError;

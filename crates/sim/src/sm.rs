@@ -25,7 +25,7 @@ use crate::bytecode::{builtin_reg, CmpOp, FBinOp, FUnOp, IBinOp, Op, Program};
 use crate::cache::L1Cache;
 use crate::config::{GpuConfig, Latencies};
 use crate::error::SimError;
-use crate::mem::{Arg, DeviceMem, GlobalMem, ShadowMem, StoreLog};
+use crate::mem::{Arg, DeviceMem, GlobalMem, ShadowMem};
 use crate::metrics::{ExecCounts, LaunchStats, RequestTrace};
 use crate::occupancy::max_resident_tbs;
 use crate::profile::{LaunchProfile, NullSink, ProfileSink, SmProfile, StallReason};
@@ -35,21 +35,20 @@ use catt_ir::expr::Builtin;
 use catt_ir::LaunchConfig;
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Execute a full launch: distribute blocks round-robin over SMs and run
 /// each SM to completion. SMs interact only through (functional) global
 /// memory; timing-wise each has its own L1D and off-chip port, so they are
 /// simulated independently and total `cycles` is the maximum over SMs.
 ///
-/// When [`GpuConfig::sm_parallel_enabled`] holds (the default), SMs run on
-/// `std::thread::scope` worker threads: each SM reads a shared pre-launch
-/// snapshot overlaid with its own [`StoreLog`] and the logs are merged
-/// back in ascending SM-id order, so the result is bit-identical across
-/// thread budgets and runs (see DESIGN.md "Parallel SM execution"). With
-/// the knob off — or a thread budget of 1 — the sequential path runs
-/// directly against [`GlobalMem`].
+/// With [`GpuConfig::sm_parallel`] set to `Some(true)`, each SM that has
+/// blocks runs on its own `std::thread::scope` thread: it reads a shared
+/// pre-launch snapshot overlaid with its own
+/// [`StoreLog`](crate::mem::StoreLog) and the logs are merged back in
+/// ascending SM-id order, so the result is bit-identical to the
+/// sequential path and across runs (see DESIGN.md "Parallel SM
+/// execution"). Otherwise — and whenever only one SM has blocks — the
+/// sequential path runs directly against [`GlobalMem`].
 ///
 /// Every user-reachable failure — bad arguments, unlaunchable geometry,
 /// barrier deadlock, cycle-budget exhaustion — returns a structured
@@ -147,10 +146,6 @@ fn admit<'c>(
     Ok((config, resident))
 }
 
-/// Everything one parallel-path SM worker hands back for the in-order
-/// merge: its result, its private store log, and its profiling shard.
-type SmOutcome<S> = (Result<LaunchStats, SimError>, StoreLog, S);
-
 /// The launch body, generic over the profiling sink. With [`NullSink`]
 /// every hook is an empty `#[inline]` default method and every
 /// `S::ENABLED` block is compile-time dead, so the unprofiled hot path
@@ -206,14 +201,10 @@ fn launch_impl<S: ProfileSink>(
     } else {
         None
     };
-    let workers = if san_state.is_some() || !config.sm_parallel_enabled() {
-        1
-    } else {
-        config.sm_thread_budget().min(per_sm.len())
-    };
+    let parallel = san_state.is_none() && config.sm_parallel == Some(true) && per_sm.len() > 1;
     let nwarps = (resident * launch.warps_per_block()) as usize;
 
-    if workers <= 1 {
+    if !parallel {
         // Sequential path: every SM mutates global memory directly. One
         // workspace (register files, TB slots) is reused across SMs
         // instead of reallocating per SM.
@@ -246,71 +237,52 @@ fn launch_impl<S: ProfileSink>(
         return Ok(total);
     }
 
-    // Parallel path: each SM simulates against a shared read snapshot of
-    // pre-launch memory plus its own store log; logs merge back below in
-    // ascending SM-id order so the committed memory image is independent
-    // of thread scheduling *and* of the claim order. Workers claim SMs
-    // heaviest-first through one shared cursor (list scheduling), so a
-    // dominant SM starts immediately instead of queueing behind light
-    // ones; the stable sort keeps equal block counts in ascending SM-id
-    // order.
+    // Parallel path: each SM simulates on its own thread against a shared
+    // read snapshot of pre-launch memory plus its own store log. Outcomes
+    // come back in ascending SM-id order, and so do the commits below:
+    // stats fold, store logs apply and profile shards merge in that order,
+    // and the first failing SM (by id) reports its error with lower-id
+    // successes already merged — exactly the sequential behaviour, whatever
+    // the thread schedule was.
     let snapshot: &GlobalMem = mem;
-    let mut claim_order: Vec<usize> = (0..per_sm.len()).collect();
-    claim_order.sort_by_key(|&i| std::cmp::Reverse(per_sm[i].1.len()));
-    let next_claim = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<SmOutcome<S>>>> =
-        Mutex::new((0..per_sm.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut ws = SmWorkspace::default();
-                while let Some(&i) = claim_order.get(next_claim.fetch_add(1, Ordering::Relaxed)) {
-                    let (sm_id, blocks) = &per_sm[i];
-                    let trace_this_sm = config.trace_requests && *sm_id == 0;
+    let (decoded, tables) = (&decoded, &tables);
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = per_sm
+            .into_iter()
+            .map(|(sm_id, blocks)| {
+                scope.spawn(move || {
+                    let trace_this_sm = config.trace_requests && sm_id == 0;
                     let mut shadow = ShadowMem::new(snapshot);
-                    let mut sink = S::for_sm(*sm_id, config.l1_config(), nwarps, resident as usize);
+                    let mut sink = S::for_sm(sm_id, config.l1_config(), nwarps, resident as usize);
                     let res = run_sm(
                         config,
                         program,
-                        &decoded,
-                        &tables,
+                        decoded,
+                        tables,
                         launch,
                         &mut shadow,
                         resident,
                         trace_this_sm,
                         fuel,
-                        &mut ws,
+                        &mut SmWorkspace::default(),
                         &mut sink,
                         None,
-                        blocks.clone(),
+                        blocks,
                     );
-                    let outcome = (res, shadow.into_log(), sink);
-                    results.lock().unwrap()[i] = Some(outcome);
-                }
-            });
-        }
+                    (trace_this_sm, res, shadow.into_log(), sink)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-    let collected = results.into_inner().unwrap_or_else(|p| p.into_inner());
-    // Deterministic commit: stats fold, store logs apply, and profile
-    // shards merge in ascending SM-id order; the first failing SM (by id)
-    // reports its error, with lower-id successes already merged — exactly
-    // the sequential behaviour, whatever the thread schedule was.
-    for (i, outcome) in collected.into_iter().enumerate() {
-        let Some((res, log, sink)) = outcome else {
-            // Unreachable in practice (the scope joins all workers and
-            // run_sm never panics), but a structured error beats a panic.
-            return Err(SimError::MalformedProgram {
-                kernel: program.name.clone(),
-                pc: 0,
-                message: "parallel SM worker produced no result".into(),
-            });
-        };
-        let trace_this_sm = config.trace_requests && per_sm[i].0 == 0;
+    for (trace_this_sm, res, log, sink) in outcomes {
         if let Some(p) = profile.as_deref_mut() {
             sink.finish_into(p);
         }
-        let stats = res?;
-        fold_stats(&mut total, stats, trace_this_sm);
+        fold_stats(&mut total, res?, trace_this_sm);
         log.apply(mem);
     }
     Ok(total)

@@ -202,7 +202,6 @@ fn l2_stats_are_bit_identical_across_sm_modes() {
         config.l1_cap_bytes = Some(32 * 1024);
         config.l2_kb = Some(1024);
         config.sm_parallel = Some(parallel);
-        config.sm_threads = Some(4);
         let stats = Gpu::new(config)
             .launch(
                 &kernel,

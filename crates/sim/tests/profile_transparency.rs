@@ -15,7 +15,6 @@ fn mode_config(parallel: bool, profile: bool) -> GpuConfig {
     let mut c = GpuConfig::titan_v();
     c.num_sms = 4;
     c.sm_parallel = Some(parallel);
-    c.sm_threads = Some(4);
     c.profile = Some(profile);
     c
 }

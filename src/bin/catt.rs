@@ -55,13 +55,15 @@
 //! `<kernel>=<gx>,<gy>x<bx>,<by>` (2-D). Repeat `--launch` per kernel.
 //!
 //! This file is where deployment settings enter: `CATT_DIAG_FORMAT`,
-//! `CATT_SIMCACHE`, `CATT_ENGINE_WORKERS`, `CATT_ENGINE_PROGRESS` and the
-//! `CATT_SERVE_*` tuning are parsed here, once, into the typed
-//! configuration the library takes (table in EXPERIMENTS.md).
+//! `CATT_SIMCACHE`, `CATT_ENGINE_WORKERS`, `CATT_ENGINE_PROGRESS`,
+//! `CATT_FAULT_PLAN` and the `CATT_SERVE_*` tuning are parsed here, once,
+//! into the typed configuration the library takes (table in
+//! EXPERIMENTS.md).
 
-use catt_repro::core::{Engine, Pipeline, Progress};
+use catt_repro::core::{Engine, FaultPlan, Pipeline, Progress};
 use catt_repro::ir::{Dim3, LaunchConfig};
-use catt_repro::sim::{Arg, GlobalMem, Gpu, GpuConfig};
+use catt_repro::serve::{materialize_args, parse_arg_spec};
+use catt_repro::sim::{GlobalMem, Gpu, GpuConfig};
 use std::process::ExitCode;
 
 /// Render diagnostics per `CATT_DIAG_FORMAT`: `human` (default) produces
@@ -90,8 +92,8 @@ fn env_u64(name: &str) -> Option<u64> {
 /// `CATT_SIMCACHE` (`mem`, the default, or `off`; anything else is a
 /// usage error, exit status 2), worker bound from `CATT_ENGINE_WORKERS`,
 /// stderr verbosity from `CATT_ENGINE_PROGRESS` (`off` | `summary` |
-/// `full`; default `summary`).
-fn engine_from_env() -> Engine {
+/// `full`; default `summary`), armed with `fault`.
+fn engine_from_env(fault: &FaultPlan) -> Engine {
     let mut engine = match std::env::var("CATT_SIMCACHE").as_deref() {
         Ok("mem") | Ok("") | Err(_) => Engine::new(),
         Ok("off") => Engine::uncached(),
@@ -103,17 +105,19 @@ fn engine_from_env() -> Engine {
     if let Some(n) = env_u64("CATT_ENGINE_WORKERS") {
         engine = engine.with_worker_bound(n as usize);
     }
-    engine.with_progress(match std::env::var("CATT_ENGINE_PROGRESS").as_deref() {
-        Ok("off") => Progress::Off,
-        Ok("full") => Progress::Full,
-        _ => Progress::Summary,
-    })
+    engine.with_fault_plan(fault.clone()).with_progress(
+        match std::env::var("CATT_ENGINE_PROGRESS").as_deref() {
+            Ok("off") => Progress::Off,
+            Ok("full") => Progress::Full,
+            _ => Progress::Summary,
+        },
+    )
 }
 
 /// The daemon under `catt serve`: [`ServeConfig`]'s
 /// defaults with the `CATT_SERVE_*` overrides applied (EXPERIMENTS.md),
 /// over the engine `CATT_SIMCACHE` selects.
-fn serve_from_env() -> (catt_repro::serve::ServeConfig, Engine) {
+fn serve_from_env(fault: &FaultPlan) -> (catt_repro::serve::ServeConfig, Engine) {
     use catt_repro::serve::ServeConfig;
     let d = ServeConfig::default();
     let get = |name: &str, default: u64| env_u64(name).unwrap_or(default);
@@ -128,7 +132,7 @@ fn serve_from_env() -> (catt_repro::serve::ServeConfig, Engine) {
         drain_grace_ms: get("CATT_SERVE_DRAIN_MS", d.drain_grace_ms),
         quantum: get("CATT_SERVE_QUANTUM", d.quantum),
     };
-    (config, engine_from_env())
+    (config, engine_from_env(fault))
 }
 
 fn usage() -> ExitCode {
@@ -502,7 +506,7 @@ fn parse_launch(spec: &str) -> Option<(String, LaunchConfig)> {
 /// `catt serve`: the multi-tenant compile-and-simulate daemon. NDJSON
 /// over stdio by default, or a TCP listener with `--tcp <addr>`. Tuning
 /// and cache mode come from the environment, see [`serve_from_env`].
-fn serve_main(args: &[String]) -> ExitCode {
+fn serve_main(args: &[String], fault: &FaultPlan) -> ExitCode {
     use catt_repro::serve::front::{serve_stdio, serve_tcp};
     use catt_repro::serve::Server;
     use std::sync::Arc;
@@ -522,7 +526,7 @@ fn serve_main(args: &[String]) -> ExitCode {
             }
         }
     }
-    let (config, engine) = serve_from_env();
+    let (config, engine) = serve_from_env(fault);
     let server = Arc::new(Server::new(config, engine));
     match tcp_addr {
         Some(addr) => {
@@ -598,11 +602,14 @@ fn reproduce_main(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    // The chaos harness's plan (crates/core/src/fault.rs), for the engine
+    // and the pipeline.
+    let fault = FaultPlan::parse(&std::env::var("CATT_FAULT_PLAN").unwrap_or_default());
     // `fuzz` and `serve` have defaults for every flag, so they may
     // appear bare.
     match argv.first().map(String::as_str) {
         Some("fuzz") => return fuzz_main(&argv[1..]),
-        Some("serve") => return serve_main(&argv[1..]),
+        Some("serve") => return serve_main(&argv[1..], &fault),
         _ => {}
     }
     if argv.len() < 2 {
@@ -611,7 +618,7 @@ fn main() -> ExitCode {
     let mode = argv[0].as_str();
     if matches!(mode, "profile" | "tune" | "reproduce") {
         // Registry workloads evaluate on the process-wide engine.
-        Engine::init_global(engine_from_env());
+        Engine::init_global(engine_from_env(&fault));
         return match mode {
             "profile" => profile_main(&argv[1..]),
             "tune" => tune_main(&argv[1..]),
@@ -684,7 +691,7 @@ fn main() -> ExitCode {
     if sanitize {
         config.sanitize = Some(true);
     }
-    let pipe = Pipeline::new(config.clone());
+    let pipe = Pipeline::new(config.clone()).with_fault_plan(fault.clone());
     let refs: Vec<(&str, LaunchConfig)> = launches.iter().map(|(n, l)| (n.as_str(), *l)).collect();
     let app = match pipe.compile_source(&src, &refs) {
         Ok(a) => a,
@@ -756,39 +763,20 @@ fn main() -> ExitCode {
                 eprintln!("catt run: --args is required (e.g. --args f:1024,f:64,si:64)");
                 return ExitCode::from(2);
             };
+            let parsed = match parse_arg_spec(&spec) {
+                Ok(parsed) => parsed,
+                Err(e) => {
+                    eprintln!("catt run: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             // Baseline and throttled runs are memoized in memory; the
             // --args spec is part of the cache scope (input identity).
-            let engine = engine_from_env();
+            let engine = engine_from_env(&fault);
             for (ki, ck) in app.kernels.iter().enumerate() {
                 let exec = |kernel: &catt_repro::ir::Kernel| {
                     let mut mem = GlobalMem::new();
-                    let mut args = Vec::new();
-                    for (ai, part) in spec.split(',').enumerate() {
-                        let Some((ty, val)) = part.split_once(':') else {
-                            return Err(format!("bad arg spec `{part}`"));
-                        };
-                        let arg = match ty {
-                            "f" => {
-                                let len: u32 =
-                                    val.parse().map_err(|_| format!("bad length `{val}`"))?;
-                                let data: Vec<f32> = (0..len)
-                                    .map(|v| ((v * 7 + ai as u32) % 13) as f32)
-                                    .collect();
-                                Arg::Buf(mem.alloc_f32(&data))
-                            }
-                            "i" => {
-                                let len: u32 =
-                                    val.parse().map_err(|_| format!("bad length `{val}`"))?;
-                                let data: Vec<i32> =
-                                    (0..len as i32).map(|v| (v * 5 + ai as i32) % 17).collect();
-                                Arg::Buf(mem.alloc_i32(&data))
-                            }
-                            "sf" => Arg::F32(val.parse().map_err(|_| format!("bad f32 `{val}`"))?),
-                            "si" => Arg::I32(val.parse().map_err(|_| format!("bad i32 `{val}`"))?),
-                            other => return Err(format!("unknown arg type `{other}`")),
-                        };
-                        args.push(arg);
-                    }
+                    let args = materialize_args(&parsed, &mut mem);
                     let mut gpu = Gpu::new(config.clone());
                     gpu.launch(kernel, ck.launch, &args, &mut mem)
                         .map_err(|e| e.to_string())

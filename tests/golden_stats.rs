@@ -101,7 +101,6 @@ fn dm_on_four_parallel_sms() {
     let mut cfg = eval_config_max_l1d();
     cfg.num_sms = 4;
     cfg.sm_parallel = Some(true);
-    cfg.sm_threads = Some(2);
     assert_eq!(
         cold("DM", &cfg),
         (13_008_384, 1_168_888, 1_769_472, 1_723_392, 0, 48_384)
