@@ -14,9 +14,12 @@
 //!   poisoning the whole sweep.
 //! * **Content-addressed simulation cache** — results are memoized under a
 //!   stable digest of (lowered kernel programs, launch geometry,
-//!   [`GpuConfig`], scope tag), in memory, for the life of the process.
-//!   Nothing is persisted: one process reproduces every figure, and
-//!   rendering them all cold costs about a minute. One rule
+//!   [`GpuConfig`], scope tag), in memory. The cache is always on and
+//!   holds at most `SIMCACHE_CAPACITY` results: an insert past that
+//!   starts the map over, so a long-lived `catt serve` stays bounded,
+//!   while `catt reproduce all` (512 results) never reaches it. Nothing
+//!   is persisted: one process reproduces every figure, and rendering
+//!   them all cold costs about a minute. One rule
 //!   (`CacheUse::of`) says how a run's
 //!   configuration may use the cache: traced runs
 //!   (`GpuConfig::trace_requests`) and sanitized runs
@@ -39,11 +42,10 @@
 //! exercise all of it.
 //!
 //! The engine takes its settings from its constructors and builders —
-//! cache or none ([`Engine::new`] / [`Engine::uncached`]), worker bound
-//! ([`Engine::with_worker_bound`]), stderr verbosity
-//! ([`Engine::with_progress`], silent by default), fault plan
+//! worker bound ([`Engine::new`], [`Engine::with_worker_bound`]), stderr
+//! verbosity ([`Engine::with_progress`], silent by default), fault plan
 //! ([`Engine::with_fault_plan`], none by default; see [`crate::fault`]) —
-//! and never consults the environment; the binaries map `CATT_SIMCACHE`,
+//! and never consults the environment; the binaries map
 //! `CATT_ENGINE_WORKERS`, `CATT_ENGINE_PROGRESS` and `CATT_FAULT_PLAN`
 //! onto these at start-up.
 
@@ -226,10 +228,16 @@ impl CacheUse {
     }
 }
 
-/// The content-addressed simulation cache: one in-memory map, or none
-/// when caching is off.
+/// The most results the simulation cache holds. `LaunchStats` has a
+/// fixed size on every run that may use the cache, so this bounds its
+/// memory.
+const SIMCACHE_CAPACITY: usize = 16_384;
+
+/// The content-addressed simulation cache: one in-memory map of at most
+/// `capacity` results, which starts over when an insert would pass it.
 struct SimCache {
-    mem: Option<Mutex<HashMap<u64, LaunchStats>>>,
+    mem: Mutex<HashMap<u64, LaunchStats>>,
+    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Jobs that waited on another caller's identical in-flight
@@ -238,9 +246,10 @@ struct SimCache {
 }
 
 impl SimCache {
-    fn new(enabled: bool) -> SimCache {
+    fn new(capacity: usize) -> SimCache {
         SimCache {
-            mem: enabled.then(|| Mutex::new(HashMap::new())),
+            mem: Mutex::new(HashMap::new()),
+            capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -249,7 +258,7 @@ impl SimCache {
 
     fn lookup(&self, key: JobKey) -> Option<LaunchStats> {
         let found = self.peek(key);
-        if found.is_none() && self.mem.is_some() {
+        if found.is_none() {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
         found
@@ -267,13 +276,15 @@ impl SimCache {
 
     /// The entry under `key`, counting nothing.
     fn get(&self, key: JobKey) -> Option<LaunchStats> {
-        self.mem.as_ref()?.lock().unwrap().get(&key.0).cloned()
+        self.mem.lock().unwrap().get(&key.0).cloned()
     }
 
     fn insert(&self, key: JobKey, stats: &LaunchStats) {
-        if let Some(mem) = &self.mem {
-            mem.lock().unwrap().insert(key.0, stats.clone());
+        let mut mem = self.mem.lock().unwrap();
+        if mem.len() >= self.capacity && !mem.contains_key(&key.0) {
+            mem.clear();
         }
+        mem.insert(key.0, stats.clone());
     }
 
     fn counters(&self) -> CacheCounters {
@@ -358,12 +369,12 @@ impl Engine {
         *CORES.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
     }
 
-    /// Assemble an engine: the given worker bound, a cache or none,
-    /// silent progress, and no fault armed.
-    fn build(workers: usize, cached: bool) -> Engine {
+    /// Assemble an engine: the given worker bound, silent progress, and
+    /// no fault armed.
+    fn build(workers: usize) -> Engine {
         Engine {
             workers: workers.max(1),
-            cache: SimCache::new(cached),
+            cache: SimCache::new(SIMCACHE_CAPACITY),
             fault: FaultPlan::none(),
             job_seq: AtomicU64::new(0),
             progress: Progress::Off,
@@ -371,20 +382,14 @@ impl Engine {
         }
     }
 
-    /// Engine with an in-memory cache and the default worker bound.
+    /// Engine with the default worker bound.
     pub fn new() -> Engine {
-        Self::build(Self::default_workers(), true)
+        Self::build(Self::default_workers())
     }
 
-    /// Engine with an explicit worker bound (clamped to ≥ 1) and an
-    /// in-memory cache.
+    /// Engine with an explicit worker bound (clamped to ≥ 1).
     pub fn with_workers(workers: usize) -> Engine {
-        Self::build(workers, true)
-    }
-
-    /// Engine with caching disabled (every job simulates).
-    pub fn uncached() -> Engine {
-        Self::build(Self::default_workers(), false)
+        Self::build(workers)
     }
 
     /// Replace the worker-pool bound (builder-style, clamped to ≥ 1).
@@ -599,8 +604,8 @@ impl Engine {
     }
 
     /// Like [`Engine::cached`], but counts nothing, not even a hit: what
-    /// the cache holds under `key`. The cache never drops an entry, so a
-    /// later [`Engine::cached`] of the same key finds it too.
+    /// the cache holds under `key`. A later [`Engine::cached`] of the
+    /// same key finds it too unless the cache started over in between.
     pub fn held(&self, key: JobKey, config: &GpuConfig) -> Option<LaunchStats> {
         if CacheUse::of(config) != CacheUse::ReadWrite {
             return None;
@@ -893,6 +898,31 @@ mod tests {
         traced.trace_requests = true;
         assert!(engine.cached(key, &traced).is_none());
         assert_eq!(engine.cache_counters().hits, 1);
+    }
+
+    #[test]
+    fn a_full_simcache_starts_over_and_counts_right() {
+        let cache = SimCache::new(2);
+        let stats = |cycles| LaunchStats {
+            cycles,
+            ..LaunchStats::default()
+        };
+        cache.insert(JobKey(1), &stats(1));
+        cache.insert(JobKey(2), &stats(2));
+        // Re-inserting a held key does not pass the capacity.
+        cache.insert(JobKey(2), &stats(2));
+        assert_eq!(cache.lookup(JobKey(1)).map(|s| s.cycles), Some(1));
+        cache.insert(JobKey(3), &stats(3));
+        assert!(
+            cache.lookup(JobKey(1)).is_none(),
+            "the third insert starts over"
+        );
+        assert!(cache.lookup(JobKey(2)).is_none());
+        assert_eq!(cache.lookup(JobKey(3)).map(|s| s.cycles), Some(3));
+        assert!(cache.get(JobKey(4)).is_none(), "`get` counts nothing");
+        let c = cache.counters();
+        assert_eq!((c.hits, c.misses, c.coalesced), (2, 2, 0));
+        assert_eq!(cache.mem.lock().unwrap().len(), 1);
     }
 
     #[test]

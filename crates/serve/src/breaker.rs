@@ -86,14 +86,6 @@ impl Breaker {
         }
     }
 
-    /// [`Breaker::check`] + [`Breaker::commit`] in one step, for callers
-    /// with no admission gates between the check and the enqueue.
-    pub fn admit(&mut self, now_ms: u64) -> Result<(), u64> {
-        self.check(now_ms)?;
-        self.commit(now_ms);
-        Ok(())
-    }
-
     /// A request completed without a fatal simulation fault (typed
     /// rejections — quota, deadline, compile errors — also count as
     /// success: they prove the *service* is healthy for this tenant).
@@ -127,6 +119,13 @@ impl Breaker {
 mod tests {
     use super::*;
 
+    /// Admission's order: [`Breaker::check`], then [`Breaker::commit`].
+    fn admit(b: &mut Breaker, now_ms: u64) -> Result<(), u64> {
+        b.check(now_ms)?;
+        b.commit(now_ms);
+        Ok(())
+    }
+
     #[test]
     fn trips_after_threshold_consecutive_faults() {
         let mut b = Breaker::new(3, 100);
@@ -141,22 +140,22 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Closed);
         b.on_fatal(0);
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.admit(50), Err(50));
+        assert_eq!(admit(&mut b, 50), Err(50));
     }
 
     #[test]
     fn half_opens_on_timer_and_admits_one_probe() {
         let mut b = Breaker::new(1, 100);
         b.on_fatal(0);
-        assert_eq!(b.admit(99), Err(1));
+        assert_eq!(admit(&mut b, 99), Err(1));
         // Cooldown expired: first admit is the probe, the second waits.
-        assert_eq!(b.admit(100), Ok(()));
+        assert_eq!(admit(&mut b, 100), Ok(()));
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(b.admit(100).is_err());
+        assert!(admit(&mut b, 100).is_err());
         // Probe succeeds → closed and clean.
         b.on_success();
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.admit(100), Ok(()));
+        assert_eq!(admit(&mut b, 100), Ok(()));
     }
 
     #[test]
@@ -170,7 +169,7 @@ mod tests {
         assert_eq!(b.check(100), Ok(()));
         assert_eq!(b.state(), BreakerState::Open);
         // The next request takes the probe for real.
-        assert_eq!(b.admit(100), Ok(()));
+        assert_eq!(admit(&mut b, 100), Ok(()));
         assert_eq!(b.state(), BreakerState::HalfOpen);
         assert!(b.check(100).is_err());
     }
@@ -179,10 +178,10 @@ mod tests {
     fn failed_probe_reopens_for_a_fresh_cooldown() {
         let mut b = Breaker::new(1, 100);
         b.on_fatal(0);
-        assert_eq!(b.admit(100), Ok(()));
+        assert_eq!(admit(&mut b, 100), Ok(()));
         b.on_fatal(100);
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.admit(150), Err(50));
-        assert_eq!(b.admit(200), Ok(()));
+        assert_eq!(admit(&mut b, 150), Err(50));
+        assert_eq!(admit(&mut b, 200), Ok(()));
     }
 }

@@ -10,7 +10,8 @@
 //! ```
 //!
 //! * `op` — `submit` (default), `ping`, `stats`, `shutdown`.
-//! * `tenant` — quota/fairness/breaker identity (default `"anon"`).
+//! * `tenant` — quota/fairness/breaker identity (default `"anon"`, at
+//!   most [`MAX_TENANT_BYTES`] bytes).
 //! * `kernel` — CUDA-C translation unit; `name` picks the kernel when the
 //!   unit holds several (default: the only kernel / the first).
 //! * `grid`/`block` — 1-D launch geometry (required for `submit`).
@@ -33,6 +34,10 @@
 
 use catt_diag::json::{obj, parse, Json};
 use catt_diag::Diagnostic;
+
+/// Longest `tenant` name a submission may carry, in bytes. The tenant
+/// table keeps at most `server::MAX_TENANTS` names, so this bounds it.
+pub const MAX_TENANT_BYTES: usize = 256;
 
 /// Operations a request line can carry.
 #[derive(Debug, Clone, PartialEq)]
@@ -271,12 +276,16 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
                 Some(b) if (1..=1024).contains(&b) => b as u32,
                 _ => return Err((id, "missing or invalid `block` (want 1..=1024)".to_string())),
             };
+            let tenant = v.get("tenant").and_then(Json::as_str).unwrap_or("anon");
+            if tenant.len() > MAX_TENANT_BYTES {
+                let len = tenant.len();
+                return Err((
+                    id,
+                    format!("`tenant` is {len} bytes, over {MAX_TENANT_BYTES}"),
+                ));
+            }
             Op::Submit(SubmitRequest {
-                tenant: v
-                    .get("tenant")
-                    .and_then(Json::as_str)
-                    .unwrap_or("anon")
-                    .to_string(),
+                tenant: tenant.to_string(),
                 kernel_source,
                 name: v
                     .get("name")
@@ -408,6 +417,24 @@ mod tests {
         let err = parse_request(r#"{"id":"r9","grid":1,"block":32}"#).unwrap_err();
         assert_eq!(err.0, "r9");
         assert!(err.1.contains("kernel"), "{}", err.1);
+    }
+
+    #[test]
+    fn an_over_long_tenant_is_a_bad_request() {
+        let line = |tenant: &str| {
+            format!(r#"{{"id":"t","tenant":"{tenant}","kernel":"k","grid":1,"block":32}}"#)
+        };
+        let at_cap = "t".repeat(MAX_TENANT_BYTES);
+        let Op::Submit(s) = parse_request(&line(&at_cap)).unwrap().op else {
+            panic!("want submit")
+        };
+        assert_eq!(s.tenant, at_cap);
+        // Bytes, not characters: 129 two-byte characters are 258 bytes.
+        for over in ["t".repeat(MAX_TENANT_BYTES + 1), "é".repeat(129)] {
+            let (id, message) = parse_request(&line(&over)).unwrap_err();
+            assert_eq!(id, "t");
+            assert!(message.contains("`tenant`"), "{message}");
+        }
     }
 
     #[test]

@@ -50,6 +50,12 @@ impl TokenBucket {
         self.tokens
     }
 
+    /// Whether the balance is back at the burst capacity at `now_ms`, as
+    /// in a bucket [`TokenBucket::new`] made.
+    pub fn is_full(&mut self, now_ms: u64) -> bool {
+        self.available(now_ms) >= self.capacity
+    }
+
     /// Spend `cost` tokens, or report how many milliseconds until the
     /// balance could cover it. A cost above the burst capacity can never
     /// succeed; it is charged as a full bucket so one oversized request

@@ -31,10 +31,17 @@
 //! lowering and `job_digest`; its reply is those fields plus the cached
 //! stats, so it is the compiled reply byte for byte but for `id`,
 //! `source`, `queue_ms` and `total_ms`. The index holds no simulation
-//! result, so it cannot disagree with the simcache, and it indexes only
-//! keys the engine holds: with the simcache off it stays empty. Like the
-//! simcache, it lives as long as the server and grows by one entry per
-//! distinct submission that yields a result.
+//! result, so it cannot disagree with the simcache; an entry whose key
+//! the simcache no longer holds takes the compile path.
+//!
+//! Daemon state is bounded. The index holds at most
+//! [`INDEX_BUDGET_BYTES`], each entry charged what it holds, and starts
+//! over when an entry would pass that, as the simcache does past
+//! `SIMCACHE_CAPACITY` results. The tenant table keeps at most
+//! [`MAX_TENANTS`] names: a new name past that first drops every idle
+//! tenant (no job queued or running, a full bucket, a breaker not
+//! shedding), at most once a millisecond, and is shed `quota-exhausted`
+//! if none is.
 //!
 //! Gate order matters: the breaker is *checked* first (an open breaker
 //! must not charge quota) but its half-open probe slot is only
@@ -58,7 +65,7 @@ use crate::quota::TokenBucket;
 use catt_core::engine::{job_digest, Engine, JobError, JobKey, SimSource};
 use catt_core::pipeline::Pipeline;
 use catt_diag::json::{obj, Json};
-use catt_diag::{codes, Diagnostic};
+use catt_diag::{codes, Diagnostic, Note};
 use catt_ir::kernel::{Kernel, LaunchConfig, ParamTy};
 use catt_ir::types::DType;
 use catt_sim::{
@@ -155,6 +162,15 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// before anything parses it.
 pub const MAX_SOURCE_BYTES: usize = 256 << 10;
 
+/// What the request index may hold, in bytes ([`Indexed::bytes`] per
+/// entry). `serve-hot`'s 64 kernels fit, and so do `serve-cold`'s
+/// ≈ 1 480.
+pub const INDEX_BUDGET_BYTES: usize = 4 << 20;
+
+/// Most tenants the admission table keeps (see the module docs). With
+/// `proto::MAX_TENANT_BYTES` this bounds what the table holds.
+pub const MAX_TENANTS: usize = 1024;
+
 /// One admitted job, compiled and queued for a worker.
 struct Job {
     id: String,
@@ -187,17 +203,19 @@ struct Tenant {
     bucket: TokenBucket,
     /// Circuit breaker over fatal simulation faults.
     breaker: Breaker,
+    /// Jobs queued or running.
+    jobs: usize,
 }
 
 struct QueueState {
     queue: FairQueue<Job>,
     tenants: HashMap<String, Tenant>,
-    /// Jobs currently held by workers.
-    running: usize,
     /// Cancel tokens of running jobs (for hard drain).
     running_tokens: Vec<CancelToken>,
     /// Worker threads alive (drain waits for them to finish).
     workers_alive: usize,
+    /// When a full tenant table may next be swept for idle tenants.
+    next_sweep_ms: u64,
 }
 
 /// Deadline reaper bookkeeping: `(fire_at, token)` for running sims.
@@ -222,7 +240,7 @@ struct Inner {
     draining: AtomicBool,
     counters: Counters,
     /// The request index (see the module docs).
-    index: Mutex<HashMap<Fingerprint, Arc<Indexed>>>,
+    index: Mutex<Index>,
     /// The key of the fingerprint's second hash, random per server.
     index_keys: RandomState,
 }
@@ -235,9 +253,14 @@ pub struct Server {
 }
 
 impl Server {
-    /// A server over `engine` (callers pick the cache mode) with the
-    /// given tuning.
+    /// A server over `engine` with the given tuning.
     pub fn new(config: ServeConfig, engine: Engine) -> Server {
+        Server::build(config, engine, INDEX_BUDGET_BYTES)
+    }
+
+    /// [`Server::new`] with the index budget a parameter, so unit tests
+    /// can fill a small one.
+    fn build(config: ServeConfig, engine: Engine, index_budget: usize) -> Server {
         let mut base_config = GpuConfig::titan_v_1sm();
         // Chaos harness: a `fuel=C` fault plan starves every simulation,
         // and `fail-transform` fails every compile's transform.
@@ -250,9 +273,9 @@ impl Server {
             state: Mutex::new(QueueState {
                 queue: FairQueue::new(config.quantum),
                 tenants: HashMap::new(),
-                running: 0,
                 running_tokens: Vec::new(),
                 workers_alive: workers,
+                next_sweep_ms: 0,
             }),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
@@ -264,7 +287,11 @@ impl Server {
             epoch: Instant::now(),
             draining: AtomicBool::new(false),
             counters: Counters::default(),
-            index: Mutex::new(HashMap::new()),
+            index: Mutex::new(Index {
+                map: HashMap::new(),
+                bytes: 0,
+                budget: index_budget,
+            }),
             index_keys: RandomState::new(),
             config,
             engine,
@@ -304,15 +331,12 @@ impl Server {
     /// after a `shutdown` op completed its drain — the caller should stop
     /// reading.
     pub fn handle_line(&self, line: &str, reply: &mpsc::Sender<Response>) -> bool {
-        let line = line.trim();
+        let (line, bad_request) = (line.trim(), &self.inner.counters.bad_request);
         if line.is_empty() {
             return true;
         }
         if line.len() > MAX_LINE_BYTES {
-            self.inner
-                .counters
-                .bad_request
-                .fetch_add(1, Ordering::Relaxed);
+            bad_request.fetch_add(1, Ordering::Relaxed);
             let id = crate::proto::recover_id(line).unwrap_or_default();
             let _ = reply.send(err(
                 &id,
@@ -323,17 +347,8 @@ impl Server {
         }
         match parse_request(line) {
             Err((id, message)) => {
-                self.inner
-                    .counters
-                    .bad_request
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(Response::Error(ErrorBody {
-                    id,
-                    kind: ErrorKind::BadRequest,
-                    message,
-                    retry_after_ms: None,
-                    diagnostics: Vec::new(),
-                }));
+                bad_request.fetch_add(1, Ordering::Relaxed);
+                let _ = reply.send(err(&id, ErrorKind::BadRequest, message));
                 true
             }
             Ok(Request { id, op }) => match op {
@@ -368,8 +383,9 @@ impl Server {
     }
 
     /// Admission control. The submission is first prepared (compiled)
-    /// on the caller's thread; then drain gate, circuit breaker, queue
-    /// depth and quota run — in that order, in one critical section.
+    /// on the caller's thread; then drain gate, tenant cap, circuit
+    /// breaker, queue depth and quota run — in that order, in one
+    /// critical section ([`gate`]).
     /// Rejections reply immediately. An admitted submission that needs no
     /// simulation (a compile error, a cached result) is answered right
     /// away too; the rest reply from a worker later. The breaker's
@@ -378,92 +394,30 @@ impl Server {
     /// the breaker half-open with no probe in flight.
     pub fn submit(&self, id: String, req: SubmitRequest, reply: mpsc::Sender<Response>) {
         let prepared = prepare(&self.inner, &id, &req);
+        self.admit(id, req, prepared, reply);
+    }
+
+    /// The gates and the answer or enqueue of [`Server::submit`].
+    fn admit(
+        &self,
+        id: String,
+        req: SubmitRequest,
+        prepared: Result<Prepared, ErrorBody>,
+        reply: mpsc::Sender<Response>,
+    ) {
         let c = &self.inner.counters;
-        let now_ms = self.now_ms();
         let cost = fuel_cost(&req);
-        let cfg = &self.inner.config;
         let mut st = self.inner.state.lock().unwrap();
-        // Checked under the lock: workers exit once they see the drain
-        // flag with an empty queue, so a job pushed after that would
-        // never be answered.
-        if self.inner.draining.load(Ordering::SeqCst) {
-            drop(st);
-            c.shed_overloaded.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(err(
-                &id,
-                ErrorKind::Overloaded,
-                "server is draining (shutdown in progress)",
-            ));
-            return;
-        }
-        // One tenant lookup serves every gate. A new tenant's bucket is
-        // born full, so creating it ahead of the depth gate leaves what
-        // the quota gate sees unchanged.
-        let queue_full = st.queue.len() >= cfg.queue_high_water;
-        let tenant = st
-            .tenants
-            .entry(req.tenant.clone())
-            .or_insert_with(|| Tenant {
-                bucket: TokenBucket::new(cfg.quota_burst, cfg.quota_rate, now_ms),
-                breaker: Breaker::new(cfg.breaker_threshold, cfg.breaker_cooldown_ms),
-            });
-        // Breaker first (check only: an open breaker must not charge
-        // quota, and the half-open probe slot is committed below, after
-        // every other gate passes).
-        if let Err(retry_ms) = tenant.breaker.check(now_ms) {
-            drop(st);
-            c.shed_breaker.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(Response::Error(ErrorBody {
-                id,
-                kind: ErrorKind::CircuitOpen,
-                message: format!(
-                    "tenant `{}` circuit breaker is open after repeated simulation faults",
-                    req.tenant
-                ),
-                retry_after_ms: Some(retry_ms),
-                diagnostics: Vec::new(),
-            }));
-            return;
-        }
-        // Depth before quota: a submission the server never accepts must
-        // not drain the tenant's bucket, or sustained overload would
-        // follow up with spurious quota-exhausted once the backlog clears.
-        if queue_full {
-            drop(st);
-            c.shed_overloaded.fetch_add(1, Ordering::Relaxed);
-            // Retry-after scales with backlog per worker — honest
-            // backpressure instead of a constant.
-            let per_worker = cfg.queue_high_water / cfg.workers.max(1);
-            let _ = reply.send(Response::Error(ErrorBody {
-                id,
-                kind: ErrorKind::Overloaded,
-                message: format!("admission queue full ({} queued)", cfg.queue_high_water),
-                retry_after_ms: Some((10 * per_worker.max(1) as u64).min(5_000)),
-                diagnostics: Vec::new(),
-            }));
-            return;
-        }
-        if let Err(retry_ms) = tenant.bucket.try_take(cost, now_ms) {
-            drop(st);
-            c.shed_quota.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(Response::Error(ErrorBody {
-                id,
-                kind: ErrorKind::QuotaExhausted,
-                message: format!(
-                    "tenant `{}` fuel quota exhausted (request cost {cost})",
-                    req.tenant
-                ),
-                retry_after_ms: Some(retry_ms),
-                diagnostics: Vec::new(),
-            }));
-            return;
-        }
-        // All gates passed — the request will run and report back, so the
-        // half-open probe slot (if any) can safely be consumed now.
-        tenant.breaker.commit(now_ms);
+        let tenant = match gate(&self.inner, &mut st, &req, cost, self.now_ms()) {
+            Ok(tenant) => tenant,
+            Err((kind, message, retry_after_ms)) => {
+                let mut shed = error_body(&id, kind, message, Vec::new());
+                shed.retry_after_ms = retry_after_ms;
+                return answer_now(st, c, &reply, || Response::Error(shed));
+            }
+        };
         c.admitted.fetch_add(1, Ordering::Relaxed);
         let admitted = Instant::now();
-        let engine = &self.inner.engine;
         // An answer given here, as one from a worker, books a breaker
         // success.
         let compiled = match prepared {
@@ -471,32 +425,28 @@ impl Server {
                 tenant.breaker.on_success();
                 return answer_now(st, c, &reply, || Response::Error(rejected));
             }
-            Ok(Prepared::Indexed(entry, held)) => {
-                // The counted lookup a compiled hit makes. It finds what
-                // `prepare` saw: the simcache never drops an entry.
-                let stats = engine
-                    .cached(entry.key, &self.inner.base_config)
-                    .unwrap_or(held);
-                c.index_hits.fetch_add(1, Ordering::Relaxed);
+            Ok(Prepared::Held(entry, held, fingerprint)) => {
+                // The counted lookup. Should the simcache have started
+                // over since `prepare` read `held`, the reply is `held`
+                // and no hit is counted.
+                let engine = &self.inner.engine;
+                let stats = engine.cached(entry.key, &self.inner.base_config);
                 tenant.breaker.on_success();
                 return answer_now(st, c, &reply, || {
-                    let took = admitted.elapsed();
+                    match fingerprint {
+                        Some(fingerprint) => index(&self.inner, fingerprint, &entry),
+                        None => _ = c.index_hits.fetch_add(1, Ordering::Relaxed),
+                    }
+                    let (stats, took) = (stats.unwrap_or(held), admitted.elapsed());
                     result_response(&id, &entry, stats, SimSource::CacheHit, 0, took)
                 });
             }
-            Ok(Prepared::Compiled(compiled)) => compiled,
+            Ok(Prepared::Miss(compiled)) => compiled,
         };
-        if let Some(stats) = engine.cached(compiled.entry.key, &self.inner.base_config) {
-            tenant.breaker.on_success();
-            return answer_now(st, c, &reply, || {
-                index(&self.inner, &compiled);
-                let took = admitted.elapsed();
-                result_response(&id, &compiled.entry, stats, SimSource::CacheHit, 0, took)
-            });
-        }
+        tenant.jobs += 1;
         let deadline_ms = req
             .deadline_ms
-            .unwrap_or(cfg.default_deadline_ms)
+            .unwrap_or(self.inner.config.default_deadline_ms)
             .clamp(1, MAX_DEADLINE_MS);
         let job = Job {
             id,
@@ -516,56 +466,33 @@ impl Server {
     pub fn stats_json(&self) -> Json {
         let c = &self.inner.counters;
         let cache = self.inner.engine.cache_counters();
-        let index_entries = self.inner.index.lock().unwrap().len();
+        let (index_entries, index_bytes) = {
+            let index = self.inner.index.lock().unwrap();
+            (index.map.len(), index.bytes)
+        };
         let st = self.inner.state.lock().unwrap();
+        let draining = self.inner.draining.load(Ordering::SeqCst);
+        let count = |counter: &AtomicU64| Json::Num(counter.load(Ordering::Relaxed) as f64);
         obj(vec![
             ("queue_depth", Json::Num(st.queue.len() as f64)),
-            ("running", Json::Num(st.running as f64)),
-            (
-                "draining",
-                Json::Bool(self.inner.draining.load(Ordering::SeqCst)),
-            ),
-            (
-                "admitted",
-                Json::Num(c.admitted.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "completed",
-                Json::Num(c.completed.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "shed_overloaded",
-                Json::Num(c.shed_overloaded.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "shed_quota",
-                Json::Num(c.shed_quota.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "shed_breaker",
-                Json::Num(c.shed_breaker.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "bad_request",
-                Json::Num(c.bad_request.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "compile_error",
-                Json::Num(c.compile_error.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "deadline_exceeded",
-                Json::Num(c.deadline_exceeded.load(Ordering::Relaxed) as f64),
-            ),
-            ("faults", Json::Num(c.faults.load(Ordering::Relaxed) as f64)),
+            ("running", Json::Num(st.running_tokens.len() as f64)),
+            ("draining", Json::Bool(draining)),
+            ("admitted", count(&c.admitted)),
+            ("completed", count(&c.completed)),
+            ("shed_overloaded", count(&c.shed_overloaded)),
+            ("shed_quota", count(&c.shed_quota)),
+            ("shed_breaker", count(&c.shed_breaker)),
+            ("bad_request", count(&c.bad_request)),
+            ("compile_error", count(&c.compile_error)),
+            ("deadline_exceeded", count(&c.deadline_exceeded)),
+            ("faults", count(&c.faults)),
             ("cache_hits", Json::Num(cache.hits as f64)),
             ("cache_misses", Json::Num(cache.misses as f64)),
             ("coalesced", Json::Num(cache.coalesced as f64)),
             ("index_entries", Json::Num(index_entries as f64)),
-            (
-                "index_hits",
-                Json::Num(c.index_hits.load(Ordering::Relaxed) as f64),
-            ),
+            ("index_hits", count(&c.index_hits)),
+            ("index_bytes", Json::Num(index_bytes as f64)),
+            ("tenants", Json::Num(st.tenants.len() as f64)),
         ])
     }
 
@@ -583,19 +510,18 @@ impl Server {
         while st.workers_alive > 0 {
             if !aborted && Instant::now() >= grace_until {
                 aborted = true;
-                // Grace expired: answer the backlog and cancel running sims.
+                // Grace expired: answer the backlog and cancel running
+                // sims. Tenants' job counts are left as they are: a
+                // draining server admits nothing again.
                 for job in st.queue.drain_all() {
                     self.inner
                         .counters
                         .deadline_exceeded
                         .fetch_add(1, Ordering::Relaxed);
-                    let _ = job.reply.send(Response::Error(ErrorBody {
-                        id: job.id,
-                        kind: ErrorKind::DeadlineExceeded,
-                        message: "cancelled by shutdown drain".to_string(),
-                        retry_after_ms: None,
-                        diagnostics: Vec::new(),
-                    }));
+                    let message = "cancelled by shutdown drain";
+                    let _ = job
+                        .reply
+                        .send(err(&job.id, ErrorKind::DeadlineExceeded, message));
                 }
                 for tok in &st.running_tokens {
                     tok.cancel();
@@ -637,9 +563,87 @@ impl Server {
     }
 }
 
-/// Answer an admitted submission that needs no simulation (a compile
-/// error, a cached result) on the caller's thread; the reply is built
-/// after the lock is released.
+/// Admission's gates, in order, under the state lock: drain, the tenant
+/// cap, breaker, depth, quota. `Ok` is the admitted submission's tenant,
+/// charged, its half-open probe slot (if any) committed; `Err` is the
+/// shed's kind, message and retry-after.
+fn gate<'a>(
+    inner: &Inner,
+    st: &'a mut QueueState,
+    req: &SubmitRequest,
+    cost: u64,
+    now_ms: u64,
+) -> Result<&'a mut Tenant, (ErrorKind, String, Option<u64>)> {
+    let (cfg, name) = (&inner.config, &req.tenant);
+    // Checked under the lock: workers exit once they see the drain flag
+    // with an empty queue, so a job pushed after that would never be
+    // answered.
+    if inner.draining.load(Ordering::SeqCst) {
+        let message = "server is draining (shutdown in progress)";
+        return Err((ErrorKind::Overloaded, message.to_string(), None));
+    }
+    // A new name past the tenant cap: drop every idle tenant (no job, a
+    // full bucket, a breaker not shedding), or shed it as if its bucket
+    // held nothing. It has no breaker or bucket yet, so shedding it here
+    // charges nothing. Sweeping at most once a millisecond keeps names
+    // minted against a table of busy tenants from scanning it on every
+    // admission.
+    if st.tenants.len() >= MAX_TENANTS && !st.tenants.contains_key(name) {
+        if now_ms >= st.next_sweep_ms {
+            st.next_sweep_ms = now_ms + 1;
+            st.tenants.retain(|_, t| {
+                t.jobs > 0 || !t.bucket.is_full(now_ms) || t.breaker.check(now_ms).is_err()
+            });
+        }
+        if st.tenants.len() >= MAX_TENANTS {
+            // Retry once an empty bucket could have refilled.
+            let refill_s = cfg.quota_burst as f64 / cfg.quota_rate.max(1) as f64;
+            let retry_ms = ((1000.0 * refill_s) as u64).max(1);
+            let message = format!("{MAX_TENANTS} tenants are active; retry later");
+            return Err((ErrorKind::QuotaExhausted, message, Some(retry_ms)));
+        }
+    }
+    // One tenant lookup serves every gate. A new tenant's bucket is born
+    // full, so creating it ahead of the depth gate leaves what the quota
+    // gate sees unchanged.
+    let queue_full = st.queue.len() >= cfg.queue_high_water;
+    let tenant = st.tenants.entry(name.clone()).or_insert_with(|| Tenant {
+        bucket: TokenBucket::new(cfg.quota_burst, cfg.quota_rate, now_ms),
+        breaker: Breaker::new(cfg.breaker_threshold, cfg.breaker_cooldown_ms),
+        jobs: 0,
+    });
+    // Breaker first (check only: an open breaker must not charge quota,
+    // and the half-open probe slot is committed below, after every other
+    // gate passes).
+    tenant.breaker.check(now_ms).map_err(|retry_ms| {
+        let message =
+            format!("tenant `{name}` circuit breaker is open after repeated simulation faults");
+        (ErrorKind::CircuitOpen, message, Some(retry_ms))
+    })?;
+    // Depth before quota: a submission the server never accepts must not
+    // drain the tenant's bucket, or sustained overload would follow up
+    // with spurious quota-exhausted once the backlog clears.
+    if queue_full {
+        // Retry-after scales with backlog per worker — honest
+        // backpressure instead of a constant.
+        let per_worker = cfg.queue_high_water / cfg.workers.max(1);
+        let retry_ms = (10 * per_worker.max(1) as u64).min(5_000);
+        let message = format!("admission queue full ({} queued)", cfg.queue_high_water);
+        return Err((ErrorKind::Overloaded, message, Some(retry_ms)));
+    }
+    tenant.bucket.try_take(cost, now_ms).map_err(|retry_ms| {
+        let message = format!("tenant `{name}` fuel quota exhausted (request cost {cost})");
+        (ErrorKind::QuotaExhausted, message, Some(retry_ms))
+    })?;
+    // All gates passed — the request will run and report back, so the
+    // half-open probe slot (if any) can safely be consumed now.
+    tenant.breaker.commit(now_ms);
+    Ok(tenant)
+}
+
+/// Answer a submission on the caller's thread: a shed, or an admitted
+/// submission that needs no simulation (a compile error, a cached
+/// result). The reply is built after the lock is released.
 fn answer_now(
     st: MutexGuard<'_, QueueState>,
     c: &Counters,
@@ -652,7 +656,7 @@ fn answer_now(
     let _ = reply.send(response);
 }
 
-/// Count the answer to an admitted request under its outcome.
+/// Count an answer under its outcome; a shed under its gate.
 fn count_answer(c: &Counters, response: &Response) {
     let counter = match response {
         Response::Result(_) => &c.completed,
@@ -661,7 +665,9 @@ fn count_answer(c: &Counters, response: &Response) {
             ErrorKind::CompileError => &c.compile_error,
             ErrorKind::DeadlineExceeded => &c.deadline_exceeded,
             ErrorKind::Fault => &c.faults,
-            ErrorKind::Overloaded | ErrorKind::QuotaExhausted | ErrorKind::CircuitOpen => return,
+            ErrorKind::Overloaded => &c.shed_overloaded,
+            ErrorKind::QuotaExhausted => &c.shed_quota,
+            ErrorKind::CircuitOpen => &c.shed_breaker,
         },
         Response::Info { .. } => return,
     };
@@ -674,7 +680,6 @@ fn worker_loop(inner: &Arc<Inner>) {
             let mut st = inner.state.lock().unwrap();
             loop {
                 if let Some((_, _, job)) = st.queue.pop() {
-                    st.running += 1;
                     st.running_tokens.push(job.cancel.clone());
                     break job;
                 }
@@ -698,12 +703,12 @@ fn worker_loop(inner: &Arc<Inner>) {
             let now_ms = inner.epoch.elapsed().as_millis() as u64;
             let mut st = inner.state.lock().unwrap();
             if let Some(t) = st.tenants.get_mut(&tenant) {
+                t.jobs -= 1;
                 match &response {
                     Response::Error(e) if e.kind == ErrorKind::Fault => t.breaker.on_fatal(now_ms),
                     _ => t.breaker.on_success(),
                 }
             }
-            st.running -= 1;
             st.running_tokens.retain(|t| t != &cancel);
         }
         let _ = reply.send(response);
@@ -854,19 +859,48 @@ struct Indexed {
     n: u32,
     m: u32,
     transformed: bool,
-    /// Boxed: few compiles fall back, and the index keeps every entry.
+    /// Boxed: few compiles fall back.
     fallback: Option<Box<Diagnostic>>,
     /// Only when the submission set `emit`.
     emitted_source: Option<String>,
 }
 
+impl Indexed {
+    /// What this entry holds in the index, in bytes: its map slot, the
+    /// `Arc`'s allocation, and every string and diagnostic it owns.
+    fn bytes(&self) -> usize {
+        let fallback = self.fallback.as_deref().map_or(0, |d| {
+            let notes: usize = d.notes.iter().map(|n| n.message.capacity()).sum();
+            size_of::<Diagnostic>()
+                + d.message.capacity()
+                + d.notes.capacity() * size_of::<Note>()
+                + notes
+        });
+        size_of::<(Fingerprint, Arc<Indexed>)>()
+            + size_of::<(usize, usize, Indexed)>()
+            + self.kernel.capacity()
+            + self.emitted_source.as_ref().map_or(0, String::capacity)
+            + fallback
+    }
+}
+
+/// The request index: entries of at most `budget` bytes in all.
+struct Index {
+    map: HashMap<Fingerprint, Arc<Indexed>>,
+    /// The sum of the entries' [`Indexed::bytes`].
+    bytes: usize,
+    budget: usize,
+}
+
 /// A submission ready for admission.
 enum Prepared {
-    /// Indexed, with the result the engine holds under its key (read
-    /// without counting; admission counts the hit).
-    Indexed(Arc<Indexed>, LaunchStats),
-    /// Compiled by this request.
-    Compiled(Compiled),
+    /// The engine holds a result under the entry's key: the stats, read
+    /// without counting (admission counts the hit), and the fingerprint
+    /// to index when this request compiled; `None` when the index
+    /// answered it.
+    Held(Arc<Indexed>, LaunchStats, Option<Fingerprint>),
+    /// Compiled, and not held: a worker simulates it.
+    Miss(Compiled),
 }
 
 /// A submission compiled on the caller's thread: its index entry, to
@@ -885,9 +919,9 @@ struct Compiled {
 }
 
 /// Check the size cap and look the submission up in the request index;
-/// failing that, parse, pick the kernel, run the CATT pipeline and
-/// settle the arguments and cache key. Counts nothing: the caller
-/// answers a rejection only once the request passes admission.
+/// failing that, parse, pick the kernel, run the CATT pipeline, settle
+/// the arguments and cache key, and ask the engine for the key. Counts
+/// nothing: the caller answers only once the request passes admission.
 fn prepare(inner: &Inner, id: &str, req: &SubmitRequest) -> Result<Prepared, ErrorBody> {
     let source = &req.kernel_source;
     if source.len() > MAX_SOURCE_BYTES {
@@ -898,10 +932,10 @@ fn prepare(inner: &Inner, id: &str, req: &SubmitRequest) -> Result<Prepared, Err
         return Err(error_body(id, ErrorKind::BadRequest, message, Vec::new()));
     }
     let fingerprint = Fingerprint::of(req, &inner.index_keys);
-    let indexed = inner.index.lock().unwrap().get(&fingerprint).cloned();
+    let indexed = inner.index.lock().unwrap().map.get(&fingerprint).cloned();
     if let Some(entry) = indexed {
         if let Some(stats) = inner.engine.held(entry.key, &inner.base_config) {
-            return Ok(Prepared::Indexed(entry, stats));
+            return Ok(Prepared::Held(entry, stats, None));
         }
     }
     let module = inner.pipe.parse(source).map_err(|e| {
@@ -953,7 +987,7 @@ fn prepare(inner: &Inner, id: &str, req: &SubmitRequest) -> Result<Prepared, Err
     );
     let analysis = &compiled.analysis;
     let n = analysis.loops.iter().map(|l| l.decision.n).max();
-    let entry = Indexed {
+    let entry = Arc::new(Indexed {
         key,
         kernel: kernel.name.clone(),
         n: n.unwrap_or(1).max(1),
@@ -964,10 +998,13 @@ fn prepare(inner: &Inner, id: &str, req: &SubmitRequest) -> Result<Prepared, Err
             Box::new(fb)
         }),
         emitted_source: req.emit.then_some(compiled.emitted_source),
-    };
-    Ok(Prepared::Compiled(Compiled {
+    });
+    if let Some(stats) = inner.engine.held(key, &inner.base_config) {
+        return Ok(Prepared::Held(entry, stats, Some(fingerprint)));
+    }
+    Ok(Prepared::Miss(Compiled {
         fingerprint,
-        entry: Arc::new(entry),
+        entry,
         program: compiled.program,
         launch,
         spec,
@@ -975,21 +1012,21 @@ fn prepare(inner: &Inner, id: &str, req: &SubmitRequest) -> Result<Prepared, Err
     }))
 }
 
-/// Index a compiled submission that yielded a result, if the engine
-/// holds it: with the simcache off, the index stays empty.
-fn index(inner: &Inner, compiled: &Compiled) {
-    if inner
-        .engine
-        .held(compiled.entry.key, &inner.base_config)
-        .is_some()
-    {
-        let entry = Arc::clone(&compiled.entry);
-        inner
-            .index
-            .lock()
-            .unwrap()
-            .insert(compiled.fingerprint, entry);
+/// Index a compiled submission that yielded a result. An entry that
+/// would pass the budget starts the index over; one larger than the
+/// whole budget is not kept.
+fn index(inner: &Inner, fingerprint: Fingerprint, entry: &Arc<Indexed>) {
+    let bytes = entry.bytes();
+    let mut index = inner.index.lock().unwrap();
+    if bytes > index.budget || index.map.contains_key(&fingerprint) {
+        return;
     }
+    if index.bytes + bytes > index.budget {
+        index.map.clear();
+        index.bytes = 0;
+    }
+    index.map.insert(fingerprint, Arc::clone(entry));
+    index.bytes += bytes;
 }
 
 /// The success reply: an index entry's fields and a simulation's stats.
@@ -1065,7 +1102,7 @@ fn process_job(inner: &Arc<Inner>, job: Job) -> Response {
 
     match outcome {
         Ok(out) => {
-            index(inner, p);
+            index(inner, p.fingerprint, &p.entry);
             let took = job.admitted.elapsed();
             result_response(&job.id, &p.entry, out.stats, out.source, queue_ms, took)
         }
@@ -1174,7 +1211,7 @@ __global__ void atax1(float *A, float *B, float *tmp) {
             (submit(ATAX, 16, 256, ""), true, 0xb664_ca25_2669_2472),
         ];
         for (req, transformed, recorded) in cases {
-            let Ok(Prepared::Compiled(p)) = prepare(&server.inner, "x", &req) else {
+            let Ok(Prepared::Miss(p)) = prepare(&server.inner, "x", &req) else {
                 panic!("{} does not compile", req.kernel_source);
             };
             assert_eq!(p.entry.transformed, transformed);
@@ -1190,6 +1227,147 @@ __global__ void atax1(float *A, float *B, float *tmp) {
             assert_eq!(p.entry.key, fresh, "{}", p.scope);
             assert_eq!(p.entry.key.0, recorded, "{}: key moved", p.scope);
         }
+        server.drain();
+    }
+
+    fn ask(server: &Server, req: SubmitRequest) -> ResultBody {
+        let (tx, rx) = mpsc::channel();
+        server.submit("r".to_string(), req, tx);
+        result(rx)
+    }
+
+    fn result(rx: mpsc::Receiver<Response>) -> ResultBody {
+        match rx.recv_timeout(Duration::from_secs(60)).expect("one reply") {
+            Response::Result(body) => body,
+            other => panic!("want a result, got {other:?}"),
+        }
+    }
+
+    fn stat(server: &Server, name: &str) -> u64 {
+        let stats = server.stats_json();
+        stats.get(name).and_then(Json::as_u64).expect(name)
+    }
+
+    /// The reply without the four fields a cached answer may change.
+    fn body(reply: &ResultBody) -> ResultBody {
+        ResultBody {
+            id: String::new(),
+            source: "",
+            queue_ms: 0,
+            total_ms: 0,
+            ..reply.clone()
+        }
+    }
+
+    /// More distinct submissions than the index holds keep it within its
+    /// budget; the first, sent again after the index started over,
+    /// compiles and finds its result in the simcache.
+    #[test]
+    fn a_full_index_starts_over_within_its_budget() {
+        let smoke = |grid| submit(SMOKE, grid, 32, "f:64,f:64,si:64");
+        let probe = Server::new(ServeConfig::default(), Engine::with_workers(1));
+        let Ok(Prepared::Miss(p)) = prepare(&probe.inner, "x", &smoke(1)) else {
+            panic!("the smoke kernel compiles");
+        };
+        probe.drain();
+        // Room for three entries of this size.
+        let budget = 3 * p.entry.bytes() + p.entry.bytes() / 2;
+        let server = Server::build(ServeConfig::default(), Engine::with_workers(1), budget);
+        let first = ask(&server, smoke(1));
+        assert_eq!(first.source, "computed");
+        for grid in 2..=8 {
+            assert_eq!(ask(&server, smoke(grid)).source, "computed");
+            assert!(
+                stat(&server, "index_bytes") as usize <= budget,
+                "grid {grid}"
+            );
+        }
+        assert!(stat(&server, "index_entries") < 8);
+        let again = ask(&server, smoke(1));
+        assert_eq!(stat(&server, "index_hits"), 0, "the first compiled again");
+        assert_eq!((again.source, again.queue_ms), ("cache", 0));
+        assert_eq!(body(&again), body(&first));
+        assert!(stat(&server, "index_bytes") as usize <= budget);
+        server.drain();
+
+        // An entry larger than the whole budget is not kept.
+        let budget = p.entry.bytes() - 1;
+        let server = Server::build(ServeConfig::default(), Engine::with_workers(1), budget);
+        assert_eq!(ask(&server, smoke(1)).source, "computed");
+        assert_eq!(ask(&server, smoke(1)).source, "cache");
+        assert_eq!(stat(&server, "index_entries"), 0);
+        assert_eq!(stat(&server, "index_bytes"), 0);
+        assert_eq!(stat(&server, "index_hits"), 0);
+        server.drain();
+    }
+
+    /// A submission the index does not know, whose compile finds its key
+    /// held, is answered before `submit` returns, while the one worker is
+    /// busy, and then indexed.
+    #[test]
+    fn a_compiled_hit_is_answered_at_admission_and_indexed() {
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let plan = catt_core::fault::FaultPlan::parse("delay-job=300");
+        let server = Server::new(config, Engine::with_workers(1).with_fault_plan(plan));
+        let args = "f:64,f:64,si:64";
+        let first = ask(&server, submit(SMOKE, 2, 32, args));
+        let (busy_tx, busy) = mpsc::channel();
+        server.submit("busy".to_string(), submit(SMOKE, 3, 32, args), busy_tx);
+        let spaced = submit(&SMOKE.replace("{ ", "{  "), 2, 32, args);
+        let (tx, rx) = mpsc::channel();
+        server.submit("spaced".to_string(), spaced.clone(), tx);
+        let Ok(Response::Result(hit)) = rx.try_recv() else {
+            panic!("a compiled hit is answered before `submit` returns");
+        };
+        assert_eq!((hit.source, hit.queue_ms), ("cache", 0));
+        assert_eq!(body(&hit), body(&first));
+        assert_eq!(stat(&server, "index_entries"), 2);
+        assert_eq!(stat(&server, "index_hits"), 0);
+        assert_eq!(ask(&server, spaced).source, "cache");
+        assert_eq!(stat(&server, "index_hits"), 1);
+        assert_eq!(result(busy).source, "computed");
+        server.drain();
+    }
+
+    /// An indexed submission whose key the simcache drops between
+    /// `prepare` and admission is answered from the stats `prepare` read,
+    /// counting no hit; sent again, it compiles and simulates.
+    #[test]
+    fn a_key_dropped_after_prepare_is_answered_from_what_prepare_read() {
+        let server = Server::new(ServeConfig::default(), Engine::with_workers(1));
+        let req = submit(SMOKE, 2, 32, "f:64,f:64,si:64");
+        let first = ask(&server, req.clone());
+        let prepared = prepare(&server.inner, "again", &req);
+        let Ok(Prepared::Held(entry, _, None)) = &prepared else {
+            panic!("the index answers a resubmission");
+        };
+        let (engine, config) = (server.engine(), &server.inner.base_config);
+        let key = entry.key;
+        // Fill the simcache until it starts over.
+        let mut filler = 0;
+        while engine.held(key, config).is_some() {
+            filler += 1;
+            let stats = || Ok(LaunchStats::default());
+            engine
+                .sim_app_shared("filler", JobKey(filler), config, None, stats)
+                .unwrap();
+        }
+        let hits = engine.cache_counters().hits;
+        let (tx, rx) = mpsc::channel();
+        server.admit("again".to_string(), req.clone(), prepared, tx);
+        let again = result(rx);
+        assert_eq!((again.source, again.queue_ms), ("cache", 0));
+        assert_eq!(body(&again), body(&first));
+        assert_eq!(engine.cache_counters().hits, hits, "no hit counted");
+        assert_eq!(stat(&server, "index_hits"), 1);
+
+        let third = ask(&server, req);
+        assert_eq!(third.source, "computed", "the dropped key compiles");
+        assert_eq!(body(&third), body(&first));
+        assert_eq!(stat(&server, "index_hits"), 1);
         server.drain();
     }
 

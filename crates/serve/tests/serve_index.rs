@@ -1,8 +1,8 @@
 //! The request index (DESIGN.md §3g): a resubmission is answered from
 //! the index with the reply its compile gave, a submission the index
-//! does not know still finds the simcache through its program key, an
-//! uncached engine indexes nothing, and the admission gates apply to an
-//! indexed submission exactly as to a compiled one.
+//! does not know still finds the simcache through its program key, and
+//! the admission gates apply to an indexed submission exactly as to a
+//! compiled one.
 
 use catt_core::engine::Engine;
 use catt_core::fault::FaultPlan;
@@ -210,21 +210,6 @@ fn the_fingerprint_covers_what_decides_a_reply() {
     };
     assert_eq!(result(ask(&server, "same", same)).source, "cache");
     assert_eq!(stat(&server, "index_hits"), 1);
-    server.drain();
-}
-
-#[test]
-fn an_uncached_engine_indexes_nothing() {
-    let server = server(Engine::uncached());
-    for (i, req) in [submit("a", SMOKE), split("a"), submit("b", SMOKE)]
-        .into_iter()
-        .enumerate()
-    {
-        let reply = result(ask(&server, &format!("r{i}"), req));
-        assert_eq!(reply.source, "computed");
-    }
-    assert_eq!(stat(&server, "index_entries"), 0);
-    assert_eq!(stat(&server, "index_hits"), 0);
     server.drain();
 }
 

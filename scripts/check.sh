@@ -212,4 +212,56 @@ for repeat in ok-2 ok-3; do
     fi
 done
 
+echo "==> serve soak: daemon state stays bounded under distinct kernels and tenants"
+# 50 000 distinct one-line kernels, each under its own tenant name, sent
+# one at a time (each reply read before the next line goes in, so none is
+# shed), then a `stats` line. Every submission must be computed, and the
+# final stats must show the request index within its 4 MiB budget after
+# it started over (fewer entries than computed submissions) and at most
+# 1 024 tenants.
+SOAK_DIR="target/serve-soak"
+SOAK_N=50000
+rm -rf "$SOAK_DIR"
+mkdir -p "$SOAK_DIR"
+mkfifo "$SOAK_DIR/in" "$SOAK_DIR/out"
+awk -v n="$SOAK_N" 'BEGIN {
+    for (i = 0; i < n; i++)
+        printf "{\"id\":\"s%d\",\"tenant\":\"t%d\",\"kernel\":\"__global__ void k(float *a) { a[0] = %d.0f; }\",\"grid\":1,\"block\":32}\n", i, i, i
+}' > "$SOAK_DIR/requests.jsonl"
+target/release/catt serve --stdio < "$SOAK_DIR/in" > "$SOAK_DIR/out" &
+SOAK_PID=$!
+exec 3> "$SOAK_DIR/in" 4< "$SOAK_DIR/out"
+SOAK_COMPUTED=0
+while IFS= read -r request; do
+    printf '%s\n' "$request" >&3
+    IFS= read -r reply <&4 || {
+        echo "error: catt serve soak: no reply to $request" >&2
+        exit 1
+    }
+    case "$reply" in
+    *'"source":"computed"'*) SOAK_COMPUTED=$((SOAK_COMPUTED + 1)) ;;
+    esac
+done < "$SOAK_DIR/requests.jsonl"
+printf '{"id":"soak-stats","op":"stats"}\n' >&3
+IFS= read -r SOAK_STATS <&4 || SOAK_STATS=""
+exec 3>&-
+wait "$SOAK_PID"
+exec 4<&-
+soak_stat() {
+    printf '%s\n' "$SOAK_STATS" | sed -n -E "s/.*\"$1\":([0-9]+).*/\1/p"
+}
+INDEX_BYTES="$(soak_stat index_bytes)"
+INDEX_ENTRIES="$(soak_stat index_entries)"
+TENANTS="$(soak_stat tenants)"
+if [ "$SOAK_COMPUTED" != "$SOAK_N" ]; then
+    echo "error: catt serve soak computed $SOAK_COMPUTED of $SOAK_N submissions" >&2
+    exit 1
+fi
+if [ -z "$INDEX_BYTES" ] || [ -z "$INDEX_ENTRIES" ] || [ -z "$TENANTS" ] \
+    || [ "$INDEX_BYTES" -gt $((4 << 20)) ] || [ "$INDEX_ENTRIES" -ge "$SOAK_COMPUTED" ] \
+    || [ "$TENANTS" -gt 1024 ]; then
+    echo "error: catt serve soak: daemon state past its bounds: $SOAK_STATS" >&2
+    exit 1
+fi
+
 echo "==> all checks passed"

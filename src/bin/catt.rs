@@ -55,10 +55,9 @@
 //! `<kernel>=<gx>,<gy>x<bx>,<by>` (2-D). Repeat `--launch` per kernel.
 //!
 //! This file is where deployment settings enter: `CATT_DIAG_FORMAT`,
-//! `CATT_SIMCACHE`, `CATT_ENGINE_WORKERS`, `CATT_ENGINE_PROGRESS`,
-//! `CATT_FAULT_PLAN` and the `CATT_SERVE_*` tuning are parsed here, once,
-//! into the typed configuration the library takes (table in
-//! EXPERIMENTS.md).
+//! `CATT_ENGINE_WORKERS`, `CATT_ENGINE_PROGRESS`, `CATT_FAULT_PLAN` and
+//! the `CATT_SERVE_*` tuning are parsed here, once, into the typed
+//! configuration the library takes (table in EXPERIMENTS.md).
 
 use catt_repro::core::{Engine, FaultPlan, Pipeline, Progress};
 use catt_repro::ir::{Dim3, LaunchConfig};
@@ -88,20 +87,11 @@ fn env_u64(name: &str) -> Option<u64> {
         .filter(|&n| n > 0)
 }
 
-/// The evaluation engine the environment asks for: cache mode from
-/// `CATT_SIMCACHE` (`mem`, the default, or `off`; anything else is a
-/// usage error, exit status 2), worker bound from `CATT_ENGINE_WORKERS`,
-/// stderr verbosity from `CATT_ENGINE_PROGRESS` (`off` | `summary` |
-/// `full`; default `summary`), armed with `fault`.
+/// The evaluation engine the environment asks for: worker bound from
+/// `CATT_ENGINE_WORKERS`, stderr verbosity from `CATT_ENGINE_PROGRESS`
+/// (`off` | `summary` | `full`; default `summary`), armed with `fault`.
 fn engine_from_env(fault: &FaultPlan) -> Engine {
-    let mut engine = match std::env::var("CATT_SIMCACHE").as_deref() {
-        Ok("mem") | Ok("") | Err(_) => Engine::new(),
-        Ok("off") => Engine::uncached(),
-        Ok(other) => {
-            eprintln!("catt: CATT_SIMCACHE=`{other}` is not one of `mem` (the default) or `off`");
-            std::process::exit(2);
-        }
-    };
+    let mut engine = Engine::new();
     if let Some(n) = env_u64("CATT_ENGINE_WORKERS") {
         engine = engine.with_worker_bound(n as usize);
     }
@@ -116,7 +106,7 @@ fn engine_from_env(fault: &FaultPlan) -> Engine {
 
 /// The daemon under `catt serve`: [`ServeConfig`]'s
 /// defaults with the `CATT_SERVE_*` overrides applied (EXPERIMENTS.md),
-/// over the engine `CATT_SIMCACHE` selects.
+/// over the engine [`engine_from_env`] builds.
 fn serve_from_env(fault: &FaultPlan) -> (catt_repro::serve::ServeConfig, Engine) {
     use catt_repro::serve::ServeConfig;
     let d = ServeConfig::default();

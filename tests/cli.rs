@@ -228,8 +228,8 @@ fn bad_usage_exits_nonzero() {
 }
 
 /// `catt reproduce <id> --check` reads `results/` under the working
-/// directory and writes nothing; an unknown id or cache mode is a usage
-/// error that names what is accepted.
+/// directory and writes nothing; an unknown id is a usage error that
+/// names what is accepted.
 #[test]
 fn reproduce_checks_a_committed_table() {
     let repo = env!("CARGO_MANIFEST_DIR");
@@ -248,19 +248,6 @@ fn reproduce_checks_a_committed_table() {
     let out = catt().args(["reproduce", "fig1"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("fig7"));
-
-    let out = catt()
-        .args(["reproduce", "table1", "--check"])
-        .env("CATT_SIMCACHE", "results/.simcache")
-        .current_dir(repo)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("`mem`") && stderr.contains("`off`"),
-        "{stderr}"
-    );
 }
 
 #[test]
