@@ -20,8 +20,8 @@
 //!   and circuit-breaker paths (`catt serve`) are testable without racing
 //!   real simulation times;
 //! * `fail-transform` — the pipeline's throttling transform reports
-//!   failure for every kernel, forcing the multiversion fallback to the
-//!   original code.
+//!   failure for every kernel, forcing the transform stage's `W002`
+//!   fallback to the original code.
 //!
 //! Example: `CATT_FAULT_PLAN="panic-job=3,delay-job=2"`.
 //!

@@ -21,9 +21,9 @@
 //!    reduce resident blocks (Fig. 5).
 //! 4. [`passes`] / [`pipeline`] — the end-to-end
 //!    `parse → analyze → legalize → transform → emit` driver, the
-//!    library's main entry point: an explicit pass pipeline with panic
-//!    containment (an escaped panic becomes an `E030` diagnostic, not a
-//!    crash).
+//!    library's main entry point: five stage functions called in order,
+//!    each under panic containment (an escaped panic becomes an `E030`
+//!    diagnostic, not a crash).
 //!
 //! [`bftt`] implements the paper's strongest software baseline: best-fixed
 //! thread throttling, which exhaustively simulates every `(warps, TBs)`
@@ -34,7 +34,6 @@ pub mod analysis;
 pub mod bftt;
 pub mod engine;
 pub mod fault;
-pub mod multiversion;
 pub mod occupancy;
 pub mod passes;
 pub mod pipeline;
@@ -47,9 +46,8 @@ pub use analysis::{
 pub use bftt::{BfttCandidate, BfttResult, CandidateOutcome, SweepError};
 pub use engine::{CacheCounters, Engine, JobError, Progress};
 pub use fault::FaultPlan;
-pub use multiversion::MultiVersioned;
 pub use occupancy::L1SmemPlan;
-pub use passes::{LegalPlan, Pass, PassManager};
+pub use passes::LegalPlan;
 pub use pipeline::{CompiledApp, CompiledKernel, Pipeline, PipelineError};
 pub use swizzle::{cta_swizzle, swizzle_map, SwizzlePolicy};
 pub use transform::{

@@ -1,8 +1,8 @@
-//! The staged pass pipeline: an explicit [`Pass`] trait, a
-//! [`PassManager`] that runs each pass under `catch_unwind` (an escaped
-//! panic becomes an `E030` diagnostic naming the pass, not a dead
-//! process), plus the concrete compile passes
-//! `parse → analyze → legalize → transform → emit`.
+//! The compile stages `parse → analyze → legalize → transform → emit`
+//! as plain functions (emit is [`catt_ir::printer::kernel_to_string`]),
+//! and [`contained`], which runs one stage under `catch_unwind`: an
+//! escaped panic becomes an `E030` diagnostic naming the stage, not a
+//! dead process.
 
 use crate::analysis::{analyze_kernel, search_factors, KernelAnalysis, LoopAnalysis};
 use crate::fault::FaultPlan;
@@ -10,26 +10,8 @@ use crate::transform::{tb_throttle, warp_throttle};
 use catt_diag::{codes, Diagnostic};
 use catt_frontend::parse_module_recover;
 use catt_ir::kernel::{Kernel, LaunchConfig, Module};
-use catt_ir::printer;
 use catt_sim::{GpuConfig, Program, SMEM_CONFIGS_KB};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// One stage of the compile pipeline.
-///
-/// A pass consumes its input, appends any number of typed diagnostics,
-/// and either produces an output or fails (`None`, in which case at
-/// least one error diagnostic explains why).
-pub trait Pass {
-    type Input<'a>;
-    type Output;
-
-    /// Stable pass name (appears in diagnostics).
-    fn name(&self) -> &'static str;
-
-    /// Run the pass. Errors and warnings go into `diags`; a `None`
-    /// return means the pipeline stops after this pass.
-    fn run(&self, input: Self::Input<'_>, diags: &mut Vec<Diagnostic>) -> Option<Self::Output>;
-}
 
 /// The message of a caught panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -40,64 +22,45 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Runs passes with panic containment.
-pub struct PassManager;
-
-impl PassManager {
-    /// Run `pass` on `input` under `catch_unwind`: its diagnostics are
-    /// tagged with the pass name, and an escaped panic is reported as an
-    /// `E030` diagnostic carrying the pass name.
-    pub fn run<P: Pass>(
-        pass: &P,
-        input: P::Input<'_>,
-        diags: &mut Vec<Diagnostic>,
-    ) -> Option<P::Output> {
-        let first = diags.len();
-        let result = catch_unwind(AssertUnwindSafe(|| pass.run(input, diags)));
-        for d in &mut diags[first..] {
-            if d.pass.is_none() {
-                d.pass = Some(pass.name());
-            }
+/// Run the stage named `pass` under `catch_unwind`. The diagnostics it
+/// appends are tagged with the pass name, and an escaped panic is
+/// reported as an `E030` diagnostic carrying the pass name. `None` means
+/// the compile stops here; at least one error diagnostic says why.
+pub fn contained<T>(
+    pass: &'static str,
+    diags: &mut Vec<Diagnostic>,
+    stage: impl FnOnce(&mut Vec<Diagnostic>) -> Option<T>,
+) -> Option<T> {
+    let first = diags.len();
+    let result = catch_unwind(AssertUnwindSafe(|| stage(diags)));
+    for d in &mut diags[first..] {
+        if d.pass.is_none() {
+            d.pass = Some(pass);
         }
-        match result {
-            Ok(output) => output,
-            Err(payload) => {
-                let msg = panic_message(payload);
-                diags.push(
-                    Diagnostic::error(
-                        codes::PASS_PANICKED,
-                        format!("internal error: pass `{}` panicked: {msg}", pass.name()),
-                    )
-                    .in_pass(pass.name()),
-                );
-                None
-            }
+    }
+    match result {
+        Ok(output) => output,
+        Err(payload) => {
+            let msg = panic_message(payload);
+            diags.push(
+                Diagnostic::error(
+                    codes::PASS_PANICKED,
+                    format!("internal error: pass `{pass}` panicked: {msg}"),
+                )
+                .in_pass(pass),
+            );
+            None
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Concrete passes.
-// ---------------------------------------------------------------------
-
 /// `parse`: source text → IR module (recovering parser; all frontend
 /// diagnostics surface here).
-pub struct ParsePass;
-
-impl Pass for ParsePass {
-    type Input<'a> = &'a str;
-    type Output = Module;
-
-    fn name(&self) -> &'static str {
-        "parse"
-    }
-
-    fn run(&self, input: &str, diags: &mut Vec<Diagnostic>) -> Option<Module> {
-        let outcome = parse_module_recover(input);
-        let clean = outcome.is_clean();
-        diags.extend(outcome.diagnostics);
-        clean.then_some(outcome.module)
-    }
+pub fn parse(src: &str, diags: &mut Vec<Diagnostic>) -> Option<Module> {
+    let outcome = parse_module_recover(src);
+    let clean = outcome.is_clean();
+    diags.extend(outcome.diagnostics);
+    clean.then_some(outcome.module)
 }
 
 /// What `analyze` hands on: the analysis, and the kernel's program, which
@@ -109,72 +72,66 @@ pub struct Analyzed {
     pub program: Program,
 }
 
+/// The largest shared-memory carve-out the target offers: the paper's
+/// Fig. 5 setting when a TB throttle needs space on a kernel without any.
+pub(crate) fn max_carveout_bytes() -> u32 {
+    SMEM_CONFIGS_KB.last().copied().unwrap_or(96) * 1024
+}
+
 /// `analyze`: kernel → occupancy plan + per-loop footprint decisions
 /// (paper §4.1–4.3), including the Fig. 5 carve-out reconfiguration
 /// when a TB throttle needs shared-memory space.
-pub struct AnalyzePass<'c> {
-    pub config: &'c GpuConfig,
-    pub launch: LaunchConfig,
-}
-
-impl Pass for AnalyzePass<'_> {
-    type Input<'a> = &'a Kernel;
-    type Output = Analyzed;
-
-    fn name(&self) -> &'static str {
-        "analyze"
-    }
-
-    fn run(&self, kernel: &Kernel, diags: &mut Vec<Diagnostic>) -> Option<Analyzed> {
-        let program = match catt_sim::lower(kernel) {
-            Ok(p) => p,
-            Err(e) => {
-                diags.push(
-                    Diagnostic::error(codes::LOWERING_FAILED, e.to_string())
-                        .with_span(kernel.spans.name),
-                );
-                return None;
-            }
-        };
-        let Some(mut analysis) =
-            analyze_kernel(kernel, self.launch, self.config, program.num_regs as u32)
-        else {
+pub fn analyze(
+    kernel: &Kernel,
+    launch: LaunchConfig,
+    config: &GpuConfig,
+    diags: &mut Vec<Diagnostic>,
+) -> Option<Analyzed> {
+    let program = match catt_sim::lower(kernel) {
+        Ok(p) => p,
+        Err(e) => {
             diags.push(
-                Diagnostic::error(
-                    codes::UNLAUNCHABLE,
-                    format!("kernel `{}` cannot launch on the target", kernel.name),
-                )
-                .with_span(kernel.spans.name),
+                Diagnostic::error(codes::LOWERING_FAILED, e.to_string())
+                    .with_span(kernel.spans.name),
             );
             return None;
-        };
-
-        // When any loop needs TB-level throttling on a kernel without free
-        // shared-memory space, the carve-out must be reconfigured (§4.3).
-        // Follow the paper's Fig. 5 setting: largest carve-out, 32 KB L1D,
-        // and re-run the factor search against that capacity.
-        if analysis.tb_throttle_m() > 0 && analysis.plan.smem_carveout_bytes == 0 {
-            let max_kb = SMEM_CONFIGS_KB.last().copied().unwrap_or(96);
-            let mut cfg = self.config.clone();
-            cfg.smem_carveout_bytes = max_kb * 1024;
-            let l1d_lines = (cfg.l1d_bytes() / cfg.l1_line_bytes) as u64;
-            for l in &mut analysis.loops {
-                if l.decision.m > 0 {
-                    let per_round: u64 = l.accesses.iter().map(|a| a.req_warp as u64).sum();
-                    l.decision = search_factors(
-                        per_round,
-                        analysis.warps_per_tb,
-                        analysis.plan.resident_tbs,
-                        l1d_lines,
-                    );
-                }
-            }
-            analysis.plan.config = cfg;
-            analysis.plan.smem_carveout_bytes = max_kb * 1024;
-            analysis.plan.l1d_bytes = analysis.plan.config.l1d_bytes();
         }
-        Some(Analyzed { analysis, program })
+    };
+    let Some(mut analysis) = analyze_kernel(kernel, launch, config, program.num_regs as u32) else {
+        diags.push(
+            Diagnostic::error(
+                codes::UNLAUNCHABLE,
+                format!("kernel `{}` cannot launch on the target", kernel.name),
+            )
+            .with_span(kernel.spans.name),
+        );
+        return None;
+    };
+
+    // When any loop needs TB-level throttling on a kernel without free
+    // shared-memory space, the carve-out must be reconfigured (§4.3).
+    // Follow the paper's Fig. 5 setting: largest carve-out, 32 KB L1D,
+    // and re-run the factor search against that capacity.
+    if analysis.tb_throttle_m() > 0 && analysis.plan.smem_carveout_bytes == 0 {
+        let mut cfg = config.clone();
+        cfg.smem_carveout_bytes = max_carveout_bytes();
+        let l1d_lines = (cfg.l1d_bytes() / cfg.l1_line_bytes) as u64;
+        for l in &mut analysis.loops {
+            if l.decision.m > 0 {
+                let per_round: u64 = l.accesses.iter().map(|a| a.req_warp as u64).sum();
+                l.decision = search_factors(
+                    per_round,
+                    analysis.warps_per_tb,
+                    analysis.plan.resident_tbs,
+                    l1d_lines,
+                );
+            }
+        }
+        analysis.plan.smem_carveout_bytes = cfg.smem_carveout_bytes;
+        analysis.plan.l1d_bytes = cfg.l1d_bytes();
+        analysis.plan.config = cfg;
     }
+    Some(Analyzed { analysis, program })
 }
 
 /// The legalized throttling plan: which transforms will actually be
@@ -196,29 +153,6 @@ impl LegalPlan {
     }
 }
 
-/// `legalize`: analysis decisions → concrete transform plan. Every
-/// loop the analysis wanted to throttle but legality rejects is
-/// reported as a warning naming the loop's source span (`W010` barrier,
-/// `W011` divergent guard, `W012` unresolved factors).
-pub struct LegalizePass;
-
-impl Pass for LegalizePass {
-    type Input<'a> = (&'a Kernel, &'a KernelAnalysis);
-    type Output = LegalPlan;
-
-    fn name(&self) -> &'static str {
-        "legalize"
-    }
-
-    fn run(
-        &self,
-        (kernel, analysis): (&Kernel, &KernelAnalysis),
-        diags: &mut Vec<Diagnostic>,
-    ) -> Option<LegalPlan> {
-        Some(legalize(kernel, analysis, diags))
-    }
-}
-
 fn loop_warning(
     kernel: &Kernel,
     l: &LoopAnalysis,
@@ -234,8 +168,10 @@ fn loop_warning(
     d
 }
 
-/// Select the transforms the analysis decisions legally permit, with a
-/// typed warning for every rejection.
+/// `legalize`: analysis decisions → concrete transform plan. Every
+/// loop the analysis wanted to throttle but legality rejects is
+/// reported as a warning naming the loop's source span (`W010` barrier,
+/// `W011` divergent guard, `W012` unresolved factors).
 pub fn legalize(
     kernel: &Kernel,
     analysis: &KernelAnalysis,
@@ -342,72 +278,60 @@ pub struct TransformOutcome {
 /// a typed `W001`/`W002` diagnostic. The lowering that checks the
 /// rewritten kernel is its program; the original kernel's program is the
 /// one `analyze` lowered, so an identity plan lowers nothing here.
-pub struct TransformPass<'f> {
-    pub fault: &'f FaultPlan,
-}
-
-impl Pass for TransformPass<'_> {
-    type Input<'a> = (&'a Kernel, &'a Analyzed, &'a LegalPlan);
-    type Output = TransformOutcome;
-
-    fn name(&self) -> &'static str {
-        "transform"
+pub fn transform(
+    kernel: &Kernel,
+    analyzed: &Analyzed,
+    plan: &LegalPlan,
+    fault: &FaultPlan,
+) -> TransformOutcome {
+    let original = |fallback: Option<Diagnostic>| TransformOutcome {
+        kernel: kernel.clone(),
+        program: analyzed.program.clone(),
+        fallback,
+    };
+    let fallback = |code, message: String| {
+        original(Some(
+            Diagnostic::warning(code, message).with_span(kernel.spans.name),
+        ))
+    };
+    if fault.fail_transform {
+        return fallback(
+            codes::FAULT_FALLBACK,
+            "fault injection: transform forced to fail".to_string(),
+        );
     }
-
-    fn run(
-        &self,
-        (kernel, analyzed, plan): (&Kernel, &Analyzed, &LegalPlan),
-        _diags: &mut Vec<Diagnostic>,
-    ) -> Option<TransformOutcome> {
-        let original = |fallback: Option<Diagnostic>| TransformOutcome {
-            kernel: kernel.clone(),
-            program: analyzed.program.clone(),
-            fallback,
-        };
-        let fallback = |code, message: String| {
-            Some(original(Some(
-                Diagnostic::warning(code, message).with_span(kernel.spans.name),
-            )))
-        };
-        if self.fault.fail_transform {
-            return fallback(
-                codes::FAULT_FALLBACK,
-                "fault injection: transform forced to fail".to_string(),
-            );
-        }
-        if plan.is_identity() {
-            return Some(original(None));
-        }
-        let analysis = &analyzed.analysis;
-        match catch_unwind(AssertUnwindSafe(|| apply_plan(kernel, analysis, plan))) {
-            Ok(transformed) => match catt_sim::lower(&transformed) {
-                Ok(program) => Some(TransformOutcome {
-                    kernel: transformed,
-                    program,
-                    fallback: None,
-                }),
-                Err(e) => fallback(
-                    codes::TRANSFORM_FALLBACK,
-                    format!("transformed kernel fails to lower: {e}"),
-                ),
+    if plan.is_identity() {
+        return original(None);
+    }
+    let warps_per_tb = analyzed.analysis.warps_per_tb;
+    match catch_unwind(AssertUnwindSafe(|| apply_plan(kernel, warps_per_tb, plan))) {
+        Ok(transformed) => match catt_sim::lower(&transformed) {
+            Ok(program) => TransformOutcome {
+                kernel: transformed,
+                program,
+                fallback: None,
             },
-            Err(payload) => fallback(
+            Err(e) => fallback(
                 codes::TRANSFORM_FALLBACK,
-                format!("transform panicked: {}", panic_message(payload)),
+                format!("transformed kernel fails to lower: {e}"),
             ),
-        }
+        },
+        Err(payload) => fallback(
+            codes::TRANSFORM_FALLBACK,
+            format!("transform panicked: {}", panic_message(payload)),
+        ),
     }
 }
 
 /// Apply a legalized plan: warp throttles from the highest loop id down
 /// (so earlier ids stay valid while later subtrees get duplicated),
 /// then the kernel-wide TB throttle.
-pub fn apply_plan(kernel: &Kernel, analysis: &KernelAnalysis, plan: &LegalPlan) -> Kernel {
+pub fn apply_plan(kernel: &Kernel, warps_per_tb: u32, plan: &LegalPlan) -> Kernel {
     let mut out = kernel.clone();
     let mut ordered = plan.warp.clone();
     ordered.sort_by_key(|&(id, _)| std::cmp::Reverse(id));
     for (id, n) in ordered {
-        if let Some(t) = warp_throttle(&out, id, n, analysis.warps_per_tb) {
+        if let Some(t) = warp_throttle(&out, id, n, warps_per_tb) {
             out = t;
         }
     }
@@ -417,20 +341,4 @@ pub fn apply_plan(kernel: &Kernel, analysis: &KernelAnalysis, plan: &LegalPlan) 
         }
     }
     out
-}
-
-/// `emit`: kernel → CUDA source (the pretty printer; cannot fail).
-pub struct EmitPass;
-
-impl Pass for EmitPass {
-    type Input<'a> = &'a Kernel;
-    type Output = String;
-
-    fn name(&self) -> &'static str {
-        "emit"
-    }
-
-    fn run(&self, kernel: &Kernel, _diags: &mut Vec<Diagnostic>) -> Option<String> {
-        Some(printer::kernel_to_string(kernel))
-    }
 }

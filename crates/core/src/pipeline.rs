@@ -1,15 +1,17 @@
-//! End-to-end CATT driver: the staged pass pipeline
-//! `parse → analyze → legalize → transform → emit`.
+//! The end-to-end CATT compiler: the compile stages of [`crate::passes`],
+//! `parse → analyze → legalize → transform → emit`, called in order.
 //!
-//! Each stage is a [`crate::passes::Pass`] run by
-//! [`crate::passes::PassManager::run`]: panics are contained (an escaped
-//! panic becomes an `E030` diagnostic naming the pass).
+//! Each stage runs under [`contained`]: its diagnostics name the pass,
+//! and an escaped panic becomes an `E030` diagnostic naming the pass.
 
 use crate::analysis::KernelAnalysis;
 use crate::fault::FaultPlan;
-use crate::passes::{AnalyzePass, EmitPass, LegalizePass, ParsePass, PassManager, TransformPass};
+use crate::passes::{
+    analyze, apply_plan, contained, legalize, max_carveout_bytes, parse, transform, LegalPlan,
+};
 use catt_diag::{codes, Diagnostic, Severity};
 use catt_ir::kernel::{Kernel, LaunchConfig, Module};
+use catt_ir::printer;
 use catt_sim::{GpuConfig, Program};
 use std::fmt;
 
@@ -158,7 +160,7 @@ impl Pipeline {
     /// diagnostics name the pass and are located against `src`.
     pub fn parse(&self, src: &str) -> Result<Module, PipelineError> {
         let mut diags: Vec<Diagnostic> = Vec::new();
-        match PassManager::run(&ParsePass, src, &mut diags) {
+        match contained("parse", &mut diags, |d| parse(src, d)) {
             Some(module) => Ok(module),
             None => {
                 catt_diag::locate(&mut diags, src);
@@ -194,9 +196,7 @@ impl Pipeline {
                 Ok(mut compiled) => {
                     catt_diag::locate(&mut compiled.warnings, src);
                     if let Some(fb) = &mut compiled.fallback_diagnostic {
-                        let mut one = vec![fb.clone()];
-                        catt_diag::locate(&mut one, src);
-                        *fb = one.pop().unwrap_or_else(|| fb.clone());
+                        catt_diag::locate(std::slice::from_mut(fb), src);
                     }
                     kernels.push(compiled);
                 }
@@ -209,44 +209,38 @@ impl Pipeline {
         Ok(CompiledApp { kernels })
     }
 
-    /// Compile one kernel through the staged passes.
+    /// Compile one kernel: `analyze`, `legalize`, `transform` and `emit`,
+    /// each under [`contained`].
     pub fn compile_kernel(
         &self,
         kernel: &Kernel,
         launch: LaunchConfig,
     ) -> Result<CompiledKernel, PipelineError> {
         let mut diags: Vec<Diagnostic> = Vec::new();
-
-        let analyze = AnalyzePass {
-            config: &self.base_config,
-            launch,
-        };
-        let Some(analyzed) = PassManager::run(&analyze, kernel, &mut diags) else {
-            return Err(PipelineError::from_diags(diags));
-        };
-
-        let Some(plan) = PassManager::run(&LegalizePass, (kernel, &analyzed.analysis), &mut diags)
+        let d = &mut diags;
+        let stages = (|| {
+            let analyzed = contained("analyze", d, |d| {
+                analyze(kernel, launch, &self.base_config, d)
+            })?;
+            let plan = contained("legalize", d, |d| {
+                Some(legalize(kernel, &analyzed.analysis, d))
+            })?;
+            let outcome = contained("transform", d, |_| {
+                Some(transform(kernel, &analyzed, &plan, &self.fault))
+            })?;
+            let emitted = contained("emit", d, |_| {
+                Some(printer::kernel_to_string(&outcome.kernel))
+            })?;
+            Some((analyzed, outcome, emitted))
+        })();
+        // An error diagnostic next to a finished compile means a stage
+        // panicked mid-flight — fail loudly rather than ship a suspect
+        // kernel.
+        let Some((analyzed, outcome, emitted_source)) =
+            stages.filter(|_| !diags.iter().any(|d| d.severity == Severity::Error))
         else {
             return Err(PipelineError::from_diags(diags));
         };
-
-        let transform = TransformPass { fault: &self.fault };
-        let Some(outcome) = PassManager::run(&transform, (kernel, &analyzed, &plan), &mut diags)
-        else {
-            return Err(PipelineError::from_diags(diags));
-        };
-
-        let Some(emitted_source) = PassManager::run(&EmitPass, &outcome.kernel, &mut diags) else {
-            return Err(PipelineError::from_diags(diags));
-        };
-
-        // Anything error-severity at this point means a pass panicked
-        // mid-flight even though a later stage produced output — fail
-        // loudly rather than ship a suspect kernel.
-        if diags.iter().any(|d| d.severity == Severity::Error) {
-            return Err(PipelineError::from_diags(diags));
-        }
-
         Ok(CompiledKernel {
             original: kernel.clone(),
             transformed: outcome.kernel,
@@ -262,7 +256,9 @@ impl Pipeline {
 
 /// Apply a *uniform* `(n, m)` throttling to a kernel — the BFTT baseline's
 /// transform: the same warp factor on every eligible outermost loop and
-/// one TB reduction, regardless of per-loop analysis.
+/// one TB reduction, regardless of per-loop analysis. A TB throttle on a
+/// kernel without a carve-out reconfigures to the largest one, as
+/// `analyze` does (Fig. 5).
 pub fn apply_uniform(
     kernel: &Kernel,
     n: u32,
@@ -271,38 +267,27 @@ pub fn apply_uniform(
     resident_tbs: u32,
     carveout_bytes: u32,
 ) -> Kernel {
-    use crate::transform::{tb_throttle, warp_throttle};
-    let mut out = kernel.clone();
+    let mut plan = LegalPlan::default();
     if n > 1 {
         // The block shape is implied by `warps_per_tb`; it feeds the
         // block-uniformity proof for guards over the linear thread id.
         let block = (warps_per_tb * crate::analysis::WARP_SIZE, 1, 1);
-        let mut loops = crate::transform::eligible_loops_for(kernel, block, None);
-        loops.sort_by(|a, b| b.cmp(a));
-        for id in loops {
-            if let Some(t) = warp_throttle(&out, id, n, warps_per_tb) {
-                out = t;
-            }
-        }
+        let loops = crate::transform::eligible_loops_for(kernel, block, None);
+        plan.warp = loops.into_iter().map(|id| (id, n)).collect();
     }
     if m > 0 && m < resident_tbs {
-        let carveout = if carveout_bytes == 0 {
-            // Reconfigure like Fig. 5 when no shared space exists.
-            96 * 1024
-        } else {
-            carveout_bytes
+        let carveout = match carveout_bytes {
+            0 => max_carveout_bytes(),
+            c => c,
         };
-        if let Some(t) = tb_throttle(&out, resident_tbs - m, carveout, kernel.shared_mem_bytes()) {
-            out = t;
-        }
+        plan.tb = Some((resident_tbs - m, carveout));
     }
-    out
+    apply_plan(kernel, warps_per_tb, &plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use catt_ir::printer;
 
     const ATAX_SRC: &str = "
         #define NX 4096
@@ -386,27 +371,14 @@ mod tests {
         assert_eq!(e1.diagnostics, e2.diagnostics);
     }
 
-    /// A pass that always panics: the manager must convert the unwind
+    /// A stage that always panics: [`contained`] must convert the unwind
     /// into an `E030` diagnostic naming the pass.
-    struct PanickyPass;
-
-    impl crate::passes::Pass for PanickyPass {
-        type Input<'a> = &'a str;
-        type Output = ();
-
-        fn name(&self) -> &'static str {
-            "panicky"
-        }
-
-        fn run(&self, _input: &str, _diags: &mut Vec<Diagnostic>) -> Option<()> {
-            panic!("deliberate test panic");
-        }
-    }
-
     #[test]
     fn escaped_panics_become_e030_diagnostics() {
         let mut diags = Vec::new();
-        let out = PassManager::run(&PanickyPass, "anything", &mut diags);
+        let out: Option<()> = contained("panicky", &mut diags, |_| {
+            panic!("deliberate test panic");
+        });
         assert!(out.is_none());
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, codes::PASS_PANICKED);
@@ -493,6 +465,21 @@ mod tests {
             let span = w.span.expect("names the loop span");
             let text = &src[span.start as usize..span.end as usize];
             assert!(text.starts_with("for"), "span covers the loop: {text:?}");
+            assert_eq!(w.pass, Some("legalize"), "tagged with its stage");
         }
+    }
+
+    #[test]
+    fn lowering_errors_name_the_analyze_pass() {
+        // Parses, but reads a variable it never declares: `analyze`
+        // lowers the kernel to count registers and reports the failure.
+        let src = "__global__ void k(float *A) { A[0] = x; }";
+        let pipe = Pipeline::new(GpuConfig::titan_v());
+        let err = pipe
+            .compile_source(src, &[("k", LaunchConfig::d1(1, 64))])
+            .unwrap_err();
+        let first = err.errors().next().expect("a typed diagnostic");
+        assert_eq!(first.code, codes::LOWERING_FAILED);
+        assert_eq!(first.pass, Some("analyze"));
     }
 }

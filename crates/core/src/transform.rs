@@ -57,39 +57,38 @@ fn rewrite(
     let mut out = Vec::with_capacity(stmts.len());
     for s in stmts {
         match s {
-            Stmt::For { .. } | Stmt::While { .. } => {
-                let id = *counter;
+            Stmt::For { .. } | Stmt::While { .. } if *counter == target => {
                 *counter += 1;
-                if id == target {
-                    *found = true;
-                    out.extend(make(s));
-                } else {
-                    // Recurse into the body for nested targets.
-                    match s {
-                        Stmt::For {
-                            var,
-                            decl,
-                            init,
-                            cond_op,
-                            bound,
-                            step,
-                            body,
-                        } => out.push(Stmt::For {
-                            var: var.clone(),
-                            decl: *decl,
-                            init: init.clone(),
-                            cond_op: *cond_op,
-                            bound: bound.clone(),
-                            step: step.clone(),
-                            body: rewrite(body, counter, target, found, make),
-                        }),
-                        Stmt::While { cond, body } => out.push(Stmt::While {
-                            cond: cond.clone(),
-                            body: rewrite(body, counter, target, found, make),
-                        }),
-                        _ => unreachable!(),
-                    }
-                }
+                *found = true;
+                out.extend(make(s));
+            }
+            // Other loops: count them, and recurse for nested targets.
+            Stmt::For {
+                var,
+                decl,
+                init,
+                cond_op,
+                bound,
+                step,
+                body,
+            } => {
+                *counter += 1;
+                out.push(Stmt::For {
+                    var: var.clone(),
+                    decl: *decl,
+                    init: init.clone(),
+                    cond_op: *cond_op,
+                    bound: bound.clone(),
+                    step: step.clone(),
+                    body: rewrite(body, counter, target, found, make),
+                });
+            }
+            Stmt::While { cond, body } => {
+                *counter += 1;
+                out.push(Stmt::While {
+                    cond: cond.clone(),
+                    body: rewrite(body, counter, target, found, make),
+                });
             }
             Stmt::If { cond, then, els } => out.push(Stmt::If {
                 cond: cond.clone(),

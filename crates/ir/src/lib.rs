@@ -13,9 +13,7 @@
 //!   `C_tid * tid + C_i * i + c` from array index expressions (Eq. 5 of the
 //!   paper), the basis of CATT's footprint analysis;
 //! * [`printer`] — a CUDA-like pretty printer, used by the source-to-source
-//!   transformation to emit throttled kernels;
-//! * [`builder`] — ergonomic constructors for writing kernels directly in
-//!   Rust (used by tests and microbenchmarks).
+//!   transformation to emit throttled kernels.
 //!
 //! The IR is deliberately *structured*: there is no `goto`, and loops/ifs
 //! nest. This is what makes both the static analysis (loops are explicit)
@@ -24,7 +22,6 @@
 //! evaluates.
 
 pub mod affine;
-pub mod builder;
 pub mod expr;
 pub mod kernel;
 pub mod printer;

@@ -753,11 +753,11 @@ impl<'k> Lowerer<'k> {
         if from == to {
             return r;
         }
+        // Two types, and `from != to`: the target alone picks the cast.
         let dst = self.alloc_temp();
-        match (from, to) {
-            (Ty::I32, Ty::F32) => self.emit(Op::CvtIF { dst, a: r }),
-            (Ty::F32, Ty::I32) => self.emit(Op::CvtFI { dst, a: r }),
-            _ => unreachable!(),
+        match to {
+            Ty::F32 => self.emit(Op::CvtIF { dst, a: r }),
+            Ty::I32 => self.emit(Op::CvtFI { dst, a: r }),
         };
         dst
     }

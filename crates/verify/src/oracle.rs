@@ -4,9 +4,9 @@
 //! (functionally, sanitizer armed); (2) enumerates every transform variant the
 //! compiler could emit — `warp_throttle` over the eligible loops ×
 //! divisors of the block's warp count, `tb_throttle` over reachable TB
-//! targets, and warp∘tb compositions as `pipeline`/`multiversion`
-//! produce them; (3) runs each variant under the same launch and initial
-//! memory and demands **bit-exact global memory** plus the **identical
+//! targets, and warp∘tb compositions as the pipeline produces them;
+//! (3) runs each variant under the same launch and initial memory and
+//! demands **bit-exact global memory** plus the **identical
 //! [`SimError`] classification**.
 //!
 //! Originals the sanitizer flags are *dirty* (deliberate injections from

@@ -139,6 +139,22 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The value of the numeric flag `--<flag>` of `catt <cmd>`, times `unit`
+/// (1024 turns `--l1`'s KB into bytes). A non-number, or a product that
+/// does not fit `T`, is a usage error naming the flag: a malformed value
+/// never falls back to a default.
+fn numeric<T: TryFrom<u64>>(cmd: &str, flag: &str, value: &str, unit: u64) -> Result<T, ExitCode> {
+    value
+        .parse::<u64>()
+        .ok()
+        .and_then(|v| v.checked_mul(unit))
+        .and_then(|v| T::try_from(v).ok())
+        .ok_or_else(|| {
+            eprintln!("catt {cmd}: bad --{flag} value `{value}`");
+            usage()
+        })
+}
+
 /// `catt fuzz`: replay the regression corpus, then run a differential
 /// fuzzing campaign, persisting any new counterexamples.
 fn fuzz_main(args: &[String]) -> ExitCode {
@@ -158,19 +174,17 @@ fn fuzz_main(args: &[String]) -> ExitCode {
     while i < args.len() {
         match args[i].as_str() {
             "--seed" if i + 1 < args.len() => {
-                let Ok(s) = args[i + 1].parse() else {
-                    eprintln!("catt fuzz: bad --seed value `{}`", args[i + 1]);
-                    return usage();
-                };
-                opts.seed = s;
+                match numeric("fuzz", "seed", &args[i + 1], 1) {
+                    Ok(s) => opts.seed = s,
+                    Err(code) => return code,
+                }
                 i += 2;
             }
             "--iters" if i + 1 < args.len() => {
-                let Ok(n) = args[i + 1].parse() else {
-                    eprintln!("catt fuzz: bad --iters value `{}`", args[i + 1]);
-                    return usage();
-                };
-                opts.iters = n;
+                match numeric("fuzz", "iters", &args[i + 1], 1) {
+                    Ok(n) => opts.iters = n,
+                    Err(code) => return code,
+                }
                 iters_set = true;
                 i += 2;
             }
@@ -280,13 +294,16 @@ fn profile_main(args: &[String]) -> ExitCode {
     use catt_repro::workloads::{harness, registry};
 
     let target = &args[0];
-    let mut l1_kb: Option<u32> = None;
+    let mut l1_bytes: Option<u32> = None;
     let mut trace_out: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--l1" if i + 1 < args.len() => {
-                l1_kb = args[i + 1].parse().ok();
+                match numeric("profile", "l1", &args[i + 1], 1024) {
+                    Ok(b) => l1_bytes = Some(b),
+                    Err(code) => return code,
+                }
                 i += 2;
             }
             "--trace-out" if i + 1 < args.len() => {
@@ -313,9 +330,7 @@ fn profile_main(args: &[String]) -> ExitCode {
         }
     };
     let mut config = harness::eval_config_max_l1d();
-    if let Some(kb) = l1_kb {
-        config.l1_cap_bytes = Some(kb * 1024);
-    }
+    config.l1_cap_bytes = l1_bytes.or(config.l1_cap_bytes);
 
     // How many launches get a full per-launch report (iterative apps can
     // run dozens; the trace file always contains every launch).
@@ -390,29 +405,30 @@ fn tune_main(args: &[String]) -> ExitCode {
 
     let target = &args[0];
     let mut opts = TuneOptions::default();
-    let mut l1_kb: Option<u32> = None;
+    let mut l1_bytes: Option<u32> = None;
     let mut out_path: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--l1" if i + 1 < args.len() => {
-                l1_kb = args[i + 1].parse().ok();
+                match numeric("tune", "l1", &args[i + 1], 1024) {
+                    Ok(b) => l1_bytes = Some(b),
+                    Err(code) => return code,
+                }
                 i += 2;
             }
             "--seed" if i + 1 < args.len() => {
-                let Ok(s) = args[i + 1].parse() else {
-                    eprintln!("catt tune: bad --seed value `{}`", args[i + 1]);
-                    return usage();
-                };
-                opts.seed = s;
+                match numeric("tune", "seed", &args[i + 1], 1) {
+                    Ok(s) => opts.seed = s,
+                    Err(code) => return code,
+                }
                 i += 2;
             }
             "--iters" if i + 1 < args.len() => {
-                let Ok(n) = args[i + 1].parse() else {
-                    eprintln!("catt tune: bad --iters value `{}`", args[i + 1]);
-                    return usage();
-                };
-                opts.max_iters = n;
+                match numeric("tune", "iters", &args[i + 1], 1) {
+                    Ok(n) => opts.max_iters = n,
+                    Err(code) => return code,
+                }
                 i += 2;
             }
             "--out" if i + 1 < args.len() => {
@@ -444,9 +460,7 @@ fn tune_main(args: &[String]) -> ExitCode {
         found
     };
     let mut config = harness::eval_config_max_l1d();
-    if let Some(kb) = l1_kb {
-        config.l1_cap_bytes = Some(kb * 1024);
-    }
+    config.l1_cap_bytes = l1_bytes.or(config.l1_cap_bytes);
 
     let summary = tune_workloads(&workloads, &config, &opts);
     print!("{}", summary.render_table());
@@ -481,21 +495,25 @@ fn parse_dims(s: &str) -> Option<Dim3> {
     }
 }
 
+/// A `--launch` spec, when some device can run it: every dimension at
+/// least 1 and at most 1 024 threads per block (the bounds `catt serve`
+/// puts on a request's `grid` and `block`).
 fn parse_launch(spec: &str) -> Option<(String, LaunchConfig)> {
     let (name, dims) = spec.split_once('=')?;
     let (grid, block) = dims.split_once('x')?;
-    Some((
-        name.to_string(),
-        LaunchConfig {
-            grid: parse_dims(grid)?,
-            block: parse_dims(block)?,
-        },
-    ))
+    let launch = LaunchConfig {
+        grid: parse_dims(grid)?,
+        block: parse_dims(block)?,
+    };
+    let dims = [launch.grid, launch.block];
+    let runnable =
+        dims.iter().all(|d| d.x >= 1 && d.y >= 1 && d.z >= 1) && launch.block.count() <= 1024;
+    runnable.then(|| (name.to_string(), launch))
 }
 
 /// `catt serve`: the multi-tenant compile-and-simulate daemon. NDJSON
 /// over stdio by default, or a TCP listener with `--tcp <addr>`. Tuning
-/// and cache mode come from the environment, see [`serve_from_env`].
+/// comes from the environment, see [`serve_from_env`].
 fn serve_main(args: &[String], fault: &FaultPlan) -> ExitCode {
     use catt_repro::serve::front::{serve_stdio, serve_tcp};
     use catt_repro::serve::Server;
@@ -617,7 +635,7 @@ fn main() -> ExitCode {
     }
     let path = &argv[1];
     let mut launches: Vec<(String, LaunchConfig)> = Vec::new();
-    let mut l1_kb: Option<u32> = None;
+    let mut l1_bytes: Option<u32> = None;
     let mut fuel: Option<u64> = None;
     let mut sanitize = false;
     let mut out_path: Option<String> = None;
@@ -634,11 +652,17 @@ fn main() -> ExitCode {
                 i += 2;
             }
             "--l1" if i + 1 < argv.len() => {
-                l1_kb = argv[i + 1].parse().ok();
+                match numeric(mode, "l1", &argv[i + 1], 1024) {
+                    Ok(b) => l1_bytes = Some(b),
+                    Err(code) => return code,
+                }
                 i += 2;
             }
             "--fuel" if i + 1 < argv.len() => {
-                fuel = argv[i + 1].parse().ok();
+                match numeric(mode, "fuel", &argv[i + 1], 1) {
+                    Ok(c) => fuel = Some(c),
+                    Err(code) => return code,
+                }
                 i += 2;
             }
             "--sanitize" => {
@@ -672,12 +696,8 @@ fn main() -> ExitCode {
         }
     };
     let mut config = GpuConfig::titan_v_1sm();
-    if let Some(kb) = l1_kb {
-        config.l1_cap_bytes = Some(kb * 1024);
-    }
-    if let Some(n) = fuel {
-        config.sim_fuel = Some(n);
-    }
+    config.l1_cap_bytes = l1_bytes.or(config.l1_cap_bytes);
+    config.sim_fuel = fuel.or(config.sim_fuel);
     if sanitize {
         config.sanitize = Some(true);
     }

@@ -227,6 +227,83 @@ fn bad_usage_exits_nonzero() {
     assert!(!out.status.success());
 }
 
+/// Every numeric flag is parsed strictly: a malformed value, or `--l1`
+/// KB that overflow a byte count, is a usage error (exit 2) naming the
+/// flag, not a silently different configuration.
+#[test]
+fn malformed_numeric_flags_are_usage_errors() {
+    let f = demo_file();
+    let file = f.0.to_str().unwrap();
+    let cases: &[(&[&str], &str)] = &[
+        (&["tune", "DM", "--l1", "abc"], "catt tune: bad --l1 value"),
+        (
+            &["tune", "DM", "--seed", "x"],
+            "catt tune: bad --seed value",
+        ),
+        (
+            &["tune", "DM", "--iters", "-3"],
+            "catt tune: bad --iters value",
+        ),
+        (
+            &["profile", "DM", "--l1", "32k"],
+            "catt profile: bad --l1 value",
+        ),
+        (&["fuzz", "--seed", "1.5"], "catt fuzz: bad --seed value"),
+        (&["fuzz", "--iters", "many"], "catt fuzz: bad --iters value"),
+        (
+            &["analyze", file, "--launch", "walk=2x256", "--l1", "4194304"],
+            "catt analyze: bad --l1 value",
+        ),
+        (
+            &["compile", file, "--launch", "walk=2x256", "--l1", ""],
+            "catt compile: bad --l1 value",
+        ),
+        (
+            &["run", file, "--launch", "walk=2x256", "--fuel", "x"],
+            "catt run: bad --fuel value",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = catt().args(*args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+}
+
+/// A `--launch` no device runs — an empty grid or block, or more than
+/// 1 024 threads per block — is rejected as `catt serve` rejects it.
+#[test]
+fn unrunnable_launch_specs_are_rejected() {
+    let f = demo_file();
+    let file = f.0.to_str().unwrap();
+    for spec in [
+        "walk=1x0",
+        "walk=0x32",
+        "walk=1x2000",
+        "walk=1,0x32",
+        "walk=2x64,32",
+    ] {
+        let out = catt()
+            .args(["analyze", file, "--launch", spec])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {stderr}");
+        assert!(stderr.contains("bad --launch spec"), "{spec}: {stderr}");
+    }
+    let out = catt()
+        .args(["analyze", file, "--launch", "walk=1x1024"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 /// `catt reproduce <id> --check` reads `results/` under the working
 /// directory and writes nothing; an unknown id is a usage error that
 /// names what is accepted.
