@@ -49,7 +49,7 @@ pub use fault::FaultPlan;
 pub use occupancy::L1SmemPlan;
 pub use passes::LegalPlan;
 pub use pipeline::{CompiledApp, CompiledKernel, Pipeline, PipelineError};
-pub use swizzle::{cta_swizzle, swizzle_map, SwizzlePolicy};
+pub use swizzle::{cta_swizzle, moves_a_block, swizzle_map, SwizzlePolicy};
 pub use transform::{
     eligible_loops, eligible_loops_for, guard_block_uniform, tb_throttle, warp_throttle,
 };

@@ -171,7 +171,8 @@ impl Pipeline {
 
     /// Compile a whole translation unit. `launches` pairs each kernel name
     /// with the launch configuration the host uses (the compile-time-known
-    /// launch parameters of §4.3).
+    /// launch parameters of §4.3): exactly one per kernel, and none for a
+    /// name the unit does not define.
     pub fn compile_source(
         &self,
         src: &str,
@@ -179,6 +180,32 @@ impl Pipeline {
     ) -> Result<CompiledApp, PipelineError> {
         let module = self.parse(src)?;
         let mut diags: Vec<Diagnostic> = Vec::new();
+        for (i, &(name, _)) in launches.iter().enumerate() {
+            let kernel = module.kernels.iter().find(|k| k.name == name);
+            let diag = match kernel {
+                None => {
+                    let defined: Vec<String> = module
+                        .kernels
+                        .iter()
+                        .map(|k| format!("`{}`", k.name))
+                        .collect();
+                    Diagnostic::error(
+                        codes::KERNEL_NOT_FOUND,
+                        format!("launch `{name}` names no kernel of the translation unit"),
+                    )
+                    .note(format!("kernels defined: {}", defined.join(", ")), None)
+                }
+                Some(k) if launches[..i].iter().any(|&(n, _)| n == name) => Diagnostic::error(
+                    codes::DUPLICATE_LAUNCH,
+                    format!("more than one launch configuration for kernel `{name}`"),
+                )
+                .with_span(k.spans.name),
+                Some(_) => continue,
+            };
+            diags.push(diag);
+            catt_diag::locate(&mut diags, src);
+            return Err(PipelineError::from_diags(diags));
+        }
         let mut kernels = Vec::new();
         for k in &module.kernels {
             let Some(launch) = launches.iter().find(|(n, _)| *n == k.name).map(|(_, l)| *l) else {
@@ -339,6 +366,40 @@ mod tests {
         assert_eq!(first.code, codes::MISSING_LAUNCH);
         assert!(first.span.is_some(), "points at the kernel name");
         assert!(first.line > 0, "line/col located against the source");
+    }
+
+    #[test]
+    fn launch_of_an_undefined_kernel_is_an_error() {
+        let pipe = Pipeline::new(GpuConfig::titan_v());
+        let launch = LaunchConfig::d1(640, 256);
+        let err = pipe
+            .compile_source(
+                ATAX_SRC,
+                &[("atax1", launch), ("atax2", launch), ("atax3", launch)],
+            )
+            .unwrap_err();
+        let first = err.errors().next().expect("a typed diagnostic");
+        assert_eq!(first.code, codes::KERNEL_NOT_FOUND);
+        assert!(first.message.contains("`atax3`"), "{}", first.message);
+    }
+
+    #[test]
+    fn second_launch_of_a_kernel_is_an_error() {
+        let pipe = Pipeline::new(GpuConfig::titan_v());
+        let err = pipe
+            .compile_source(
+                ATAX_SRC,
+                &[
+                    ("atax1", LaunchConfig::d1(640, 256)),
+                    ("atax2", LaunchConfig::d1(640, 256)),
+                    ("atax1", LaunchConfig::d1(320, 512)),
+                ],
+            )
+            .unwrap_err();
+        let first = err.errors().next().expect("a typed diagnostic");
+        assert_eq!(first.code, codes::DUPLICATE_LAUNCH);
+        assert!(first.message.contains("`atax1`"), "{}", first.message);
+        assert!(first.line > 0, "points at the kernel name");
     }
 
     #[test]

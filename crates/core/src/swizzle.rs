@@ -112,6 +112,41 @@ pub fn swizzle_map(policy: SwizzlePolicy, grid: (u32, u32), bx: u32, by: u32) ->
     }
 }
 
+/// Whether [`cta_swizzle`] applies `policy` on `grid`: a non-empty 2-D
+/// grid (3-D swizzles are out of scope) on which the policy is a
+/// bijection (`t | gx`, `t > 0`).
+fn applies(policy: SwizzlePolicy, (gx, gy, gz): (u32, u32, u32)) -> bool {
+    if gz > 1 || gx == 0 || gy == 0 {
+        return false;
+    }
+    match policy {
+        SwizzlePolicy::Serpentine => true,
+        SwizzlePolicy::TileMajor(t) => t != 0 && gx.is_multiple_of(t),
+        // Keys at or above i32::MAX could overflow the kernel's 32-bit
+        // signed arithmetic in the `p ^ k` intermediate.
+        SwizzlePolicy::XorFold(k) => k <= i32::MAX as u32,
+    }
+}
+
+/// Whether [`cta_swizzle`] applies `policy` on `grid` and the map moves at
+/// least one block: some `(bx, by)` has `swizzle_map(..) != (bx, by)`.
+/// Otherwise the swizzled kernel launches every block on the data it had.
+/// Closed forms, on an `n = gx·gy`-block grid:
+/// - serpentine reverses odd rows: it moves `(0, 1)` iff `gx ≥ 2` and `gy ≥ 2`;
+/// - `tile=t` is the identity on a 1-D grid and at `t == gx`; otherwise it
+///   moves `(t, 0)` to `(0, 1)`;
+/// - `xor=k` with `h` the top bit of `k` moves `p = h` when `n > h`; when
+///   `n ≤ h` every `p < n` lacks bit `h`, so `p ^ k ≥ h` leaves the grid.
+pub fn moves_a_block(policy: SwizzlePolicy, grid: (u32, u32, u32)) -> bool {
+    let (gx, gy, _) = grid;
+    applies(policy, grid)
+        && match policy {
+            SwizzlePolicy::Serpentine => gx >= 2 && gy >= 2,
+            SwizzlePolicy::TileMajor(t) => gy >= 2 && t < gx,
+            SwizzlePolicy::XorFold(k) => k != 0 && gx as u64 * gy as u64 > 1 << k.ilog2(),
+        }
+}
+
 /// Apply the CTA swizzle for a known launch grid: rewrite every
 /// `blockIdx.x` / `blockIdx.y` use to the prologue locals and prepend
 /// their defining declarations. Returns `None` when the policy is not a
@@ -122,17 +157,10 @@ pub fn cta_swizzle(
     policy: SwizzlePolicy,
     grid: (u32, u32, u32),
 ) -> Option<Kernel> {
-    let (gx, gy, gz) = grid;
-    if gz > 1 || gx == 0 || gy == 0 {
+    if !applies(policy, grid) {
         return None;
     }
-    match policy {
-        SwizzlePolicy::TileMajor(t) if t == 0 || !gx.is_multiple_of(t) => return None,
-        // Keys at or above i32::MAX could overflow the kernel's 32-bit
-        // signed arithmetic in the `p ^ k` intermediate.
-        SwizzlePolicy::XorFold(k) if k > i32::MAX as u32 => return None,
-        _ => {}
-    }
+    let (gx, gy, _) = grid;
 
     let mut out = kernel.clone();
     walk_exprs_in_stmts_mut(&mut out.body, &mut |e| match e {

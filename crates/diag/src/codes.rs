@@ -69,6 +69,7 @@ pub const REGISTRY: &[(&str, &str)] = &[
     ("E021", "kernel not launchable on this configuration"),
     ("E022", "no launch configuration supplied"),
     ("E023", "nesting too deep"),
+    ("E024", "more than one launch configuration for a kernel"),
     // E03x — internal errors.
     ("E030", "internal error: compiler pass panicked"),
     // W00x — transform-level warnings.
@@ -105,6 +106,7 @@ pub const LOWERING_FAILED: Code = Code("E020");
 pub const UNLAUNCHABLE: Code = Code("E021");
 pub const MISSING_LAUNCH: Code = Code("E022");
 pub const NESTING_TOO_DEEP: Code = Code("E023");
+pub const DUPLICATE_LAUNCH: Code = Code("E024");
 pub const PASS_PANICKED: Code = Code("E030");
 pub const TRANSFORM_FALLBACK: Code = Code("W001");
 pub const FAULT_FALLBACK: Code = Code("W002");

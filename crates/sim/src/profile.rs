@@ -32,8 +32,14 @@
 //! write their stats to it (see `catt_core::engine`).
 
 use crate::config::L1Config;
+use crate::digest::Fnv64;
 use std::cell::RefCell;
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
+
+/// A set of L1 line addresses. Every profiled L1 transaction inserts one,
+/// so the set is keyed with FNV-1a rather than the default SipHash.
+pub type LineSet = HashSet<u32, BuildHasherDefault<Fnv64>>;
 
 /// Why an issue slot of one scheduler went unused for one cycle.
 ///
@@ -174,7 +180,7 @@ pub struct SmProfile {
     pub sets: Vec<SetCounters>,
     /// Unique 128-byte line addresses touched (loads and stores) — the
     /// observed working set Eq. 8's `SIZE_req` predicts.
-    pub unique_lines: HashSet<u32>,
+    pub unique_lines: LineSet,
     /// Bucketed miss curve over load accesses in execution order.
     pub miss_curve: Vec<MissWindow>,
     /// Closed timeline segments, in close order.
@@ -345,7 +351,7 @@ impl ProfileSink for SmProfile {
             instructions: 0,
             stall_cycles: [0; StallReason::COUNT],
             sets: vec![SetCounters::default(); l1.num_sets() as usize],
-            unique_lines: HashSet::new(),
+            unique_lines: LineSet::default(),
             miss_curve: Vec::new(),
             events: Vec::new(),
             dropped_events: 0,
@@ -543,7 +549,7 @@ impl LaunchProfile {
     /// share, so the union is the launch's working set; the per-SM count
     /// is what Eq. 8's per-SM `SIZE_req` predicts).
     pub fn unique_lines(&self) -> usize {
-        let mut all: HashSet<u32> = HashSet::new();
+        let mut all = LineSet::default();
         for sm in &self.sms {
             all.extend(sm.unique_lines.iter().copied());
         }

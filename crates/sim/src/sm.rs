@@ -700,10 +700,10 @@ trait Timing {
     fn warp_dispatched(&mut self, _wi: usize) {}
     /// Every warp of one block has been dispatched.
     #[inline]
-    fn block_dispatched(&mut self) {}
+    fn block_dispatched<S: ProfileSink>(&mut self) {}
     /// Warp `wi` was released from its barrier and is `Ready` again.
     #[inline]
-    fn warp_released(&mut self, _wi: usize) {}
+    fn warp_released<S: ProfileSink>(&mut self, _wi: usize) {}
     /// Warp `wi` issued an ALU (`sfu`: special-function) op writing `dst`.
     #[inline]
     fn alu(&mut self, _cycle: u64, _wi: usize, _dst: u16, _sfu: bool) {}
@@ -799,6 +799,20 @@ struct Timed {
     /// when profiling only): lets [`Sm::classify_stall`] tell long
     /// (memory) scoreboard waits from short (ALU-dependency) ones.
     prof_load_ready: Vec<u64>,
+    /// Per-scheduler last stall classification (read and written when
+    /// profiling only; see [`Sm::stall_reason`]). `None` once one of its
+    /// inputs changed.
+    stall_memo: Vec<Option<StallMemo>>,
+}
+
+/// A scheduler's last [`StallReason`], valid until its partition issues,
+/// a block is dispatched, a barrier releases or `active_tb_limit` moves —
+/// and, when `port` is `Some`, until the L1 port's free cycle leaves that
+/// value (some Ready warp's next op waits on the port).
+#[derive(Debug, Clone, Copy)]
+struct StallMemo {
+    reason: StallReason,
+    port: Option<u64>,
 }
 
 impl Timed {
@@ -835,7 +849,13 @@ impl Timed {
             dyncta_window: (0, 0),
             trace: trace.then(RequestTrace::default),
             prof_load_ready: vec![0; nwarps],
+            stall_memo: vec![None; nsched],
         }
+    }
+
+    /// Drop every scheduler's memoized stall reason.
+    fn forget_stalls(&mut self) {
+        self.stall_memo.fill(None);
     }
 }
 
@@ -851,7 +871,7 @@ impl Timing for Timed {
         self.prof_load_ready[wi] = 0;
     }
 
-    fn block_dispatched(&mut self) {
+    fn block_dispatched<S: ProfileSink>(&mut self) {
         self.resident_blocks += 1;
         // The block's warps are now the youngest of their partitions:
         // restore every scheduler's age order (a strided insertion sort —
@@ -867,16 +887,22 @@ impl Timing for Timed {
             }
         }
         // The fresh warps are issuable now: drop every scheduler's
-        // cached next-issue bound.
+        // cached next-issue bound (and stall reason).
         self.sched_next.fill(0);
+        if S::ENABLED {
+            self.forget_stalls();
+        }
     }
 
     #[inline]
-    fn warp_released(&mut self, wi: usize) {
+    fn warp_released<S: ProfileSink>(&mut self, wi: usize) {
         self.wake[wi] = 0;
         // A released warp is issuable now: drop the cached next-issue
-        // bounds.
+        // bounds (and stall reasons).
         self.sched_next.fill(0);
+        if S::ENABLED {
+            self.forget_stalls();
+        }
     }
 
     #[inline(always)]
@@ -1009,10 +1035,14 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S, Timed> {
         }
         let busy = self.t.dyncta_window.1 as f64 / elapsed as f64;
         let stall = 1.0 - busy;
-        if stall > cfg.t_high && self.t.active_tb_limit > 1 {
+        let limit = self.t.active_tb_limit;
+        if stall > cfg.t_high && limit > 1 {
             self.t.active_tb_limit -= 1;
-        } else if stall < cfg.t_low && self.t.active_tb_limit < self.tbs.len() {
+        } else if stall < cfg.t_low && limit < self.tbs.len() {
             self.t.active_tb_limit += 1;
+        }
+        if S::ENABLED && self.t.active_tb_limit != limit {
+            self.t.forget_stalls();
         }
         self.t.dyncta_window = (self.cycle, 0);
     }
@@ -1064,12 +1094,15 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S, Timed> {
                     self.issue(w)?;
                     self.sync_after_issue(w);
                     self.t.last_issued[sched] = Some(w);
+                    if S::ENABLED {
+                        self.t.stall_memo[sched] = None;
+                    }
                     issued = true;
                 } else if S::ENABLED {
                     // Unused issue slot: classify and charge exactly one
                     // stall cycle, so per-SM slots always reconcile:
                     //   instructions + Σ stall_cycles = cycles × schedulers.
-                    let reason = self.classify_stall(sched);
+                    let reason = self.stall_reason(sched);
                     self.sink.stall(reason, 1);
                 }
             }
@@ -1090,7 +1123,7 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S, Timed> {
                             // state can change while nothing issues).
                             let delta = t - self.cycle;
                             for sched in 0..self.t.last_issued.len() {
-                                let reason = self.classify_stall(sched);
+                                let reason = self.stall_reason(sched);
                                 self.sink.stall(reason, delta);
                             }
                         }
@@ -1101,6 +1134,9 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S, Timed> {
                             // Everything schedulable is done but paused
                             // blocks remain: resume them.
                             self.t.active_tb_limit = self.tbs.len();
+                            if S::ENABLED {
+                                self.t.forget_stalls();
+                            }
                             continue;
                         }
                         // No Ready warp can ever issue. Barriers release at
@@ -1147,12 +1183,14 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S, Timed> {
     /// that ends at or before the warp's latest load completion counts as
     /// memory); with no Ready warp, parked warps mean `Barrier`,
     /// throttle-paused ones `Throttled`, and an empty or finished
-    /// partition `Idle`.
-    fn classify_stall(&self, sched: usize) -> StallReason {
+    /// partition `Idle`. Also says whether some Ready warp's next op uses
+    /// the L1 port (then the reason depends on the port's free cycle).
+    fn classify_stall(&self, sched: usize) -> (StallReason, bool) {
         let nsched = self.t.last_issued.len();
         let mut best: Option<(u64, StallReason)> = None;
         let mut any_barrier = false;
         let mut any_throttled = false;
+        let mut uses_port = false;
         for i in (sched..self.warps.len()).step_by(nsched) {
             let w = &self.warps[i];
             match w.state {
@@ -1168,6 +1206,7 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S, Timed> {
                     for &r in &a.regs[..a.n as usize] {
                         reg_t = reg_t.max(self.t.ready[base + r as usize]);
                     }
+                    uses_port |= a.uses_l1_port;
                     let port_t = if a.uses_l1_port {
                         self.t.l1_port_free
                     } else {
@@ -1192,12 +1231,36 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S, Timed> {
                 _ => {}
             }
         }
-        match best {
+        let reason = match best {
             Some((_, reason)) => reason,
             None if any_barrier => StallReason::Barrier,
             None if any_throttled => StallReason::Throttled,
             None => StallReason::Idle,
+        };
+        (reason, uses_port)
+    }
+
+    /// [`Sm::classify_stall`], memoized per scheduler. It is called only
+    /// while the partition cannot issue, so every Ready warp's wait ends
+    /// after the current cycle and the scan's answer does not depend on
+    /// the cycle — only on the partition's warps (which change when one
+    /// of them issues), on block dispatch, barrier release and
+    /// `active_tb_limit`, and on the L1 port's free cycle when a Ready
+    /// warp waits on the port. [`StallMemo`] is dropped on each of those.
+    fn stall_reason(&mut self, sched: usize) -> StallReason {
+        let port = self.t.l1_port_free;
+        if let Some(memo) = self.t.stall_memo[sched] {
+            if memo.port.is_none_or(|p| p == port) {
+                debug_assert_eq!(memo.reason, self.classify_stall(sched).0);
+                return memo.reason;
+            }
         }
+        let (reason, uses_port) = self.classify_stall(sched);
+        self.t.stall_memo[sched] = Some(StallMemo {
+            reason,
+            port: uses_port.then_some(port),
+        });
+        reason
     }
 
     fn retire_and_refill(&mut self, pending: &mut VecDeque<u32>) {
@@ -1463,7 +1526,7 @@ impl<M: DeviceMem, S: ProfileSink, T: Timing> Sm<'_, M, S, T> {
                 w.regs[*r as usize] = *image;
             }
         }
-        self.t.block_dispatched();
+        self.t.block_dispatched::<S>();
     }
 
     /// Release barriers by arrival count: once every non-finished warp of
@@ -1498,7 +1561,7 @@ impl<M: DeviceMem, S: ProfileSink, T: Timing> Sm<'_, M, S, T> {
                 for (off, w) in ws.iter_mut().enumerate() {
                     if w.state == WarpState::AtBarrier {
                         w.state = WarpState::Ready;
-                        self.t.warp_released(lo + off);
+                        self.t.warp_released::<S>(lo + off);
                         if S::ENABLED {
                             self.sink.warp_release(lo + off, self.cycle);
                         }

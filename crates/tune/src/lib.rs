@@ -29,7 +29,7 @@
 
 use catt_core::bftt::{candidate_grid, resident_tbs};
 use catt_core::pipeline::apply_uniform;
-use catt_core::{cta_swizzle, Engine, SwizzlePolicy};
+use catt_core::{cta_swizzle, moves_a_block, Engine, SwizzlePolicy};
 use catt_ir::Kernel;
 use catt_prng::Rng;
 use catt_sim::profile::StallReason;
@@ -259,6 +259,17 @@ impl TuneReport {
         }
         Ok(())
     }
+}
+
+/// The CTA-swizzle policies worth measuring for an app whose kernels launch
+/// on `grids`: those that move at least one block of at least one grid. Any
+/// other policy leaves every block on the data it had, so it cannot buy the
+/// L2 locality gain a swizzle must show to be selected.
+pub fn swizzle_candidates(grids: &[(u32, u32, u32)]) -> Vec<SwizzlePolicy> {
+    SwizzlePolicy::candidates()
+        .into_iter()
+        .filter(|&policy| grids.iter().any(|&g| moves_a_block(policy, g)))
+        .collect()
 }
 
 /// Swizzle `kernel` for `launch`-grid `grid` if the policy applies, else
@@ -502,19 +513,13 @@ pub fn tune_workload(
         Err(_) => None,
     };
 
-    // CTA-swizzle pass: at the best throttle point, try every applicable
-    // policy (the second batch); a policy is selectable only if its
+    // CTA-swizzle pass: at the best throttle point, try every policy that
+    // moves a block (the second batch); a policy is selectable only if its
     // *measured* L2 hit-rate gain over baseline clears the gate and it
     // wins on cycles. `(best_n, best_m)` is `(1, 0)` when static CATT won,
     // and the uniform transform at `(1, 0)` is the identity.
-    let swizzled: Vec<(SwizzlePolicy, Vec<Kernel>)> = SwizzlePolicy::candidates()
+    let swizzled: Vec<(SwizzlePolicy, Vec<Kernel>)> = swizzle_candidates(&grids)
         .into_iter()
-        .filter(|&policy| {
-            kernels
-                .iter()
-                .zip(&grids)
-                .any(|(k, &g)| cta_swizzle(k, policy, g).is_some())
-        })
         .map(|policy| {
             let s: Vec<Kernel> = kernels
                 .iter()
@@ -883,6 +888,60 @@ mod tests {
         let o = observe(&profiles);
         assert!(o.mem_stall_frac > 0.0 && o.mem_stall_frac < 1.0);
         assert!(o.l1_hit_rate > 0.0 && o.l1_hit_rate <= 1.0);
+    }
+
+    /// The swizzle candidates are the policies that move a block of some
+    /// grid, and the closed form behind them agrees with an exhaustive
+    /// walk of [`catt_core::swizzle_map`] on every grid up to 8×8.
+    #[test]
+    fn swizzle_candidates_move_a_block() {
+        use SwizzlePolicy::{TileMajor, XorFold};
+        // 1-D grids: serpentine and tile-major never move a block; `xor=k`
+        // does once the grid holds more blocks than `k`'s top bit.
+        assert_eq!(swizzle_candidates(&[(2, 1, 1)]), [XorFold(1)]);
+        assert_eq!(swizzle_candidates(&[(3, 1, 1)]), [XorFold(1), XorFold(3)]);
+        assert_eq!(swizzle_candidates(&[(256, 1, 1)]), [XorFold(1), XorFold(3)]);
+        assert!(swizzle_candidates(&[(1, 1, 1)]).is_empty());
+        // A policy one kernel's grid moves is a candidate of the app.
+        assert_eq!(swizzle_candidates(&[(1, 1, 1), (2, 1, 1)]), [XorFold(1)]);
+        let dm = registry::find("DM").unwrap();
+        let dm_grids: Vec<(u32, u32, u32)> = (0..dm.kernels().len())
+            .map(|i| {
+                let g = dm.launch(i).grid;
+                (g.x, g.y, g.z)
+            })
+            .collect();
+        assert_eq!(dm_grids, [(12, 12, 1)]);
+        assert_eq!(swizzle_candidates(&dm_grids), SwizzlePolicy::candidates());
+
+        let kernel = &dm.kernels()[0];
+        let mut policies = SwizzlePolicy::candidates();
+        policies.extend([
+            TileMajor(0),
+            TileMajor(3),
+            TileMajor(8),
+            XorFold(0),
+            XorFold(7),
+        ]);
+        for policy in policies {
+            for gx in 1..=8 {
+                for gy in 1..=8 {
+                    // The map is defined only where the swizzle applies
+                    // (`tile=0` would divide by zero).
+                    let moved = cta_swizzle(kernel, policy, (gx, gy, 1)).is_some()
+                        && (0..gy).any(|by| {
+                            (0..gx).any(|bx| {
+                                catt_core::swizzle_map(policy, (gx, gy), bx, by) != (bx, by)
+                            })
+                        });
+                    assert_eq!(
+                        moves_a_block(policy, (gx, gy, 1)),
+                        moved,
+                        "{policy:?} on {gx}x{gy}"
+                    );
+                }
+            }
+        }
     }
 
     /// On the swizzle-sensitive DM workload the tuner must pick a

@@ -304,6 +304,47 @@ fn unrunnable_launch_specs_are_rejected() {
     );
 }
 
+/// A `--launch` naming no kernel of the file, or a second `--launch` for
+/// one kernel, fails the compile (exit 1) with a rendered diagnostic
+/// instead of being dropped.
+#[test]
+fn launches_must_match_the_kernels_one_to_one() {
+    let f = tempfile_path::write(
+        "__global__ void k(float *a) {\n    a[blockIdx.x * blockDim.x + threadIdx.x] = 1.0f;\n}\n",
+    );
+    let file = f.0.to_str().unwrap();
+    let cases: &[(&[&str], &[&str])] = &[
+        (
+            &["--launch", "k=1x256", "--launch", "nope=1x32"],
+            &[
+                "error[E016]: launch `nope` names no kernel of the translation unit",
+                "= note: kernels defined: `k`",
+            ],
+        ),
+        (
+            &["--launch", "k=1x256", "--launch", "k=4x64"],
+            &[
+                "error[E024]: more than one launch configuration for kernel `k`",
+                &format!("--> {file}:1:17"),
+            ],
+        ),
+    ];
+    for (launches, rendered) in cases {
+        let out = catt()
+            .arg("analyze")
+            .arg(file)
+            .args(*launches)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{launches:?}: {stderr}");
+        for line in *rendered {
+            assert!(stderr.contains(line), "{launches:?}: {stderr}");
+        }
+        assert!(out.stdout.is_empty(), "{launches:?}: analyzed anyway");
+    }
+}
+
 /// `catt reproduce <id> --check` reads `results/` under the working
 /// directory and writes nothing; an unknown id is a usage error that
 /// names what is accepted.

@@ -6,7 +6,9 @@
 //! the engine pool as batches; the order of the points, `iterations` and
 //! `evaluations` were re-recorded when the climb learned to exclude a
 //! losing probe and gave each restart its own budget (ROADMAP item 2(i)),
-//! which probed new points but changed no point's cycles. GSMV, CORR and
+//! which probed new points but changed no point's cycles; the swizzles
+//! that move no block of their app's grids were dropped when the tuner
+//! stopped measuring them, which changed no other point. GSMV, CORR and
 //! CFD are fast apps whose climbs all run. This
 //! file is its own test binary with a single engine-using test, so the
 //! process-wide engine's cache counters count only the calls made here.
@@ -14,7 +16,7 @@
 use catt_repro::core::bftt::{candidate_grid, resident_tbs};
 use catt_repro::core::engine::{job_digest, Engine};
 use catt_repro::core::pipeline::apply_uniform;
-use catt_repro::core::{cta_swizzle, SwizzlePolicy};
+use catt_repro::core::{cta_swizzle, moves_a_block, SwizzlePolicy};
 use catt_repro::diag::json::{self, Json};
 use catt_repro::ir::Kernel;
 use catt_repro::tune::{tune_workload, TuneOptions, TuneReport};
@@ -49,13 +51,10 @@ const GOLDEN: [Golden; 3] = [
             ("n=8 m=3", 343433, false),
             ("n=8 m=4", 343433, false),
             ("catt", 149173, false),
-            ("serpentine", 390335, true),
-            ("tile=2", 390275, true),
             ("xor=1", 390233, true),
-            ("xor=3", 390273, true),
         ],
         iterations: 9,
-        evaluations: 15,
+        evaluations: 12,
         tuned: ("n=4 m=0", 136158),
         catt_cycles: Some(149173),
         bftt_cycles: Some(136158),
@@ -71,12 +70,9 @@ const GOLDEN: [Golden; 3] = [
             ("n=8 m=6", 2618084, false),
             ("n=8 m=1", 2462224, false),
             ("catt", 726321, false),
-            ("serpentine", 726425, true),
-            ("xor=1", 726533, true),
-            ("xor=3", 726533, true),
         ],
         iterations: 8,
-        evaluations: 11,
+        evaluations: 8,
         tuned: ("baseline", 726321),
         catt_cycles: Some(726321),
         bftt_cycles: Some(726321),
@@ -93,12 +89,11 @@ const GOLDEN: [Golden; 3] = [
             ("n=6 m=1", 543864, false),
             ("n=3 m=0", 165264, false),
             ("catt", 165264, false),
-            ("serpentine", 166116, true),
             ("xor=1", 165342, true),
             ("xor=3", 165477, true),
         ],
         iterations: 8,
-        evaluations: 12,
+        evaluations: 11,
         tuned: ("baseline", 165264),
         catt_cycles: Some(165264),
         bftt_cycles: Some(165264),
@@ -126,8 +121,8 @@ fn check_against_golden(r: &TuneReport, g: &Golden) {
 
 /// Cache keys of every program one `tune_workload` call measures: the
 /// whole throttle ladder (the BFTT column sweeps all of it, the baseline
-/// is its first point), static CATT, and each applicable CTA swizzle at
-/// the tuned throttle point.
+/// is its first point), static CATT, and each CTA swizzle that moves a
+/// block of some kernel's grid, at the tuned throttle point.
 fn measured_programs(w: &Workload, r: &TuneReport) -> BTreeSet<u64> {
     let cfg = eval_config_max_l1d();
     let kernels = w.kernels();
@@ -158,7 +153,7 @@ fn measured_programs(w: &Workload, r: &TuneReport) -> BTreeSet<u64> {
             let g = w.launch(i).grid;
             (g.x, g.y, g.z)
         };
-        if !(0..kernels.len()).any(|i| cta_swizzle(&kernels[i], policy, grid(i)).is_some()) {
+        if !(0..kernels.len()).any(|i| moves_a_block(policy, grid(i))) {
             continue;
         }
         let swizzled: Vec<Kernel> = (0..kernels.len())
