@@ -72,28 +72,43 @@ pub enum CandidateOutcome {
     },
 }
 
+impl CandidateOutcome {
+    /// The measured candidate, unless it faulted.
+    pub fn healthy(&self) -> Option<&BfttCandidate> {
+        match self {
+            CandidateOutcome::Healthy(c) => Some(c),
+            CandidateOutcome::Faulted { .. } => None,
+        }
+    }
+}
+
 /// Result of a BFTT sweep.
 #[derive(Debug, Clone)]
 pub struct BfttResult {
-    /// Every grid point's outcome, in sweep order (`(n=1, m=0)` first).
+    /// Every grid point's outcome, in sweep order: `(n=1, m=0)` first, the
+    /// baseline, which is always healthy (a faulted baseline fails the
+    /// sweep with a [`SweepError`] instead).
     pub outcomes: Vec<CandidateOutcome>,
-    /// The healthy candidates, in sweep order (`(n=1, m=0)` first — the
-    /// baseline, which is guaranteed healthy: a faulted baseline fails
-    /// the sweep with a [`SweepError`] instead).
-    pub candidates: Vec<BfttCandidate>,
-    /// Index of the fastest candidate (into `candidates`).
+    /// Index into `outcomes` of the fastest healthy candidate.
     pub best: usize,
 }
 
 impl BfttResult {
+    /// The healthy candidate at `outcomes[i]`.
+    fn healthy(&self, i: usize) -> &BfttCandidate {
+        self.outcomes[i]
+            .healthy()
+            .expect("the sweep keeps the baseline and the best healthy")
+    }
+
     /// The fastest healthy candidate.
     pub fn best_candidate(&self) -> &BfttCandidate {
-        &self.candidates[self.best]
+        self.healthy(self.best)
     }
 
     /// The baseline (untransformed) candidate.
     pub fn baseline(&self) -> &BfttCandidate {
-        &self.candidates[0]
+        self.healthy(0)
     }
 
     /// Speedup of the best candidate over the baseline.
@@ -152,18 +167,26 @@ pub fn resident_tbs(kernels: &[Kernel], launch: LaunchConfig, config: &GpuConfig
         .max(1)
 }
 
-/// Exhaustive sweep on the process-wide [`Engine`]. See [`sweep_on`].
-pub fn sweep<F>(
-    scope: &str,
+/// The application `kernels` with kernel `only` (every kernel, when `None`)
+/// throttled uniformly to ladder point `(n, m)` of blocks that run `warps`
+/// warps with `resident` blocks per SM; `carveout` is the configuration's
+/// shared-memory carve-out. The one builder of [`candidate_grid`]'s
+/// programs: the sweep, the tuner and the figures all call it.
+pub fn uniform(
     kernels: &[Kernel],
-    launch: LaunchConfig,
-    config: &GpuConfig,
-    run: F,
-) -> Result<BfttResult, SweepError>
-where
-    F: Fn(&[Kernel], &GpuConfig) -> LaunchStats + Sync,
-{
-    sweep_on(Engine::global(), scope, kernels, launch, config, run)
+    only: Option<usize>,
+    (n, m): (u32, u32),
+    (warps, resident): (u32, u32),
+    carveout: u32,
+) -> Vec<Kernel> {
+    kernels
+        .iter()
+        .enumerate()
+        .map(|(i, k)| match only {
+            Some(j) if j != i => k.clone(),
+            _ => apply_uniform(k, n, m, warps, resident, carveout),
+        })
+        .collect()
 }
 
 /// Exhaustive sweep. `run` executes the application end to end with the
@@ -198,20 +221,9 @@ where
     let grid = candidate_grid(warps_per_tb, resident_tbs);
 
     let label = format!("BFTT {scope}");
+    let tlp = (warps_per_tb, resident_tbs);
     let results = engine.run_jobs(&label, &grid, |_, &(n, m)| {
-        let transformed: Vec<Kernel> = kernels
-            .iter()
-            .map(|k| {
-                apply_uniform(
-                    k,
-                    n,
-                    m,
-                    warps_per_tb,
-                    resident_tbs,
-                    config.smem_carveout_bytes,
-                )
-            })
-            .collect();
+        let transformed = uniform(kernels, None, (n, m), tlp, config.smem_carveout_bytes);
         // The digest scope stays the plain application tag: candidates are
         // distinguished by their transformed programs, so a no-op
         // transform (n=1, m=0) shares its entry with the baseline run.
@@ -228,34 +240,23 @@ where
     });
 
     let mut outcomes = Vec::with_capacity(grid.len());
-    let mut candidates = Vec::new();
     for (idx, (result, &(n, m))) in results.into_iter().zip(&grid).enumerate() {
-        match result {
-            Ok(candidate) => {
-                candidates.push(candidate.clone());
-                outcomes.push(CandidateOutcome::Healthy(candidate));
-            }
-            Err(cause) => {
-                if idx == 0 {
-                    // The baseline is the denominator of every speedup;
-                    // without it the sweep has no meaning.
-                    return Err(SweepError { n, m, cause });
-                }
-                outcomes.push(CandidateOutcome::Faulted { n, m, error: cause });
-            }
-        }
+        outcomes.push(match result {
+            Ok(candidate) => CandidateOutcome::Healthy(candidate),
+            // The baseline is the denominator of every speedup; without it
+            // the sweep has no meaning.
+            Err(cause) if idx == 0 => return Err(SweepError { n, m, cause }),
+            Err(error) => CandidateOutcome::Faulted { n, m, error },
+        });
     }
-    let best = candidates
+    let best = outcomes
         .iter()
         .enumerate()
-        .min_by_key(|(_, c)| c.stats.cycles)
+        .filter_map(|(i, o)| Some((i, o.healthy()?.stats.cycles)))
+        .min_by_key(|&(_, cycles)| cycles)
         .map(|(i, _)| i)
         .expect("baseline candidate is healthy");
-    Ok(BfttResult {
-        outcomes,
-        candidates,
-        best,
-    })
+    Ok(BfttResult { outcomes, best })
 }
 
 #[cfg(test)]
@@ -295,7 +296,8 @@ mod tests {
         let launch = LaunchConfig::d1(1, 256);
         let mut config = GpuConfig::titan_v_1sm();
         config.l1_cap_bytes = Some(32 * 1024);
-        let result = sweep(
+        let result = sweep_on(
+            Engine::global(),
             "test-mv",
             std::slice::from_ref(&kernel),
             launch,
@@ -347,7 +349,8 @@ mod tests {
         let kernel = parse_kernel(src).unwrap();
         let launch = LaunchConfig::d1(16, 256);
         let config = GpuConfig::titan_v_1sm();
-        let result = sweep(
+        let result = sweep_on(
+            Engine::global(),
             "test-stream",
             std::slice::from_ref(&kernel),
             launch,

@@ -93,9 +93,10 @@ fn sweep_results_are_identical_across_worker_counts() {
     )
     .expect("parallel sweep succeeds");
 
-    assert_eq!(serial.candidates.len(), parallel.candidates.len());
+    assert_eq!(serial.outcomes.len(), parallel.outcomes.len());
     assert_eq!(serial.best, parallel.best);
-    for (s, p) in serial.candidates.iter().zip(&parallel.candidates) {
+    for (s, p) in serial.outcomes.iter().zip(&parallel.outcomes) {
+        let (s, p) = (s.healthy().expect("healthy"), p.healthy().expect("healthy"));
         assert_eq!(
             (s.n, s.m),
             (p.n, p.m),

@@ -86,7 +86,7 @@ fn sweep_survives_an_injected_faulting_candidate() {
         faulted[0].2
     );
     assert_eq!(
-        result.candidates.len() + 1,
+        result.outcomes.iter().filter_map(|o| o.healthy()).count() + 1,
         result.outcomes.len(),
         "healthy candidates plus the faulted one cover the grid"
     );
@@ -96,7 +96,7 @@ fn sweep_survives_an_injected_faulting_candidate() {
     assert_eq!((result.baseline().n, result.baseline().m), (1, 0));
     // The reference sweep (no faults) agrees on the winner unless the
     // fault happened to hit it; either way this sweep completed.
-    assert!(result.best < result.candidates.len());
+    assert!(result.best < result.outcomes.len());
     for outcome in &result.outcomes {
         if let CandidateOutcome::Faulted { n, m, .. } = outcome {
             assert_eq!((*n, *m), (faulted[0].0, faulted[0].1));

@@ -70,8 +70,8 @@ pub fn check_invariants(p: &LaunchProfile) -> Result<(), String> {
 /// of the same run: per-set counters must sum to the aggregate L1
 /// counters, per-SM instruction and cycle shards to the aggregate
 /// totals. `stats` is the accumulated stats over exactly the launches
-/// `profiles` describes (e.g. one `RunOutcome` and the profiles captured
-/// alongside it).
+/// `profiles` describes (e.g. the stats and profiles one
+/// `run_profiled` returns).
 pub fn check_against_stats(profiles: &[LaunchProfile], stats: &LaunchStats) -> Result<(), String> {
     let mut accesses = 0u64;
     let mut hits = 0u64;
@@ -134,6 +134,6 @@ mod tests {
         let config = catt_workloads::harness::eval_config_max_l1d();
         let (out, profiles) = run_profiled(&w, &config).expect("profiled run");
         assert!(!profiles.is_empty(), "capture must deliver profiles");
-        check_against_stats(&profiles, &out.stats).unwrap();
+        check_against_stats(&profiles, &out).unwrap();
     }
 }

@@ -85,7 +85,7 @@ fn every_registry_workload_reconciles_under_parallel_sms() {
         for p in &profiles {
             assert_stall_accounting(p, w.abbrev);
         }
-        assert_reconciles(&profiles, &out.stats, w.abbrev);
+        assert_reconciles(&profiles, &out, w.abbrev);
     }
 }
 
@@ -97,7 +97,7 @@ fn sequential_mode_upholds_the_same_invariants() {
     for p in &profiles {
         assert_stall_accounting(p, w.abbrev);
     }
-    assert_reconciles(&profiles, &out.stats, w.abbrev);
+    assert_reconciles(&profiles, &out, w.abbrev);
 }
 
 /// A fuel-exhausted launch still yields a (partial) profile, flagged

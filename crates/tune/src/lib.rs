@@ -17,8 +17,8 @@
 //! worse than baseline *or* static CATT by construction. The climb
 //! consults `O(log |ladder|)` points, but the report's BFTT column costs
 //! the full ladder; each point is simulated once, in one batch on the
-//! engine pool with the profiled baseline and static CATT, and both read
-//! it from the cache.
+//! engine pool with the profiled baseline and static CATT, and both the
+//! climb and the BFTT column read the table that batch returns.
 //!
 //! Termination bound (DESIGN.md §3h): every iteration shrinks the climb's
 //! bracket and no ladder point is probed twice, so a climb from one start
@@ -27,19 +27,29 @@
 //! the two seeded restarts gets that budget, under the hard `max_iters`
 //! cap on both together.
 
-use catt_core::bftt::{candidate_grid, resident_tbs};
-use catt_core::pipeline::apply_uniform;
+use catt_core::bftt::{self, candidate_grid, resident_tbs};
 use catt_core::{cta_swizzle, moves_a_block, Engine, SwizzlePolicy};
+use catt_diag::json;
 use catt_ir::Kernel;
 use catt_prng::Rng;
 use catt_sim::profile::StallReason;
-use catt_sim::{GpuConfig, LaunchProfile};
+use catt_sim::{GpuConfig, LaunchProfile, LaunchStats};
 use catt_workloads::harness::{self, EvalError};
 use catt_workloads::registry::Workload;
-use std::collections::BTreeMap;
 
-/// Tuner knobs (`catt tune --seed` / `--iters` set the first two);
-/// defaults reproduce the recorded `results/tune.txt`.
+/// Minimum memory-stall fraction (stalled issue slots waiting on the L1D
+/// port or outstanding loads, over all offered slots) before the throttle
+/// ladder is climbed at all. Below it the kernel is not memory-bound and
+/// throttling cannot pay.
+const MEM_STALL_THRESHOLD: f64 = 0.25;
+
+/// Minimum absolute L2 hit-rate gain a CTA-swizzle candidate must measure
+/// before it may be selected (the gate that attributes a swizzle win to
+/// improved L2 locality rather than noise).
+const MIN_L2_GAIN: f64 = 0.02;
+
+/// Tuner knobs (`catt tune --seed` / `--iters` set them); defaults
+/// reproduce the recorded `results/tune.txt`.
 #[derive(Debug, Clone)]
 pub struct TuneOptions {
     /// PRNG seed for the second climb restart (the first always starts at
@@ -47,15 +57,6 @@ pub struct TuneOptions {
     pub seed: u64,
     /// Hard cap on climb iterations across restarts.
     pub max_iters: u32,
-    /// Minimum memory-stall fraction (stalled issue slots waiting on the
-    /// L1D port or outstanding loads, over all offered slots) before the
-    /// throttle ladder is climbed at all. Below it the kernel is not
-    /// memory-bound and throttling cannot pay.
-    pub mem_stall_threshold: f64,
-    /// Minimum absolute L2 hit-rate gain a CTA-swizzle candidate must
-    /// measure before it may be selected (the gate that attributes a
-    /// swizzle win to improved L2 locality rather than noise).
-    pub min_l2_gain: f64,
 }
 
 impl Default for TuneOptions {
@@ -63,8 +64,6 @@ impl Default for TuneOptions {
         TuneOptions {
             seed: 0x7E57_CA77,
             max_iters: 32,
-            mem_stall_threshold: 0.25,
-            min_l2_gain: 0.02,
         }
     }
 }
@@ -122,7 +121,7 @@ pub struct TracePoint {
     /// Measured cycles.
     pub cycles: u64,
     /// Measured but barred from selection: a CTA-swizzle candidate whose
-    /// L2 hit-rate gain did not clear [`TuneOptions::min_l2_gain`]. Its
+    /// L2 hit-rate gain did not clear the swizzle gate (0.02). Its
     /// cycle win (if any) is an artifact of the single-SM in-order block
     /// schedule, not of the L2 locality mechanism the tuner optimizes, so
     /// the tuner refuses it even when it is the fastest point measured.
@@ -137,7 +136,7 @@ pub struct TunedChoice {
     /// TB reduction (0 = untouched).
     pub m: u32,
     /// Selected CTA-swizzle policy, if its measured L2 hit-rate gain
-    /// cleared [`TuneOptions::min_l2_gain`] and it won on cycles.
+    /// cleared the swizzle gate (0.02) and it won on cycles.
     pub swizzle: Option<SwizzlePolicy>,
     /// Whether the static CATT compilation (per-loop settings, not on the
     /// uniform ladder) is the winner; `n`/`m` are 1/0 in that case.
@@ -178,7 +177,7 @@ pub struct TuneReport {
     pub baseline_l2_hit_rate: f64,
     /// Static CATT cycles (`None` if compilation failed).
     pub catt_cycles: Option<u64>,
-    /// BFTT best-fixed cycles (`None` if the sweep failed).
+    /// BFTT best-fixed cycles: the fastest healthy ladder point.
     pub bftt_cycles: Option<u64>,
     /// The tuner's winner.
     pub tuned: TunedChoice,
@@ -249,7 +248,7 @@ impl TuneReport {
             }
         }
         if self.tuned.swizzle.is_some()
-            && self.tuned.l2_hit_rate < self.baseline_l2_hit_rate + opts.min_l2_gain
+            && self.tuned.l2_hit_rate < self.baseline_l2_hit_rate + MIN_L2_GAIN
         {
             return Err(format!(
                 "{}: swizzle selected without the required L2 hit-rate gain \
@@ -278,45 +277,50 @@ fn swizzle_or_keep(kernel: &Kernel, policy: SwizzlePolicy, grid: (u32, u32, u32)
     cta_swizzle(kernel, policy, grid).unwrap_or_else(|| kernel.clone())
 }
 
-/// Simulate `programs` of `w` as one batch on the engine pool — and, with
-/// `profiled`, the profiled baseline, whose profiles are returned. Only
-/// the cache keeps the other results: the tuner's sequential logic reads
-/// them back, so a batch moves simulations onto the pool without changing
-/// what the tuner measures or in which order it records them. A program
-/// equal to `baseline` (seeded by the profiled run) or listed twice is
-/// simulated once; a failing one is left for the sequential logic to meet.
-fn prefetch<'a>(
+/// Simulate `programs` of `w` as one batch on the engine pool and return
+/// each program's statistics, in order, with the baseline's profiles when
+/// `profiled`: then `programs[0]` is the baseline, which runs profiled and
+/// seeds its cache entry. A program equal to an earlier one shares its
+/// job, so it is simulated once. Every job goes through the engine cache,
+/// so later callers in the process (`catt reproduce`) read it back.
+fn run_batch(
     w: &Workload,
     config: &GpuConfig,
-    baseline: &[Kernel],
-    programs: impl IntoIterator<Item = &'a [Kernel]>,
+    programs: &[&[Kernel]],
     profiled: bool,
-) -> Result<Vec<LaunchProfile>, EvalError> {
-    // `None` is the profiled baseline.
-    let mut jobs: Vec<Option<&[Kernel]>> = profiled.then_some(None).into_iter().collect();
-    for p in programs {
-        if p != baseline && !jobs.contains(&Some(p)) {
-            jobs.push(Some(p));
-        }
-    }
-    let label = format!("tune {}", w.abbrev);
-    let mut batch = Engine::global().run_jobs(&label, &jobs, |_, job| {
-        Ok(match job {
-            // Profile capture is thread-local, so the profiled run
-            // captures on the worker that runs it.
-            None => Some(harness::run_profiled(w, config).map(|(_, profiles)| profiles)),
-            Some(program) => {
-                let _ = harness::run_cached(w, program, config);
-                None
+) -> (Vec<Result<LaunchStats, EvalError>>, Vec<LaunchProfile>) {
+    let mut jobs: Vec<&[Kernel]> = Vec::new();
+    let job_of: Vec<usize> = programs
+        .iter()
+        .map(|&p| match jobs.iter().position(|&j| j == p) {
+            Some(i) => i,
+            None => {
+                jobs.push(p);
+                jobs.len() - 1
             }
         })
-    });
-    if !profiled {
-        return Ok(Vec::new());
-    }
-    batch
-        .swap_remove(0)?
-        .expect("the first job is the profiled baseline")
+        .collect();
+    let label = format!("tune {}", w.abbrev);
+    let mut profiles = Vec::new();
+    let results: Vec<Result<LaunchStats, EvalError>> = Engine::global()
+        .run_jobs(&label, &jobs, |i, &program| {
+            // Profile capture is thread-local, so the profiled run
+            // captures on the worker that runs it.
+            Ok(if profiled && i == 0 {
+                harness::run_profiled(w, config)
+            } else {
+                harness::run_cached(w, program, config).map(|stats| (stats, Vec::new()))
+            })
+        })
+        .into_iter()
+        .map(|job| {
+            let (stats, p) = job??;
+            profiles.extend(p);
+            Ok(stats)
+        })
+        .collect();
+    let table = job_of.iter().map(|&i| results[i].clone()).collect();
+    (table, profiles)
 }
 
 /// Iteration budget of one [`climb`] over a ladder of `len` points:
@@ -393,207 +397,163 @@ pub fn tune_workload(
     let warps_per_tb = launch.warps_per_block();
     let resident_tbs = resident_tbs(&kernels, launch, config);
     let ladder = candidate_grid(warps_per_tb, resident_tbs);
-    let uniform = |ks: &[Kernel], n: u32, m: u32| -> Vec<Kernel> {
-        ks.iter()
-            .map(|k| {
-                apply_uniform(
-                    k,
-                    n,
-                    m,
-                    warps_per_tb,
-                    resident_tbs,
-                    config.smem_carveout_bytes,
-                )
-            })
-            .collect()
-    };
+    let tlp = (warps_per_tb, resident_tbs);
+    let uniform = |ks: &[Kernel], nm| bftt::uniform(ks, None, nm, tlp, config.smem_carveout_bytes);
 
     // Everything whose identity no measurement decides runs first, as one
-    // batch: the profiled baseline, static CATT and every other ladder
-    // point (the climb visits some, the BFTT column all of them).
-    let unmeasured: Vec<Vec<Kernel>> = harness::compile_catt(w, config)
-        .map(|app| app.transformed_kernels())
-        .into_iter()
-        .chain(ladder[1..].iter().map(|&(n, m)| uniform(&kernels, n, m)))
+    // batch: the profiled baseline, static CATT and the whole ladder (the
+    // climb visits some points, the BFTT column all of them; `(1, 0)` is
+    // the baseline itself).
+    let catt = harness::compile_catt(w, config)
+        .ok()
+        .map(|app| app.transformed_kernels());
+    let programs: Vec<Vec<Kernel>> = ladder.iter().map(|&nm| uniform(&kernels, nm)).collect();
+    let batch: Vec<&[Kernel]> = std::iter::once(kernels.as_slice())
+        .chain(catt.as_deref())
+        .chain(programs.iter().map(Vec::as_slice))
         .collect();
-    let profiles = prefetch(
-        w,
-        config,
-        &kernels,
-        unmeasured.iter().map(Vec::as_slice),
-        true,
-    )?;
+    let (mut table, profiles) = run_batch(w, config, &batch, true);
+    let on_ladder = table.split_off(table.len() - ladder.len());
+    let catt_stats = if catt.is_some() { table.pop() } else { None };
+    let base = table.swap_remove(0)?;
 
-    // Observe the baseline: the profiled run's steering counters, and its
-    // cycles (the profiled run seeded the cache entry read here).
+    // Observe the baseline: the profiled run's steering counters and stats.
     let observed = observe(&profiles);
-    let base = harness::run_baseline(w, config)?;
-    let baseline_cycles = base.cycles();
-    let baseline_l2 = base.stats.l2_hit_rate();
+    let baseline_cycles = base.cycles;
+    let baseline_l2 = base.l2_hit_rate();
 
-    let mut trace = vec![TracePoint {
-        what: "baseline".to_string(),
-        cycles: baseline_cycles,
-        gated: false,
-    }];
-    let mut evaluations = 1u32;
+    // Two climbs over the ladder (see [`climb`]), each with its own
+    // budget, reading the table. Skipped entirely when the baseline is not
+    // memory-bound — the counters say throttling cannot pay, so the tuner
+    // spends nothing finding that out. Faulted candidates cost u64::MAX so
+    // the climb backs away from them.
+    let cost = |idx: usize| on_ladder[idx].as_ref().map_or(u64::MAX, |s| s.cycles);
+    let mut probed = vec![0usize];
+    let mut iterations = 0u32;
+    if observed.mem_stall_frac >= MEM_STALL_THRESHOLD && ladder.len() > 1 {
+        let mut rng = Rng::seed(opts.seed);
+        let restarts = [0usize, rng.range_usize(0, ladder.len() - 1)];
+        for &start in &restarts {
+            let budget = climb_bound(ladder.len()).min(opts.max_iters.saturating_sub(iterations));
+            iterations += climb(ladder.len(), start, budget, |idx| {
+                if !probed.contains(&idx) {
+                    probed.push(idx);
+                }
+                cost(idx)
+            });
+        }
+    }
+    let mut trace: Vec<TracePoint> = probed
+        .iter()
+        .map(|&idx| TracePoint {
+            what: match ladder[idx] {
+                (1, 0) => "baseline".to_string(),
+                (n, m) => format!("n={n} m={m}"),
+            },
+            cycles: cost(idx),
+            gated: false,
+        })
+        .collect();
+    let mut evaluations = probed.len() as u32;
+    let best_idx = probed
+        .iter()
+        .copied()
+        .min_by_key(|&idx| (cost(idx), idx))
+        .expect("baseline is always measured");
+    let (n, m) = ladder[best_idx];
+    let mut tuned = TunedChoice {
+        n,
+        m,
+        swizzle: None,
+        from_static_catt: false,
+        cycles: cost(best_idx),
+        l2_hit_rate: on_ladder[best_idx]
+            .as_ref()
+            .map_or(baseline_l2, LaunchStats::l2_hit_rate),
+    };
 
-    // Measure one uniform ladder point, memoized per index ((1,0) is the
-    // baseline already measured). Faulted candidates measure as u64::MAX
-    // so the climb backs away from them.
-    let mut measured: BTreeMap<usize, u64> = BTreeMap::new();
-    measured.insert(0, baseline_cycles);
+    // Seed candidate: the static CATT compilation (per-loop settings, off
+    // the uniform ladder). Measuring it makes `tuned <= static CATT` hold
+    // by construction.
+    let catt_cycles = match catt_stats {
+        Some(Ok(out)) => {
+            evaluations += 1;
+            trace.push(TracePoint {
+                what: "catt".to_string(),
+                cycles: out.cycles,
+                gated: false,
+            });
+            if out.cycles < tuned.cycles {
+                tuned = TunedChoice {
+                    n: 1,
+                    m: 0,
+                    swizzle: None,
+                    from_static_catt: true,
+                    cycles: out.cycles,
+                    l2_hit_rate: out.l2_hit_rate(),
+                };
+            }
+            Some(out.cycles)
+        }
+        _ => None,
+    };
+
+    // CTA-swizzle pass: at the best throttle point, try every policy that
+    // moves a block (the second batch); a policy is selectable only if its
+    // *measured* L2 hit-rate gain over baseline clears the gate and it
+    // wins on cycles. The throttle point is `(1, 0)` when static CATT won,
+    // and the uniform transform at `(1, 0)` is the identity.
     let grids: Vec<(u32, u32, u32)> = (0..kernels.len())
         .map(|i| {
             let g = w.launch(i).grid;
             (g.x, g.y, g.z)
         })
         .collect();
-    let mut measure = |idx: usize, trace: &mut Vec<TracePoint>, evaluations: &mut u32| -> u64 {
-        if let Some(&c) = measured.get(&idx) {
-            return c;
-        }
-        let (n, m) = ladder[idx];
-        let cycles = match harness::run_cached(w, &uniform(&kernels, n, m), config) {
-            Ok(out) => out.cycles(),
-            Err(_) => u64::MAX,
-        };
-        *evaluations += 1;
-        trace.push(TracePoint {
-            what: format!("n={n} m={m}"),
-            cycles,
-            gated: false,
-        });
-        measured.insert(idx, cycles);
-        cycles
-    };
-
-    // Two climbs over the ladder (see [`climb`]), each with its own
-    // budget. Skipped entirely when the baseline is not memory-bound —
-    // the counters say throttling cannot pay, so the tuner spends nothing
-    // finding that out.
-    let mut iterations = 0u32;
-    if observed.mem_stall_frac >= opts.mem_stall_threshold && ladder.len() > 1 {
-        let mut rng = Rng::seed(opts.seed);
-        let restarts = [0usize, rng.range_usize(0, ladder.len() - 1)];
-        for &start in &restarts {
-            let budget = climb_bound(ladder.len()).min(opts.max_iters.saturating_sub(iterations));
-            let spent = climb(ladder.len(), start, budget, |idx| {
-                measure(idx, &mut trace, &mut evaluations)
-            });
-            iterations += spent;
-        }
-    }
-    let (&best_idx, &best_ladder_cycles) = measured
+    let policies = swizzle_candidates(&grids);
+    let swizzled: Vec<Vec<Kernel>> = policies
         .iter()
-        .min_by_key(|&(_, &c)| c)
-        .expect("baseline is always measured");
-    let (mut best_n, mut best_m) = ladder[best_idx];
-    let mut best_cycles = best_ladder_cycles;
-
-    // Seed candidate: the static CATT compilation (per-loop settings, off
-    // the uniform ladder). Measuring it makes `tuned <= static CATT` hold
-    // by construction.
-    let mut from_static_catt = false;
-    let catt_cycles = match harness::run_catt(w, config) {
-        Ok((out, _)) => {
-            evaluations += 1;
-            trace.push(TracePoint {
-                what: "catt".to_string(),
-                cycles: out.cycles(),
-                gated: false,
-            });
-            if out.cycles() < best_cycles {
-                best_cycles = out.cycles();
-                (best_n, best_m) = (1, 0);
-                from_static_catt = true;
-            }
-            Some(out.cycles())
-        }
-        Err(_) => None,
-    };
-
-    // CTA-swizzle pass: at the best throttle point, try every policy that
-    // moves a block (the second batch); a policy is selectable only if its
-    // *measured* L2 hit-rate gain over baseline clears the gate and it
-    // wins on cycles. `(best_n, best_m)` is `(1, 0)` when static CATT won,
-    // and the uniform transform at `(1, 0)` is the identity.
-    let swizzled: Vec<(SwizzlePolicy, Vec<Kernel>)> = swizzle_candidates(&grids)
-        .into_iter()
-        .map(|policy| {
+        .map(|&policy| {
             let s: Vec<Kernel> = kernels
                 .iter()
                 .zip(&grids)
                 .map(|(k, &g)| swizzle_or_keep(k, policy, g))
                 .collect();
-            (policy, uniform(&s, best_n, best_m))
+            uniform(&s, (tuned.n, tuned.m))
         })
         .collect();
-    prefetch(
-        w,
-        config,
-        &kernels,
-        swizzled.iter().map(|(_, p)| p.as_slice()),
-        false,
-    )?;
-    let mut best_swizzle: Option<(SwizzlePolicy, u64, f64)> = None;
-    for (policy, transformed) in &swizzled {
-        let Ok(out) = harness::run_cached(w, transformed, config) else {
+    let batch: Vec<&[Kernel]> = swizzled.iter().map(Vec::as_slice).collect();
+    let (measured_swizzles, _) = run_batch(w, config, &batch, false);
+    for (policy, result) in policies.into_iter().zip(&measured_swizzles) {
+        let Ok(out) = result else {
             continue;
         };
         evaluations += 1;
-        let l2 = out.stats.l2_hit_rate();
+        let l2 = out.l2_hit_rate();
         // No measured locality gain ⇒ any cycle win is not attributable to
         // the swizzle; record the point but bar it from selection.
-        let gated = l2 < baseline_l2 + opts.min_l2_gain;
+        let gated = l2 < baseline_l2 + MIN_L2_GAIN;
         trace.push(TracePoint {
             what: policy.describe(),
-            cycles: out.cycles(),
+            cycles: out.cycles,
             gated,
         });
-        if gated {
-            continue;
-        }
-        if out.cycles() < best_cycles && best_swizzle.is_none_or(|(_, c, _)| out.cycles() < c) {
-            best_swizzle = Some((*policy, out.cycles(), l2));
+        // A swizzle win replaces the static-CATT seed (the swizzled variant
+        // was measured against it and won).
+        if !gated && out.cycles < tuned.cycles {
+            tuned = TunedChoice {
+                swizzle: Some(policy),
+                from_static_catt: false,
+                cycles: out.cycles,
+                l2_hit_rate: l2,
+                ..tuned
+            };
         }
     }
 
-    let tuned = match best_swizzle {
-        Some((policy, cycles, l2)) => TunedChoice {
-            n: best_n,
-            m: best_m,
-            swizzle: Some(policy),
-            // A swizzle win replaces the static-CATT seed (the swizzled
-            // variant was measured against it and won).
-            from_static_catt: false,
-            cycles,
-            l2_hit_rate: l2,
-        },
-        None => {
-            // Re-derive the winner's L2 hit rate from its cached run.
-            let winner = if from_static_catt {
-                harness::run_catt(w, config).map(|(out, _)| out)
-            } else {
-                harness::run_cached(w, &uniform(&kernels, best_n, best_m), config)
-            };
-            TunedChoice {
-                n: best_n,
-                m: best_m,
-                swizzle: None,
-                from_static_catt,
-                cycles: best_cycles,
-                l2_hit_rate: winner.map_or(baseline_l2, |out| out.stats.l2_hit_rate()),
-            }
-        }
-    };
-
-    // BFTT comparison column (cached like everything else; its sweep is
-    // the exhaustive upper bound the tuner tries to approach at a
-    // fraction of the evaluations).
-    let bftt_cycles = harness::run_bftt(w, config)
-        .ok()
-        .map(|(out, _)| out.cycles());
+    // BFTT comparison column: the exhaustive upper bound the tuner tries
+    // to approach at a fraction of the evaluations, the ladder's fastest
+    // healthy point.
+    let bftt_cycles = on_ladder.iter().flatten().map(|s| s.cycles).min();
 
     Ok(TuneReport {
         abbrev: w.abbrev,
@@ -702,8 +662,8 @@ impl TuneSummary {
         j.push_str("{\n");
         j.push_str(&format!(
             "  \"options\": {{ \"seed\": {}, \"max_iters\": {}, \
-             \"mem_stall_threshold\": {:.3}, \"min_l2_gain\": {:.3} }},\n",
-            opts.seed, opts.max_iters, opts.mem_stall_threshold, opts.min_l2_gain
+             \"mem_stall_threshold\": {MEM_STALL_THRESHOLD:.3}, \"min_l2_gain\": {MIN_L2_GAIN:.3} }},\n",
+            opts.seed, opts.max_iters
         ));
         j.push_str(&format!(
             "  \"geomean_catt\": {:.4},\n  \"geomean_bftt\": {:.4},\n  \
@@ -712,6 +672,11 @@ impl TuneSummary {
             self.geomean_bftt(),
             self.geomean_tuned()
         ));
+        let quoted = |text: &str| {
+            let mut q = String::new();
+            json::write_str(text, &mut q);
+            q
+        };
         for (i, r) in self.reports.iter().enumerate() {
             let catt = r
                 .catt_cycles
@@ -722,17 +687,17 @@ impl TuneSummary {
                 .map(|c| c.to_string())
                 .unwrap_or_else(|| "null".to_string());
             j.push_str(&format!(
-                "    {{ \"app\": \"{}\", \"baseline_cycles\": {}, \"catt_cycles\": {}, \
-                 \"bftt_cycles\": {}, \"tuned_cycles\": {}, \"tuned_config\": \"{}\", \
+                "    {{ \"app\": {}, \"baseline_cycles\": {}, \"catt_cycles\": {}, \
+                 \"bftt_cycles\": {}, \"tuned_cycles\": {}, \"tuned_config\": {}, \
                  \"tuned_speedup\": {:.4}, \"catt_speedup\": {:.4}, \"bftt_speedup\": {:.4}, \
                  \"mem_stall_frac\": {:.4}, \"baseline_l2_hit_rate\": {:.4}, \
                  \"tuned_l2_hit_rate\": {:.4}, \"iterations\": {}, \"evaluations\": {} }}{}\n",
-                r.abbrev,
+                quoted(r.abbrev),
                 r.baseline_cycles,
                 catt,
                 bftt,
                 r.tuned.cycles,
-                r.tuned.describe(),
+                quoted(&r.tuned.describe()),
                 r.tuned_speedup(),
                 r.catt_speedup(),
                 r.bftt_speedup(),
@@ -960,7 +925,7 @@ mod tests {
             r.tuned
         );
         assert!(
-            r.tuned.l2_hit_rate > r.baseline_l2_hit_rate + o.min_l2_gain,
+            r.tuned.l2_hit_rate > r.baseline_l2_hit_rate + MIN_L2_GAIN,
             "swizzle selection must be backed by a measured L2 gain"
         );
         assert!(r.tuned_speedup() > 1.1, "speedup {:.3}", r.tuned_speedup());

@@ -33,7 +33,7 @@ pub(crate) mod testutil {
     pub fn assert_untouched_and_valid(w: &Workload) {
         let cfg = harness::eval_config_max_l1d();
         let (out, app) = harness::run_catt(w, &cfg).expect("policy run succeeds");
-        assert!(out.cycles() > 0, "{}", w.abbrev);
+        assert!(out.cycles > 0, "{}", w.abbrev);
         for (i, k) in app.kernels.iter().enumerate() {
             assert!(
                 !k.is_transformed(),

@@ -110,7 +110,7 @@ mod tests {
         let w = workload();
         let out = harness::run_baseline(&w, &harness::eval_config_max_l1d())
             .expect("policy run succeeds");
-        assert!(out.cycles() > 0);
+        assert!(out.cycles > 0);
     }
 
     #[test]
@@ -120,7 +120,7 @@ mod tests {
         let (out, app) = harness::run_catt(&w, &cfg).expect("policy run succeeds");
         assert!(app.kernels[0].is_transformed(), "kernel 1 is contended");
         assert!(!app.kernels[1].is_transformed(), "kernel 2 is coalesced");
-        assert!(out.cycles() > 0);
+        assert!(out.cycles > 0);
         // Table 3 shape (Max. L1D): CATT halves the warps of kernel 1's
         // loop (the paper's (8,4) -> (4,4) at its scale; (8,5) -> (4,5)
         // at ours).

@@ -161,7 +161,7 @@ mod tests {
         let w = workload();
         let (out, app) =
             harness::run_catt(&w, &harness::eval_config_max_l1d()).expect("policy run succeeds");
-        assert!(out.cycles() > 0);
+        assert!(out.cycles > 0);
         for (i, k) in app.kernels.iter().enumerate() {
             assert!(
                 !k.is_transformed(),

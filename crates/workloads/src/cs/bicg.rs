@@ -105,7 +105,7 @@ mod tests {
         let w = workload();
         let (out, app) =
             harness::run_catt(&w, &harness::eval_config_max_l1d()).expect("policy run succeeds");
-        assert!(out.cycles() > 0);
+        assert!(out.cycles > 0);
         assert!(!app.kernels[0].is_transformed(), "BICG#1 is coalesced");
         assert!(app.kernels[1].is_transformed(), "BICG#2 is divergent");
         let k2 = &app.kernels[1].analysis;

@@ -171,7 +171,7 @@ mod tests {
         let w = workload();
         let (out, app) =
             harness::run_catt(&w, &harness::eval_config_max_l1d()).expect("policy run succeeds");
-        assert!(out.cycles() > 0);
+        assert!(out.cycles > 0);
         // 192-thread blocks: 6 warps, 10 resident blocks (64-warp limit).
         let flux = &app.kernels[1].analysis;
         assert_eq!(flux.baseline_tlp(), (6, 10));

@@ -192,7 +192,7 @@ mod tests {
         let w = workload();
         let (out, app) =
             harness::run_catt(&w, &harness::eval_config_max_l1d()).expect("policy run succeeds");
-        assert!(out.cycles() > 0);
+        assert!(out.cycles > 0);
         // Baseline TLP (8, 1) — Table 3's CORR row.
         let k4 = &app.kernels[3].analysis;
         assert_eq!(k4.baseline_tlp(), (8, 1));

@@ -129,7 +129,7 @@ mod tests {
         let w = workload();
         let out = harness::run_baseline(&w, &harness::eval_config_max_l1d())
             .expect("policy run succeeds");
-        assert!(out.cycles() > 0);
+        assert!(out.cycles > 0);
     }
 
     /// The workload's raison d'être: a tile-major CTA swizzle raises the
@@ -145,16 +145,16 @@ mod tests {
             .expect("4 divides the 12-wide grid");
         let out = harness::run_cached(&w, &[sw], &cfg).expect("swizzled run validates");
         assert!(
-            out.stats.l2_hit_rate() > base.stats.l2_hit_rate() + 0.05,
+            out.l2_hit_rate() > base.l2_hit_rate() + 0.05,
             "tile-major must raise the L2 hit rate: {:.3} vs {:.3}",
-            out.stats.l2_hit_rate(),
-            base.stats.l2_hit_rate()
+            out.l2_hit_rate(),
+            base.l2_hit_rate()
         );
         assert!(
-            out.cycles() < base.cycles(),
+            out.cycles < base.cycles,
             "tile-major must beat the linear schedule: {} vs {}",
-            out.cycles(),
-            base.cycles()
+            out.cycles,
+            base.cycles
         );
     }
 }

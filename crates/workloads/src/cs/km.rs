@@ -129,7 +129,7 @@ mod tests {
         let w = workload();
         let (out, app) =
             harness::run_catt(&w, &harness::eval_config_32kb_l1d()).expect("policy run succeeds");
-        assert!(out.cycles() > 0);
+        assert!(out.cycles > 0);
         for (i, ck) in app.kernels.iter().enumerate() {
             assert!(
                 ck.is_transformed(),

@@ -105,7 +105,7 @@ mod tests {
         let w = workload();
         let (out, app) =
             harness::run_catt(&w, &harness::eval_config_max_l1d()).expect("policy run succeeds");
-        assert!(out.cycles() > 0);
+        assert!(out.cycles > 0);
         assert!(app.kernels[0].is_transformed());
         assert!(!app.kernels[1].is_transformed());
     }

@@ -210,7 +210,7 @@ mod tests {
         let w = workload();
         let (out, app) =
             harness::run_catt(&w, &harness::eval_config_max_l1d()).expect("policy run succeeds");
-        assert!(out.cycles() > 0);
+        assert!(out.cycles > 0);
         let k1 = &app.kernels[0].analysis;
         // 4 KB shared memory → carve-out planned, L1D below 128 KB.
         assert!(k1.plan.smem_carveout_bytes >= 4 * 1024);

@@ -100,7 +100,7 @@ mod tests {
         let w = workload();
         let (out, app) =
             harness::run_catt(&w, &harness::eval_config_max_l1d()).expect("policy run succeeds");
-        assert!(out.cycles() > 0);
+        assert!(out.cycles > 0);
         let k = &app.kernels[0].analysis;
         // B[j*K+k] with j along x: inter-thread distance K.
         let l = &k.loops[0];

@@ -64,40 +64,27 @@ impl From<SweepError> for EvalError {
     }
 }
 
-/// Outcome of one policy run.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// Accumulated statistics over every kernel launch of the app.
-    pub stats: LaunchStats,
-}
-
-impl RunOutcome {
-    /// Total cycles.
-    pub fn cycles(&self) -> u64 {
-        self.stats.cycles
-    }
-}
-
 /// Run (possibly transformed) `kernels` of `w`, validated, through the
-/// global [`Engine`]'s simulation cache under the app's one identity.
+/// global [`Engine`]'s simulation cache under the app's one identity, and
+/// return the statistics accumulated over every kernel launch of the app.
 pub fn run_cached(
     w: &Workload,
     kernels: &[catt_ir::Kernel],
     config: &GpuConfig,
-) -> Result<RunOutcome, EvalError> {
+) -> Result<LaunchStats, EvalError> {
     let stats = Engine::global().sim_app(w.abbrev, kernels, &[w.launch(0)], config, || {
         (w.run)(kernels, config, true)
     })?;
-    Ok(RunOutcome { stats })
+    Ok(stats)
 }
 
 /// Run the application untransformed, memoized on the global [`Engine`].
-pub fn run_baseline(w: &Workload, config: &GpuConfig) -> Result<RunOutcome, EvalError> {
+pub fn run_baseline(w: &Workload, config: &GpuConfig) -> Result<LaunchStats, EvalError> {
     run_cached(w, &w.kernels(), config)
 }
 
 /// Run the application untransformed with the profiling sink armed and
-/// return the per-launch profiles alongside the outcome (one
+/// return the per-launch profiles alongside the statistics (one
 /// [`LaunchProfile`](catt_sim::LaunchProfile) per kernel launch, in
 /// launch order). Capture is thread-local: the profiles are those of the
 /// calling thread. A profiled run always simulates — a cache hit would
@@ -107,15 +94,14 @@ pub fn run_baseline(w: &Workload, config: &GpuConfig) -> Result<RunOutcome, Eval
 pub fn run_profiled(
     w: &Workload,
     config: &GpuConfig,
-) -> Result<(RunOutcome, Vec<catt_sim::LaunchProfile>), EvalError> {
+) -> Result<(LaunchStats, Vec<catt_sim::LaunchProfile>), EvalError> {
     let mut cfg = config.clone();
     cfg.profile = Some(true);
     catt_sim::profile::set_capture(true);
     let res = run_cached(w, &w.kernels(), &cfg);
     let profiles = catt_sim::profile::take_captured();
     catt_sim::profile::set_capture(false);
-    let out = res?;
-    Ok((out, profiles))
+    Ok((res?, profiles))
 }
 
 /// Compile every kernel of the application with CATT (per-loop
@@ -139,29 +125,26 @@ pub fn compile_catt(w: &Workload, config: &GpuConfig) -> Result<CompiledApp, Eva
 }
 
 /// Compile the application with CATT and run the transformed kernels.
-/// Returns the outcome together with the compilation record.
-pub fn run_catt(w: &Workload, config: &GpuConfig) -> Result<(RunOutcome, CompiledApp), EvalError> {
+/// Returns the statistics together with the compilation record.
+pub fn run_catt(w: &Workload, config: &GpuConfig) -> Result<(LaunchStats, CompiledApp), EvalError> {
     let app = compile_catt(w, config)?;
-    let out = run_cached(w, &app.transformed_kernels(), config)?;
-    Ok((out, app))
+    let stats = run_cached(w, &app.transformed_kernels(), config)?;
+    Ok((stats, app))
 }
 
-/// Run the BFTT exhaustive sweep for the application and return the best
-/// candidate's outcome plus the full sweep record. Candidates share the
-/// app's cache identity with every other run, so a ladder point the
-/// tuner or a figure already measured is not simulated again.
-pub fn run_bftt(w: &Workload, config: &GpuConfig) -> Result<(RunOutcome, BfttResult), EvalError> {
-    let result = bftt::sweep(
+/// Run the BFTT exhaustive sweep for the application on the global
+/// [`Engine`]. Candidates share the app's cache identity with every other
+/// run, so a ladder point the tuner or a figure already measured is not
+/// simulated again.
+pub fn run_bftt(w: &Workload, config: &GpuConfig) -> Result<BfttResult, EvalError> {
+    Ok(bftt::sweep_on(
+        Engine::global(),
         w.abbrev,
         &w.kernels(),
         w.block_launch(),
         config,
         |ks, cfg| (w.run)(ks, cfg, true),
-    )?;
-    let out = RunOutcome {
-        stats: result.best_candidate().stats.clone(),
-    };
-    Ok((out, result))
+    )?)
 }
 
 /// Launch a sequence of kernels back to back on one device, accumulating

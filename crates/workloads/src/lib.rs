@@ -31,5 +31,5 @@ pub mod harness;
 pub mod micro;
 pub mod registry;
 
-pub use harness::{run_baseline, run_bftt, run_cached, run_catt, EvalError, RunOutcome};
+pub use harness::{run_baseline, run_bftt, run_cached, run_catt, EvalError};
 pub use registry::{all_workloads, ci_workloads, cs_workloads, Group, Workload};

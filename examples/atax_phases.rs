@@ -19,7 +19,7 @@ fn main() {
         println!("=== {label} ===");
         let base = workloads::run_baseline(&w, &config).expect("baseline runs");
         let (catt, app) = workloads::run_catt(&w, &config).expect("CATT compiles and runs");
-        let (bftt, sweep) = workloads::run_bftt(&w, &config).expect("BFTT sweep succeeds");
+        let sweep = workloads::run_bftt(&w, &config).expect("BFTT sweep succeeds");
 
         for ck in &app.kernels {
             let a = &ck.analysis;
@@ -40,18 +40,16 @@ fn main() {
             "  BFTT fixed setting: ({}, {}) out of {} candidates",
             best.warps,
             best.tbs,
-            sweep.candidates.len()
+            sweep.outcomes.len()
         );
         println!(
             "  cycles: baseline {:>9}  BFTT {:>9}  CATT {:>9}",
-            base.cycles(),
-            bftt.cycles(),
-            catt.cycles()
+            base.cycles, best.stats.cycles, catt.cycles
         );
         println!(
             "  speedup over baseline: BFTT {:.2}x, CATT {:.2}x\n",
-            base.cycles() as f64 / bftt.cycles() as f64,
-            base.cycles() as f64 / catt.cycles() as f64,
+            base.cycles as f64 / best.stats.cycles as f64,
+            base.cycles as f64 / catt.cycles as f64,
         );
     }
 }

@@ -364,7 +364,7 @@ fn profile_main(args: &[String]) -> ExitCode {
         );
 
         // Self-check: accounting invariants and profile/stats agreement.
-        if let Err(e) = check_against_stats(&profiles, &out.stats) {
+        if let Err(e) = check_against_stats(&profiles, &out) {
             eprintln!("catt profile {}: INVARIANT VIOLATION: {e}", w.abbrev);
             failed = true;
         }

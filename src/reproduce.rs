@@ -11,9 +11,9 @@
 //! (Figs. 6, 7, 8 and 10 and the tuner's ladder).
 
 use catt_core::analysis::{self, search_factors};
-use catt_core::bftt::candidate_grid;
+use catt_core::bftt::{self, candidate_grid};
 use catt_core::engine::{Engine, Progress};
-use catt_core::pipeline::{apply_uniform, Pipeline};
+use catt_core::pipeline::Pipeline;
 use catt_core::transform::{tb_throttle, warp_throttle};
 use catt_ir::Kernel;
 use catt_sim::config::DynctaConfig;
@@ -146,15 +146,16 @@ impl AppEval {
 pub fn eval_app(w: &Workload, config: &GpuConfig) -> Result<AppEval, EvalError> {
     let base = run_baseline(w, config)?;
     let (catt, app) = run_catt(w, config)?;
-    let (bftt, _) = run_bftt(w, config)?;
+    let sweep = run_bftt(w, config)?;
+    let bftt = &sweep.best_candidate().stats;
     Ok(AppEval {
         abbrev: w.abbrev,
-        base_cycles: base.cycles(),
-        base_hit: base.stats.l1_hit_rate(),
-        bftt_cycles: bftt.cycles(),
-        bftt_hit: bftt.stats.l1_hit_rate(),
-        catt_cycles: catt.cycles(),
-        catt_hit: catt.stats.l1_hit_rate(),
+        base_cycles: base.cycles,
+        base_hit: base.l1_hit_rate(),
+        bftt_cycles: bftt.cycles,
+        bftt_hit: bftt.l1_hit_rate(),
+        catt_cycles: catt.cycles,
+        catt_hit: catt.l1_hit_rate(),
         catt_transformed: app.kernels.iter().any(|k| k.is_transformed()),
     })
 }
@@ -312,7 +313,7 @@ fn fig2() -> Rendered {
     config.trace_requests = true;
     for w in cs_workloads() {
         note("tracing", w.abbrev);
-        let stats = run_cached(&w, &w.kernels(), &config)?.stats;
+        let stats = run_cached(&w, &w.kernels(), &config)?;
         let series = stats.trace.bucketed(BUCKETS);
         let _ = write!(s, "{:<6}", w.abbrev);
         for v in &series {
@@ -406,25 +407,6 @@ fn fig8() -> Rendered {
     Ok(s)
 }
 
-/// `kernels` with kernel `only` (every kernel, when `None`) uniformly
-/// throttled to `(n, m)`.
-fn uniform(
-    kernels: &[Kernel],
-    only: Option<usize>,
-    (n, m): (u32, u32),
-    (warps, resident): (u32, u32),
-    config: &GpuConfig,
-) -> Vec<Kernel> {
-    let carveout = config.smem_carveout_bytes;
-    let mut ks = kernels.to_vec();
-    for (i, k) in ks.iter_mut().enumerate() {
-        if only.is_none_or(|j| j == i) {
-            *k = apply_uniform(k, n, m, warps, resident, carveout);
-        }
-    }
-    ks
-}
-
 /// Fig. 9 — per-kernel factor sensitivity, 32 KB L1D: normalized app time
 /// as one CS kernel's `(warps, TBs)` sweeps the grid, CATT's static pick
 /// starred. Throttled kernels plus the irregular BFS/CFD ones.
@@ -437,7 +419,7 @@ fn fig9() -> Rendered {
     for w in cs_workloads() {
         let kernels = w.kernels();
         let (_, app) = run_catt(&w, &config)?;
-        let base_cycles = run_cached(&w, &kernels, &config)?.cycles() as f64;
+        let base_cycles = run_cached(&w, &kernels, &config)?.cycles as f64;
         for (ki, ck) in app.kernels.iter().enumerate() {
             let a = &ck.analysis;
             let throttled = a.loops.iter().any(|l| l.decision.is_throttled());
@@ -445,7 +427,7 @@ fn fig9() -> Rendered {
                 continue;
             }
             note("sweeping", &format!("{}#{}", w.abbrev, ki + 1));
-            let (warps, resident) = (a.warps_per_tb, a.plan.resident_tbs);
+            let tlp @ (warps, resident) = (a.warps_per_tb, a.plan.resident_tbs);
             let catt_pick = a
                 .loops
                 .iter()
@@ -455,8 +437,8 @@ fn fig9() -> Rendered {
                 .unwrap_or((warps, resident));
             let _ = write!(s, "{}#{}", w.abbrev, ki + 1);
             for (n, m) in candidate_grid(warps, resident) {
-                let ks = uniform(&kernels, Some(ki), (n, m), (warps, resident), &config);
-                let norm = run_cached(&w, &ks, &config)?.cycles() as f64 / base_cycles;
+                let ks = bftt::uniform(&kernels, Some(ki), (n, m), tlp, config.smem_carveout_bytes);
+                let norm = run_cached(&w, &ks, &config)?.cycles as f64 / base_cycles;
                 let (sw, st) = (warps / n, resident - m);
                 let star = if (sw, st) == catt_pick { "*" } else { "" };
                 let _ = write!(s, " ({sw:>2},{st:>2}){star}{norm:5.2}");
@@ -505,7 +487,7 @@ fn ablation_transforms() -> Rendered {
     for (name, variant) in variants {
         let mut ks = kernels.clone();
         ks[0] = variant;
-        let stats = run_cached(&w, &ks, &config)?.stats;
+        let stats = run_cached(&w, &ks, &config)?;
         if name == "baseline" {
             base = stats.cycles;
         }
@@ -530,8 +512,8 @@ fn uniform_cycles(
 ) -> Result<u64, EvalError> {
     let Some(nm) = nm else { return Ok(base.cycles) };
     let tlp = (w.block_launch().warps_per_block(), base.resident_tbs_per_sm);
-    let ks = uniform(&w.kernels(), None, nm, tlp, config);
-    Ok(run_cached(w, &ks, config)?.cycles())
+    let ks = bftt::uniform(&w.kernels(), None, nm, tlp, config.smem_carveout_bytes);
+    Ok(run_cached(w, &ks, config)?.cycles)
 }
 
 /// Ablation — per-loop vs per-application decisions, 32 KB L1D: CATT
@@ -543,7 +525,7 @@ fn ablation_granularity() -> Rendered {
     let mut rows = Vec::new();
     for abbrev in ["ATAX", "BICG", "MVT", "PF", "GSMV"] {
         let w = registry::find(abbrev).ok_or("workload missing from the registry")?;
-        let base = run_cached(&w, &w.kernels(), &config)?.stats;
+        let base = run_cached(&w, &w.kernels(), &config)?;
         let (catt, app) = run_catt(&w, &config)?;
         let collapsed = app
             .kernels
@@ -552,7 +534,7 @@ fn ablation_granularity() -> Rendered {
             .filter(|l| l.decision.is_throttled())
             .map(|l| (l.decision.n, l.decision.m))
             .max_by_key(|(n, m)| n * (m + 1));
-        let per_loop = ratio(catt.cycles(), base.cycles);
+        let per_loop = ratio(catt.cycles, base.cycles);
         let one = ratio(uniform_cycles(&w, collapsed, &base, &config)?, base.cycles);
         rows.push(format!("{abbrev}|{per_loop}|{one}|{collapsed:?}"));
     }
@@ -575,7 +557,7 @@ fn ablation_irregular() -> Rendered {
     for abbrev in ["BFS", "CFD"] {
         let w = registry::find(abbrev).ok_or("workload missing from the registry")?;
         let kernels = w.kernels();
-        let base = run_cached(&w, &kernels, &config)?.stats;
+        let base = run_cached(&w, &kernels, &config)?;
         let (catt, _) = run_catt(&w, &config)?;
         // The heavier of two throttles runs fewer concurrent warps; ties
         // keep the first found.
@@ -602,7 +584,7 @@ fn ablation_irregular() -> Rendered {
             }
         }
         let cycles = base.cycles;
-        let conservative = ratio(catt.cycles(), cycles);
+        let conservative = ratio(catt.cycles, cycles);
         let pessimistic = ratio(uniform_cycles(&w, worst, &base, &config)?, cycles);
         rows.push(format!(
             "{abbrev}|{cycles}|{conservative}|{pessimistic}|{worst:?}"
@@ -627,9 +609,9 @@ fn dyncta_comparison() -> Rendered {
     let (mut rows, mut speedups) = (Vec::new(), Vec::new());
     for w in cs_workloads() {
         note("evaluating", w.abbrev);
-        let base = run_baseline(&w, &config)?.cycles();
-        let dynr = run_baseline(&w, &dyn_config)?.cycles();
-        let catt = run_catt(&w, &config)?.0.cycles();
+        let base = run_baseline(&w, &config)?.cycles;
+        let dynr = run_baseline(&w, &dyn_config)?.cycles;
+        let catt = run_catt(&w, &config)?.0.cycles;
         speedups.push((base as f64 / dynr as f64, base as f64 / catt as f64));
         rows.push(format!(
             "{}|{}|{}",

@@ -91,7 +91,7 @@ fn atax_catt_transformed() {
     let (out, app) = run_catt(&w, &eval_config_max_l1d()).expect("CATT runs");
     assert!(app.kernels.iter().any(|k| k.is_transformed()));
     assert_eq!(
-        row(&out.stats),
+        row(&out),
         (1_968_048, 2_867_047, 1_515_520, 1_316_742, 116_300, 280_698)
     );
 }

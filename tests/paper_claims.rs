@@ -16,13 +16,13 @@ fn gsmv_speeds_up_at_32kb() {
     let (catt, app) = run_catt(&w, &cfg).expect("CATT runs");
     assert!(app.kernels[0].is_transformed());
     assert!(
-        catt.cycles() < base.cycles(),
+        catt.cycles < base.cycles,
         "GSMV @32KB: CATT {} vs baseline {}",
-        catt.cycles(),
-        base.cycles()
+        catt.cycles,
+        base.cycles
     );
     assert!(
-        catt.stats.l1_hit_rate() > base.stats.l1_hit_rate(),
+        catt.l1_hit_rate() > base.l1_hit_rate(),
         "hit rate must improve"
     );
 }
@@ -38,14 +38,10 @@ fn cache_sensitivity_classification_holds() {
         let small = {
             let mut c = GpuConfig::titan_v_1sm();
             c.l1_cap_bytes = Some(32 * 1024);
-            run_baseline(&w, &c)
-                .expect("baseline runs")
-                .stats
-                .l1_hit_rate()
+            run_baseline(&w, &c).expect("baseline runs").l1_hit_rate()
         };
         let large = run_baseline(&w, &harness::eval_config_max_l1d())
             .expect("baseline runs")
-            .stats
             .l1_hit_rate();
         let gain = large - small;
         if expect_sensitive {
@@ -71,7 +67,7 @@ fn corr_matches_baseline_exactly() {
     let base = run_baseline(&w, &cfg).expect("baseline runs");
     let (catt, app) = run_catt(&w, &cfg).expect("CATT runs");
     assert!(app.kernels.iter().all(|k| !k.is_transformed()));
-    assert_eq!(base.cycles(), catt.cycles());
+    assert_eq!(base.cycles, catt.cycles);
 }
 
 /// §4.2: irregular workloads are treated conservatively — full TLP
@@ -87,7 +83,7 @@ fn irregular_apps_keep_original_tlp() {
             app.kernels.iter().all(|k| !k.is_transformed()),
             "{abbrev} must be untouched"
         );
-        assert_eq!(base.cycles(), catt.cycles(), "{abbrev}");
+        assert_eq!(base.cycles, catt.cycles, "{abbrev}");
     }
 }
 
@@ -121,7 +117,7 @@ fn gains_grow_as_l1d_shrinks() {
     let speedup = |cfg: &GpuConfig| {
         let base = run_baseline(&w, cfg).expect("baseline runs");
         let (catt, _) = run_catt(&w, cfg).expect("CATT runs");
-        base.cycles() as f64 / catt.cycles() as f64
+        base.cycles as f64 / catt.cycles as f64
     };
     let at_max = speedup(&harness::eval_config_max_l1d());
     let at_32k = speedup(&harness::eval_config_32kb_l1d());

@@ -13,14 +13,13 @@
 //! file is its own test binary with a single engine-using test, so the
 //! process-wide engine's cache counters count only the calls made here.
 
-use catt_repro::core::bftt::{candidate_grid, resident_tbs};
+use catt_repro::core::bftt::{candidate_grid, resident_tbs, uniform};
 use catt_repro::core::engine::{job_digest, Engine};
-use catt_repro::core::pipeline::apply_uniform;
 use catt_repro::core::{cta_swizzle, moves_a_block, SwizzlePolicy};
 use catt_repro::diag::json::{self, Json};
 use catt_repro::ir::Kernel;
 use catt_repro::tune::{tune_workload, TuneOptions, TuneReport};
-use catt_repro::workloads::harness::{compile_catt, eval_config_max_l1d};
+use catt_repro::workloads::harness::{compile_catt, eval_config_max_l1d, run_bftt};
 use catt_repro::workloads::registry::{find, Workload};
 use std::collections::BTreeSet;
 
@@ -129,11 +128,8 @@ fn measured_programs(w: &Workload, r: &TuneReport) -> BTreeSet<u64> {
     let launch = w.block_launch();
     let warps = launch.warps_per_block();
     let resident = resident_tbs(&kernels, launch, &cfg);
-    let uniform = |ks: &[Kernel], n: u32, m: u32| -> Vec<Kernel> {
-        ks.iter()
-            .map(|k| apply_uniform(k, n, m, warps, resident, cfg.smem_carveout_bytes))
-            .collect()
-    };
+    let ladder =
+        |ks: &[Kernel], nm| uniform(ks, None, nm, (warps, resident), cfg.smem_carveout_bytes);
     let key = |kernels: &[Kernel]| {
         let programs: Vec<_> = kernels
             .iter()
@@ -143,7 +139,7 @@ fn measured_programs(w: &Workload, r: &TuneReport) -> BTreeSet<u64> {
     };
     let mut keys: BTreeSet<u64> = candidate_grid(warps, resident)
         .into_iter()
-        .map(|(n, m)| key(&uniform(&kernels, n, m)))
+        .map(|nm| key(&ladder(&kernels, nm)))
         .collect();
     keys.insert(key(&compile_catt(w, &cfg)
         .expect("CATT compiles")
@@ -161,7 +157,7 @@ fn measured_programs(w: &Workload, r: &TuneReport) -> BTreeSet<u64> {
                 cta_swizzle(&kernels[i], policy, grid(i)).unwrap_or_else(|| kernels[i].clone())
             })
             .collect();
-        keys.insert(key(&uniform(&swizzled, r.tuned.n, r.tuned.m)));
+        keys.insert(key(&ladder(&swizzled, (r.tuned.n, r.tuned.m))));
     }
     keys
 }
@@ -192,6 +188,14 @@ fn tuner_matches_golden_and_simulates_each_program_once() {
         let again = tune_workload(&w, &cfg, &opts).expect("tuning succeeds");
         assert_eq!(misses() - before, 0, "{}: a repeated call missed", g.app);
         check_against_golden(&again, g);
+        // The tuner's BFTT column is the best point of the sweep itself.
+        let sweep = run_bftt(&w, &cfg).expect("the sweep succeeds");
+        assert_eq!(
+            r.bftt_cycles,
+            Some(sweep.best_candidate().stats.cycles),
+            "{}: BFTT column",
+            g.app
+        );
     }
 }
 
