@@ -26,11 +26,12 @@
 //!   coalesce onto one simulation through the engine's content-addressed
 //!   cache ([`catt_core::engine::Engine::sim_app_shared`]); one whose
 //!   result is already cached is answered at admission, unqueued.
-//! * **Bounded input** — line length, source size and nesting depth are
-//!   capped ([`server::MAX_LINE_BYTES`], [`server::MAX_SOURCE_BYTES`],
-//!   [`catt_frontend::parser::MAX_NESTING`]), so no request can overflow
-//!   the stack of the thread that compiles it; past a cap is a typed
-//!   error.
+//! * **Bounded input** — line length, source size, nesting depth and an
+//!   argument spec's buffer bytes are capped ([`server::MAX_LINE_BYTES`],
+//!   [`server::MAX_SOURCE_BYTES`], [`catt_frontend::parser::MAX_NESTING`],
+//!   [`server::MAX_ARG_BYTES`]), so no request can overflow the stack of
+//!   the thread that compiles it or ask for gigabytes of device memory;
+//!   past a cap is a typed error.
 //!
 //! The wire protocol is newline-delimited JSON over stdio or TCP
 //! ([`proto`]); every request ends in exactly one typed response — the
@@ -49,4 +50,4 @@ pub use breaker::{Breaker, BreakerState};
 pub use fair::FairQueue;
 pub use proto::{ErrorKind, Op, Request, Response, SubmitRequest};
 pub use quota::TokenBucket;
-pub use server::{materialize_args, parse_arg_spec, ArgSpec, ServeConfig, Server};
+pub use server::{check_arg_bytes, materialize_args, parse_arg_spec, ArgSpec, ServeConfig, Server};

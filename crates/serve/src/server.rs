@@ -18,8 +18,9 @@
 //! index cannot answer, parse, kernel lookup, CATT compile, argument
 //! spec and cache key. The parser's nesting limit
 //! (`catt_frontend::parser::MAX_NESTING`) and [`MAX_SOURCE_BYTES`] bound
-//! what that costs in time and stack. Admission then runs every gate in
-//! one critical section. A request that passes them and that `prepare`
+//! what that costs in time and stack; [`MAX_ARG_BYTES`] bounds the device
+//! memory a worker allocates for the spec. Admission then runs every gate
+//! in one critical section. A request that passes them and that `prepare`
 //! already rejected, or whose simulation is cached, is answered right
 //! there (`queue_ms` 0); only a cache miss is queued, already compiled,
 //! for a worker to simulate.
@@ -69,8 +70,8 @@ use catt_diag::{codes, Diagnostic, Note};
 use catt_ir::kernel::{Kernel, LaunchConfig, ParamTy};
 use catt_ir::types::DType;
 use catt_sim::{
-    Arg, CancelToken, Fnv64, GlobalMem, Gpu, GpuConfig, LaunchStats, Program, SimError, FUEL_BASE,
-    FUEL_PER_BYTE,
+    Arg, CancelToken, Fnv64, GlobalMem, Gpu, GpuConfig, Init, LaunchStats, Program, SimError,
+    FUEL_BASE, FUEL_PER_BYTE,
 };
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -128,15 +129,13 @@ impl Default for ServeConfig {
 /// Estimated simulation fuel for a submission — the quota and fairness
 /// cost unit. Footprint comes from the argument spec (buffer lengths);
 /// requests with derived arguments, no buffers, or a spec
-/// [`parse_arg_spec`] rejects are charged the default footprint.
+/// [`parse_arg_spec`] rejects are charged the default footprint. A spec
+/// over [`MAX_ARG_BYTES`] is charged in full before it is refused.
 pub fn fuel_cost(req: &SubmitRequest) -> u64 {
     let bytes: u64 = parse_arg_spec(&req.args)
         .unwrap_or_default()
         .iter()
-        .map(|a| match a {
-            ArgSpec::FBuf(len) | ArgSpec::IBuf(len) => *len as u64 * 4,
-            ArgSpec::F32(_) | ArgSpec::I32(_) => 0,
-        })
+        .map(ArgSpec::buffer_bytes)
         .sum();
     let bytes = match bytes {
         0 => DERIVED_BUF_LEN as u64 * 4,
@@ -161,6 +160,12 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// Longest `kernel` source a submission may carry, in bytes. Checked
 /// before anything parses it.
 pub const MAX_SOURCE_BYTES: usize = 256 << 10;
+
+/// Most bytes the buffers of one argument spec may total, explicit or
+/// derived ([`check_arg_bytes`]): three times the largest
+/// registry app's footprint. Without it one request line could ask for a
+/// 16 GiB buffer, and a new tenant's full token bucket would admit it.
+pub const MAX_ARG_BYTES: u64 = 16 << 20;
 
 /// What the request index may hold, in bytes ([`Indexed::bytes`] per
 /// entry). `serve-hot`'s 64 kernels fit, and so do `serve-cold`'s
@@ -730,6 +735,16 @@ pub enum ArgSpec {
     I32(i32),
 }
 
+impl ArgSpec {
+    /// Device bytes this entry allocates (0 for a scalar).
+    fn buffer_bytes(&self) -> u64 {
+        match self {
+            ArgSpec::FBuf(len) | ArgSpec::IBuf(len) => *len as u64 * 4,
+            ArgSpec::F32(_) | ArgSpec::I32(_) => 0,
+        }
+    }
+}
+
 /// Parse a comma-separated `<type>:<value>` argument spec. Empty parts
 /// are skipped and values are trimmed.
 pub fn parse_arg_spec(spec: &str) -> Result<Vec<ArgSpec>, String> {
@@ -749,6 +764,17 @@ pub fn parse_arg_spec(spec: &str) -> Result<Vec<ArgSpec>, String> {
         out.push(arg);
     }
     Ok(out)
+}
+
+/// Refuse a spec whose buffers total more than [`MAX_ARG_BYTES`].
+pub fn check_arg_bytes(spec: &[ArgSpec]) -> Result<(), String> {
+    let bytes: u64 = spec.iter().map(ArgSpec::buffer_bytes).sum();
+    if bytes > MAX_ARG_BYTES {
+        return Err(format!(
+            "arg spec buffers total {bytes} bytes, over the {MAX_ARG_BYTES}-byte limit"
+        ));
+    }
+    Ok(())
 }
 
 /// Derive a default argument spec from the kernel's parameter types
@@ -780,26 +806,35 @@ fn render_spec(spec: &[ArgSpec]) -> String {
         .join(",")
 }
 
-/// Materialize the deterministic argument values into `mem`, so results
-/// are reproducible from the spec alone.
-pub fn materialize_args(spec: &[ArgSpec], mem: &mut GlobalMem) -> Vec<Arg> {
-    spec.iter()
-        .enumerate()
-        .map(|(ai, a)| match a {
-            ArgSpec::FBuf(len) => {
-                let data: Vec<f32> = (0..*len)
-                    .map(|v| ((v * 7 + ai as u32) % 13) as f32)
-                    .collect();
-                Arg::Buf(mem.alloc_f32(&data))
-            }
-            ArgSpec::IBuf(len) => {
-                let data: Vec<i32> = (0..*len as i32).map(|v| (v * 5 + ai as i32) % 17).collect();
-                Arg::Buf(mem.alloc_i32(&data))
-            }
+/// Device memory holding the deterministic argument values, and the
+/// arguments, so results are reproducible from the spec alone. Each
+/// buffer's data is generated straight into the allocation device memory
+/// keeps.
+pub fn materialize_args(spec: &[ArgSpec]) -> (GlobalMem, Vec<Arg>) {
+    let inits = spec.iter().enumerate().filter_map(|(ai, a)| match a {
+        ArgSpec::FBuf(len) => Some(Init::F32(
+            (0..*len)
+                .map(|v| ((v * 7 + ai as u32) % 13) as f32)
+                .collect(),
+        )),
+        ArgSpec::IBuf(len) => Some(Init::I32(
+            (0..*len as i32).map(|v| (v * 5 + ai as i32) % 17).collect(),
+        )),
+        ArgSpec::F32(_) | ArgSpec::I32(_) => None,
+    });
+    let (mem, bufs) = GlobalMem::from_inits(inits);
+    let mut bufs = bufs.into_iter();
+    let args = spec
+        .iter()
+        .map(|a| match a {
             ArgSpec::F32(v) => Arg::F32(*v),
             ArgSpec::I32(v) => Arg::I32(*v),
+            ArgSpec::FBuf(_) | ArgSpec::IBuf(_) => {
+                Arg::Buf(bufs.next().expect("one buffer per buffer entry"))
+            }
         })
-        .collect()
+        .collect();
+    (mem, args)
 }
 
 fn err(id: &str, kind: ErrorKind, message: impl Into<String>) -> Response {
@@ -962,7 +997,7 @@ fn prepare(inner: &Inner, id: &str, req: &SubmitRequest) -> Result<Prepared, Err
     })?;
 
     // Arguments: explicit spec (validated against the parameter count) or
-    // derived from the parameter types.
+    // derived from the parameter types, either one within the byte cap.
     let spec = if req.args.is_empty() {
         derive_arg_spec(kernel)
     } else {
@@ -977,6 +1012,7 @@ fn prepare(inner: &Inner, id: &str, req: &SubmitRequest) -> Result<Prepared, Err
             Err(e) => Err(e),
         }
     }
+    .and_then(|s| check_arg_bytes(&s).map(|()| s))
     .map_err(|e| error_body(id, ErrorKind::BadRequest, e, Vec::new()))?;
     let scope = format!("catt-serve:{}", render_spec(&spec));
     let key = job_digest(
@@ -1087,8 +1123,7 @@ fn process_job(inner: &Arc<Inner>, job: Job) -> Response {
         inner
             .engine
             .sim_app_shared(&p.scope, p.entry.key, &config, Some(job.deadline), || {
-                let mut mem = GlobalMem::new();
-                let args = materialize_args(&p.spec, &mut mem);
+                let (mut mem, args) = materialize_args(&p.spec);
                 let mut gpu = Gpu::new(config.clone());
                 gpu.launch_program(&p.program, p.launch, &args, &mut mem)
                     .map_err(|e| match &e {
@@ -1390,5 +1425,23 @@ __global__ void atax1(float *A, float *B, float *tmp) {
         assert_eq!(cost("sf:1.5,si:3"), default);
         assert_eq!(cost(""), default);
         assert_eq!(cost("x:64"), default);
+    }
+
+    /// A spec derived from the parameter types meets the byte cap too.
+    /// `prepare` never sees this kernel today: its parameters overflow the
+    /// register file, so the launch check refuses it first (at about
+    /// 2 000 pointers, ≈ 8 MiB derived).
+    #[test]
+    fn a_derived_spec_meets_the_byte_cap() {
+        let derived = |pointers: u64| {
+            let params: Vec<String> = (0..pointers).map(|p| format!("int *a{p}")).collect();
+            let src = format!("__global__ void k({}) {{ a0[0] = 1; }}", params.join(", "));
+            let kernel = catt_frontend::parse_kernel(&src).expect("parses");
+            check_arg_bytes(&derive_arg_spec(&kernel).expect("derives"))
+        };
+        let at_cap = MAX_ARG_BYTES / (DERIVED_BUF_LEN as u64 * 4);
+        assert!(derived(at_cap).is_ok());
+        let err = derived(at_cap + 1).unwrap_err();
+        assert!(err.contains("limit"), "{err}");
     }
 }

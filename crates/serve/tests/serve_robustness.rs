@@ -14,7 +14,9 @@
 use catt_core::engine::Engine;
 use catt_core::fault::FaultPlan;
 use catt_serve::proto::{ErrorKind, Response, SubmitRequest};
-use catt_serve::server::{fuel_cost, ServeConfig, Server};
+use catt_serve::server::{
+    check_arg_bytes, fuel_cost, parse_arg_spec, ServeConfig, Server, MAX_ARG_BYTES,
+};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -220,6 +222,32 @@ fn quota_exhaustion_sheds_with_retry_after() {
         matches!(recv(&rx1, "in-quota request"), Response::Result(_)),
         "the first request fits the burst"
     );
+    server.drain();
+}
+
+/// An argument spec's buffers are bounded: one element past
+/// `MAX_ARG_BYTES` is a `bad-request`, answered before anything is
+/// allocated, although a new tenant's full bucket would admit it.
+#[test]
+fn an_argument_spec_over_the_buffer_cap_is_a_bad_request() {
+    let server = server_with(base_config(), "");
+    let elems = MAX_ARG_BYTES / 4;
+    let mut over = req("new-tenant", &kernel(77), Some(20_000));
+    over.args = format!("f:{elems},f:1,si:64");
+    let (tx, rx) = mpsc::channel();
+    server.submit("over".into(), over, tx);
+    match recv(&rx, "over-cap spec") {
+        Response::Error(e) => {
+            assert_eq!(e.kind, ErrorKind::BadRequest);
+            assert!(e.message.contains("limit"), "{}", e.message);
+        }
+        other => panic!("want bad-request, got {other:?}"),
+    }
+    // The cap itself is allowed; `catt run --args` checks the same way.
+    let checked = |spec: String| check_arg_bytes(&parse_arg_spec(&spec).unwrap());
+    assert!(checked(format!("f:{elems},si:64")).is_ok());
+    assert!(checked(format!("i:{elems},i:1")).is_err());
+    assert!(checked(format!("f:{}", u32::MAX)).is_err());
     server.drain();
 }
 

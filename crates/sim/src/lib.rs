@@ -19,7 +19,7 @@
 //! ```
 //! use catt_frontend::parse_kernel;
 //! use catt_ir::LaunchConfig;
-//! use catt_sim::{Gpu, GpuConfig, GlobalMem, Arg};
+//! use catt_sim::{Arg, GlobalMem, Gpu, GpuConfig, Init};
 //!
 //! let k = parse_kernel(
 //!     "__global__ void scale(float *a, int n) {
@@ -27,8 +27,7 @@
 //!          if (i < n) { a[i] = a[i] * 2.0f; }
 //!      }",
 //! ).unwrap();
-//! let mut mem = GlobalMem::new();
-//! let buf = mem.alloc_f32(&[1.0; 64]);
+//! let (mut mem, [buf]) = GlobalMem::with_buffers([Init::F32(vec![1.0; 64])]);
 //! let mut gpu = Gpu::new(GpuConfig::small());
 //! let stats = gpu
 //!     .launch(&k, LaunchConfig::d1(2, 32), &[Arg::Buf(buf), Arg::I32(64)], &mut mem)
@@ -56,7 +55,7 @@ pub use config::{
 };
 pub use digest::Fnv64;
 pub use error::SimError;
-pub use mem::{Arg, Buffer, DeviceMem, GlobalMem, ShadowMem, StoreLog};
+pub use mem::{Arg, Buffer, DeviceMem, GlobalMem, Init, ShadowMem, StoreLog};
 pub use metrics::{ExecCounts, LaunchStats, RequestTrace};
 pub use occupancy::{max_resident_tbs, OccupancyLimits};
 pub use profile::{

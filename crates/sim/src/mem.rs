@@ -45,10 +45,45 @@ impl Arg {
     }
 }
 
+/// A buffer's initial contents, handed to [`GlobalMem::with_buffers`] by
+/// value so device memory can keep the caller's allocation instead of
+/// copying out of it.
+#[derive(Debug)]
+pub enum Init {
+    /// Float data.
+    F32(Vec<f32>),
+    /// Int data.
+    I32(Vec<i32>),
+    /// This many zero words.
+    Zeroed(u32),
+}
+
+impl Init {
+    fn len(&self) -> usize {
+        match self {
+            Init::F32(v) => v.len(),
+            Init::I32(v) => v.len(),
+            Init::Zeroed(n) => *n as usize,
+        }
+    }
+
+    /// The data as device words, in the same allocation: the element types
+    /// share size and alignment, so `collect` converts in place. `None` for
+    /// a zero-filled buffer.
+    fn into_words(self) -> Option<Vec<u32>> {
+        match self {
+            Init::F32(v) => Some(v.into_iter().map(f32::to_bits).collect()),
+            Init::I32(v) => Some(v.into_iter().map(|x| x as u32).collect()),
+            Init::Zeroed(_) => None,
+        }
+    }
+}
+
 /// Flat simulated device memory. All buffers live in one 32-bit byte
 /// address space; allocation is a bump allocator with 256-byte alignment
 /// (mirroring `cudaMalloc`'s alignment guarantees, and ensuring distinct
-/// buffers never share a cache line).
+/// buffers never share a cache line). The backing store's capacity is its
+/// footprint: it grows exactly, never by amortized doubling.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GlobalMem {
     /// Backing store, indexed by word (byte address / 4).
@@ -63,19 +98,76 @@ pub struct GlobalMem {
 
 const ALIGN_BYTES: u32 = 256;
 
+/// The word at which a buffer allocated after `end` words starts.
+fn aligned_start(end: usize) -> usize {
+    end.next_multiple_of(ALIGN_BYTES as usize / 4)
+}
+
 impl GlobalMem {
     /// Empty memory.
     pub fn new() -> GlobalMem {
         GlobalMem::default()
     }
 
+    /// Memory holding `inits` in order, at the addresses successive
+    /// `alloc_*` calls would give them, with the buffer handles.
+    pub fn with_buffers<const N: usize>(inits: [Init; N]) -> (GlobalMem, [Buffer; N]) {
+        let (mem, bufs) = GlobalMem::from_inits(inits);
+        (mem, std::array::from_fn(|i| bufs[i]))
+    }
+
+    /// [`GlobalMem::with_buffers`] for a buffer count known at run time.
+    ///
+    /// The first input's allocation, if it holds data, becomes the backing
+    /// store: it already sits at address 0, and grows once to the
+    /// footprint. Every other input is copied in and freed, so only the
+    /// inputs after the first are held twice, until they are copied, and
+    /// the store is never reallocated per buffer.
+    pub fn from_inits(inits: impl IntoIterator<Item = Init>) -> (GlobalMem, Vec<Buffer>) {
+        let mut inits: Vec<Init> = inits.into_iter().collect();
+        let mut spans = Vec::with_capacity(inits.len());
+        let mut end = 0;
+        for init in &inits {
+            let start = aligned_start(end);
+            end = start + init.len();
+            spans.push((start as u32, init.len() as u32));
+        }
+        let first = inits
+            .first_mut()
+            .and_then(|init| std::mem::replace(init, Init::Zeroed(0)).into_words());
+        let mut words = match first {
+            Some(mut words) => {
+                words.reserve_exact(end - words.len());
+                words.resize(end, 0);
+                words.shrink_to_fit();
+                words
+            }
+            None => vec![0; end],
+        };
+        for (init, &(start, len)) in inits.into_iter().zip(&spans) {
+            if let Some(data) = init.into_words() {
+                let start = start as usize;
+                words[start..start + len as usize].copy_from_slice(&data);
+            }
+        }
+        let bufs = spans
+            .iter()
+            .map(|&(start, len)| Buffer {
+                addr: start * 4,
+                len,
+            })
+            .collect();
+        (GlobalMem { words, spans }, bufs)
+    }
+
     fn alloc_words(&mut self, len: u32) -> Buffer {
-        let addr_bytes = (self.words.len() as u32 * 4).next_multiple_of(ALIGN_BYTES);
-        let start_word = (addr_bytes / 4) as usize;
-        self.words.resize(start_word + len as usize, 0);
-        self.spans.push((start_word as u32, len));
+        let start = aligned_start(self.words.len());
+        let end = start + len as usize;
+        self.words.reserve_exact(end - self.words.len());
+        self.words.resize(end, 0);
+        self.spans.push((start as u32, len));
         Buffer {
-            addr: addr_bytes,
+            addr: start as u32 * 4,
             len,
         }
     }
@@ -96,7 +188,8 @@ impl GlobalMem {
         self.allocated_span(byte_addr).is_some()
     }
 
-    /// Allocate and initialize a float buffer.
+    /// Allocate and initialize a float buffer (a copy of `data`; see
+    /// [`GlobalMem::with_buffers`] to hand the data over instead).
     pub fn alloc_f32(&mut self, data: &[f32]) -> Buffer {
         let b = self.alloc_words(data.len() as u32);
         for (i, v) in data.iter().enumerate() {
@@ -105,7 +198,7 @@ impl GlobalMem {
         b
     }
 
-    /// Allocate and initialize an int buffer.
+    /// Allocate and initialize an int buffer (a copy of `data`).
     pub fn alloc_i32(&mut self, data: &[i32]) -> Buffer {
         let b = self.alloc_words(data.len() as u32);
         for (i, v) in data.iter().enumerate() {
@@ -119,13 +212,17 @@ impl GlobalMem {
         self.alloc_words(len)
     }
 
-    /// Read a buffer back as floats.
-    pub fn read_f32(&self, b: Buffer) -> Vec<f32> {
+    /// A buffer's contents as floats, read in place.
+    pub fn f32s(&self, b: Buffer) -> impl ExactSizeIterator<Item = f32> + '_ {
         let start = b.addr as usize / 4;
         self.words[start..start + b.len as usize]
             .iter()
             .map(|w| f32::from_bits(*w))
-            .collect()
+    }
+
+    /// Read a buffer back as floats.
+    pub fn read_f32(&self, b: Buffer) -> Vec<f32> {
+        self.f32s(b).collect()
     }
 
     /// Read a buffer back as ints.
@@ -561,5 +658,60 @@ mod tests {
         assert_eq!(before, m.content_digest(), "digest is deterministic");
         m.store(a.addr, 9);
         assert_ne!(before, m.content_digest());
+    }
+
+    #[test]
+    fn with_buffers_matches_successive_allocs_at_footprint_capacity() {
+        let big: Vec<f32> = (0..5000).map(|v| v as f32 * 0.5).collect();
+        let ints = vec![-3, 7, 11];
+        let floats = vec![2.5; 9];
+        // The allocator of record: one `alloc_*` call per buffer.
+        let mut want = GlobalMem::new();
+        let want_bufs = [
+            want.alloc_f32(&big),
+            want.alloc_i32(&ints),
+            want.alloc_zeroed(70),
+            want.alloc_f32(&floats),
+            want.alloc_f32(&[]),
+        ];
+        let (m, bufs) = GlobalMem::with_buffers([
+            Init::F32(big.clone()),
+            Init::I32(ints.clone()),
+            Init::Zeroed(70),
+            Init::F32(floats.clone()),
+            Init::F32(Vec::new()),
+        ]);
+        assert_eq!(bufs, want_bufs, "same addresses and lengths");
+        assert_eq!(m, want, "same words and spans");
+        assert_eq!(m.content_digest(), want.content_digest());
+        assert_eq!(m.read_f32(bufs[0]), big);
+        assert_eq!(m.read_i32(bufs[1]), ints);
+        assert_eq!(m.read_f32(bufs[2]), vec![0.0; 70]);
+        assert_eq!(m.read_f32(bufs[3]), floats);
+        for mem in [&m, &want] {
+            assert_eq!(mem.words.capacity(), mem.words.len(), "no amortized slack");
+        }
+        // A small first input and a zero-filled one: the store is built
+        // fresh and every input copied in, at the same addresses.
+        let (m, [z, a, b]) = GlobalMem::with_buffers([
+            Init::Zeroed(5),
+            Init::I32(vec![1, 2]),
+            Init::F32(big.clone()),
+        ]);
+        let mut want = GlobalMem::new();
+        let want_bufs = [
+            want.alloc_zeroed(5),
+            want.alloc_i32(&[1, 2]),
+            want.alloc_f32(&big),
+        ];
+        assert_eq!([z, a, b], want_bufs);
+        assert_eq!(m, want);
+        assert_eq!(m.words.capacity(), m.words.len());
+        // All zero-filled, and empty.
+        let (m, [z]) = GlobalMem::with_buffers([Init::Zeroed(3)]);
+        assert_eq!((z.addr, m.read_i32(z)), (0, vec![0; 3]));
+        let (m, bufs) = GlobalMem::from_inits([]);
+        assert!(bufs.is_empty());
+        assert_eq!(m, GlobalMem::new());
     }
 }

@@ -332,18 +332,15 @@ mod tests {
         // With dirt disabled, a sanitized run of the original must be
         // clean for every seed (buffers sized from generation-time
         // bounds).
-        use catt_sim::{Arg, GlobalMem, Gpu, SimError};
+        use catt_sim::{Arg, GlobalMem, Gpu, Init, SimError};
         for seed in 0..40u64 {
             let case = generate_case(seed, &GenOptions { dirty_p: 0.0 });
-            let mut mem = GlobalMem::new();
-            let args: Vec<Arg> = case
-                .buffers
-                .iter()
-                .map(|(_, len)| {
-                    let data: Vec<f32> = (0..*len).map(crate::fill_f32).collect();
-                    Arg::Buf(mem.alloc_f32(&data))
-                })
-                .collect();
+            let (mut mem, bufs) = GlobalMem::from_inits(
+                case.buffers
+                    .iter()
+                    .map(|(_, len)| Init::F32((0..*len).map(crate::fill_f32).collect())),
+            );
+            let args: Vec<Arg> = bufs.into_iter().map(Arg::Buf).collect();
             let mut config = catt_sim::GpuConfig::small();
             config.sanitize = Some(true);
             if let Err(e) = Gpu::new(config).launch(&case.kernel, case.launch, &args, &mut mem) {

@@ -22,7 +22,7 @@ use crate::ViolationKind;
 use catt_core::{cta_swizzle, eligible_loops_for, tb_throttle, warp_throttle, SwizzlePolicy};
 use catt_ir::visit::walk_stmts;
 use catt_ir::{Kernel, LaunchConfig, Stmt};
-use catt_sim::{Arg, GlobalMem, Gpu, GpuConfig, SimError};
+use catt_sim::{Arg, GlobalMem, Gpu, GpuConfig, Init, SimError};
 
 /// Shared-memory carve-out assumed when enumerating `tb_throttle`
 /// targets. 4 KB keeps every dummy allocation well inside the smallest
@@ -194,15 +194,12 @@ pub struct CaseImage {
 
 impl CaseImage {
     pub fn new(case: &TestCase) -> CaseImage {
-        let mut mem = GlobalMem::new();
-        let args = case
-            .buffers
-            .iter()
-            .map(|(_, len)| {
-                let data: Vec<f32> = (0..*len).map(crate::fill_f32).collect();
-                Arg::Buf(mem.alloc_f32(&data))
-            })
-            .collect();
+        let (mem, bufs) = GlobalMem::from_inits(
+            case.buffers
+                .iter()
+                .map(|(_, len)| Init::F32((0..*len).map(crate::fill_f32).collect())),
+        );
+        let args = bufs.into_iter().map(Arg::Buf).collect();
         CaseImage { mem, args }
     }
 

@@ -7,7 +7,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Input units (staged in shared memory).
 pub const IN: usize = 256;
@@ -40,10 +40,9 @@ const LAUNCHES: &[(&str, LaunchConfig)] =
 fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let input = data::vector("bp:in", IN);
     let w = data::matrix("bp:w", IN, HID);
-    let mut mem = GlobalMem::new();
-    let bi = mem.alloc_f32(&input);
-    let bw = mem.alloc_f32(&w);
-    let bh = mem.alloc_zeroed(HID as u32);
+    let want = validate.then(|| host_reference(&input, &w));
+    let (mut mem, [bi, bw, bh]) =
+        GlobalMem::with_buffers([Init::F32(input), Init::F32(w), Init::Zeroed(HID as u32)]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1],
@@ -51,11 +50,9 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
+    if let Some(want) = want {
         let hidden = mem.read_f32(bh);
-        for j in 0..HID {
-            let acc: f32 = (0..IN).map(|i| input[i] * w[i * HID + j]).sum();
-            let expect = 1.0 / (1.0 + (-acc).exp());
+        for (j, expect) in want.into_iter().enumerate() {
             assert!(
                 (hidden[j] - expect).abs() < 5e-3,
                 "BP hidden[{j}]: {} vs {expect}",
@@ -64,6 +61,16 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         }
     }
     stats
+}
+
+/// The hidden layer: `sigmoid(inputᵀ·w)`.
+fn host_reference(input: &[f32], w: &[f32]) -> Vec<f32> {
+    (0..HID)
+        .map(|j| {
+            let acc: f32 = (0..IN).map(|i| input[i] * w[i * HID + j]).sum();
+            1.0 / (1.0 + (-acc).exp())
+        })
+        .collect()
 }
 
 /// The BP workload descriptor.

@@ -8,7 +8,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Fan-out per node.
 pub const FANOUT: usize = 8;
@@ -102,10 +102,13 @@ fn host_search(keys: &[i32], q: i32) -> i32 {
 fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let keys = build_keys();
     let queries = data::int_vector("bt:q", QUERIES, (LEAVES * 8) as i32);
-    let mut mem = GlobalMem::new();
-    let bkeys = mem.alloc_i32(&keys);
-    let bq = mem.alloc_i32(&queries);
-    let bres = mem.alloc_i32(&vec![0; QUERIES]);
+    let want: Option<Vec<i32>> =
+        validate.then(|| queries.iter().map(|&q| host_search(&keys, q)).collect());
+    let (mut mem, [bkeys, bq, bres]) = GlobalMem::with_buffers([
+        Init::I32(keys),
+        Init::I32(queries),
+        Init::Zeroed(QUERIES as u32),
+    ]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1],
@@ -113,10 +116,10 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
+    if let Some(want) = want {
         let res = mem.read_i32(bres);
         for i in 0..QUERIES {
-            assert_eq!(res[i], host_search(&keys, queries[i]), "BT query {i}");
+            assert_eq!(res[i], want[i], "BT query {i}");
         }
     }
     stats

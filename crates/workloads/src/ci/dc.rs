@@ -7,7 +7,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Output columns (one thread each).
 pub const P: usize = 256;
@@ -37,10 +37,9 @@ const LAUNCHES: &[(&str, LaunchConfig)] = &[("doitgen_kernel", LaunchConfig::d1(
 fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let a = data::matrix("dc:A", Q, S);
     let c4 = data::matrix("dc:C4", S, P);
-    let mut mem = GlobalMem::new();
-    let ba = mem.alloc_f32(&a);
-    let bc4 = mem.alloc_f32(&c4);
-    let bsum = mem.alloc_zeroed((Q * P) as u32);
+    let want = validate.then(|| host_reference(&a, &c4));
+    let (mut mem, [ba, bc4, bsum]) =
+        GlobalMem::with_buffers([Init::F32(a), Init::F32(c4), Init::Zeroed((Q * P) as u32)]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1],
@@ -48,18 +47,23 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
-        let mut sum = vec![0.0f32; Q * P];
-        for q in 0..Q {
-            for p in 0..P {
-                for s in 0..S {
-                    sum[q * P + p] += a[q * S + s] * c4[s * P + p];
-                }
-            }
-        }
-        data::assert_close(&mem.read_f32(bsum), &sum, 2e-3, "DC sum");
+    if let Some(sum) = want {
+        data::assert_close(mem.f32s(bsum), &sum, 2e-3, "DC sum");
     }
     stats
+}
+
+/// `sum = A·C4`.
+fn host_reference(a: &[f32], c4: &[f32]) -> Vec<f32> {
+    let mut sum = vec![0.0f32; Q * P];
+    for q in 0..Q {
+        for p in 0..P {
+            for s in 0..S {
+                sum[q * P + p] += a[q * S + s] * c4[s * P + p];
+            }
+        }
+    }
+    sum
 }
 
 /// The DC workload descriptor.

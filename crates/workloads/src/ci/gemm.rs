@@ -8,7 +8,7 @@ use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
 use catt_ir::Dim3;
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Rows of C.
 pub const NI: usize = 96;
@@ -71,10 +71,13 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let a = data::matrix("gemm:A", NI, NK);
     let b = data::matrix("gemm:B", NK, NJ);
     let c0 = data::matrix("gemm:C", NI, NJ);
-    let mut mem = GlobalMem::new();
-    let ba = mem.alloc_f32(&a);
-    let bb = mem.alloc_f32(&b);
-    let bc = mem.alloc_f32(&c0);
+    let want = validate.then(|| {
+        let mut c = c0.clone();
+        host_gemm(&a, &b, &mut c, NI, NJ, NK, ALPHA, BETA);
+        c
+    });
+    let (mut mem, [ba, bb, bc]) =
+        GlobalMem::with_buffers([Init::F32(a), Init::F32(b), Init::F32(c0)]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1],
@@ -88,10 +91,8 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
-        let mut c = c0.clone();
-        host_gemm(&a, &b, &mut c, NI, NJ, NK, ALPHA, BETA);
-        data::assert_close(&mem.read_f32(bc), &c, 2e-3, "GEMM C");
+    if let Some(c) = want {
+        data::assert_close(mem.f32s(bc), &c, 2e-3, "GEMM C");
     }
     stats
 }

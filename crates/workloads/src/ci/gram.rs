@@ -10,7 +10,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Rows.
 pub const R: usize = 128;
@@ -55,11 +55,13 @@ const LAUNCHES: &[(&str, LaunchConfig)] = &[
 
 fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let a = data::matrix("gram:A", R, C);
-    let mut mem = GlobalMem::new();
-    let ba = mem.alloc_f32(&a);
-    let bn = mem.alloc_zeroed(C as u32);
-    let bq = mem.alloc_zeroed((R * C) as u32);
-    let br = mem.alloc_zeroed(C as u32);
+    let want = validate.then(|| host_reference(&a));
+    let (mut mem, [ba, bn, bq, br]) = GlobalMem::with_buffers([
+        Init::F32(a),
+        Init::Zeroed(C as u32),
+        Init::Zeroed((R * C) as u32),
+        Init::Zeroed(C as u32),
+    ]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1, LAUNCHES[1].1, LAUNCHES[2].1],
@@ -71,30 +73,35 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
-        let mut nrm = vec![0.0f32; C];
-        for j in 0..C {
-            for i in 0..R {
-                nrm[j] += a[i * C + j] * a[i * C + j];
-            }
-            nrm[j] = nrm[j].sqrt() + 0.001;
-        }
-        let mut q = vec![0.0f32; R * C];
-        for i in 0..R {
-            for j in 0..C {
-                q[i * C + j] = a[i * C + j] / nrm[j];
-            }
-        }
-        let mut rmat = vec![0.0f32; C];
-        for j in 0..C {
-            for i in 0..R {
-                rmat[j] += q[i * C] * q[i * C + j];
-            }
-        }
-        data::assert_close(&mem.read_f32(bn), &nrm, 2e-3, "GRAM nrm");
-        data::assert_close(&mem.read_f32(br), &rmat, 2e-2, "GRAM r");
+    if let Some((nrm, rmat)) = want {
+        data::assert_close(mem.f32s(bn), &nrm, 2e-3, "GRAM nrm");
+        data::assert_close(mem.f32s(br), &rmat, 2e-2, "GRAM r");
     }
     stats
+}
+
+/// The column norms and the first row of `R = Qᵀ·Q`.
+fn host_reference(a: &[f32]) -> (Vec<f32>, Vec<f32>) {
+    let mut nrm = vec![0.0f32; C];
+    for j in 0..C {
+        for i in 0..R {
+            nrm[j] += a[i * C + j] * a[i * C + j];
+        }
+        nrm[j] = nrm[j].sqrt() + 0.001;
+    }
+    let mut q = vec![0.0f32; R * C];
+    for i in 0..R {
+        for j in 0..C {
+            q[i * C + j] = a[i * C + j] / nrm[j];
+        }
+    }
+    let mut rmat = vec![0.0f32; C];
+    for j in 0..C {
+        for i in 0..R {
+            rmat[j] += q[i * C] * q[i * C + j];
+        }
+    }
+    (nrm, rmat)
 }
 
 /// The GRAM workload descriptor.

@@ -8,7 +8,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Encoding threads.
 pub const NT: usize = 1024;
@@ -49,10 +49,20 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         .map(|v| v + 1)
         .collect();
     let symbols = data::int_vector("hm:data", NT * CHUNK, ALPHABET as i32);
-    let mut mem = GlobalMem::new();
-    let bt = mem.alloc_i32(&table);
-    let bd = mem.alloc_i32(&symbols);
-    let bo = mem.alloc_i32(&vec![0; NT]);
+    let want: Option<Vec<i32>> = validate.then(|| {
+        (0..NT)
+            .map(|i| {
+                (0..CHUNK)
+                    .map(|s| table[symbols[s * NT + i] as usize])
+                    .sum()
+            })
+            .collect()
+    });
+    let (mut mem, [bt, bd, bo]) = GlobalMem::with_buffers([
+        Init::I32(table),
+        Init::I32(symbols),
+        Init::Zeroed(NT as u32),
+    ]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1],
@@ -60,13 +70,10 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
+    if let Some(want) = want {
         let out = mem.read_i32(bo);
         for i in 0..NT {
-            let expect: i32 = (0..CHUNK)
-                .map(|s| table[symbols[s * NT + i] as usize])
-                .sum();
-            assert_eq!(out[i], expect, "HM out[{i}]");
+            assert_eq!(out[i], want[i], "HM out[{i}]");
         }
     }
     stats

@@ -7,7 +7,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Grid extent in x and y.
 pub const NX: usize = 64;
@@ -62,10 +62,17 @@ fn host_step(tin: &[f32], power: &[f32], tout: &mut [f32]) {
 fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let t0 = data::vector("hp:t", NX * NY * NZ);
     let power = data::vector("hp:p", NX * NY * NZ);
-    let mut mem = GlobalMem::new();
-    let mut ba = mem.alloc_f32(&t0);
-    let bp = mem.alloc_f32(&power);
-    let mut bb = mem.alloc_f32(&t0);
+    let want = validate.then(|| {
+        let mut hin = t0.clone();
+        let mut hout = t0.clone();
+        for _ in 0..STEPS {
+            host_step(&hin, &power, &mut hout);
+            std::mem::swap(&mut hin, &mut hout);
+        }
+        hin
+    });
+    let (mut mem, [mut ba, bp, mut bb]) =
+        GlobalMem::with_buffers([Init::F32(t0.clone()), Init::F32(power), Init::F32(t0)]);
     let mut total = LaunchStats::default();
     for _ in 0..STEPS {
         let stats = exec_sequence(
@@ -79,14 +86,8 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         total.resident_tbs_per_sm = stats.resident_tbs_per_sm;
         std::mem::swap(&mut ba, &mut bb);
     }
-    if validate {
-        let mut hin = t0.clone();
-        let mut hout = t0.clone();
-        for _ in 0..STEPS {
-            host_step(&hin, &power, &mut hout);
-            std::mem::swap(&mut hin, &mut hout);
-        }
-        data::assert_close(&mem.read_f32(ba), &hin, 2e-3, "HP temperature");
+    if let Some(temperature) = want {
+        data::assert_close(mem.f32s(ba), &temperature, 2e-3, "HP temperature");
     }
     total
 }

@@ -7,7 +7,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Correlation windows (one thread each).
 pub const WINDOWS: usize = 1024;
@@ -47,10 +47,16 @@ const LAUNCHES: &[(&str, LaunchConfig)] = &[(
 fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let frame = data::vector("hw:frame", FRAME);
     let tmpl = data::vector("hw:tmpl", TAPS);
-    let mut mem = GlobalMem::new();
-    let bf = mem.alloc_f32(&frame);
-    let bt = mem.alloc_f32(&tmpl);
-    let bc = mem.alloc_zeroed(WINDOWS as u32);
+    let want: Option<Vec<f32>> = validate.then(|| {
+        (0..WINDOWS)
+            .map(|i| (0..TAPS).map(|t| frame[i + t] * tmpl[t]).sum())
+            .collect()
+    });
+    let (mut mem, [bf, bt, bc]) = GlobalMem::with_buffers([
+        Init::F32(frame),
+        Init::F32(tmpl),
+        Init::Zeroed(WINDOWS as u32),
+    ]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1],
@@ -58,10 +64,9 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
+    if let Some(want) = want {
         let corr = mem.read_f32(bc);
-        for i in 0..WINDOWS {
-            let expect: f32 = (0..TAPS).map(|t| frame[i + t] * tmpl[t]).sum();
+        for (i, expect) in want.into_iter().enumerate() {
             assert!(
                 (corr[i] - expect).abs() < 1e-3,
                 "HW corr[{i}]: {} vs {expect}",

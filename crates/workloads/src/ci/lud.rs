@@ -10,7 +10,7 @@ use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
 use catt_ir::Dim3;
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Tile edge.
 pub const T: usize = 16;
@@ -80,8 +80,14 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
             a[tile * T * T + d * T + d] += T as f32;
         }
     }
-    let mut mem = GlobalMem::new();
-    let ba = mem.alloc_f32(&a);
+    let want = validate.then(|| {
+        let mut host = a.clone();
+        for tile in 0..TILES {
+            host_lu_tile(&mut host[tile * T * T..(tile + 1) * T * T]);
+        }
+        host
+    });
+    let (mut mem, [ba]) = GlobalMem::with_buffers([Init::F32(a)]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1],
@@ -89,12 +95,8 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
-        let mut host = a.clone();
-        for tile in 0..TILES {
-            host_lu_tile(&mut host[tile * T * T..(tile + 1) * T * T]);
-        }
-        data::assert_close(&mem.read_f32(ba), &host, 1e-2, "LUD tiles");
+    if let Some(host) = want {
+        data::assert_close(mem.f32s(ba), &host, 1e-2, "LUD tiles");
     }
     stats
 }

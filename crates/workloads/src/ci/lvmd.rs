@@ -8,7 +8,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Boxes (one block each).
 pub const BOXES: usize = 64;
@@ -49,10 +49,12 @@ const LAUNCHES: &[(&str, LaunchConfig)] =
 fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let nbox = data::int_vector("lvmd:nb", BOXES * NEIGH, BOXES as i32);
     let pos = data::vector("lvmd:pos", BOXES * PPB);
-    let mut mem = GlobalMem::new();
-    let bn = mem.alloc_i32(&nbox);
-    let bp = mem.alloc_f32(&pos);
-    let bf = mem.alloc_zeroed((BOXES * PPB) as u32);
+    let want = validate.then(|| host_reference(&nbox, &pos));
+    let (mut mem, [bn, bp, bf]) = GlobalMem::with_buffers([
+        Init::I32(nbox),
+        Init::F32(pos),
+        Init::Zeroed((BOXES * PPB) as u32),
+    ]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1],
@@ -60,20 +62,11 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
+    if let Some(want) = want {
         let force = mem.read_f32(bf);
         for home in 0..BOXES {
             for t in 0..PPB {
-                let mine = pos[home * PPB + t];
-                let mut acc = 0.0f32;
-                for n in 0..NEIGH {
-                    let other = nbox[home * NEIGH + n] as usize;
-                    for p in 0..PPB {
-                        let d = mine - pos[other * PPB + p];
-                        acc += 1.0 / (d * d + 0.5);
-                    }
-                }
-                let got = force[home * PPB + t];
+                let (got, acc) = (force[home * PPB + t], want[home * PPB + t]);
                 assert!(
                     (got - acc).abs() <= 1e-2 * acc.abs().max(1.0),
                     "LVMD force[{home},{t}]: {got} vs {acc}"
@@ -82,6 +75,26 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         }
     }
     stats
+}
+
+/// Each particle's force from the particles of its neighbour boxes.
+fn host_reference(nbox: &[i32], pos: &[f32]) -> Vec<f32> {
+    let mut force = vec![0.0f32; BOXES * PPB];
+    for home in 0..BOXES {
+        for t in 0..PPB {
+            let mine = pos[home * PPB + t];
+            let mut acc = 0.0f32;
+            for n in 0..NEIGH {
+                let other = nbox[home * NEIGH + n] as usize;
+                for p in 0..PPB {
+                    let d = mine - pos[other * PPB + p];
+                    acc += 1.0 / (d * d + 0.5);
+                }
+            }
+            force[home * PPB + t] = acc;
+        }
+    }
+    force
 }
 
 /// The LVMD workload descriptor.

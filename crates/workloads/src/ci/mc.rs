@@ -7,7 +7,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Simulated cells (paper input "100"; one thread each, rounded to a
 /// block).
@@ -42,11 +42,13 @@ const LAUNCHES: &[(&str, LaunchConfig)] = &[("myocyte_kernel", LaunchConfig::d1(
 fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let v0 = data::vector("mc:v", CELLS);
     let w0 = data::vector("mc:w", CELLS);
-    let mut mem = GlobalMem::new();
-    let bv0 = mem.alloc_f32(&v0);
-    let bw0 = mem.alloc_f32(&w0);
-    let bv = mem.alloc_zeroed(CELLS as u32);
-    let bw = mem.alloc_zeroed(CELLS as u32);
+    let want = validate.then(|| host_reference(&v0, &w0));
+    let (mut mem, [bv0, bw0, bv, bw]) = GlobalMem::with_buffers([
+        Init::F32(v0),
+        Init::F32(w0),
+        Init::Zeroed(CELLS as u32),
+        Init::Zeroed(CELLS as u32),
+    ]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1],
@@ -60,17 +62,10 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
+    if let Some(want) = want {
         let dv_out = mem.read_f32(bv);
         let dw_out = mem.read_f32(bw);
-        for i in 0..CELLS {
-            let (mut v, mut w) = (v0[i], w0[i]);
-            for _ in 0..STEPS {
-                let dv = v - v * v * v / 3.0 - w + 0.5;
-                let dw = 0.08 * (v + 0.7 - 0.8 * w) * (-v.abs() * 0.01).exp();
-                v += DT * dv;
-                w += DT * dw;
-            }
+        for (i, (v, w)) in want.into_iter().enumerate() {
             assert!(
                 (dv_out[i] - v).abs() < 1e-3 && (dw_out[i] - w).abs() < 1e-3,
                 "MC cell {i}: ({}, {}) vs ({v}, {w})",
@@ -80,6 +75,22 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         }
     }
     stats
+}
+
+/// Each cell's `(v, w)` after [`STEPS`] forward-Euler steps.
+fn host_reference(v0: &[f32], w0: &[f32]) -> Vec<(f32, f32)> {
+    (0..CELLS)
+        .map(|i| {
+            let (mut v, mut w) = (v0[i], w0[i]);
+            for _ in 0..STEPS {
+                let dv = v - v * v * v / 3.0 - w + 0.5;
+                let dw = 0.08 * (v + 0.7 - 0.8 * w) * (-v.abs() * 0.01).exp();
+                v += DT * dv;
+                w += DT * dw;
+            }
+            (v, w)
+        })
+        .collect()
 }
 
 /// The MC workload descriptor.

@@ -7,7 +7,7 @@ use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
 use catt_ir::Dim3;
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Matrix dimension (square chain).
 pub const N: usize = 64;
@@ -44,12 +44,20 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let a = data::matrix("2mm:A", N, N);
     let b = data::matrix("2mm:B", N, N);
     let c = data::matrix("2mm:C", N, N);
-    let mut mem = GlobalMem::new();
-    let ba = mem.alloc_f32(&a);
-    let bb = mem.alloc_f32(&b);
-    let bc = mem.alloc_f32(&c);
-    let bd = mem.alloc_zeroed((N * N) as u32);
-    let be = mem.alloc_zeroed((N * N) as u32);
+    let want = validate.then(|| {
+        let mut d = vec![0.0f32; N * N];
+        host_gemm(&a, &b, &mut d, N, N, N, 1.0, 1.0);
+        let mut e = vec![0.0f32; N * N];
+        host_gemm(&d, &c, &mut e, N, N, N, 1.0, 1.0);
+        e
+    });
+    let (mut mem, [ba, bb, bc, bd, be]) = GlobalMem::with_buffers([
+        Init::F32(a),
+        Init::F32(b),
+        Init::F32(c),
+        Init::Zeroed((N * N) as u32),
+        Init::Zeroed((N * N) as u32),
+    ]);
     let stats = exec_sequence(
         kernels,
         &[LC, LC],
@@ -60,12 +68,8 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
-        let mut d = vec![0.0f32; N * N];
-        host_gemm(&a, &b, &mut d, N, N, N, 1.0, 1.0);
-        let mut e = vec![0.0f32; N * N];
-        host_gemm(&d, &c, &mut e, N, N, N, 1.0, 1.0);
-        data::assert_close(&mem.read_f32(be), &e, 5e-3, "2MM E");
+    if let Some(e) = want {
+        data::assert_close(mem.f32s(be), &e, 5e-3, "2MM E");
     }
     stats
 }

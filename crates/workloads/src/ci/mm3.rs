@@ -7,7 +7,7 @@ use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
 use catt_ir::Dim3;
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Matrix dimension.
 pub const N: usize = 64;
@@ -58,14 +58,24 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let b = data::matrix("3mm:B", N, N);
     let c = data::matrix("3mm:C", N, N);
     let d = data::matrix("3mm:D", N, N);
-    let mut mem = GlobalMem::new();
-    let ba = mem.alloc_f32(&a);
-    let bb = mem.alloc_f32(&b);
-    let bc = mem.alloc_f32(&c);
-    let bd = mem.alloc_f32(&d);
-    let be = mem.alloc_zeroed((N * N) as u32);
-    let bf = mem.alloc_zeroed((N * N) as u32);
-    let bg = mem.alloc_zeroed((N * N) as u32);
+    let want = validate.then(|| {
+        let mut e = vec![0.0f32; N * N];
+        host_gemm(&a, &b, &mut e, N, N, N, 1.0, 1.0);
+        let mut f = vec![0.0f32; N * N];
+        host_gemm(&c, &d, &mut f, N, N, N, 1.0, 1.0);
+        let mut g = vec![0.0f32; N * N];
+        host_gemm(&e, &f, &mut g, N, N, N, 1.0, 1.0);
+        g
+    });
+    let (mut mem, [ba, bb, bc, bd, be, bf, bg]) = GlobalMem::with_buffers([
+        Init::F32(a),
+        Init::F32(b),
+        Init::F32(c),
+        Init::F32(d),
+        Init::Zeroed((N * N) as u32),
+        Init::Zeroed((N * N) as u32),
+        Init::Zeroed((N * N) as u32),
+    ]);
     let stats = exec_sequence(
         kernels,
         &[LC, LC, LC],
@@ -77,14 +87,8 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
-        let mut e = vec![0.0f32; N * N];
-        host_gemm(&a, &b, &mut e, N, N, N, 1.0, 1.0);
-        let mut f = vec![0.0f32; N * N];
-        host_gemm(&c, &d, &mut f, N, N, N, 1.0, 1.0);
-        let mut g = vec![0.0f32; N * N];
-        host_gemm(&e, &f, &mut g, N, N, N, 1.0, 1.0);
-        data::assert_close(&mem.read_f32(bg), &g, 2e-2, "3MM G");
+    if let Some(g) = want {
+        data::assert_close(mem.f32s(bg), &g, 2e-2, "3MM G");
     }
     stats
 }

@@ -9,7 +9,7 @@ use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
 use catt_ir::Dim3;
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// C is N×N.
 pub const N: usize = 96;
@@ -47,9 +47,8 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     // At is K×N: At[k][i] = A[i][k].
     let at = data::matrix("syrk:At", K, N);
     let c0 = data::matrix("syrk:C", N, N);
-    let mut mem = GlobalMem::new();
-    let bat = mem.alloc_f32(&at);
-    let bc = mem.alloc_f32(&c0);
+    let want = validate.then(|| host_reference(&at, &c0));
+    let (mut mem, [bat, bc]) = GlobalMem::with_buffers([Init::F32(at), Init::F32(c0)]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1],
@@ -62,19 +61,24 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
-        let mut c = c0.clone();
-        for i in 0..N {
-            for j in 0..N {
-                c[i * N + j] *= BETA;
-                for k in 0..K {
-                    c[i * N + j] += ALPHA * at[k * N + i] * at[k * N + j];
-                }
-            }
-        }
-        data::assert_close(&mem.read_f32(bc), &c, 2e-3, "SYRK C");
+    if let Some(c) = want {
+        data::assert_close(mem.f32s(bc), &c, 2e-3, "SYRK C");
     }
     stats
+}
+
+/// `βC + αAAᵀ`.
+fn host_reference(at: &[f32], c0: &[f32]) -> Vec<f32> {
+    let mut c = c0.to_vec();
+    for i in 0..N {
+        for j in 0..N {
+            c[i * N + j] *= BETA;
+            for k in 0..K {
+                c[i * N + j] += ALPHA * at[k * N + i] * at[k * N + j];
+            }
+        }
+    }
+    c
 }
 
 /// The SYRK workload descriptor.

@@ -10,7 +10,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Rows of A (= threads of kernel 1).
 pub const NX: usize = 1280;
@@ -62,11 +62,13 @@ fn host_reference(a: &[f32], x: &[f32]) -> (Vec<f32>, Vec<f32>) {
 fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let a = data::matrix("atax:A", NX, NY);
     let x = data::vector("atax:x", NY);
-    let mut mem = GlobalMem::new();
-    let ba = mem.alloc_f32(&a);
-    let bx = mem.alloc_f32(&x);
-    let btmp = mem.alloc_zeroed(NX as u32);
-    let by = mem.alloc_zeroed(NY as u32);
+    let want = validate.then(|| host_reference(&a, &x));
+    let (mut mem, [ba, bx, btmp, by]) = GlobalMem::with_buffers([
+        Init::F32(a),
+        Init::F32(x),
+        Init::Zeroed(NX as u32),
+        Init::Zeroed(NY as u32),
+    ]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1, LAUNCHES[1].1],
@@ -77,10 +79,9 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
-        let (tmp, y) = host_reference(&a, &x);
-        data::assert_close(&mem.read_f32(btmp), &tmp, 2e-3, "ATAX tmp");
-        data::assert_close(&mem.read_f32(by), &y, 5e-2, "ATAX y");
+    if let Some((tmp, y)) = want {
+        data::assert_close(mem.f32s(btmp), &tmp, 2e-3, "ATAX tmp");
+        data::assert_close(mem.f32s(by), &y, 5e-2, "ATAX y");
     }
     stats
 }

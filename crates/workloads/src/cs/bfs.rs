@@ -11,7 +11,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Nodes in the synthetic graph (`graph128k.txt` stand-in at sim scale).
 pub const NODES: usize = 16384;
@@ -78,27 +78,29 @@ fn host_bfs(starts: &[i32], edges: &[i32]) -> Vec<i32> {
 
 fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let (starts, edges) = data::csr_graph("bfs", NODES, DEGREE);
-    let mut mem = GlobalMem::new();
-    let bstarts = mem.alloc_i32(&starts);
-    let bedges = mem.alloc_i32(&edges);
+    let want = validate.then(|| host_bfs(&starts, &edges));
     let mut mask = vec![0i32; NODES];
     mask[SOURCE] = 1;
-    let bmask = mem.alloc_i32(&mask);
     let mut visited = vec![0i32; NODES];
     visited[SOURCE] = 1;
-    let bvisited = mem.alloc_i32(&visited);
-    let bupdating = mem.alloc_i32(&vec![0i32; NODES]);
     let mut cost = vec![-1i32; NODES];
     cost[SOURCE] = 0;
-    let bcost = mem.alloc_i32(&cost);
-    let bflag = mem.alloc_i32(&[0]);
+    let (mut mem, [bstarts, bedges, bmask, bvisited, bupdating, bcost, bflag]) =
+        GlobalMem::with_buffers([
+            Init::I32(starts),
+            Init::I32(edges),
+            Init::I32(mask),
+            Init::I32(visited),
+            Init::Zeroed(NODES as u32),
+            Init::I32(cost),
+            Init::Zeroed(1),
+        ]);
 
     let mut total = LaunchStats::default();
     // Host loop: launch the kernel pair until kernel 2 stops raising the
     // flag (Rodinia's `stop` protocol). Bounded to the worst diameter.
     for _level in 0..NODES {
-        mem.write_i32(bflag, &[0])
-            .expect("flag buffer fits one word");
+        mem.store(bflag.addr, 0);
         let stats = exec_sequence(
             kernels,
             &[LAUNCHES[0].1, LAUNCHES[1].1],
@@ -123,15 +125,13 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         );
         total.accumulate(&stats);
         total.resident_tbs_per_sm = stats.resident_tbs_per_sm;
-        if mem.read_i32(bflag)[0] == 0 {
+        if mem.load(bflag.addr) == 0 {
             break;
         }
     }
-    if validate {
-        let host = host_bfs(&starts, &edges);
-        let device = mem.read_i32(bcost);
+    if let Some(host) = want {
         // Reachability and distances must agree exactly.
-        assert_eq!(device, host, "BFS cost mismatch");
+        assert_eq!(mem.read_i32(bcost), host, "BFS cost mismatch");
     }
     total
 }

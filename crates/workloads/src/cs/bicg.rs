@@ -8,7 +8,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Rows of A.
 pub const NX: usize = 1280;
@@ -45,12 +45,14 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let a = data::matrix("bicg:A", NX, NY);
     let r = data::vector("bicg:r", NX);
     let p = data::vector("bicg:p", NY);
-    let mut mem = GlobalMem::new();
-    let ba = mem.alloc_f32(&a);
-    let br = mem.alloc_f32(&r);
-    let bp = mem.alloc_f32(&p);
-    let bs = mem.alloc_zeroed(NY as u32);
-    let bq = mem.alloc_zeroed(NX as u32);
+    let want = validate.then(|| host_reference(&a, &r, &p));
+    let (mut mem, [ba, br, bp, bs, bq]) = GlobalMem::with_buffers([
+        Init::F32(a),
+        Init::F32(r),
+        Init::F32(p),
+        Init::Zeroed(NY as u32),
+        Init::Zeroed(NX as u32),
+    ]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1, LAUNCHES[1].1],
@@ -61,23 +63,28 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
-        let mut s = vec![0.0f32; NY];
-        for j in 0..NY {
-            for i in 0..NX {
-                s[j] += r[i] * a[i * NY + j];
-            }
-        }
-        let mut q = vec![0.0f32; NX];
-        for i in 0..NX {
-            for j in 0..NY {
-                q[i] += a[i * NY + j] * p[j];
-            }
-        }
-        data::assert_close(&mem.read_f32(bs), &s, 5e-2, "BICG s");
-        data::assert_close(&mem.read_f32(bq), &q, 2e-3, "BICG q");
+    if let Some((s, q)) = want {
+        data::assert_close(mem.f32s(bs), &s, 5e-2, "BICG s");
+        data::assert_close(mem.f32s(bq), &q, 2e-3, "BICG q");
     }
     stats
+}
+
+/// `(s, q) = (Aᵀr, Ap)`.
+fn host_reference(a: &[f32], r: &[f32], p: &[f32]) -> (Vec<f32>, Vec<f32>) {
+    let mut s = vec![0.0f32; NY];
+    for j in 0..NY {
+        for i in 0..NX {
+            s[j] += r[i] * a[i * NY + j];
+        }
+    }
+    let mut q = vec![0.0f32; NX];
+    for i in 0..NX {
+        for j in 0..NY {
+            q[i] += a[i * NY + j] * p[j];
+        }
+    }
+    (s, q)
 }
 
 /// The BICG workload descriptor.

@@ -9,7 +9,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Mesh cells (`missile.domn.0.2M` stand-in at sim scale).
 pub const CELLS: usize = 8192;
@@ -103,13 +103,15 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         .iter()
         .map(|v| v + 1.0)
         .collect();
-    let mut mem = GlobalMem::new();
-    let bnb = mem.alloc_i32(&neighbors);
-    let bd = mem.alloc_f32(&d0);
-    let be = mem.alloc_f32(&e0);
-    let bsf = mem.alloc_zeroed(CELLS as u32);
-    let bfd = mem.alloc_zeroed(CELLS as u32);
-    let bfe = mem.alloc_zeroed(CELLS as u32);
+    let want = validate.then(|| host_reference(&neighbors, &d0, &e0));
+    let (mut mem, [bnb, bd, be, bsf, bfd, bfe]) = GlobalMem::with_buffers([
+        Init::I32(neighbors),
+        Init::F32(d0),
+        Init::F32(e0),
+        Init::Zeroed(CELLS as u32),
+        Init::Zeroed(CELLS as u32),
+        Init::Zeroed(CELLS as u32),
+    ]);
     let mut total = LaunchStats::default();
     for _ in 0..STEPS {
         let stats = exec_sequence(
@@ -138,10 +140,9 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         total.accumulate(&stats);
         total.resident_tbs_per_sm = stats.resident_tbs_per_sm;
     }
-    if validate {
-        let (hd, he) = host_reference(&neighbors, &d0, &e0);
-        data::assert_close(&mem.read_f32(bd), &hd, 5e-3, "CFD density");
-        data::assert_close(&mem.read_f32(be), &he, 5e-3, "CFD energy");
+    if let Some((hd, he)) = want {
+        data::assert_close(mem.f32s(bd), &hd, 5e-3, "CFD density");
+        data::assert_close(mem.f32s(be), &he, 5e-3, "CFD energy");
     }
     total
 }

@@ -14,7 +14,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Columns (variables) of the data matrix — one thread per column.
 pub const M: usize = 256;
@@ -128,12 +128,14 @@ fn host_reference(data_in: &[f32]) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
 
 fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let data_in = data::matrix("corr:data", N, M);
-    let mut mem = GlobalMem::new();
-    let bdin = mem.alloc_f32(&data_in);
-    let bmean = mem.alloc_zeroed(M as u32);
-    let bstd = mem.alloc_zeroed(M as u32);
-    let bdata = mem.alloc_zeroed((N * M) as u32);
-    let bsym = mem.alloc_zeroed((M * M) as u32);
+    let want = validate.then(|| host_reference(&data_in));
+    let (mut mem, [bdin, bmean, bstd, bdata, bsym]) = GlobalMem::with_buffers([
+        Init::F32(data_in),
+        Init::Zeroed(M as u32),
+        Init::Zeroed(M as u32),
+        Init::Zeroed((N * M) as u32),
+        Init::Zeroed((M * M) as u32),
+    ]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1, LAUNCHES[1].1, LAUNCHES[2].1, LAUNCHES[3].1],
@@ -151,12 +153,11 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
-        let (mean, stddev, data, symmat) = host_reference(&data_in);
-        data::assert_close(&mem.read_f32(bmean), &mean, 2e-3, "CORR mean");
-        data::assert_close(&mem.read_f32(bstd), &stddev, 2e-3, "CORR stddev");
-        data::assert_close(&mem.read_f32(bdata), &data, 2e-3, "CORR data");
-        data::assert_close(&mem.read_f32(bsym), &symmat, 2e-2, "CORR symmat");
+    if let Some((mean, stddev, data, symmat)) = want {
+        data::assert_close(mem.f32s(bmean), &mean, 2e-3, "CORR mean");
+        data::assert_close(mem.f32s(bstd), &stddev, 2e-3, "CORR stddev");
+        data::assert_close(mem.f32s(bdata), &data, 2e-3, "CORR data");
+        data::assert_close(mem.f32s(bsym), &symmat, 2e-2, "CORR symmat");
     }
     stats
 }

@@ -18,7 +18,7 @@ use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
 use catt_ir::Dim3;
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Rows of A (= side of the output matrix). 192 rows × 512 columns of
 /// f32 = 384 KB: larger than the evaluation L2 share (256 KB), so the
@@ -85,10 +85,9 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
             at[j * R + r] = a[r * K + j];
         }
     }
-    let mut mem = GlobalMem::new();
-    let ba = mem.alloc_f32(&a);
-    let bat = mem.alloc_f32(&at);
-    let bout = mem.alloc_zeroed((R * R) as u32);
+    let want = validate.then(|| host_reference(&a));
+    let (mut mem, [ba, bat, bout]) =
+        GlobalMem::with_buffers([Init::F32(a), Init::F32(at), Init::Zeroed((R * R) as u32)]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1],
@@ -96,9 +95,8 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
-        let want = host_reference(&a);
-        data::assert_close(&mem.read_f32(bout), &want, 5e-2, "DM out");
+    if let Some(want) = want {
+        data::assert_close(mem.f32s(bout), &want, 5e-2, "DM out");
     }
     stats
 }

@@ -7,7 +7,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Rows (one thread each; paper Table 3 runs GSMV at 2 blocks per SM).
 pub const N: usize = 512;
@@ -42,11 +42,13 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let a = data::matrix("gsmv:A", N, NY);
     let b = data::matrix("gsmv:B", N, NY);
     let x = data::vector("gsmv:x", NY);
-    let mut mem = GlobalMem::new();
-    let ba = mem.alloc_f32(&a);
-    let bb = mem.alloc_f32(&b);
-    let bx = mem.alloc_f32(&x);
-    let by = mem.alloc_zeroed(N as u32);
+    let want = validate.then(|| host_reference(&a, &b, &x));
+    let (mut mem, [ba, bb, bx, by]) = GlobalMem::with_buffers([
+        Init::F32(a),
+        Init::F32(b),
+        Init::F32(x),
+        Init::Zeroed(N as u32),
+    ]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1],
@@ -61,19 +63,24 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
-        let mut y = vec![0.0f32; N];
-        for i in 0..N {
-            let (mut ta, mut tb) = (0.0f32, 0.0f32);
-            for j in 0..NY {
-                ta += a[i * NY + j] * x[j];
-                tb += b[i * NY + j] * x[j];
-            }
-            y[i] = ALPHA * ta + BETA * tb;
-        }
-        data::assert_close(&mem.read_f32(by), &y, 2e-3, "GSMV y");
+    if let Some(y) = want {
+        data::assert_close(mem.f32s(by), &y, 2e-3, "GSMV y");
     }
     stats
+}
+
+/// `y = αAx + βBx`.
+fn host_reference(a: &[f32], b: &[f32], x: &[f32]) -> Vec<f32> {
+    let mut y = vec![0.0f32; N];
+    for i in 0..N {
+        let (mut ta, mut tb) = (0.0f32, 0.0f32);
+        for j in 0..NY {
+            ta += a[i * NY + j] * x[j];
+            tb += b[i * NY + j] * x[j];
+        }
+        y[i] = ALPHA * ta + BETA * tb;
+    }
+    y
 }
 
 /// The GSMV workload descriptor.

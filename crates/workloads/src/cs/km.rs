@@ -8,7 +8,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Points.
 pub const P: usize = 8192;
@@ -59,11 +59,13 @@ const LAUNCHES: &[(&str, LaunchConfig)] = &[
 fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let features = data::matrix("km:f", P, F);
     let clusters = data::matrix("km:c", K, F);
-    let mut mem = GlobalMem::new();
-    let bf = mem.alloc_f32(&features);
-    let bc = mem.alloc_f32(&clusters);
-    let bm = mem.alloc_i32(&vec![0i32; P]);
-    let bt = mem.alloc_zeroed((P * F) as u32);
+    let want = validate.then(|| host_reference(&features, &clusters));
+    let (mut mem, [bf, bc, bm, bt]) = GlobalMem::with_buffers([
+        Init::F32(features),
+        Init::F32(clusters),
+        Init::Zeroed(P as u32),
+        Init::Zeroed((P * F) as u32),
+    ]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1, LAUNCHES[1].1],
@@ -74,9 +76,23 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
+    if let Some((membership, swapped)) = want {
         let device_m = mem.read_i32(bm);
         for i in 0..P {
+            assert_eq!(device_m[i], membership[i], "KM membership[{i}]");
+        }
+        for (k, (got, want)) in mem.f32s(bt).zip(swapped).enumerate() {
+            assert_eq!(got, want, "KM swap ({},{})", k % P, k / P);
+        }
+    }
+    stats
+}
+
+/// Each point's nearest cluster, and the features transposed to
+/// feature-major order.
+fn host_reference(features: &[f32], clusters: &[f32]) -> (Vec<i32>, Vec<f32>) {
+    let membership = (0..P)
+        .map(|i| {
             let mut best = f32::MAX;
             let mut best_c = 0;
             for c in 0..K {
@@ -91,16 +107,16 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
                     best_c = c as i32;
                 }
             }
-            assert_eq!(device_m[i], best_c, "KM membership[{i}]");
-        }
-        let t = mem.read_f32(bt);
-        for i in 0..P {
-            for f in 0..F {
-                assert_eq!(t[f * P + i], features[i * F + f], "KM swap ({i},{f})");
-            }
+            best_c
+        })
+        .collect();
+    let mut swapped = vec![0.0f32; P * F];
+    for i in 0..P {
+        for f in 0..F {
+            swapped[f * P + i] = features[i * F + f];
         }
     }
-    stats
+    (membership, swapped)
 }
 
 /// The KM workload descriptor.

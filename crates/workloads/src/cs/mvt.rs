@@ -6,7 +6,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Rows of A.
 pub const NX: usize = 1280;
@@ -45,12 +45,14 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let y2 = data::vector("mvt:y2", NX);
     let x1_init = data::vector("mvt:x1", NX);
     let x2_init = data::vector("mvt:x2", NY);
-    let mut mem = GlobalMem::new();
-    let ba = mem.alloc_f32(&a);
-    let by1 = mem.alloc_f32(&y1);
-    let by2 = mem.alloc_f32(&y2);
-    let bx1 = mem.alloc_f32(&x1_init);
-    let bx2 = mem.alloc_f32(&x2_init);
+    let want = validate.then(|| host_reference(&a, &y1, &y2, &x1_init, &x2_init));
+    let (mut mem, [ba, by1, by2, bx1, bx2]) = GlobalMem::with_buffers([
+        Init::F32(a),
+        Init::F32(y1),
+        Init::F32(y2),
+        Init::F32(x1_init),
+        Init::F32(x2_init),
+    ]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1, LAUNCHES[1].1],
@@ -61,23 +63,34 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
-        let mut x1 = x1_init.clone();
-        for i in 0..NX {
-            for j in 0..NY {
-                x1[i] += a[i * NY + j] * y1[j];
-            }
-        }
-        let mut x2 = x2_init.clone();
-        for j in 0..NY {
-            for i in 0..NX {
-                x2[j] += a[i * NY + j] * y2[i];
-            }
-        }
-        data::assert_close(&mem.read_f32(bx1), &x1, 2e-3, "MVT x1");
-        data::assert_close(&mem.read_f32(bx2), &x2, 5e-2, "MVT x2");
+    if let Some((x1, x2)) = want {
+        data::assert_close(mem.f32s(bx1), &x1, 2e-3, "MVT x1");
+        data::assert_close(mem.f32s(bx2), &x2, 5e-2, "MVT x2");
     }
     stats
+}
+
+/// `(x1 + A·y1, x2 + Aᵀ·y2)`.
+fn host_reference(
+    a: &[f32],
+    y1: &[f32],
+    y2: &[f32],
+    x1_init: &[f32],
+    x2_init: &[f32],
+) -> (Vec<f32>, Vec<f32>) {
+    let mut x1 = x1_init.to_vec();
+    for i in 0..NX {
+        for j in 0..NY {
+            x1[i] += a[i * NY + j] * y1[j];
+        }
+    }
+    let mut x2 = x2_init.to_vec();
+    for j in 0..NY {
+        for i in 0..NX {
+            x2[j] += a[i * NY + j] * y2[i];
+        }
+    }
+    (x1, x2)
 }
 
 /// The MVT workload descriptor.

@@ -8,7 +8,7 @@ use crate::data;
 use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// Particles.
 pub const NP: usize = 4096;
@@ -149,16 +149,18 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         *c /= maxc;
     }
     let u = data::vector("pf:u", NP);
-    let mut mem = GlobalMem::new();
-    let bax = mem.alloc_f32(&ax);
-    let bay = mem.alloc_f32(&ay);
-    let bind = mem.alloc_zeroed((NP * S) as u32);
-    let blik = mem.alloc_zeroed((NP * S) as u32);
-    let bw = mem.alloc_f32(&w0);
-    let bpartial = mem.alloc_zeroed(GRID);
-    let bcdf = mem.alloc_f32(&cdf);
-    let bu = mem.alloc_f32(&u);
-    let bxj = mem.alloc_zeroed(NP as u32);
+    let want = validate.then(|| host_reference(&ax, &ay, &w0, &cdf, &u));
+    let (mut mem, [bax, bay, bind, blik, bw, bpartial, bcdf, bu, bxj]) = GlobalMem::with_buffers([
+        Init::F32(ax),
+        Init::F32(ay),
+        Init::Zeroed((NP * S) as u32),
+        Init::Zeroed((NP * S) as u32),
+        Init::F32(w0),
+        Init::Zeroed(GRID),
+        Init::F32(cdf),
+        Init::F32(u),
+        Init::Zeroed(NP as u32),
+    ]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1, LAUNCHES[1].1, LAUNCHES[2].1, LAUNCHES[3].1],
@@ -177,10 +179,9 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
-        let h = host_reference(&ax, &ay, &w0, &cdf, &u);
-        data::assert_close(&mem.read_f32(bw), &h.weights, 5e-3, "PF weights");
-        data::assert_close(&mem.read_f32(bxj), &h.xj, 0.0, "PF xj");
+    if let Some(h) = want {
+        data::assert_close(mem.f32s(bw), &h.weights, 5e-3, "PF weights");
+        data::assert_close(mem.f32s(bxj), &h.xj, 0.0, "PF xj");
     }
     stats
 }

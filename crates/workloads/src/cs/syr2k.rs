@@ -8,7 +8,7 @@ use crate::harness::exec_sequence;
 use crate::registry::{Group, RunFn, Workload};
 use catt_ir::kernel::{Kernel, LaunchConfig};
 use catt_ir::Dim3;
-use catt_sim::{Arg, GlobalMem, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, GpuConfig, Init, LaunchStats};
 
 /// C is N×N.
 pub const N: usize = 128;
@@ -44,10 +44,9 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
     let a = data::matrix("syr2k:A", N, K);
     let b = data::matrix("syr2k:B", N, K);
     let c0 = data::matrix("syr2k:C", N, N);
-    let mut mem = GlobalMem::new();
-    let ba = mem.alloc_f32(&a);
-    let bb = mem.alloc_f32(&b);
-    let bc = mem.alloc_f32(&c0);
+    let want = validate.then(|| host_reference(&a, &b, &c0));
+    let (mut mem, [ba, bb, bc]) =
+        GlobalMem::with_buffers([Init::F32(a), Init::F32(b), Init::F32(c0)]);
     let stats = exec_sequence(
         kernels,
         &[LAUNCHES[0].1],
@@ -60,19 +59,24 @@ fn run(kernels: &[Kernel], config: &GpuConfig, validate: bool) -> LaunchStats {
         config,
         &mut mem,
     );
-    if validate {
-        let mut c = c0.clone();
-        for i in 0..N {
-            for j in 0..N {
-                for k in 0..K {
-                    c[i * N + j] +=
-                        ALPHA * a[i * K + k] * b[j * K + k] + ALPHA * b[i * K + k] * a[j * K + k];
-                }
-            }
-        }
-        data::assert_close(&mem.read_f32(bc), &c, 2e-3, "SYR2K C");
+    if let Some(c) = want {
+        data::assert_close(mem.f32s(bc), &c, 2e-3, "SYR2K C");
     }
     stats
+}
+
+/// `C + α(ABᵀ + BAᵀ)`.
+fn host_reference(a: &[f32], b: &[f32], c0: &[f32]) -> Vec<f32> {
+    let mut c = c0.to_vec();
+    for i in 0..N {
+        for j in 0..N {
+            for k in 0..K {
+                c[i * N + j] +=
+                    ALPHA * a[i * K + k] * b[j * K + k] + ALPHA * b[i * K + k] * a[j * K + k];
+            }
+        }
+    }
+    c
 }
 
 /// The SYR2K workload descriptor.

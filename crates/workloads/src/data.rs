@@ -80,10 +80,16 @@ pub fn mesh_neighbors(tag: &str, cells: usize, k: usize) -> Vec<i32> {
         .collect()
 }
 
-/// Relative L∞ error check between device output and host reference.
-pub fn assert_close(device: &[f32], host: &[f32], tol: f32, what: &str) {
+/// Relative L∞ error check between device output, read in place
+/// ([`catt_sim::GlobalMem::f32s`]), and host reference.
+pub fn assert_close(
+    device: impl ExactSizeIterator<Item = f32>,
+    host: &[f32],
+    tol: f32,
+    what: &str,
+) {
     assert_eq!(device.len(), host.len(), "{what}: length mismatch");
-    for (i, (d, h)) in device.iter().zip(host).enumerate() {
+    for (i, (d, h)) in device.zip(host).enumerate() {
         let scale = h.abs().max(1.0);
         assert!(
             (d - h).abs() <= tol * scale,
@@ -127,6 +133,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "device")]
     fn assert_close_catches_mismatch() {
-        assert_close(&[1.0], &[2.0], 1e-3, "x");
+        assert_close([1.0].into_iter(), &[2.0], 1e-3, "x");
     }
 }

@@ -181,6 +181,7 @@ pub fn exec_sequence(
             d.set((true, Some(mem.content_digest())));
         }
     });
+    MEM_FOOTPRINT.with(|f| f.set(Some(mem.footprint_bytes())));
     total
 }
 
@@ -189,6 +190,9 @@ thread_local! {
     /// `exec_sequence` on this thread).
     static MEM_DIGEST: std::cell::Cell<(bool, Option<u64>)> =
         const { std::cell::Cell::new((false, None)) };
+    /// Device footprint in bytes after the most recent `exec_sequence` on
+    /// this thread (always recorded: it costs one read).
+    static MEM_FOOTPRINT: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
 
 thread_local! {
@@ -219,6 +223,13 @@ pub fn set_mem_digest_capture(enabled: bool) {
 /// thread, if capture is enabled and a run has completed.
 pub fn last_mem_digest() -> Option<u64> {
     MEM_DIGEST.with(|d| d.get().1)
+}
+
+/// The device footprint, in bytes, of the most recent [`exec_sequence`] on
+/// this thread: what a run's memory is held to, since device memory is the
+/// only copy of its data.
+pub fn last_mem_footprint() -> Option<usize> {
+    MEM_FOOTPRINT.with(|f| f.get())
 }
 
 /// Geometric mean of a slice (the paper reports geomean speedups).

@@ -8,7 +8,7 @@
 
 use catt_frontend::parse_kernel;
 use catt_ir::LaunchConfig;
-use catt_sim::{Arg, GlobalMem, Gpu, GpuConfig, LaunchStats};
+use catt_sim::{Arg, GlobalMem, Gpu, GpuConfig, Init, LaunchStats};
 
 /// Total work budget: pass-count × warp-count is held constant across the
 /// TLP sweep (32 warp-passes), so the x-axis of Fig. 3 varies parallelism
@@ -53,9 +53,10 @@ pub fn run(full_with: u32, tlp: u32, config: &GpuConfig) -> LaunchStats {
     let src = source(lines_per_warp);
     let kernel = parse_kernel(&src).unwrap();
     let threads = tlp * 32;
-    let mut mem = GlobalMem::new();
-    let a = mem.alloc_f32(&vec![1.0; (tlp * lines_per_warp * 32) as usize]);
-    let out = mem.alloc_zeroed(threads);
+    let (mut mem, [a, out]) = GlobalMem::with_buffers([
+        Init::F32(vec![1.0; (tlp * lines_per_warp * 32) as usize]),
+        Init::Zeroed(threads),
+    ]);
     let mut gpu = Gpu::new(config.clone());
     let stats = gpu
         .launch(

@@ -5,7 +5,7 @@
 
 use catt_repro::core::Pipeline;
 use catt_repro::ir::LaunchConfig;
-use catt_repro::sim::{Arg, GlobalMem, Gpu, GpuConfig};
+use catt_repro::sim::{Arg, GlobalMem, Gpu, GpuConfig, Init};
 
 fn main() {
     // The paper's Fig. 1 kernel, at simulator scale (1024 rows of 96
@@ -60,10 +60,11 @@ fn main() {
 
     // 2. Run both versions on the simulator and compare.
     let run = |kernel: &catt_repro::ir::Kernel| {
-        let mut mem = GlobalMem::new();
-        let a = mem.alloc_f32(&vec![1.0; (n_rows * n_cols) as usize]);
-        let x = mem.alloc_f32(&vec![2.0; n_cols as usize]);
-        let tmp = mem.alloc_zeroed(n_rows);
+        let (mut mem, [a, x, tmp]) = GlobalMem::with_buffers([
+            Init::F32(vec![1.0; (n_rows * n_cols) as usize]),
+            Init::F32(vec![2.0; n_cols as usize]),
+            Init::Zeroed(n_rows),
+        ]);
         let mut gpu = Gpu::new(config.clone());
         let stats = gpu
             .launch(

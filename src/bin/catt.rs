@@ -61,8 +61,8 @@
 
 use catt_repro::core::{Engine, FaultPlan, Pipeline, Progress};
 use catt_repro::ir::{Dim3, LaunchConfig};
-use catt_repro::serve::{materialize_args, parse_arg_spec};
-use catt_repro::sim::{GlobalMem, Gpu, GpuConfig};
+use catt_repro::serve::{check_arg_bytes, materialize_args, parse_arg_spec};
+use catt_repro::sim::{Gpu, GpuConfig};
 use std::process::ExitCode;
 
 /// Render diagnostics per `CATT_DIAG_FORMAT`: `human` (default) produces
@@ -773,7 +773,8 @@ fn main() -> ExitCode {
                 eprintln!("catt run: --args is required (e.g. --args f:1024,f:64,si:64)");
                 return ExitCode::from(2);
             };
-            let parsed = match parse_arg_spec(&spec) {
+            let parsed = parse_arg_spec(&spec).and_then(|s| check_arg_bytes(&s).map(|()| s));
+            let parsed = match parsed {
                 Ok(parsed) => parsed,
                 Err(e) => {
                     eprintln!("catt run: {e}");
@@ -785,8 +786,7 @@ fn main() -> ExitCode {
             let engine = engine_from_env(&fault);
             for (ki, ck) in app.kernels.iter().enumerate() {
                 let exec = |kernel: &catt_repro::ir::Kernel| {
-                    let mut mem = GlobalMem::new();
-                    let args = materialize_args(&parsed, &mut mem);
+                    let (mut mem, args) = materialize_args(&parsed);
                     let mut gpu = Gpu::new(config.clone());
                     gpu.launch(kernel, ck.launch, &args, &mut mem)
                         .map_err(|e| e.to_string())

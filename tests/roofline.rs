@@ -10,7 +10,7 @@
 //! stores may still hold the off-chip port, and KM at 32 KB already ends
 //! under it (DESIGN.md §6, "Roofline bounds").
 
-use catt_repro::sim::{Arg, GlobalMem, Gpu, GpuConfig, LaunchStats};
+use catt_repro::sim::{Arg, GlobalMem, Gpu, GpuConfig, Init, LaunchStats};
 use catt_repro::verify::fill_f32;
 use catt_repro::verify::generate::{generate_case, GenOptions};
 use catt_repro::workloads::harness::{eval_config_32kb_l1d, eval_config_max_l1d};
@@ -44,15 +44,12 @@ fn issue_bound_holds_on_generated_kernels(cfg: &GpuConfig) {
     let mut short = Vec::new();
     for seed in 0..GENERATED {
         let case = generate_case(seed, &GenOptions { dirty_p: 0.0 });
-        let mut mem = GlobalMem::new();
-        let args: Vec<Arg> = case
-            .buffers
-            .iter()
-            .map(|(_, len)| {
-                let data: Vec<f32> = (0..*len).map(fill_f32).collect();
-                Arg::Buf(mem.alloc_f32(&data))
-            })
-            .collect();
+        let (mut mem, bufs) = GlobalMem::from_inits(
+            case.buffers
+                .iter()
+                .map(|(_, len)| Init::F32((0..*len).map(fill_f32).collect())),
+        );
+        let args: Vec<Arg> = bufs.into_iter().map(Arg::Buf).collect();
         let s = Gpu::new(cfg.clone())
             .launch(&case.kernel, case.launch, &args, &mut mem)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
