@@ -51,7 +51,7 @@
 
 use crate::fault::FaultPlan;
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Fnv64, GpuConfig, LaunchStats, Program};
+use catt_sim::{CancelToken, Fnv64, GpuConfig, LaunchStats, Program};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
@@ -626,10 +626,11 @@ impl Engine {
     /// * `compute` is fallible — the serve path surfaces [`SimError`]s as
     ///   typed failures instead of panicking; only `Ok` results enter the
     ///   cache, and failures propagate (cloned) to every coalesced waiter.
-    /// * `wait_deadline` bounds a *follower's* wait. A leader is never
-    ///   interrupted here (its own `GpuConfig::cancel` token bounds the
+    /// * The deadline of `config.cancel` bounds a *follower's* wait too.
+    ///   A leader is never interrupted here (the same token bounds its
     ///   simulation); a follower whose deadline passes gets a fatal
-    ///   `JobError` with code `"deadline"`.
+    ///   `JobError` with code `"deadline"`. Without a token, or with one
+    ///   that has no deadline, a follower waits for the leader.
     /// * A **cancelled leader retires the slot** instead of publishing:
     ///   its cancellation reflects its own deadline (or a drain), not the
     ///   job, so followers with unexpired deadlines re-contend — one
@@ -648,7 +649,6 @@ impl Engine {
         scope: &str,
         key: JobKey,
         config: &GpuConfig,
-        wait_deadline: Option<Instant>,
         compute: F,
     ) -> Result<SimOutcome, JobError>
     where
@@ -724,6 +724,7 @@ impl Engine {
                     return result.map(computed);
                 }
                 Err(slot) => {
+                    let deadline = config.cancel.as_ref().and_then(CancelToken::deadline);
                     let mut state = slot.state.lock().unwrap();
                     loop {
                         match &*state {
@@ -739,7 +740,7 @@ impl Engine {
                             SlotState::Retired => break,
                             SlotState::Pending => {}
                         }
-                        match wait_deadline {
+                        match deadline {
                             None => state = slot.cv.wait(state).unwrap(),
                             Some(deadline) => {
                                 let now = Instant::now();
@@ -885,7 +886,7 @@ mod tests {
             ..LaunchStats::default()
         };
         let computed = engine
-            .sim_app_shared("peek", key, &config, None, || Ok(stats.clone()))
+            .sim_app_shared("peek", key, &config, || Ok(stats.clone()))
             .unwrap();
         assert_eq!(computed.source, SimSource::Computed);
         let c = engine.cache_counters();

@@ -72,10 +72,14 @@ pub struct Analyzed {
     pub program: Program,
 }
 
-/// The largest shared-memory carve-out the target offers: the paper's
-/// Fig. 5 setting when a TB throttle needs space on a kernel without any.
-pub(crate) fn max_carveout_bytes() -> u32 {
-    SMEM_CONFIGS_KB.last().copied().unwrap_or(96) * 1024
+/// The shared-memory carve-out a TB throttle runs under, given the
+/// kernel's own: that one, or, for a kernel without any, the largest the
+/// target offers (the paper's Fig. 5 setting).
+pub(crate) fn tb_throttle_carveout(carveout_bytes: u32) -> u32 {
+    match carveout_bytes {
+        0 => SMEM_CONFIGS_KB.last().copied().unwrap_or(96) * 1024,
+        c => c,
+    }
 }
 
 /// `analyze`: kernel → occupancy plan + per-loop footprint decisions
@@ -109,12 +113,12 @@ pub fn analyze(
     };
 
     // When any loop needs TB-level throttling on a kernel without free
-    // shared-memory space, the carve-out must be reconfigured (§4.3).
-    // Follow the paper's Fig. 5 setting: largest carve-out, 32 KB L1D,
-    // and re-run the factor search against that capacity.
-    if analysis.tb_throttle_m() > 0 && analysis.plan.smem_carveout_bytes == 0 {
+    // shared-memory space, the carve-out must be reconfigured (§4.3),
+    // and the factor search re-run against the L1D that is left.
+    let carveout = tb_throttle_carveout(analysis.plan.smem_carveout_bytes);
+    if analysis.tb_throttle_m() > 0 && carveout != analysis.plan.smem_carveout_bytes {
         let mut cfg = config.clone();
-        cfg.smem_carveout_bytes = max_carveout_bytes();
+        cfg.smem_carveout_bytes = carveout;
         let l1d_lines = (cfg.l1d_bytes() / cfg.l1_line_bytes) as u64;
         for l in &mut analysis.loops {
             if l.decision.m > 0 {

@@ -7,7 +7,7 @@
 use crate::analysis::KernelAnalysis;
 use crate::fault::FaultPlan;
 use crate::passes::{
-    analyze, apply_plan, contained, legalize, max_carveout_bytes, parse, transform, LegalPlan,
+    analyze, apply_plan, contained, legalize, parse, tb_throttle_carveout, transform, LegalPlan,
 };
 use catt_diag::{codes, Diagnostic, Severity};
 use catt_ir::kernel::{Kernel, LaunchConfig, Module};
@@ -303,11 +303,7 @@ pub fn apply_uniform(
         plan.warp = loops.into_iter().map(|id| (id, n)).collect();
     }
     if m > 0 && m < resident_tbs {
-        let carveout = match carveout_bytes {
-            0 => max_carveout_bytes(),
-            c => c,
-        };
-        plan.tb = Some((resident_tbs - m, carveout));
+        plan.tb = Some((resident_tbs - m, tb_throttle_carveout(carveout_bytes)));
     }
     apply_plan(kernel, warps_per_tb, &plan)
 }

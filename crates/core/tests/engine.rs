@@ -7,7 +7,7 @@ use catt_core::bftt::sweep_on;
 use catt_core::engine::{job_digest, Engine, JobKey, SimSource};
 use catt_frontend::parse_kernel;
 use catt_ir::kernel::{Kernel, LaunchConfig};
-use catt_sim::{Arg, GlobalMem, Gpu, GpuConfig, LaunchStats};
+use catt_sim::{Arg, CancelToken, GlobalMem, Gpu, GpuConfig, LaunchStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const N: usize = 256;
@@ -248,13 +248,9 @@ fn profiled_runs_record_and_traced_or_sanitized_runs_bypass() {
     let shared = Engine::with_workers(1);
     let outcome = |cfg: &GpuConfig| {
         shared
-            .sim_app_shared(
-                "rule",
-                key_of("rule", &kernel, launch, cfg),
-                cfg,
-                None,
-                || Ok(simulate(ks, launch, cfg)),
-            )
+            .sim_app_shared("rule", key_of("rule", &kernel, launch, cfg), cfg, || {
+                Ok(simulate(ks, launch, cfg))
+            })
             .expect("sim_app_shared succeeds")
             .source
     };
@@ -338,7 +334,6 @@ fn cancelled_leader_retires_slot_and_follower_recontends() {
                 "retire",
                 key_of("retire", kernel_ref, launch, cfg_ref),
                 cfg_ref,
-                None,
                 move || {
                     started_tx.send(()).unwrap();
                     release_rx.recv().unwrap();
@@ -350,11 +345,14 @@ fn cancelled_leader_retires_slot_and_follower_recontends() {
         started_rx.recv().unwrap();
         // Follower: same digest, generous deadline of its own.
         let follower = scope.spawn(|| {
+            let mut with_deadline = cfg.clone();
+            with_deadline.cancel = Some(CancelToken::with_deadline(
+                Instant::now() + Duration::from_secs(60),
+            ));
             engine.sim_app_shared(
                 "retire",
                 key_of("retire", &kernel, launch, &cfg),
-                &cfg,
-                Some(Instant::now() + Duration::from_secs(60)),
+                &with_deadline,
                 || Ok(simulate(std::slice::from_ref(&kernel), launch, &cfg)),
             )
         });
@@ -376,4 +374,62 @@ fn cancelled_leader_retires_slot_and_follower_recontends() {
         assert_eq!(follower_result.source, SimSource::Computed);
         assert!(follower_result.stats.cycles > 0);
     });
+}
+
+/// A follower waits on an identical in-flight simulation only until the
+/// deadline of its own cancel token: it gets code `"deadline"` near that
+/// deadline, without computing, and the leader's result is unaffected.
+#[test]
+fn follower_gives_up_at_its_token_deadline() {
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    let engine = Engine::new();
+    let kernel = mv_kernel();
+    let launch = LaunchConfig::d1(1, 256);
+    let cfg = contended_config();
+    let key = key_of("follow", &kernel, launch, &cfg);
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+
+    std::thread::scope(|scope| {
+        let (engine_ref, kernel_ref, cfg_ref) = (&engine, &kernel, &cfg);
+        // Leader: holds the slot until the test releases it, or for 5 s,
+        // so a follower that ignored its deadline fails instead of hanging.
+        let leader = scope.spawn(move || {
+            engine_ref.sim_app_shared("follow", key, cfg_ref, move || {
+                started_tx.send(()).unwrap();
+                let _ = release_rx.recv_timeout(Duration::from_secs(5));
+                Ok(simulate(std::slice::from_ref(kernel_ref), launch, cfg_ref))
+            })
+        });
+        // The leader's slot exists once its compute has started, so the
+        // follower below parks on it.
+        started_rx.recv().unwrap();
+        let mut follower_cfg = cfg.clone();
+        let wait = Duration::from_millis(50);
+        let start = Instant::now();
+        follower_cfg.cancel = Some(CancelToken::with_deadline(start + wait));
+        let follower = engine.sim_app_shared("follow", key, &follower_cfg, || {
+            panic!("a follower never computes while the leader holds the slot")
+        });
+        let waited = start.elapsed();
+        let error = follower.expect_err("the follower gives up at its deadline");
+        assert_eq!(error.code, Some("deadline"), "{error}");
+        assert!(
+            waited >= wait && waited < wait + Duration::from_secs(5),
+            "the follower waited {waited:?} against a {wait:?} deadline"
+        );
+
+        release_tx.send(()).unwrap();
+        let led = leader.join().unwrap().expect("the leader completes");
+        assert_eq!(led.source, SimSource::Computed);
+        let reference = simulate(std::slice::from_ref(&kernel), launch, &cfg);
+        assert_eq!(format!("{:?}", led.stats), format!("{reference:?}"));
+    });
+    assert_eq!(
+        engine.cache_counters().coalesced,
+        0,
+        "nothing was coalesced"
+    );
 }

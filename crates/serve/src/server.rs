@@ -51,11 +51,12 @@
 //!
 //! Every admitted request terminates in exactly one typed response:
 //! admission answers what needs no simulation, the worker answers
-//! expired jobs without simulating, the deadline reaper cancels running
-//! simulations through their [`CancelToken`], and drain answers whatever
-//! is still queued. Identical submissions (same kernel, launch, arguments
-//! — tenant excluded) coalesce through the engine's single-flight layer
-//! onto one simulation.
+//! expired jobs without simulating, and drain answers whatever is still
+//! queued. A job's deadline lives in its [`CancelToken`]: the worker
+//! checks it before simulating, the simulator polls it while running,
+//! and a coalesced wait ends at it. Identical submissions (same kernel,
+//! launch, arguments — tenant excluded) coalesce through the engine's
+//! single-flight layer onto one simulation.
 
 use crate::breaker::Breaker;
 use crate::fair::FairQueue;
@@ -182,7 +183,7 @@ struct Job {
     tenant: String,
     compiled: Compiled,
     admitted: Instant,
-    deadline: Instant,
+    /// Carries the job's deadline; drain also fires it.
     cancel: CancelToken,
     reply: mpsc::Sender<Response>,
 }
@@ -223,12 +224,6 @@ struct QueueState {
     next_sweep_ms: u64,
 }
 
-/// Deadline reaper bookkeeping: `(fire_at, token)` for running sims.
-struct ReaperState {
-    entries: Vec<(Instant, CancelToken)>,
-    stop: bool,
-}
-
 struct Inner {
     config: ServeConfig,
     engine: Engine,
@@ -239,8 +234,6 @@ struct Inner {
     work_cv: Condvar,
     /// Signals drain: a job finished / a worker exited.
     idle_cv: Condvar,
-    reaper: Mutex<ReaperState>,
-    reaper_cv: Condvar,
     epoch: Instant,
     draining: AtomicBool,
     counters: Counters,
@@ -250,8 +243,8 @@ struct Inner {
     index_keys: RandomState,
 }
 
-/// The daemon core. Construction spawns the worker pool and the deadline
-/// reaper; [`Server::drain`] (idempotent) winds everything down.
+/// The daemon core. Construction spawns the worker pool;
+/// [`Server::drain`] (idempotent) winds everything down.
 pub struct Server {
     inner: Arc<Inner>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -284,11 +277,6 @@ impl Server {
             }),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
-            reaper: Mutex::new(ReaperState {
-                entries: Vec::new(),
-                stop: false,
-            }),
-            reaper_cv: Condvar::new(),
             epoch: Instant::now(),
             draining: AtomicBool::new(false),
             counters: Counters::default(),
@@ -309,15 +297,6 @@ impl Server {
                     .name(format!("serve-worker-{w}"))
                     .spawn(move || worker_loop(&inner))
                     .expect("spawn serve worker"),
-            );
-        }
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-reaper".to_string())
-                    .spawn(move || reaper_loop(&inner))
-                    .expect("spawn serve reaper"),
             );
         }
         Server {
@@ -457,9 +436,8 @@ impl Server {
             id,
             tenant: req.tenant.clone(),
             compiled,
-            deadline: admitted + Duration::from_millis(deadline_ms),
             admitted,
-            cancel: CancelToken::new(),
+            cancel: CancelToken::with_deadline(admitted + Duration::from_millis(deadline_ms)),
             reply,
         };
         st.queue.push(&req.tenant, req.weight, cost, job);
@@ -546,10 +524,6 @@ impl Server {
         }
         drop(st);
         if first {
-            let mut r = self.inner.reaper.lock().unwrap();
-            r.stop = true;
-            drop(r);
-            self.inner.reaper_cv.notify_all();
             let threads = std::mem::take(&mut *self.threads.lock().unwrap());
             for t in threads {
                 let _ = t.join();
@@ -1102,38 +1076,33 @@ fn result_response(
 /// Simulate one admitted, compiled job. Always returns a typed response;
 /// never panics (simulation panics are caught by the engine).
 fn process_job(inner: &Arc<Inner>, job: Job) -> Response {
-    let now = Instant::now();
-    if now >= job.deadline || job.cancel.is_cancelled() {
+    if job.cancel.is_cancelled() {
         return err(
             &job.id,
             ErrorKind::DeadlineExceeded,
             "deadline expired while queued",
         );
     }
-    let queue_ms = now.duration_since(job.admitted).as_millis() as u64;
+    let queue_ms = job.admitted.elapsed().as_millis() as u64;
 
     // Simulate the throttled kernel with the deadline token wired in.
     let p = &job.compiled;
     let mut config = inner.base_config.clone();
     config.cancel = Some(job.cancel.clone());
     let label = format!("serve `{}`", p.entry.kernel);
-    // Register with the deadline reaper for the duration of the sim.
-    reaper_register(inner, job.deadline, job.cancel.clone());
-    let outcome =
-        inner
-            .engine
-            .sim_app_shared(&p.scope, p.entry.key, &config, Some(job.deadline), || {
-                let (mut mem, args) = materialize_args(&p.spec);
-                let mut gpu = Gpu::new(config.clone());
-                gpu.launch_program(&p.program, p.launch, &args, &mut mem)
-                    .map_err(|e| match &e {
-                        SimError::Cancelled { .. } => {
-                            JobError::fatal(&label, e.to_string()).with_code("cancelled")
-                        }
-                        _ => JobError::fatal(&label, e.to_string()).with_code(e.code()),
-                    })
-            });
-    reaper_unregister(inner, &job.cancel);
+    let outcome = inner
+        .engine
+        .sim_app_shared(&p.scope, p.entry.key, &config, || {
+            let (mut mem, args) = materialize_args(&p.spec);
+            let mut gpu = Gpu::new(config.clone());
+            gpu.launch_program(&p.program, p.launch, &args, &mut mem)
+                .map_err(|e| match &e {
+                    SimError::Cancelled { .. } => {
+                        JobError::fatal(&label, e.to_string()).with_code("cancelled")
+                    }
+                    _ => JobError::fatal(&label, e.to_string()).with_code(e.code()),
+                })
+        });
 
     match outcome {
         Ok(out) => {
@@ -1153,47 +1122,6 @@ fn process_job(inner: &Arc<Inner>, job: Job) -> Response {
                 e.message
             ),
         ),
-    }
-}
-
-fn reaper_register(inner: &Arc<Inner>, fire_at: Instant, token: CancelToken) {
-    let mut r = inner.reaper.lock().unwrap();
-    r.entries.push((fire_at, token));
-    drop(r);
-    inner.reaper_cv.notify_all();
-}
-
-fn reaper_unregister(inner: &Arc<Inner>, token: &CancelToken) {
-    let mut r = inner.reaper.lock().unwrap();
-    r.entries.retain(|(_, t)| t != token);
-}
-
-/// The deadline reaper: sleeps until the earliest registered deadline and
-/// fires the corresponding cancel tokens, bounding every running
-/// simulation's wall-clock time.
-fn reaper_loop(inner: &Arc<Inner>) {
-    let mut r = inner.reaper.lock().unwrap();
-    loop {
-        if r.stop {
-            return;
-        }
-        let now = Instant::now();
-        let mut next: Option<Instant> = None;
-        r.entries.retain(|(fire_at, token)| {
-            if *fire_at <= now {
-                token.cancel();
-                false
-            } else {
-                next = Some(next.map_or(*fire_at, |n: Instant| n.min(*fire_at)));
-                true
-            }
-        });
-        let wait = next
-            .map(|n| n.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(200))
-            .min(Duration::from_millis(200));
-        let (guard, _) = inner.reaper_cv.wait_timeout(r, wait).unwrap();
-        r = guard;
     }
 }
 
@@ -1227,6 +1155,25 @@ __global__ void atax1(float *A, float *B, float *tmp) {
             deadline_ms: None,
             weight: 1,
             emit: false,
+        }
+    }
+
+    /// A server runs its workers and no other thread: deadlines live in
+    /// the jobs' cancel tokens.
+    #[test]
+    fn a_server_spawns_only_its_workers() {
+        for workers in [1, 3] {
+            let config = ServeConfig {
+                workers,
+                ..ServeConfig::default()
+            };
+            let server = Server::new(config, Engine::with_workers(1));
+            assert_eq!(server.threads.lock().unwrap().len(), workers);
+            server.drain();
+            assert!(
+                server.threads.lock().unwrap().is_empty(),
+                "drain joins them"
+            );
         }
     }
 
@@ -1387,7 +1334,7 @@ __global__ void atax1(float *A, float *B, float *tmp) {
             filler += 1;
             let stats = || Ok(LaunchStats::default());
             engine
-                .sim_app_shared("filler", JobKey(filler), config, None, stats)
+                .sim_app_shared("filler", JobKey(filler), config, stats)
                 .unwrap();
         }
         let hits = engine.cache_counters().hits;

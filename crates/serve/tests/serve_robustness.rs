@@ -1,6 +1,6 @@
 //! End-to-end robustness suite for the serve daemon (DESIGN.md
 //! "catt-serve: service architecture & failure model"). Each scenario
-//! drives a real [`Server`] — worker pool, reaper, and all — and checks
+//! drives a real [`Server`] — worker pool, deadline tokens and all — and checks
 //! the contract `serve_load.rs` enforces at scale: every submission
 //! ends in exactly one typed response, and overload, deadlines, faults,
 //! and shutdown all degrade into *typed* outcomes, never hangs.
@@ -165,8 +165,8 @@ fn deadline_expired_in_queue_is_never_simulated() {
     server.drain();
 }
 
-/// A running simulation is cancelled by the reaper at its deadline —
-/// cancelled, not completed late.
+/// A running simulation is cancelled at its deadline by the token it
+/// polls — cancelled, not completed late.
 #[test]
 fn running_simulation_is_cancelled_at_its_deadline() {
     let server = server_with(

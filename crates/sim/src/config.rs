@@ -1,42 +1,71 @@
 //! Simulated GPU configuration (geometry, capacities, latencies).
 
-/// Cooperative cancellation handle for an in-flight launch. Cloning
-/// shares the flag; [`CancelToken::cancel`] makes every simulation loop
-/// holding a clone return [`SimError::Cancelled`](crate::SimError) at its
-/// next poll point (the top of the per-SM run loop, where the fuel budget
-/// is checked too). This is the wall-clock escape hatch `catt serve`
-/// threads a request deadline through: fuel bounds simulated cycles, the
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Cooperative cancellation handle for an in-flight launch, with an
+/// optional wall-clock deadline. Cloning shares the handle. The token
+/// fires when [`CancelToken::cancel`] is called or, for a token made by
+/// [`CancelToken::with_deadline`], once its deadline passes; every
+/// simulation loop holding a clone then returns
+/// [`SimError::Cancelled`](crate::SimError) at its next poll. Both
+/// drivers poll on the first iteration of their run loop and then at most
+/// once per 256 warp-instructions, so a deadline costs one clock read per
+/// poll, not one per iteration. This is how `catt serve` bounds a
+/// request's wall time at every stage: fuel bounds simulated cycles, the
 /// token bounds real time.
 ///
 /// Equality is identity (`Arc::ptr_eq`) — two tokens are equal only when
-/// they are the same flag — and the token never participates in
+/// they are the same handle — and the token never participates in
 /// [`GpuConfig::content_digest`]: cancellation is an execution concern,
 /// not a simulated parameter, so tokenless and token-carrying configs
 /// share cache entries.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(std::sync::Arc<std::sync::atomic::AtomicBool>);
+pub struct CancelToken(Arc<TokenState>);
+
+#[derive(Debug, Default)]
+struct TokenState {
+    cancelled: AtomicBool,
+    deadline: Option<Instant>,
+}
 
 impl CancelToken {
-    /// A fresh, un-cancelled token.
+    /// A fresh, un-cancelled token without a deadline.
     pub fn new() -> CancelToken {
         CancelToken::default()
+    }
+
+    /// A fresh token that fires by itself once `deadline` passes.
+    pub fn with_deadline(deadline: Instant) -> CancelToken {
+        CancelToken(Arc::new(TokenState {
+            deadline: Some(deadline),
+            ..TokenState::default()
+        }))
+    }
+
+    /// The deadline the token was made with, if any.
+    pub fn deadline(&self) -> Option<Instant> {
+        self.0.deadline
     }
 
     /// Request cancellation: every launch polling this token stops with
     /// [`SimError::Cancelled`](crate::SimError) at its next poll.
     pub fn cancel(&self) {
-        self.0.store(true, std::sync::atomic::Ordering::Relaxed);
+        self.0.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// Whether cancellation has been requested.
+    /// Whether cancellation has been requested or the deadline has
+    /// passed. With a deadline this reads the clock.
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(std::sync::atomic::Ordering::Relaxed)
+        self.0.cancelled.load(Ordering::Relaxed)
+            || self.0.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
 impl PartialEq for CancelToken {
     fn eq(&self, other: &CancelToken) -> bool {
-        std::sync::Arc::ptr_eq(&self.0, &other.0)
+        Arc::ptr_eq(&self.0, &other.0)
     }
 }
 
@@ -196,10 +225,11 @@ pub struct GpuConfig {
     /// simulation cache (a cache hit would skip the checks) and run on
     /// the sequential SM path so one launch-wide state sees every block.
     pub sanitize: Option<bool>,
-    /// Cooperative cancellation token polled at the top of every SM run
-    /// loop (next to the fuel check). `None` — the default everywhere
-    /// outside `catt serve` — costs one pointer test per loop iteration.
-    /// A fired token surfaces as
+    /// Cooperative cancellation token, carrying the request's deadline if
+    /// it has one, polled by both drivers' run loops (next to the fuel
+    /// check, at most once per 256 warp-instructions). `None` — the
+    /// default everywhere outside `catt serve` — costs one pointer test
+    /// per loop iteration. A fired token surfaces as
     /// [`SimError::Cancelled`](crate::SimError::Cancelled). Excluded from
     /// [`GpuConfig::content_digest`]: cancellation bounds wall-clock time,
     /// it never changes the result of a launch that completes.

@@ -121,6 +121,7 @@ impl LaunchStats {
         self.tbs += other.tbs;
         self.warps += other.warps;
         self.trace.requests.extend_from_slice(&other.trace.requests);
+        self.trace.dropped += other.trace.dropped;
     }
 }
 
@@ -151,6 +152,18 @@ mod tests {
         a.accumulate(&b);
         assert_eq!(a.cycles, 150);
         assert_eq!(a.l1_hit_rate(), 0.75);
+    }
+
+    #[test]
+    fn accumulate_sums_dropped_trace_events() {
+        let traced = |requests: Vec<u32>, dropped| LaunchStats {
+            trace: RequestTrace { requests, dropped },
+            ..LaunchStats::default()
+        };
+        let mut a = traced(vec![1, 2], 3);
+        a.accumulate(&traced(vec![4], 5));
+        assert_eq!(a.trace.requests, [1, 2, 4]);
+        assert_eq!(a.trace.dropped, 8);
     }
 
     #[test]

@@ -67,6 +67,10 @@ pub fn run_launch(
         Some(("l1_line_bytes", config.l1_line_bytes))
     } else if config.l1_assoc == 0 {
         Some(("l1_assoc", 0))
+    } else if u64::from(config.l1d_bytes())
+        < u64::from(config.l1_line_bytes) * u64::from(config.l1_assoc)
+    {
+        Some(("l1d_bytes()", config.l1d_bytes()))
     } else {
         None
     };
@@ -75,7 +79,8 @@ pub fn run_launch(
             kernel: program.name.clone(),
             message: format!(
                 "GpuConfig::{field} = {value}: the line size must be a positive \
-                 multiple of 4 bytes and the associativity at least 1"
+                 multiple of 4 bytes, the associativity at least 1 and the L1D \
+                 at least one set (line size × associativity bytes)"
             ),
         });
     }
@@ -92,6 +97,29 @@ pub fn run_launch(
     } else {
         launch_impl::<NullSink>(config, program, launch, args, mem, None)
     }
+}
+
+/// Warp-instructions a launch issues between two reads of its
+/// [`CancelToken`](crate::CancelToken) (see [`cancel_due`]).
+const CANCEL_POLL_PERIOD: u64 = 256;
+
+/// The cancellation poll at the top of both drivers' run loops: whether
+/// the launch's token has fired. It is read on the first iteration, then
+/// on the first iteration that finds `issued` (the launch's
+/// warp-instructions so far) at `*next_poll` or past it, which moves
+/// `*next_poll` [`CANCEL_POLL_PERIOD`] further. A token with a deadline
+/// reads the clock, which costs more than an iteration of the timed loop;
+/// without a token this is one pointer test.
+#[inline]
+fn cancel_due(config: &GpuConfig, issued: u64, next_poll: &mut u64) -> bool {
+    let Some(token) = &config.cancel else {
+        return false;
+    };
+    if issued < *next_poll {
+        return false;
+    }
+    *next_poll = issued + CANCEL_POLL_PERIOD;
+    token.is_cancelled()
 }
 
 /// Launch admission, shared by both drivers so they reject the same
@@ -232,7 +260,7 @@ fn launch_impl<S: ProfileSink>(
             if let Some(p) = profile.as_deref_mut() {
                 sink.finish_into(p);
             }
-            fold_stats(&mut total, res?, trace_this_sm);
+            fold_stats(&mut total, &res?);
         }
         return Ok(total);
     }
@@ -269,7 +297,7 @@ fn launch_impl<S: ProfileSink>(
                         None,
                         blocks,
                     );
-                    (trace_this_sm, res, shadow.into_log(), sink)
+                    (res, shadow.into_log(), sink)
                 })
             })
             .collect();
@@ -278,32 +306,24 @@ fn launch_impl<S: ProfileSink>(
             .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     });
-    for (trace_this_sm, res, log, sink) in outcomes {
+    for (res, log, sink) in outcomes {
         if let Some(p) = profile.as_deref_mut() {
             sink.finish_into(p);
         }
-        fold_stats(&mut total, res?, trace_this_sm);
+        fold_stats(&mut total, &res?);
         log.apply(mem);
     }
     Ok(total)
 }
 
-/// Fold one SM's stats into the launch total (`cycles` is the max over
-/// SMs — they run concurrently on the device).
-fn fold_stats(total: &mut LaunchStats, stats: LaunchStats, take_trace: bool) {
-    total.instructions += stats.instructions;
-    total.l1_accesses += stats.l1_accesses;
-    total.l1_hits += stats.l1_hits;
-    total.offchip_requests += stats.offchip_requests;
-    total.l2_accesses += stats.l2_accesses;
-    total.l2_hits += stats.l2_hits;
-    total.l2_evictions += stats.l2_evictions;
-    total.tbs += stats.tbs;
-    total.warps += stats.warps;
-    total.cycles = total.cycles.max(stats.cycles);
-    if take_trace {
-        total.trace = stats.trace;
-    }
+/// Fold one SM's stats into the launch total: the counters add as
+/// [`LaunchStats::accumulate`] adds them, but `cycles` is the max over
+/// SMs — they run concurrently on the device. Only SM 0 records a
+/// request trace, so the total's trace is SM 0's.
+fn fold_stats(total: &mut LaunchStats, stats: &LaunchStats) {
+    let cycles = total.cycles.max(stats.cycles);
+    total.accumulate(stats);
+    total.cycles = cycles;
 }
 
 /// Sanitizer barrier-site identity check at a release point: every parked
@@ -1048,19 +1068,15 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S, Timed> {
     }
 
     fn run(&mut self, mut pending: VecDeque<u32>) -> Result<LaunchStats, SimError> {
+        let mut next_poll = 0;
         loop {
-            // Cancellation poll: one pointer test when no token is set
-            // (the default everywhere outside `catt serve`). Sits next to
-            // the fuel check so both launch bounds share one exit point;
-            // the event-driven loop makes iterations proportional to
-            // issued work, so a relaxed load per iteration is noise.
-            if let Some(tok) = &self.config.cancel {
-                if tok.is_cancelled() {
-                    return Err(SimError::Cancelled {
-                        kernel: self.program.name.clone(),
-                        cycles: self.cycle,
-                    });
-                }
+            // Sits next to the fuel check so both launch bounds share one
+            // exit point.
+            if cancel_due(self.config, self.stats.instructions, &mut next_poll) {
+                return Err(SimError::Cancelled {
+                    kernel: self.program.name.clone(),
+                    cycles: self.cycle,
+                });
             }
             if self.cycle >= self.fuel {
                 if S::ENABLED {
@@ -1963,15 +1979,11 @@ impl Sm<'_, GlobalMem, NullSink, Untimed> {
     /// out of fuel once `budget` warp-instructions have issued.
     fn run(&mut self, num_blocks: u32, budget: u64) -> Result<(), SimError> {
         let kernel = || self.program.name.clone();
+        let mut next_poll = 0;
         for block in 0..num_blocks {
             self.dispatch(0, block);
             loop {
-                if self
-                    .config
-                    .cancel
-                    .as_ref()
-                    .is_some_and(|t| t.is_cancelled())
-                {
+                if cancel_due(self.config, self.stats.instructions, &mut next_poll) {
                     return Err(SimError::Cancelled {
                         kernel: kernel(),
                         cycles: 0,

@@ -4,7 +4,8 @@
 
 use catt_frontend::parse_kernel;
 use catt_ir::LaunchConfig;
-use catt_sim::{Arg, GlobalMem, Gpu, GpuConfig, SimError};
+use catt_sim::{Arg, CancelToken, ExecCounts, GlobalMem, Gpu, GpuConfig, SimError};
+use std::time::{Duration, Instant};
 
 fn launch(
     src: &str,
@@ -212,7 +213,9 @@ fn host_write_past_buffer_end_names_the_buffer() {
 }
 
 /// A degenerate cache geometry is a configuration error, not a
-/// division-by-zero panic in the coalescer or the set-index computation.
+/// division-by-zero panic in the coalescer or the set-index computation,
+/// nor an L1D under one set (line size × associativity) simulated as one
+/// full set.
 #[test]
 fn degenerate_cache_geometry_is_a_bad_argument() {
     let src = "
@@ -220,29 +223,28 @@ fn degenerate_cache_geometry_is_a_bad_argument() {
             b[threadIdx.x] = a[threadIdx.x];
         }";
     let k = parse_kernel(src).unwrap();
-    // (field the error must name, line size, associativity)
+    let run = |line_bytes, assoc, l1_bytes, profile| {
+        let mut config = GpuConfig::small();
+        config.l1_line_bytes = line_bytes;
+        config.l1_assoc = assoc;
+        config.l1_cap_bytes = Some(l1_bytes);
+        config.profile = Some(profile);
+        let mut mem = GlobalMem::new();
+        let (a, b) = (mem.alloc_zeroed(32), mem.alloc_zeroed(32));
+        let args = [Arg::Buf(a), Arg::Buf(b)];
+        Gpu::new(config).launch(&k, LaunchConfig::d1(1, 32), &args, &mut mem)
+    };
+    // (what the error must name, line size, associativity, L1D bytes)
     let cases = [
-        ("l1_line_bytes", 0, 4),
-        ("l1_line_bytes", 126, 4),
-        ("l1_assoc", 128, 0),
+        ("l1_line_bytes", 0, 4, 4096),
+        ("l1_line_bytes", 126, 4, 4096),
+        ("l1_assoc", 128, 0, 4096),
+        ("l1d_bytes() = 0", 128, 4, 0),
+        ("l1d_bytes() = 508", 128, 4, 508),
     ];
-    for (field, line_bytes, assoc) in cases {
+    for (field, line_bytes, assoc, l1_bytes) in cases {
         for profile in [false, true] {
-            let mut config = GpuConfig::small();
-            config.l1_line_bytes = line_bytes;
-            config.l1_assoc = assoc;
-            config.profile = Some(profile);
-            let mut mem = GlobalMem::new();
-            let (a, b) = (mem.alloc_zeroed(32), mem.alloc_zeroed(32));
-            let err = Gpu::new(config)
-                .launch(
-                    &k,
-                    LaunchConfig::d1(1, 32),
-                    &[Arg::Buf(a), Arg::Buf(b)],
-                    &mut mem,
-                )
-                .unwrap_err();
-            match err {
+            match run(line_bytes, assoc, l1_bytes, profile).unwrap_err() {
                 SimError::BadArgument { kernel, message } => {
                     assert_eq!(kernel, "copy");
                     assert!(message.contains(field), "{message}");
@@ -250,5 +252,80 @@ fn degenerate_cache_geometry_is_a_bad_argument() {
                 other => panic!("expected BadArgument naming {field}, got {other}"),
             }
         }
+    }
+    assert!(run(128, 4, 512, false).is_ok(), "one set is enough");
+}
+
+/// A kernel that runs well past one cancellation poll period.
+const LOOPY: &str = "__global__ void loopy(float *a, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    float s = 0.0f;
+    for (int j = 0; j < n; j++) { s += a[(i + j) % 1024]; }
+    a[i] = s;
+}";
+
+/// Run `LOOPY` on both drivers under `config`: the timed launch's stats
+/// and the digest of the memory it leaves, and the functional run's counts.
+fn loopy_both_ways(
+    config: &GpuConfig,
+) -> (
+    Result<(String, u64), SimError>,
+    Result<ExecCounts, SimError>,
+) {
+    let k = parse_kernel(LOOPY).unwrap();
+    let launch = LaunchConfig::d1(4, 256);
+    let inputs = || {
+        let mut mem = GlobalMem::new();
+        let a = mem.alloc_f32(&[1.0; 1024]);
+        (mem, [Arg::Buf(a), Arg::I32(64)])
+    };
+    let mut gpu = Gpu::new(config.clone());
+    let (mut mem, args) = inputs();
+    let timed = gpu
+        .launch(&k, launch, &args, &mut mem)
+        .map(|stats| (format!("{stats:?}"), mem.content_digest()));
+    let (mut mem, args) = inputs();
+    (timed, gpu.execute(&k, launch, &args, &mut mem))
+}
+
+/// A launch under a token whose deadline has already passed stops with
+/// `Cancelled` on both drivers, before its first instruction.
+#[test]
+fn an_expired_token_cancels_both_drivers() {
+    let mut config = GpuConfig::small();
+    config.cancel = Some(CancelToken::with_deadline(Instant::now()));
+    let (timed, functional) = loopy_both_ways(&config);
+    for err in [timed.unwrap_err(), functional.unwrap_err()] {
+        match err {
+            SimError::Cancelled { kernel, cycles } => {
+                assert_eq!((kernel.as_str(), cycles), ("loopy", 0))
+            }
+            other => panic!("expected Cancelled, got {other}"),
+        }
+    }
+}
+
+/// A token whose deadline is far away changes nothing a launch computes:
+/// stats, memory and functional counts equal a run without a token, on
+/// one SM and on parallel SMs.
+#[test]
+fn a_far_future_token_leaves_the_run_bit_identical() {
+    for sms in [1, 4] {
+        let mut plain = GpuConfig::small();
+        plain.num_sms = sms;
+        plain.sm_parallel = Some(sms > 1);
+        let mut tokened = plain.clone();
+        tokened.cancel = Some(CancelToken::with_deadline(
+            Instant::now() + Duration::from_secs(3600),
+        ));
+        let (timed, functional) = loopy_both_ways(&plain);
+        let (timed_tok, functional_tok) = loopy_both_ways(&tokened);
+        let timed = timed.expect("the plain launch runs");
+        assert_eq!(
+            timed,
+            timed_tok.expect("the tokened launch runs"),
+            "{sms} SMs"
+        );
+        assert_eq!(functional.unwrap(), functional_tok.unwrap(), "{sms} SMs");
     }
 }

@@ -18,7 +18,10 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets $OFFLINE -- -D warnings
 
-echo "==> tier-1: cargo build --release && cargo test"
+# Tier-1 is `cargo build --release && cargo test -q` over the
+# `default-members` of Cargo.toml (every crate but catt-sim); this gate runs
+# the whole workspace, catt-sim included, in release.
+echo "==> tier-1 and catt-sim: cargo build --release && cargo test --workspace"
 cargo build --release --workspace $OFFLINE
 cargo test --release --workspace $OFFLINE -q
 

@@ -155,6 +155,19 @@ fn numeric<T: TryFrom<u64>>(cmd: &str, flag: &str, value: &str, unit: u64) -> Re
         })
 }
 
+/// `--l1 <KB>` of `catt <cmd>` in bytes: [`numeric`], and not 0, since an
+/// L1D needs at least one set to simulate (a size under one set the
+/// launch refuses with a typed error).
+fn parse_l1(cmd: &str, value: &str) -> Result<u32, ExitCode> {
+    match numeric(cmd, "l1", value, 1024)? {
+        0 => {
+            eprintln!("catt {cmd}: bad --l1 value `{value}`: an L1D of 0 KB holds no line");
+            Err(usage())
+        }
+        bytes => Ok(bytes),
+    }
+}
+
 /// `catt fuzz`: replay the regression corpus, then run a differential
 /// fuzzing campaign, persisting any new counterexamples.
 fn fuzz_main(args: &[String]) -> ExitCode {
@@ -300,7 +313,7 @@ fn profile_main(args: &[String]) -> ExitCode {
     while i < args.len() {
         match args[i].as_str() {
             "--l1" if i + 1 < args.len() => {
-                match numeric("profile", "l1", &args[i + 1], 1024) {
+                match parse_l1("profile", &args[i + 1]) {
                     Ok(b) => l1_bytes = Some(b),
                     Err(code) => return code,
                 }
@@ -411,7 +424,7 @@ fn tune_main(args: &[String]) -> ExitCode {
     while i < args.len() {
         match args[i].as_str() {
             "--l1" if i + 1 < args.len() => {
-                match numeric("tune", "l1", &args[i + 1], 1024) {
+                match parse_l1("tune", &args[i + 1]) {
                     Ok(b) => l1_bytes = Some(b),
                     Err(code) => return code,
                 }
@@ -652,7 +665,7 @@ fn main() -> ExitCode {
                 i += 2;
             }
             "--l1" if i + 1 < argv.len() => {
-                match numeric(mode, "l1", &argv[i + 1], 1024) {
+                match parse_l1(mode, &argv[i + 1]) {
                     Ok(b) => l1_bytes = Some(b),
                     Err(code) => return code,
                 }

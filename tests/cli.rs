@@ -227,9 +227,10 @@ fn bad_usage_exits_nonzero() {
     assert!(!out.status.success());
 }
 
-/// Every numeric flag is parsed strictly: a malformed value, or `--l1`
-/// KB that overflow a byte count, is a usage error (exit 2) naming the
-/// flag, not a silently different configuration.
+/// Every numeric flag is parsed strictly: a malformed value, `--l1` KB
+/// that overflow a byte count, or an `--l1` of 0 KB (an L1D without a
+/// set) is a usage error (exit 2) naming the flag, not a silently
+/// different configuration.
 #[test]
 fn malformed_numeric_flags_are_usage_errors() {
     let f = demo_file();
@@ -261,6 +262,18 @@ fn malformed_numeric_flags_are_usage_errors() {
         (
             &["run", file, "--launch", "walk=2x256", "--fuel", "x"],
             "catt run: bad --fuel value",
+        ),
+        (
+            &["tune", "DC", "--l1", "0"],
+            "catt tune: bad --l1 value `0`",
+        ),
+        (
+            &["profile", "DC", "--l1", "0"],
+            "catt profile: bad --l1 value `0`",
+        ),
+        (
+            &["run", file, "--launch", "walk=2x256", "--l1", "0"],
+            "catt run: bad --l1 value `0`",
         ),
     ];
     for (args, message) in cases {
