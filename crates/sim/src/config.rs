@@ -175,8 +175,8 @@ pub struct GpuConfig {
     /// `l2_kb × 1024 / num_sms` bytes sitting between each SM's L1D and
     /// DRAM (set-associative, [`L2_ASSOC`]-way, L1-line-sized lines,
     /// MSHR-merged misses). Slicing keeps every SM's timing state
-    /// private, which is what preserves the parallel-/sequential-SM
-    /// bit-identity guarantee — cross-SM sharing of one L2 image is a
+    /// private, so SMs simulated one after another time exactly as if
+    /// they ran side by side — cross-SM sharing of one L2 image is a
     /// documented substitution (DESIGN.md §3h). `Some(0)` disables the
     /// L2 entirely (bit-identical to the pre-L2 model); `None` is the
     /// Volta-like default [`L2_DEFAULT_KB`]. Unlike the
@@ -199,12 +199,11 @@ pub struct GpuConfig {
     /// Excluded from [`GpuConfig::content_digest`] — fuel bounds the
     /// simulation, it does not change its result.
     pub sim_fuel: Option<u64>,
-    /// `Some(true)` runs each SM that has blocks on its own scoped
-    /// thread (snapshot + store-log memory, bit-identical results — see
-    /// DESIGN.md "Parallel SM execution"); `None` and `Some(false)` run
-    /// the SMs one after another. Excluded from
-    /// [`GpuConfig::content_digest`] — parallelism is an execution
-    /// strategy, not a simulated parameter.
+    /// Has no effect, `Some(true)` included: every launch simulates its
+    /// SMs one after another on the caller's thread (DESIGN.md
+    /// "Sequential SMs"). Kept only because the benchmark harness's 8-SM
+    /// probe still assigns it, and deleted with that probe (ROADMAP item
+    /// 11); excluded from [`GpuConfig::content_digest`].
     pub sm_parallel: Option<bool>,
     /// Record a full [`crate::profile::LaunchProfile`] per launch (stall
     /// breakdowns, per-set L1 counters, the windowed miss curve, phase
@@ -222,11 +221,11 @@ pub struct GpuConfig {
     /// off. The sanitizer only observes — a clean sanitized launch is
     /// bit-identical to an unsanitized one — so the knob is excluded from
     /// [`GpuConfig::content_digest`]; sanitized runs bypass the
-    /// simulation cache (a cache hit would skip the checks) and run on
-    /// the sequential SM path so one launch-wide state sees every block.
+    /// simulation cache (a cache hit would skip the checks). One
+    /// launch-wide state sees every block of every SM.
     pub sanitize: Option<bool>,
     /// Cooperative cancellation token, carrying the request's deadline if
-    /// it has one, polled by both drivers' run loops (next to the fuel
+    /// it has one, polled by both drivers' issue loops (next to the fuel
     /// check, at most once per 256 warp-instructions). `None` — the
     /// default everywhere outside `catt serve` — costs one pointer test
     /// per loop iteration. A fired token surfaces as

@@ -90,14 +90,11 @@ impl GpuConfig {
     /// simulation results keyed on this config. The cycle-fuel budget
     /// (`sim_fuel`) is excluded: fuel bounds a simulation, it never
     /// changes the result of one that completes, so tightening or lifting
-    /// the budget must not invalidate cached results. The SM-parallelism
-    /// knob (`sm_parallel`) is excluded for the same
-    /// reason: parallel and sequential execution are bit-identical (see
-    /// DESIGN.md "Parallel SM execution"), so flipping them must keep
-    /// serving cached results. The profiling knob (`profile`) is excluded
-    /// too — the sink only observes, so a profiled run's stats serve the
-    /// unprofiled run of the same job (see DESIGN.md "Profiling & trace
-    /// subsystem") — as is the
+    /// the budget must not invalidate cached results. `sm_parallel` has no
+    /// effect on a launch, so it is excluded too, and so is the profiling
+    /// knob (`profile`) — the sink only observes, so a profiled run's
+    /// stats serve the unprofiled run of the same job (see DESIGN.md
+    /// "Profiling & trace subsystem") — as is the
     /// sanitizer knob (`sanitize`): a clean sanitized launch is
     /// bit-identical to an unsanitized one, and sanitized runs bypass the
     /// cache so the checks always execute.
@@ -516,18 +513,6 @@ mod tests {
         let mut fueled = base.clone();
         fueled.sim_fuel = Some(1_000);
         assert_eq!(base.content_digest(), fueled.content_digest());
-    }
-
-    #[test]
-    fn sm_parallelism_knobs_do_not_change_the_digest() {
-        // Parallel and sequential launches are bit-identical, so a cached
-        // result must survive flipping the execution-strategy knob.
-        let base = GpuConfig::titan_v_1sm();
-        let mut tuned = base.clone();
-        tuned.sm_parallel = Some(false);
-        assert_eq!(base.content_digest(), tuned.content_digest());
-        tuned.sm_parallel = Some(true);
-        assert_eq!(base.content_digest(), tuned.content_digest());
     }
 
     #[test]

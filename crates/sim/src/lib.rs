@@ -55,7 +55,7 @@ pub use config::{
 };
 pub use digest::Fnv64;
 pub use error::SimError;
-pub use mem::{Arg, Buffer, DeviceMem, GlobalMem, Init, ShadowMem, StoreLog};
+pub use mem::{Arg, Buffer, GlobalMem, Init};
 pub use metrics::{ExecCounts, LaunchStats, RequestTrace};
 pub use occupancy::{max_resident_tbs, OccupancyLimits};
 pub use profile::{
@@ -91,10 +91,10 @@ impl Gpu {
     /// each SM runs its blocks under the occupancy limits implied by the
     /// kernel's shared-memory and register usage. Reported `cycles` is the
     /// maximum over SMs (they run independently; the shared L2/DRAM is a
-    /// per-SM latency/bandwidth model, see DESIGN.md). On a multi-thread
-    /// budget the SMs are simulated on parallel worker threads with
-    /// bit-identical results ([`GpuConfig::sm_parallel`] picks a path
-    /// explicitly; see DESIGN.md "Parallel SM execution").
+    /// per-SM latency/bandwidth model, see DESIGN.md). The SMs are
+    /// simulated one after another on the caller's thread against `mem`,
+    /// so SM *k + 1* sees the stores of SM *k* (DESIGN.md "Sequential
+    /// SMs"); a launch never starts a thread.
     ///
     /// All user-reachable failures — lowering errors, bad arguments,
     /// barrier deadlocks, cycle-budget exhaustion — come back as a
@@ -146,9 +146,10 @@ impl Gpu {
     ///
     /// Honours [`GpuConfig::sanitize`], [`GpuConfig::sim_fuel`] (as
     /// `fuel × schedulers_per_sm` warp-instructions — never stricter than
-    /// the cycle bound) and [`GpuConfig::cancel`] (polled between barrier
-    /// phases). Ignores everything about time: cache geometry, latencies,
-    /// `num_sms` and thread budgets, DYNCTA, profiling, request tracing.
+    /// the cycle bound) and [`GpuConfig::cancel`] (polled every 256
+    /// warp-instructions, inside a block too). Ignores everything about
+    /// time: cache geometry, latencies, `num_sms`, DYNCTA, profiling,
+    /// request tracing.
     pub fn execute_program(
         &mut self,
         program: &Program,

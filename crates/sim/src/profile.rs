@@ -22,9 +22,8 @@
 //!   residency spans, which is what makes a throttled kernel's
 //!   group-alternation visible in `chrome://tracing`.
 //!
-//! Per-SM shards merge into a [`LaunchProfile`] in ascending SM-id order —
-//! exactly like the store-log commit of the parallel per-SM path — so a
-//! profile is deterministic across thread budgets and execution modes.
+//! Per-SM shards merge into a [`LaunchProfile`] in ascending SM-id order,
+//! the order the SMs are simulated in, so a profile is deterministic.
 //! Profiles are delivered through a thread-local capture buffer
 //! ([`set_capture`]/[`take_captured`], the same pattern as the harness's
 //! memory-digest capture); profiling state is excluded from the
@@ -264,7 +263,7 @@ impl SmProfile {
 /// to exactly the pre-profiling loop. Implementations only observe:
 /// nothing a sink does may influence simulated state, which is what makes
 /// profiled and unprofiled runs bit-identical.
-pub trait ProfileSink: Send + Sized {
+pub trait ProfileSink: Sized {
     /// Whether the hooks record anything (compile-time constant; gates
     /// the classification work in the run loop).
     const ENABLED: bool;
@@ -273,7 +272,7 @@ pub trait ProfileSink: Send + Sized {
     fn for_sm(sm_id: u32, l1: L1Config, warps: usize, tbs: usize) -> Self;
 
     /// Merge this SM's shard into the launch profile. Called in ascending
-    /// SM-id order, like the parallel path's store-log commit.
+    /// SM-id order, as each SM finishes.
     fn finish_into(self, out: &mut LaunchProfile);
 
     /// `cycles` issue slots of one scheduler went unused for `reason`.

@@ -31,10 +31,10 @@
 //!   (loads 0, drops stores); hardware corrupts a neighbouring block's
 //!   shared data.
 //!
-//! Sanitized launches run on the sequential SM path so one launch-wide
-//! [`SanitizerState`] observes every block's accesses; results remain
-//! bit-identical to unsanitized runs (the sanitizer only observes), so
-//! the knob is excluded from [`crate::GpuConfig::content_digest`].
+//! One launch-wide [`SanitizerState`] observes every block's accesses,
+//! on every SM; results remain bit-identical to unsanitized runs (the
+//! sanitizer only observes), so the knob is excluded from
+//! [`crate::GpuConfig::content_digest`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -164,15 +164,15 @@ impl WordAccess {
     }
 }
 
-/// Words per lazily-allocated shadow page ([`crate::StoreLog`]'s granule).
+/// Words per lazily-allocated shadow page.
 const PAGE_WORDS: usize = 1024;
 
 /// Launch-wide sanitizer state: which block last wrote / first read each
-/// global word. One instance observes the whole launch (sanitized
-/// launches force the sequential SM path), so races between blocks on
-/// different SMs are caught. The shadow is a word-indexed table over the
-/// launch footprint whose pages allocate on first touch: one index, no
-/// hash, per lane access, and a kernel pays for the pages it touches.
+/// global word. One instance observes the whole launch, every SM of it,
+/// so races between blocks on different SMs are caught. The shadow is a
+/// word-indexed table over the launch footprint whose pages allocate on
+/// first touch: one index, no hash, per lane access, and a kernel pays
+/// for the pages it touches.
 /// Words past the footprint (wild stores are recorded, by design) fall
 /// back to a map, never iterated, so its order cannot leak into results.
 #[derive(Default)]

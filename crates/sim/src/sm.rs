@@ -25,7 +25,7 @@ use crate::bytecode::{builtin_reg, CmpOp, FBinOp, FUnOp, IBinOp, Op, Program};
 use crate::cache::L1Cache;
 use crate::config::{GpuConfig, Latencies};
 use crate::error::SimError;
-use crate::mem::{Arg, DeviceMem, GlobalMem, ShadowMem};
+use crate::mem::{Arg, GlobalMem};
 use crate::metrics::{ExecCounts, LaunchStats, RequestTrace};
 use crate::occupancy::max_resident_tbs;
 use crate::profile::{LaunchProfile, NullSink, ProfileSink, SmProfile, StallReason};
@@ -37,18 +37,12 @@ use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// Execute a full launch: distribute blocks round-robin over SMs and run
-/// each SM to completion. SMs interact only through (functional) global
-/// memory; timing-wise each has its own L1D and off-chip port, so they are
-/// simulated independently and total `cycles` is the maximum over SMs.
-///
-/// With [`GpuConfig::sm_parallel`] set to `Some(true)`, each SM that has
-/// blocks runs on its own `std::thread::scope` thread: it reads a shared
-/// pre-launch snapshot overlaid with its own
-/// [`StoreLog`](crate::mem::StoreLog) and the logs are merged back in
-/// ascending SM-id order, so the result is bit-identical to the
-/// sequential path and across runs (see DESIGN.md "Parallel SM
-/// execution"). Otherwise — and whenever only one SM has blocks — the
-/// sequential path runs directly against [`GlobalMem`].
+/// each SM to completion, one SM after another on the caller's thread.
+/// SMs interact only through (functional) global memory, which every SM
+/// reads and writes in place, so SM *k + 1* sees the stores of SM *k*;
+/// timing-wise each has its own L1D, L2 slice and off-chip port, so they
+/// are simulated independently and total `cycles` is the maximum over SMs
+/// (DESIGN.md "Sequential SMs").
 ///
 /// Every user-reachable failure — bad arguments, unlaunchable geometry,
 /// barrier deadlock, cycle-budget exhaustion — returns a structured
@@ -103,8 +97,8 @@ pub fn run_launch(
 /// [`CancelToken`](crate::CancelToken) (see [`cancel_due`]).
 const CANCEL_POLL_PERIOD: u64 = 256;
 
-/// The cancellation poll at the top of both drivers' run loops: whether
-/// the launch's token has fired. It is read on the first iteration, then
+/// The cancellation poll of both drivers' issue loops: whether the
+/// launch's token has fired. It is read on the first iteration, then
 /// on the first iteration that finds `issued` (the launch's
 /// warp-instructions so far) at `*next_poll` or past it, which moves
 /// `*next_poll` [`CANCEL_POLL_PERIOD`] further. A token with a deadline
@@ -221,104 +215,51 @@ fn launch_impl<S: ProfileSink>(
         .filter(|(_, blocks)| !blocks.is_empty())
         .collect();
 
-    // Sanitized launches force the sequential path: one launch-wide
-    // sanitizer state must observe every block's global accesses to catch
-    // races between blocks on different SMs.
-    let mut san_state = if config.sanitize_enabled() {
-        Some(SanitizerState::with_footprint(mem.footprint_bytes()))
-    } else {
-        None
-    };
-    let parallel = san_state.is_none() && config.sm_parallel == Some(true) && per_sm.len() > 1;
+    // One launch-wide sanitizer state observes every block's global
+    // accesses, so races between blocks on different SMs are caught.
+    let mut san_state = config
+        .sanitize_enabled()
+        .then(|| SanitizerState::with_footprint(mem.footprint_bytes()));
     let nwarps = (resident * launch.warps_per_block()) as usize;
 
-    if !parallel {
-        // Sequential path: every SM mutates global memory directly. One
-        // workspace (register files, TB slots) is reused across SMs
-        // instead of reallocating per SM.
-        let mut ws = SmWorkspace::default();
-        for (sm_id, blocks) in per_sm {
-            let trace_this_sm = config.trace_requests && sm_id == 0;
-            let mut sink = S::for_sm(sm_id, config.l1_config(), nwarps, resident as usize);
-            let res = run_sm(
-                config,
-                program,
-                &decoded,
-                &tables,
-                launch,
-                mem,
-                resident,
-                trace_this_sm,
-                fuel,
-                &mut ws,
-                &mut sink,
-                san_state.as_mut(),
-                blocks,
-            );
-            // Merge the shard before propagating an error so a failing SM
-            // still leaves its partial profile behind.
-            if let Some(p) = profile.as_deref_mut() {
-                sink.finish_into(p);
-            }
-            fold_stats(&mut total, &res?);
-        }
-        return Ok(total);
-    }
-
-    // Parallel path: each SM simulates on its own thread against a shared
-    // read snapshot of pre-launch memory plus its own store log. Outcomes
-    // come back in ascending SM-id order, and so do the commits below:
-    // stats fold, store logs apply and profile shards merge in that order,
-    // and the first failing SM (by id) reports its error with lower-id
-    // successes already merged — exactly the sequential behaviour, whatever
-    // the thread schedule was.
-    let snapshot: &GlobalMem = mem;
-    let (decoded, tables) = (&decoded, &tables);
-    let outcomes: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = per_sm
-            .into_iter()
-            .map(|(sm_id, blocks)| {
-                scope.spawn(move || {
-                    let trace_this_sm = config.trace_requests && sm_id == 0;
-                    let mut shadow = ShadowMem::new(snapshot);
-                    let mut sink = S::for_sm(sm_id, config.l1_config(), nwarps, resident as usize);
-                    let res = run_sm(
-                        config,
-                        program,
-                        decoded,
-                        tables,
-                        launch,
-                        &mut shadow,
-                        resident,
-                        trace_this_sm,
-                        fuel,
-                        &mut SmWorkspace::default(),
-                        &mut sink,
-                        None,
-                        blocks,
-                    );
-                    (res, shadow.into_log(), sink)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    for (res, log, sink) in outcomes {
+    // Every SM mutates global memory directly, in ascending SM-id order.
+    // One workspace (register files, TB slots) is reused across SMs
+    // instead of reallocating per SM. The first failing SM stops the
+    // launch: lower SMs' stores are in memory, and so are the partial
+    // stores of the failing one.
+    let mut ws = SmWorkspace::default();
+    for (sm_id, blocks) in per_sm {
+        let trace_this_sm = config.trace_requests && sm_id == 0;
+        let mut sink = S::for_sm(sm_id, config.l1_config(), nwarps, resident as usize);
+        let res = run_sm(
+            config,
+            program,
+            &decoded,
+            &tables,
+            launch,
+            mem,
+            resident,
+            trace_this_sm,
+            fuel,
+            &mut ws,
+            &mut sink,
+            san_state.as_mut(),
+            blocks,
+        );
+        // Merge the shard before propagating an error so a failing SM
+        // still leaves its partial profile behind.
         if let Some(p) = profile.as_deref_mut() {
             sink.finish_into(p);
         }
         fold_stats(&mut total, &res?);
-        log.apply(mem);
     }
     Ok(total)
 }
 
 /// Fold one SM's stats into the launch total: the counters add as
 /// [`LaunchStats::accumulate`] adds them, but `cycles` is the max over
-/// SMs — they run concurrently on the device. Only SM 0 records a
+/// SMs — they run concurrently on the device, even though the simulator
+/// runs them one after another. Only SM 0 records a
 /// request trace, so the total's trace is SM 0's.
 fn fold_stats(total: &mut LaunchStats, stats: &LaunchStats) {
     let cycles = total.cycles.max(stats.cycles);
@@ -378,15 +319,15 @@ fn barrier_site_mismatch(ws: &[Warp], block: Option<u32>) -> Option<SanitizerRep
 
 /// Run one SM over its block list, borrowing warp/TB storage from `ws`
 /// and returning it when done (so the caller reuses the allocations —
-/// register files included — for the next SM on this thread).
+/// register files included — for the next SM).
 #[allow(clippy::too_many_arguments)]
-fn run_sm<M: DeviceMem, S: ProfileSink>(
+fn run_sm<S: ProfileSink>(
     config: &GpuConfig,
     program: &Program,
     decoded: &[Decoded],
     tables: &DispatchTables,
     launch: LaunchConfig,
-    mem: &mut M,
+    mem: &mut GlobalMem,
     resident: u32,
     trace: bool,
     fuel: u64,
@@ -664,7 +605,7 @@ impl DispatchTables {
     }
 }
 
-/// Reusable per-thread SM storage: warp slots (register files included)
+/// Reusable per-launch SM storage: warp slots (register files included)
 /// and TB slots survive from one SM to the next instead of being
 /// reallocated per SM — the dominant allocation cost of a multi-SM launch.
 #[derive(Default)]
@@ -760,9 +701,9 @@ struct Timed {
     /// This SM's slice of the shared L2 (`None` when the L2 is
     /// disabled, see [`GpuConfig::l2_slice_config`]). Probed only by
     /// L1D load misses; stores bypass it (write-through, no-allocate
-    /// at both levels). Keeping the slice per-SM — no timing state
-    /// shared across SMs — is what preserves the parallel/sequential
-    /// bit-identity guarantee.
+    /// at both levels). The slice is per-SM: no timing state is shared
+    /// across SMs, so each SM's timing is independent of the order the
+    /// SMs are simulated in.
     l2: Option<L1Cache>,
     /// Next cycle the L1D port is free (1 transaction / cycle).
     l1_port_free: u64,
@@ -1006,7 +947,7 @@ impl Timing for Timed {
     }
 }
 
-struct Sm<'a, M: DeviceMem, S: ProfileSink, T: Timing> {
+struct Sm<'a, S: ProfileSink, T: Timing> {
     config: &'a GpuConfig,
     program: &'a Program,
     /// The launch's decoded op table, indexed by pc.
@@ -1014,7 +955,7 @@ struct Sm<'a, M: DeviceMem, S: ProfileSink, T: Timing> {
     /// Launch-wide dispatch precomputation.
     tables: &'a DispatchTables,
     launch: LaunchConfig,
-    mem: &'a mut M,
+    mem: &'a mut GlobalMem,
     /// Current cycle (stays 0 on the functional instantiation).
     cycle: u64,
     warps: Vec<Warp>,
@@ -1027,15 +968,15 @@ struct Sm<'a, M: DeviceMem, S: ProfileSink, T: Timing> {
     /// every hook call below compiles to nothing.
     sink: &'a mut S,
     /// Launch-wide sanitizer state (`None` when sanitize mode is off).
-    /// Shared by every SM of the launch — sanitized launches run
-    /// sequentially — so inter-block races across SMs are observed.
+    /// Shared by every SM of the launch, so inter-block races across SMs
+    /// are observed.
     san: Option<&'a mut SanitizerState>,
     /// The timing side: [`Timed`] or [`Untimed`].
     t: T,
 }
 
 /// The timed driver: the event-driven run loop, GTO arbitration, DYNCTA.
-impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S, Timed> {
+impl<S: ProfileSink> Sm<'_, S, Timed> {
     /// DYNCTA-style dynamic adjustment (paper §2.2): at each sampling
     /// window boundary, compare the fraction of issue slots lost to
     /// stalls against the thresholds and pause/resume one resident block.
@@ -1472,7 +1413,7 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S, Timed> {
 
 /// What a warp computes: dispatch, barrier release, `issue` and every
 /// sanitizer check exist once, shared by the timed and functional drivers.
-impl<M: DeviceMem, S: ProfileSink, T: Timing> Sm<'_, M, S, T> {
+impl<S: ProfileSink, T: Timing> Sm<'_, S, T> {
     /// Warps currently parked at a `__syncthreads()` barrier.
     fn parked_warps(&self) -> usize {
         self.warps
@@ -1971,7 +1912,7 @@ impl<M: DeviceMem, S: ProfileSink, T: Timing> Sm<'_, M, S, T> {
 }
 
 /// The functional driver: no cycle is ever computed.
-impl Sm<'_, GlobalMem, NullSink, Untimed> {
+impl Sm<'_, NullSink, Untimed> {
     /// Run blocks `0..num_blocks` in ascending order, one at a time in TB
     /// slot 0, each `Ready` warp in turn up to its next barrier or exit,
     /// then release the barrier — a *legal* schedule, not the timed one;
@@ -1983,16 +1924,18 @@ impl Sm<'_, GlobalMem, NullSink, Untimed> {
         for block in 0..num_blocks {
             self.dispatch(0, block);
             loop {
-                if cancel_due(self.config, self.stats.instructions, &mut next_poll) {
-                    return Err(SimError::Cancelled {
-                        kernel: kernel(),
-                        cycles: 0,
-                    });
-                }
                 let before = self.stats.instructions;
                 let (mut limit, mut spent) = (budget, false);
                 for wi in 0..self.warps.len() {
                     while self.warps[wi].state == WarpState::Ready {
+                        // Polled per issue, not per barrier phase: a
+                        // barrier-free block is one phase.
+                        if cancel_due(self.config, self.stats.instructions, &mut next_poll) {
+                            return Err(SimError::Cancelled {
+                                kernel: kernel(),
+                                cycles: 0,
+                            });
+                        }
                         if self.stats.instructions >= limit {
                             // Out of fuel. The timed model interleaves a
                             // block's warps, so a sibling headed for a

@@ -264,10 +264,13 @@ const LOOPY: &str = "__global__ void loopy(float *a, int n) {
     a[i] = s;
 }";
 
-/// Run `LOOPY` on both drivers under `config`: the timed launch's stats
-/// and the digest of the memory it leaves, and the functional run's counts.
+/// Run `LOOPY` with `n` iterations on both drivers, each on a fresh
+/// `Gpu::new(config())` (so a deadline set by `config` starts per
+/// driver): the timed launch's stats and the digest of the memory it
+/// leaves, and the functional run's counts.
 fn loopy_both_ways(
-    config: &GpuConfig,
+    n: i32,
+    config: impl Fn() -> GpuConfig,
 ) -> (
     Result<(String, u64), SimError>,
     Result<ExecCounts, SimError>,
@@ -277,24 +280,29 @@ fn loopy_both_ways(
     let inputs = || {
         let mut mem = GlobalMem::new();
         let a = mem.alloc_f32(&[1.0; 1024]);
-        (mem, [Arg::Buf(a), Arg::I32(64)])
+        (mem, [Arg::Buf(a), Arg::I32(n)])
     };
-    let mut gpu = Gpu::new(config.clone());
     let (mut mem, args) = inputs();
-    let timed = gpu
+    let timed = Gpu::new(config())
         .launch(&k, launch, &args, &mut mem)
         .map(|stats| (format!("{stats:?}"), mem.content_digest()));
     let (mut mem, args) = inputs();
-    (timed, gpu.execute(&k, launch, &args, &mut mem))
+    let functional = Gpu::new(config()).execute(&k, launch, &args, &mut mem);
+    (timed, functional)
+}
+
+/// `GpuConfig::small()` under a token whose deadline is `after` from now.
+fn small_with_deadline(after: Duration) -> GpuConfig {
+    let mut config = GpuConfig::small();
+    config.cancel = Some(CancelToken::with_deadline(Instant::now() + after));
+    config
 }
 
 /// A launch under a token whose deadline has already passed stops with
 /// `Cancelled` on both drivers, before its first instruction.
 #[test]
 fn an_expired_token_cancels_both_drivers() {
-    let mut config = GpuConfig::small();
-    config.cancel = Some(CancelToken::with_deadline(Instant::now()));
-    let (timed, functional) = loopy_both_ways(&config);
+    let (timed, functional) = loopy_both_ways(64, || small_with_deadline(Duration::ZERO));
     for err in [timed.unwrap_err(), functional.unwrap_err()] {
         match err {
             SimError::Cancelled { kernel, cycles } => {
@@ -305,21 +313,42 @@ fn an_expired_token_cancels_both_drivers() {
     }
 }
 
+/// A deadline that passes while a barrier-free block is still running
+/// stops both drivers with `Cancelled`: the token is polled inside the
+/// block, not only between barrier phases. Each block of this `LOOPY`
+/// issues tens of millions of warp-instructions, far past the fuel budget
+/// and far past the deadline.
+#[test]
+fn a_deadline_expiring_mid_block_cancels_both_drivers() {
+    let (timed, functional) =
+        loopy_both_ways(1 << 20, || small_with_deadline(Duration::from_millis(50)));
+    match timed {
+        Err(SimError::Cancelled { kernel, cycles }) => {
+            assert_eq!(kernel, "loopy");
+            assert!(cycles > 0, "the timed driver stopped mid-block");
+        }
+        other => panic!("timed: expected Cancelled, got {other:?}"),
+    }
+    match functional {
+        Err(SimError::Cancelled { kernel, .. }) => assert_eq!(kernel, "loopy"),
+        other => panic!("functional: expected Cancelled, got {other:?}"),
+    }
+}
+
 /// A token whose deadline is far away changes nothing a launch computes:
 /// stats, memory and functional counts equal a run without a token, on
-/// one SM and on parallel SMs.
+/// one SM and on four.
 #[test]
 fn a_far_future_token_leaves_the_run_bit_identical() {
     for sms in [1, 4] {
         let mut plain = GpuConfig::small();
         plain.num_sms = sms;
-        plain.sm_parallel = Some(sms > 1);
-        let mut tokened = plain.clone();
-        tokened.cancel = Some(CancelToken::with_deadline(
-            Instant::now() + Duration::from_secs(3600),
-        ));
-        let (timed, functional) = loopy_both_ways(&plain);
-        let (timed_tok, functional_tok) = loopy_both_ways(&tokened);
+        let tokened = || GpuConfig {
+            num_sms: sms,
+            ..small_with_deadline(Duration::from_secs(3600))
+        };
+        let (timed, functional) = loopy_both_ways(64, || plain.clone());
+        let (timed_tok, functional_tok) = loopy_both_ways(64, tokened);
         let timed = timed.expect("the plain launch runs");
         assert_eq!(
             timed,

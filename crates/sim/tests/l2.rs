@@ -38,6 +38,11 @@ fn mv_kernel() -> Kernel {
 /// Run the contended matrix-vector kernel on the 1-SM vehicle with a
 /// 32 KB L1D cap and the given L2 capacity.
 fn run_mv(l2_kb: u32) -> (LaunchStats, u64) {
+    run_mv_on(1, LaunchConfig::d1(2, 128), l2_kb)
+}
+
+/// [`run_mv`] on `num_sms` Titan V SMs with the grid `launch`.
+fn run_mv_on(num_sms: u32, launch: LaunchConfig, l2_kb: u32) -> (LaunchStats, u64) {
     let kernel = mv_kernel();
     let mut mem = GlobalMem::new();
     let a = mem.alloc_f32(
@@ -47,13 +52,14 @@ fn run_mv(l2_kb: u32) -> (LaunchStats, u64) {
     );
     let b = mem.alloc_f32(&(0..MV_N).map(|v| (v % 7) as f32).collect::<Vec<_>>());
     let tmp = mem.alloc_zeroed(MV_N as u32);
-    let mut config = GpuConfig::titan_v_1sm();
+    let mut config = GpuConfig::titan_v();
+    config.num_sms = num_sms;
     config.l1_cap_bytes = Some(32 * 1024);
     config.l2_kb = Some(l2_kb);
     let stats = Gpu::new(config)
         .launch(
             &kernel,
-            LaunchConfig::d1(2, 128),
+            launch,
             &[Arg::Buf(a), Arg::Buf(b), Arg::Buf(tmp)],
             &mut mem,
         )
@@ -112,19 +118,28 @@ fn disabled_l2_matches_pre_l2_goldens() {
     assert_eq!(st.l2_accesses, 0);
 }
 
+/// The mv runs of the multi-SM cases: four SMs, where the L2 slice is
+/// per-SM state.
+fn run_mv_4sm(l2_kb: u32) -> (LaunchStats, u64) {
+    run_mv_on(4, LaunchConfig::d1(8, 32), l2_kb)
+}
+
 /// Every L1D load miss probes the L2 and nothing else does:
 /// `l2_accesses == l1_accesses − l1_hits`, on both a reuse-heavy and a
-/// streaming kernel, across capacities.
+/// streaming kernel, across capacities, and on four SMs (each probes its
+/// own slice).
 #[test]
 fn l2_accesses_reconcile_with_l1_misses() {
     for kb in [64, 512, 6144] {
-        let (mv, _) = run_mv(kb);
-        assert_eq!(
-            mv.l2_accesses,
-            mv.l1_accesses - mv.l1_hits,
-            "mv, l2_kb={kb}: L2 accesses must equal L1 load misses"
-        );
-        assert!(mv.l2_hits <= mv.l2_accesses, "mv, l2_kb={kb}");
+        for (sms, (mv, _)) in [(1, run_mv(kb)), (4, run_mv_4sm(kb))] {
+            assert!(mv.l2_accesses > 0, "mv, {sms} SMs: the L2 saw traffic");
+            assert_eq!(
+                mv.l2_accesses,
+                mv.l1_accesses - mv.l1_hits,
+                "mv, {sms} SMs, l2_kb={kb}: L2 accesses must equal L1 load misses"
+            );
+            assert!(mv.l2_hits <= mv.l2_accesses, "mv, {sms} SMs, l2_kb={kb}");
+        }
         let (st, _) = run_stream(kb);
         assert_eq!(
             st.l2_accesses,
@@ -135,18 +150,20 @@ fn l2_accesses_reconcile_with_l1_misses() {
 }
 
 /// The L2 never changes functional results: memory images and executed
-/// work are identical across capacities. (L1 hit/miss *counters* may
-/// legitimately move — fill latencies steer the warp schedule, and the
-/// access interleaving steers LRU state — but what the kernel computes
-/// may not.)
+/// work are identical across capacities, on one SM and on four. (L1
+/// hit/miss *counters* may legitimately move — fill latencies steer the
+/// warp schedule, and the access interleaving steers LRU state — but
+/// what the kernel computes may not.)
 #[test]
 fn l2_is_functionally_transparent() {
-    let (base, base_mem) = run_mv(0);
-    for kb in [64, 512, 6144] {
-        let (s, mem) = run_mv(kb);
-        assert_eq!(mem, base_mem, "l2_kb={kb}: memory image moved");
-        assert_eq!(s.instructions, base.instructions, "l2_kb={kb}");
-        assert_eq!((s.tbs, s.warps), (base.tbs, base.warps), "l2_kb={kb}");
+    for run in [run_mv, run_mv_4sm] {
+        let (base, base_mem) = run(0);
+        for kb in [64, 512, 6144] {
+            let (s, mem) = run(kb);
+            assert_eq!(mem, base_mem, "l2_kb={kb}: memory image moved");
+            assert_eq!(s.instructions, base.instructions, "l2_kb={kb}");
+            assert_eq!((s.tbs, s.warps), (base.tbs, base.warps), "l2_kb={kb}");
+        }
     }
 }
 
@@ -180,44 +197,4 @@ fn l2_capacity_orders_hit_rates_and_cycles() {
     // Evictions appear exactly when the slice is too small.
     assert!(small.l2_evictions > 0, "thrashing slice must evict");
     assert_eq!(big.l2_evictions, 0, "covering slice must not evict");
-}
-
-/// The L2 slice is per-SM state, so the parallel-SM path needs no new
-/// synchronization: stats (L2 counters included) and memory are
-/// bit-identical across execution modes with the L2 enabled.
-#[test]
-fn l2_stats_are_bit_identical_across_sm_modes() {
-    let kernel = mv_kernel();
-    let run = |parallel: bool| {
-        let mut mem = GlobalMem::new();
-        let a = mem.alloc_f32(
-            &(0..MV_N * MV_N)
-                .map(|v| (v % 13) as f32)
-                .collect::<Vec<_>>(),
-        );
-        let b = mem.alloc_f32(&(0..MV_N).map(|v| (v % 7) as f32).collect::<Vec<_>>());
-        let tmp = mem.alloc_zeroed(MV_N as u32);
-        let mut config = GpuConfig::titan_v();
-        config.num_sms = 4;
-        config.l1_cap_bytes = Some(32 * 1024);
-        config.l2_kb = Some(1024);
-        config.sm_parallel = Some(parallel);
-        let stats = Gpu::new(config)
-            .launch(
-                &kernel,
-                LaunchConfig::d1(8, 32),
-                &[Arg::Buf(a), Arg::Buf(b), Arg::Buf(tmp)],
-                &mut mem,
-            )
-            .unwrap();
-        (stats, mem.content_digest())
-    };
-    let (par, par_mem) = run(true);
-    let (seq, seq_mem) = run(false);
-    assert_eq!(par.cycles, seq.cycles);
-    assert_eq!(par.l2_accesses, seq.l2_accesses);
-    assert_eq!(par.l2_hits, seq.l2_hits);
-    assert_eq!(par.l2_evictions, seq.l2_evictions);
-    assert_eq!(par_mem, seq_mem);
-    assert!(par.l2_accesses > 0, "the L2 actually saw traffic");
 }

@@ -6,17 +6,16 @@
 //! cycle. Likewise the per-set L1D counters are incremented on the same
 //! code path that feeds `LaunchStats`, so their sums must reconcile with
 //! the aggregate counters bit-exactly. This suite pins both properties
-//! for every registry workload, under parallel SM execution (the shard
-//! merge is the interesting path) and sequentially for one workload.
+//! for every registry workload on four SMs (the shard merge is the
+//! interesting path).
 
 use catt_sim::{GpuConfig, LaunchProfile, LaunchStats, StallReason};
 use catt_workloads::harness;
 use catt_workloads::registry;
 
-fn mode_config(parallel: bool) -> GpuConfig {
+fn four_sm_config() -> GpuConfig {
     let mut c = GpuConfig::titan_v();
     c.num_sms = 4;
-    c.sm_parallel = Some(parallel);
     c
 }
 
@@ -76,8 +75,8 @@ fn assert_reconciles(profiles: &[LaunchProfile], stats: &LaunchStats, what: &str
 }
 
 #[test]
-fn every_registry_workload_reconciles_under_parallel_sms() {
-    let config = mode_config(true);
+fn every_registry_workload_reconciles_on_four_sms() {
+    let config = four_sm_config();
     for w in registry::all_workloads() {
         let (out, profiles) = harness::run_profiled(&w, &config)
             .unwrap_or_else(|e| panic!("{}: profiled run failed: {e:?}", w.abbrev));
@@ -87,17 +86,6 @@ fn every_registry_workload_reconciles_under_parallel_sms() {
         }
         assert_reconciles(&profiles, &out, w.abbrev);
     }
-}
-
-#[test]
-fn sequential_mode_upholds_the_same_invariants() {
-    let config = mode_config(false);
-    let w = registry::find("ATAX").unwrap();
-    let (out, profiles) = harness::run_profiled(&w, &config).expect("profiled run");
-    for p in &profiles {
-        assert_stall_accounting(p, w.abbrev);
-    }
-    assert_reconciles(&profiles, &out, w.abbrev);
 }
 
 /// A fuel-exhausted launch still yields a (partial) profile, flagged
@@ -115,7 +103,7 @@ fn fuel_exhaustion_yields_partial_profile_with_fuel_stalls() {
          }",
     )
     .unwrap();
-    let mut c = mode_config(true);
+    let mut c = four_sm_config();
     c.sim_fuel = Some(5_000);
     c.profile = Some(true);
     catt_sim::profile::set_capture(true);

@@ -4,17 +4,15 @@
 //! The `ProfileSink` hooks observe the SM pipeline; they never feed back
 //! into it. This suite pins that contract the strong way: for every
 //! registry workload, the full `LaunchStats` and the final output-memory
-//! digest are bit-identical with profiling on and off, in both SM
-//! execution modes (`sm_parallel` on | off).
+//! digest are bit-identical with profiling on and off, on four SMs.
 
 use catt_sim::{GpuConfig, LaunchStats};
 use catt_workloads::harness;
 use catt_workloads::registry;
 
-fn mode_config(parallel: bool, profile: bool) -> GpuConfig {
+fn four_sm_config(profile: bool) -> GpuConfig {
     let mut c = GpuConfig::titan_v();
     c.num_sms = 4;
-    c.sm_parallel = Some(parallel);
     c.profile = Some(profile);
     c
 }
@@ -39,8 +37,8 @@ fn assert_stats_identical(a: &LaunchStats, b: &LaunchStats, what: &str) {
     );
 }
 
-/// Profiling on|off × sm_parallel on|off: same stats, same memory image,
-/// for every registry workload. Capture stays off, so the profiles
+/// Profiling on|off: same stats, same memory image, for every registry
+/// workload. Capture stays off, so the profiles
 /// generated by the "on" runs are dropped at submit — this test measures
 /// only the instrumented simulation itself.
 #[test]
@@ -48,21 +46,18 @@ fn profiling_never_changes_stats_or_memory() {
     harness::set_mem_digest_capture(true);
     for w in registry::all_workloads() {
         let kernels = w.kernels();
-        for parallel in [false, true] {
-            let mode = if parallel { "parallel" } else { "sequential" };
-            let off = (w.run)(&kernels, &mode_config(parallel, false), true);
-            let off_mem = harness::last_mem_digest()
-                .unwrap_or_else(|| panic!("{}/{mode}: no digest (off)", w.abbrev));
-            let on = (w.run)(&kernels, &mode_config(parallel, true), true);
-            let on_mem = harness::last_mem_digest()
-                .unwrap_or_else(|| panic!("{}/{mode}: no digest (on)", w.abbrev));
-            assert_stats_identical(&on, &off, &format!("{}/{mode}", w.abbrev));
-            assert_eq!(
-                on_mem, off_mem,
-                "{}/{mode}: final memory image differs with profiling on",
-                w.abbrev
-            );
-        }
+        let off = (w.run)(&kernels, &four_sm_config(false), true);
+        let off_mem =
+            harness::last_mem_digest().unwrap_or_else(|| panic!("{}: no digest (off)", w.abbrev));
+        let on = (w.run)(&kernels, &four_sm_config(true), true);
+        let on_mem =
+            harness::last_mem_digest().unwrap_or_else(|| panic!("{}: no digest (on)", w.abbrev));
+        assert_stats_identical(&on, &off, w.abbrev);
+        assert_eq!(
+            on_mem, off_mem,
+            "{}: final memory image differs with profiling on",
+            w.abbrev
+        );
     }
     harness::set_mem_digest_capture(false);
 }

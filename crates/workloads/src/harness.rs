@@ -212,9 +212,9 @@ pub fn set_functional_execution(enabled: bool) {
 
 /// Enable or disable capturing the post-run memory digest in
 /// [`exec_sequence`] (thread-local; off by default because hashing the
-/// full footprint after every run is measurable in sweeps). The
-/// parallel-vs-sequential equivalence suite turns it on to assert
-/// bit-identical output buffers across execution modes.
+/// full footprint after every run is measurable in sweeps). Equivalence
+/// suites (profiled vs unprofiled, functional vs timed) turn it on to
+/// assert bit-identical output buffers.
 pub fn set_mem_digest_capture(enabled: bool) {
     MEM_DIGEST.with(|d| d.set((enabled, None)));
 }

@@ -69,6 +69,20 @@ for f in $(find crates/*/src src -name '*.rs'); do
     fi
 done
 
+echo "==> a launch runs on its caller's thread: no threads in the simulator"
+# Multi-SM launches simulate their SMs one after another against one
+# GlobalMem; the engine's worker pool is the only parallelism. Any path
+# into `std::thread` is refused (a `use` of it, `thread::Builder`, a
+# bare `spawn`/`scope` imported from it), not only `thread::spawn`;
+# `thread_local!` is not a thread. Test modules are stripped as above.
+for f in $(find crates/sim/src -name '*.rs'); do
+    if sed -n '1,/#\[cfg(test)\]/p' "$f" | grep -vE '^[[:space:]]*//' \
+        | grep -nE 'std::thread\b|\bthread::|std::\{[^}]*\bthread\b' ; then
+        echo "error: std::thread in $f (the simulator runs on its caller's thread)" >&2
+        exit 1
+    fi
+done
+
 echo "==> one benchmark: no root-level BENCH_*.json"
 # BENCHMARK.json is the contract and BENCH_history.jsonl the trajectory;
 # a one-off report file next to them is a second schema nobody compares.

@@ -2,7 +2,7 @@
 //! the issue-loop rewrite (age-ordered pick, decoded op table, shift/mask
 //! coalescer), so a scheduler or cache change that shifts any count by one
 //! fails here. Every other equivalence suite compares the simulator with
-//! itself (parallel vs sequential, profiled vs unprofiled, run vs re-run)
+//! itself (profiled vs unprofiled, functional vs timed, run vs re-run)
 //! and would pass such a shift.
 //!
 //! Runs call the workload runner directly (cold, no simulation cache)
@@ -97,10 +97,9 @@ fn atax_catt_transformed() {
 }
 
 #[test]
-fn dm_on_four_parallel_sms() {
+fn dm_on_four_sms() {
     let mut cfg = eval_config_max_l1d();
     cfg.num_sms = 4;
-    cfg.sm_parallel = Some(true);
     assert_eq!(
         cold("DM", &cfg),
         (13_008_384, 1_168_888, 1_769_472, 1_723_392, 0, 48_384)

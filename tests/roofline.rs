@@ -76,12 +76,11 @@ fn issue_bound_on_generated_kernels_at_one_sm() {
     issue_bound_holds_on_generated_kernels(&eval_config_max_l1d());
 }
 
-/// Four SMs on parallel threads: the bound's `num_sms` factor, and the
-/// parallel launch path on fuzz shapes.
+/// Four SMs: the bound's `num_sms` factor, and round-robin block
+/// distribution on fuzz shapes.
 #[test]
-fn issue_bound_on_generated_kernels_at_four_parallel_sms() {
+fn issue_bound_on_generated_kernels_at_four_sms() {
     let mut cfg = eval_config_max_l1d();
     cfg.num_sms = 4;
-    cfg.sm_parallel = Some(true);
     issue_bound_holds_on_generated_kernels(&cfg);
 }
