@@ -7,7 +7,7 @@
 //! identity: its abbreviation as the scope, the programs run, the first
 //! launch's geometry (the `[block_launch]` list a BFTT sweep keys on) and
 //! the [`GpuConfig`]. Scope and programs already fix the app's launch
-//! sequence, so a program measured by the tuner's climb, a BFTT sweep or a
+//! sequence, so a program measured by the tuner, a BFTT sweep or a
 //! figure is simulated once in a process and served to the rest. Every run
 //! validates the app's output against its host reference.
 

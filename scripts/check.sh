@@ -54,10 +54,9 @@ for f in crates/sim/src/sm.rs crates/sim/src/mem.rs crates/sim/src/warp.rs \
 done
 
 echo "==> configuration enters at the edge: no environment reads in library code"
-# Library crates take typed configuration (GpuConfig, TuneOptions,
-# ServeConfig, the Engine/Pipeline builders, FaultPlan). Only the
-# binary's edge parses CATT_* variables. Test modules are stripped as
-# above.
+# Library crates take typed configuration (GpuConfig, ServeConfig, the
+# Engine/Pipeline builders, FaultPlan). Only the binary's edge parses
+# CATT_* variables. Test modules are stripped as above.
 for f in $(find crates/*/src src -name '*.rs'); do
     case "$f" in
         src/bin/catt.rs) continue ;;
@@ -143,11 +142,11 @@ target/release/catt profile ATAX --trace-out "$PROFILE_TRACE" > /dev/null
     exit 1
 }
 
-echo "==> tune smoke: fixed-seed autotune run with self-check invariants"
+echo "==> tune smoke: autotune run with self-check invariants"
 # The CLI re-runs TuneReport::self_check on every report (tuned is the
-# argmin of the selectable trace, never slower than baseline or static
-# CATT, iteration bound respected, swizzle selection backed by the L2
-# gain) and exits non-zero on violation. The JSON summary (DM tuned to
+# argmin of the selectable trace, never slower than baseline, static
+# CATT or BFTT, swizzle selection backed by the L2 gain) and exits
+# non-zero on violation. The JSON summary (DM tuned to
 # the tile-major CTA swizzle that pure throttling cannot find) must be
 # byte-identical to tests/golden/tune-DM-ATAX.json, recorded when every
 # tuner step ran one simulation at a time; it holds no time fields.

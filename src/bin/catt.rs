@@ -5,7 +5,7 @@
 //! catt analyze kernels.cu --launch atax_kernel1=320x256 [--l1 32]
 //! catt run     kernels.cu --launch k=4x256 --args f:1024,f:1024 [--l1 32] [--fuel <cycles>] [--sanitize]
 //! catt profile <ABBREV|all> [--l1 <KB>] [--trace-out <trace.json>]
-//! catt tune    <ABBREV|all> [--l1 <KB>] [--seed <S>] [--iters <N>] [--out <tune.json>]
+//! catt tune    <ABBREV|all> [--l1 <KB>] [--out <tune.json>]
 //! catt fuzz    [--seed <S>] [--iters <N>] [--shrink] [--unchecked] [--corpus <dir>] [--frontend]
 //! catt reproduce <id|all> [--check]
 //! ```
@@ -27,12 +27,12 @@
 //!   invariants and profile/stats reconciliation are re-checked on every
 //!   run; any violation exits non-zero;
 //! * `tune` runs the feedback-driven autotuner on a registry workload (or
-//!   `all`): an APEX-style increase/decrease-cap climb over the joint
-//!   `(N, M, CTA-swizzle)` space steered by observed profile counters,
-//!   compared against baseline, static CATT, and BFTT. `--out` writes the
+//!   `all`): the measured argmin of the `(N, M)` throttle ladder, static
+//!   CATT and the CTA-swizzle candidates at the chosen point, compared
+//!   against baseline, static CATT, and BFTT. `--out` writes the
 //!   machine-readable summary (the recorded 25-app table is
 //!   `results/tune.txt`). Tuner self-checks run on every report; any
-//!   violation exits non-zero. Same seed ⇒ identical trajectory;
+//!   violation exits non-zero;
 //! * `fuzz` runs the `catt-verify` differential transform oracle:
 //!   deterministic random kernels, every reachable throttle variant,
 //!   bit-exact memory + `SimError`-classification comparison under the
@@ -131,7 +131,7 @@ fn usage() -> ExitCode {
          [--launch ...] [--l1 <KB>] [--fuel <cycles>] [--sanitize] [--args <spec,...>] \
          [-o <out.cu>]\n\
          \x20      catt profile <ABBREV|all> [--l1 <KB>] [--trace-out <trace.json>]\n\
-         \x20      catt tune <ABBREV|all> [--l1 <KB>] [--seed <S>] [--iters <N>] [--out <tune.json>]\n\
+         \x20      catt tune <ABBREV|all> [--l1 <KB>] [--out <tune.json>]\n\
          \x20      catt fuzz [--seed <S>] [--iters <N>] [--shrink] [--unchecked] [--corpus <dir>] [--frontend]\n\
          \x20      catt serve [--stdio | --tcp <addr>]\n\
          \x20      catt reproduce <id|all> [--check]"
@@ -413,11 +413,10 @@ fn profile_main(args: &[String]) -> ExitCode {
 
 /// `catt tune`: the feedback-driven `(N, M, swizzle)` autotuner.
 fn tune_main(args: &[String]) -> ExitCode {
-    use catt_repro::tune::{tune_workloads, TuneOptions};
+    use catt_repro::tune::tune_workloads;
     use catt_repro::workloads::{harness, registry};
 
     let target = &args[0];
-    let mut opts = TuneOptions::default();
     let mut l1_bytes: Option<u32> = None;
     let mut out_path: Option<String> = None;
     let mut i = 1;
@@ -426,20 +425,6 @@ fn tune_main(args: &[String]) -> ExitCode {
             "--l1" if i + 1 < args.len() => {
                 match parse_l1("tune", &args[i + 1]) {
                     Ok(b) => l1_bytes = Some(b),
-                    Err(code) => return code,
-                }
-                i += 2;
-            }
-            "--seed" if i + 1 < args.len() => {
-                match numeric("tune", "seed", &args[i + 1], 1) {
-                    Ok(s) => opts.seed = s,
-                    Err(code) => return code,
-                }
-                i += 2;
-            }
-            "--iters" if i + 1 < args.len() => {
-                match numeric("tune", "iters", &args[i + 1], 1) {
-                    Ok(n) => opts.max_iters = n,
                     Err(code) => return code,
                 }
                 i += 2;
@@ -475,16 +460,16 @@ fn tune_main(args: &[String]) -> ExitCode {
     let mut config = harness::eval_config_max_l1d();
     config.l1_cap_bytes = l1_bytes.or(config.l1_cap_bytes);
 
-    let summary = tune_workloads(&workloads, &config, &opts);
+    let summary = tune_workloads(&workloads, &config);
     print!("{}", summary.render_table());
 
     let mut failed = !summary.failures.is_empty();
-    for e in summary.violations(&opts) {
+    for e in summary.violations() {
         eprintln!("catt tune: SELF-CHECK VIOLATION: {e}");
         failed = true;
     }
     if let Some(path) = out_path {
-        let json = summary.to_json(&opts);
+        let json = summary.to_json();
         if let Err(e) = std::fs::write(&path, &json) {
             eprintln!("catt tune: cannot write {path}: {e}");
             failed = true;

@@ -22,8 +22,8 @@
 //!   regression corpus (`catt-verify`; see `catt fuzz`);
 //! * [`serve`] — the overload-safe multi-tenant compile-and-simulate
 //!   daemon (`catt-serve`; see `catt serve`);
-//! * [`tune`] — the feedback-driven autotuner hill-climbing the joint
-//!   `(N, M, CTA-swizzle)` space from observed profile counters
+//! * [`tune`] — the autotuner: the measured argmin of the `(N, M)`
+//!   throttle ladder, static CATT and the CTA-swizzle candidates
 //!   (`catt-tune`; see `catt tune`).
 //!
 //! ## Quickstart

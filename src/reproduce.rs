@@ -18,7 +18,7 @@ use catt_core::transform::{tb_throttle, warp_throttle};
 use catt_ir::Kernel;
 use catt_sim::config::DynctaConfig;
 use catt_sim::GpuConfig;
-use catt_tune::{tune_workloads, TuneOptions};
+use catt_tune::tune_workloads;
 use catt_workloads::harness::{compile_catt, eval_config_32kb_l1d, eval_config_max_l1d, geomean};
 use catt_workloads::registry::{self, all_workloads, ci_workloads, cs_workloads, Workload};
 use catt_workloads::{micro, run_baseline, run_bftt, run_cached, run_catt, EvalError};
@@ -661,15 +661,14 @@ fn analysis_overhead() -> Rendered {
     Ok(table(title, "app|source lines|compile time", &rows))
 }
 
-/// Extension — the feedback autotuner on every registry app at the
-/// default options and the max L1D: the `catt tune all` table.
+/// Extension — the feedback autotuner on every registry app at the max
+/// L1D: the `catt tune all` table.
 fn tune() -> Rendered {
-    let opts = TuneOptions::default();
-    let summary = tune_workloads(&all_workloads(), &eval_config_max_l1d(), &opts);
+    let summary = tune_workloads(&all_workloads(), &eval_config_max_l1d());
     if let Some((abbrev, e)) = summary.failures.first() {
         return Err(format!("tuning {abbrev} failed: {e}").into());
     }
-    match summary.violations(&opts).first() {
+    match summary.violations().first() {
         Some(v) => Err(format!("tuner self-check: {v}").into()),
         None => Ok(summary.render_table()),
     }
